@@ -89,14 +89,12 @@ executeRun(const scenario::Scenario &scenario)
     sleep::SleepController sleepCtl(network);
 
     if (low.broadcastLoss > 0.0) {
-        if (!network.broadcastChannel()) {
-            sim::fatal("[radio] loss needs the sequential broadcast "
-                       "channel: threads = 1 and model = broadcast");
+        net::Channel *ch = network.broadcastChannel();
+        if (!ch) {
+            sim::fatal("[radio] loss needs threads = 1 and model = "
+                       "broadcast");
         }
-        for (unsigned d = 0;
-             net::Channel *ch = network.broadcastChannel(d); ++d) {
-            ch->setLossProbability(low.broadcastLoss);
-        }
+        ch->setLossProbability(low.broadcastLoss);
     }
 
     std::unique_ptr<fault::FaultInjector> injector;

@@ -28,24 +28,11 @@ Network::build(const scenario::NetworkSpec &spec)
     if (K > N)
         sim::fatal("Network: more threads (%u) than nodes (%u)", K, N);
 
-    unsigned domains = 1;
-    for (const scenario::NodeSpec &n : spec.nodes)
-        domains = std::max(domains, n.domain + 1);
-
     if (spec.spatial) {
         model = std::make_unique<net::SpatialModel>(*spec.spatial,
                                                     spec.positions());
-        // The spatial medium runs on the relay fabric at every K; the
-        // K=1 scheduler path is a plain run, so nothing is lost.
-        relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
-    } else if (K > 1) {
-        if (domains > 1) {
-            sim::fatal("Network: multiple broadcast domains require "
-                       "threads=1 (or the spatial model, which supports "
-                       "any thread count)");
-        }
-        relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
     }
+    relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
 
     // Spatial scenarios with K > 1 partition by locality (recursive
     // coordinate bisection), so each shard owns a compact tile and
@@ -72,25 +59,16 @@ Network::build(const scenario::NetworkSpec &spec)
         if (spec.telemetrySink)
             shard.simulation->setTelemetry(spec.telemetrySink(s));
 
-        net::Medium *medium = nullptr;
-        if (spec.spatial) {
-            shard.spatialChannel = std::make_unique<net::SpatialMedium>(
+        if (model) {
+            shard.channel = std::make_unique<net::Channel>(
                 *shard.simulation, "channel", *relay, s, *model);
-            medium = shard.spatialChannel.get();
-        } else if (K == 1) {
-            // One Channel per broadcast domain. The single-domain name
-            // stays "channel" so existing stat layouts are unchanged.
-            for (unsigned d = 0; d < domains; ++d) {
-                shard.channels.push_back(std::make_unique<net::Channel>(
-                    *shard.simulation,
-                    domains == 1 ? "channel"
-                                 : "channel" + std::to_string(d),
-                    spec.bitRate, spec.channelSeed + d));
-            }
         } else {
-            shard.shardChannel = std::make_unique<net::ShardChannel>(
-                *shard.simulation, "channel", *relay, s);
-            medium = shard.shardChannel.get();
+            std::vector<unsigned> domain_of(N);
+            for (unsigned i = 0; i < N; ++i)
+                domain_of[i] = spec.nodes[i].domain;
+            shard.channel = std::make_unique<net::Channel>(
+                *shard.simulation, "channel", *relay, s,
+                std::move(domain_of), spec.channelSeed);
         }
 
         // Nodes are constructed in ascending global index within their
@@ -100,15 +78,12 @@ Network::build(const scenario::NetworkSpec &spec)
         shard.simulation->eventq().reserve(members[s].size() * 8 + 64);
         for (unsigned i : members[s]) {
             const scenario::NodeSpec &ns = spec.nodes[i];
-            if (!shard.channels.empty())
-                medium = shard.channels[ns.domain].get();
             shard.nodes.push_back(std::make_unique<SensorNode>(
                 *shard.simulation, "node" + std::to_string(i), ns.config,
-                medium));
+                shard.channel.get()));
             SensorNode *node = shard.nodes.back().get();
             nodeByIndex[i] = node;
-            if (shard.spatialChannel)
-                shard.spatialChannel->bind(&node->radio(), i);
+            shard.channel->bind(&node->radio(), i);
             apps::install(*node, ns.buildApp());
             for (const MessageProcessor::Route &r : ns.routes)
                 node->msgProc().preloadRoute(r.origin, r.nextHop);
@@ -174,9 +149,10 @@ Network::~Network() = default;
 net::Channel *
 Network::broadcastChannel(unsigned domain)
 {
-    if (shards.empty() || domain >= shards[0].channels.size())
+    if (model || shards.size() != 1 ||
+        domain >= shards[0].channel->numDomains())
         return nullptr;
-    return shards[0].channels[domain].get();
+    return shards[0].channel.get();
 }
 
 void
@@ -191,31 +167,21 @@ Network::runUntilTick(sim::Tick end)
     if (end < ran)
         sim::fatal("Network: runUntilTick(%llu) is in the past (ran %llu)",
                    (unsigned long long)end, (unsigned long long)ran);
-    if (!relay) {
-        shards[0].simulation->runUntil(end);
-    } else {
-        sim::ParallelScheduler scheduler(relay->lookahead());
-        for (Shard &shard : shards) {
-            sim::ShardCoupling *coupling =
-                shard.spatialChannel
-                    ? static_cast<sim::ShardCoupling *>(
-                          shard.spatialChannel.get())
-                    : shard.shardChannel.get();
-            scheduler.addShard(shard.simulation->eventq(), coupling);
+    sim::ParallelScheduler scheduler(relay->lookahead());
+    for (Shard &shard : shards)
+        scheduler.addShard(shard.simulation->eventq(), shard.channel.get());
+    // Mirror the relay's pair topology into the scheduler: severed pairs
+    // free-run past one another, the rest keep the default.
+    for (unsigned a = 0; a < relay->numShards(); ++a) {
+        for (unsigned b = 0; b < relay->numShards(); ++b) {
+            if (a == b)
+                continue;
+            const sim::Tick look = relay->pairLookahead(a, b);
+            if (look != relay->lookahead())
+                scheduler.setPairLookahead(a, b, look);
         }
-        // Mirror the relay's pair topology into the scheduler: severed
-        // pairs free-run past one another, the rest keep the default.
-        for (unsigned a = 0; a < relay->numShards(); ++a) {
-            for (unsigned b = 0; b < relay->numShards(); ++b) {
-                if (a == b)
-                    continue;
-                const sim::Tick look = relay->pairLookahead(a, b);
-                if (look != relay->lookahead())
-                    scheduler.setPairLookahead(a, b, look);
-            }
-        }
-        scheduler.run(end);
     }
+    scheduler.run(end);
     ran = end;
 }
 
@@ -240,8 +206,6 @@ Network::reviveNodeNow(unsigned node)
     if (&n->simulation() != shards[s].simulation.get())
         sim::panic("Network: node %u revived on a foreign shard", node);
     n->supplyUp();
-    if (shards[s].spatialChannel)
-        shards[s].spatialChannel->bind(&n->radio(), node);
     applyNodePlatformConfig(node);
     // Reinstall the factory image (SRAM did not survive) and boot. The
     // route CAM is intentionally left empty: repair re-teaches it.
@@ -258,8 +222,6 @@ Network::wakeNodeFromDeepSleep(unsigned node)
     if (&n->simulation() != shards[s].simulation.get())
         sim::panic("Network: node %u woken on a foreign shard", node);
     n->deepSleepWake();
-    if (shards[s].spatialChannel)
-        shards[s].spatialChannel->bind(&n->radio(), node);
     applyNodePlatformConfig(node);
     apps::install(*n, builtSpec.nodes[node].buildApp());
     // A scheduled wake knows its topology: restore the spec's preload
@@ -330,24 +292,11 @@ Network::counters() const
         // dumpStats folds every shard's channel stats into shard 0;
         // after that, the other shards' copies would double-count.
         const bool countChannel = !statsMerged || s == 0;
-        c.eventsProcessed += shard.simulation->eventq().numProcessed();
-        if (shard.spatialChannel) {
-            c.eventsProcessed -= shard.spatialChannel->auxiliaryEvents();
-            if (countChannel) {
-                c.framesDelivered += shard.spatialChannel->framesDelivered();
-                c.collisions += shard.spatialChannel->collisions();
-            }
-        } else if (shard.shardChannel) {
-            c.eventsProcessed -= shard.shardChannel->auxiliaryEvents();
-            if (countChannel) {
-                c.framesDelivered += shard.shardChannel->framesDelivered();
-                c.collisions += shard.shardChannel->collisions();
-            }
-        } else {
-            for (const auto &channel : shard.channels) {
-                c.framesDelivered += channel->framesDelivered();
-                c.collisions += channel->collisions();
-            }
+        c.eventsProcessed += shard.simulation->eventq().numProcessed() -
+                             shard.channel->auxiliaryEvents();
+        if (countChannel) {
+            c.framesDelivered += shard.channel->framesDelivered();
+            c.collisions += shard.channel->collisions();
         }
         for (const auto &node : shard.nodes) {
             c.framesSent += node->radio().framesSent();
@@ -371,20 +320,11 @@ Network::dumpStats(std::ostream &os)
     // Fold every shard's channel stats into shard 0's (once), then print
     // in the sequential layout: channel first, nodes in index order.
     if (!statsMerged) {
-        for (std::size_t s = 1; s < shards.size(); ++s) {
-            if (shards[0].spatialChannel) {
-                shards[0].spatialChannel->mergeFrom(
-                    *shards[s].spatialChannel);
-            } else {
-                shards[0].shardChannel->mergeFrom(*shards[s].shardChannel);
-            }
-        }
+        for (std::size_t s = 1; s < shards.size(); ++s)
+            shards[0].channel->mergeFrom(*shards[s].channel);
         statsMerged = true;
     }
-    if (shards[0].spatialChannel)
-        shards[0].spatialChannel->printStats(os);
-    else
-        shards[0].shardChannel->printStats(os);
+    shards[0].channel->printStats(os);
     for (SensorNode *node : nodeByIndex)
         node->printStats(os);
 }

@@ -5,16 +5,13 @@
  * parallel kernel (K Simulations coupled by a net::FrameRelay under
  * sim::ParallelScheduler).
  *
- * The medium comes in two flavors, chosen by the spec:
+ * Every shard owns one net::Channel, the one radio medium, coupled to
+ * its peers through a net::FrameRelay at every thread count (the K=1
+ * scheduler path is a plain run). The spec picks its topology:
  *
- *  - broadcast (default): one flat domain — net::Channel sequentially,
- *    net::ShardChannel per shard in parallel. Multiple independent
- *    broadcast domains (NodeSpec::domain) are supported sequentially,
- *    one net::Channel per domain.
- *  - spatial (NetworkSpec::spatial set): net::SpatialMedium over the
- *    node positions, for *every* thread count — the K=1 scheduler path
- *    degenerates to a plain run, so one implementation serves both and
- *    stays K-invariant by construction.
+ *  - broadcast (default): flat domains (NodeSpec::domain, default 0);
+ *  - spatial (NetworkSpec::spatial set): log-distance path loss over the
+ *    node positions.
  *
  * The two kernels are required to produce identical statistics for the
  * same configuration — `threads=1` *is* the regression oracle for
@@ -25,9 +22,10 @@
  * configuration path (the legacy per-node-lambda Config shim is gone;
  * build a spec with scenario::NetworkSpec/NodeSpec directly).
  *
- * Parallel-mode restrictions (enforced here): no channel loss model and
- * no Gilbert-Elliott bursts on the broadcast medium (see net/relay.hh
- * for why), a single broadcast domain, at most one shard per node.
+ * Parallel-mode restrictions (enforced here): at most one shard per
+ * node. Any number of broadcast domains runs at any thread count; the
+ * loss models are driven through broadcastChannel(), which exists only
+ * at threads = 1.
  */
 
 #ifndef ULP_CORE_NETWORK_HH
@@ -41,8 +39,6 @@
 #include "core/apps.hh"
 #include "core/sensor_node.hh"
 #include "net/channel.hh"
-#include "net/relay.hh"
-#include "net/spatial_medium.hh"
 #include "scenario/spec.hh"
 #include "sim/simulation.hh"
 
@@ -92,8 +88,10 @@ class Network
     unsigned shardOf(unsigned node) const { return shardOfNode[node]; }
 
     /**
-     * The sequential broadcast channel of @p domain (fault injection,
-     * loss models); null under the spatial model or the parallel kernel.
+     * The medium carrying broadcast domain @p domain (fault injection,
+     * loss models) of a threads = 1 broadcast network: every domain
+     * shares the one medium. Null past the last domain, under the
+     * spatial model, and at threads > 1.
      */
     net::Channel *broadcastChannel(unsigned domain = 0);
 
@@ -107,7 +105,7 @@ class Network
      * Run all shards up to the absolute tick @p end (>= the ticks already
      * run). Segmented runs are how the resilience layer gets control
      * points: between segments every shard sits at the same tick and the
-     * media have finalized in-flight state, so topology inspection and
+     * medium has finalized in-flight state, so topology inspection and
      * route recomputation are race-free.
      */
     void runUntilTick(sim::Tick end);
@@ -125,8 +123,8 @@ class Network
     void powerOffNodeNow(unsigned node);
 
     /**
-     * Full revive for @p node, now: supply up, radio re-attached (and
-     * re-bound under the spatial model), application image reinstalled
+     * Full revive for @p node, now: supply up, radio re-attached (the
+     * medium re-binds it to its node index), application image reinstalled
      * and booted. The route CAM stays empty — full supply loss wiped it,
      * and only a repair round (or a fresh preload) re-teaches routes —
      * so an un-repaired revived relay swallows its children's traffic.
@@ -142,7 +140,7 @@ class Network
     /**
      * Wake @p node from deep sleep (SensorNode::deepSleepEnter), now.
      * Shard-local like reviveNodeNow. Unlike a revive, this is a
-     * *scheduled* wake with known topology: the radio is re-bound, the
+     * *scheduled* wake with known topology: the radio re-attaches, the
      * MAC registers are reprogrammed, the application image is
      * reinstalled, and the spec's routing-CAM preload is restored (a
      * revived crash victim instead waits for repair to re-teach routes).
@@ -166,10 +164,7 @@ class Network
     struct Shard
     {
         std::unique_ptr<sim::Simulation> simulation;
-        /** Broadcast media, threads == 1 (one Channel per domain). */
-        std::vector<std::unique_ptr<net::Channel>> channels;
-        std::unique_ptr<net::ShardChannel> shardChannel; ///< broadcast, K > 1
-        std::unique_ptr<net::SpatialMedium> spatialChannel; ///< spatial
+        std::unique_ptr<net::Channel> channel;
         std::vector<std::unique_ptr<SensorNode>> nodes;
     };
 

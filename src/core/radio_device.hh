@@ -130,7 +130,7 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
 
     /**
      * Lifecycle: leave the medium (full supply loss, node death). A frame
-     * this radio already put on the air *completes* — both media own their
+     * this radio already put on the air *completes* — the medium owns its
      * in-flight state, so the delivery resolves identically at any thread
      * count — but the radio stops hearing anything from the detach on,
      * and a MAC transaction still in backoff dies with the node. Safe to
@@ -138,8 +138,8 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
      */
     void detachFromMedium();
 
-    /** Lifecycle: rejoin the medium on revive (spatial media need a
-     *  subsequent SpatialMedium::bind before the radio may transmit). */
+    /** Lifecycle: rejoin the medium on revive (the medium re-binds the
+     *  radio to the node index it was bound to before). */
     void attachToMedium();
 
     bool attachedToMedium() const { return attachedToChannel; }

@@ -4,7 +4,7 @@
  * (event processor, microcontroller) and slaves (timers, filter, message
  * processor, radio, sensor/ADC, banked main memory) hang off the system
  * bus's data, interrupt, and power-control divisions. Several nodes may
- * share one Simulation and one net::Channel to form a network.
+ * share one Simulation and one net::Medium to form a network.
  */
 
 #ifndef ULP_CORE_SENSOR_NODE_HH

@@ -1,37 +1,26 @@
 /**
  * @file
  * Abstract radio medium: the surface a transceiver (radio device) needs
- * from whatever carries its frames. Three implementations exist:
- *
- *  - net::Channel — one broadcast domain of the single-threaded kernel
- *    (one EventQueue simulates every node);
- *  - net::ShardChannel — the shard-local medium of the parallel kernel,
- *    which relays transmissions to the other shards' media through the
- *    conservative cross-shard FrameRelay;
- *  - net::SpatialMedium — the position-aware medium (path loss,
- *    per-link delivery probability, interference domains derived from
- *    geometry), also built on the FrameRelay so it runs at any thread
- *    count.
- *
- * Keeping the transceiver side behind this interface is what lets one
- * RadioDevice implementation run unmodified under every kernel.
+ * from whatever carries its frames. It has one implementation,
+ * net::Channel: one instance per shard of a network (or one standalone
+ * instance), coupled to the other shards' instances through a
+ * net::FrameRelay, so it runs at every thread count. Keeping the
+ * transceiver side behind this interface keeps RadioDevice free of the
+ * relay and topology machinery.
  *
  * Multi-domain invariant
  * ----------------------
- * A core::Network may own SEVERAL Medium instances at once — one per
- * interference domain — and each transceiver attaches to exactly one of
- * them. Frames never cross Medium instances: two nodes hear (and
- * collide with) each other iff they are attached to the same instance.
- * The two ways to get more than one domain:
+ * A network is partitioned into interference domains: two nodes hear
+ * (and collide with) each other only within one domain, and frames never
+ * cross domains. The medium holds every domain of its shard:
  *
- *  - broadcast model: one net::Channel per declared `domain` value.
- *    Supported only at threads = 1; Channel instances have no relay
- *    fabric, so the parallel kernel cannot split them across shards
- *    (core::Network rejects the combination at build time).
- *  - spatial model: a single net::SpatialMedium per shard, but the
- *    domain partition is computed from node positions (interference
- *    range), so disjoint clusters behave as separate domains without
- *    any declaration — and this works at every thread count.
+ *  - broadcast topology: each node declares its domain (NodeSpec::domain,
+ *    default 0); every member hears every other member;
+ *  - spatial topology: the domains are the connected components of the
+ *    interference graph derived from node positions
+ *    (SpatialModel::domainOf), with no declaration needed.
+ *
+ * Both work at every thread count.
  */
 
 #ifndef ULP_NET_MEDIUM_HH
@@ -41,6 +30,9 @@
 #include "sim/types.hh"
 
 namespace ulp::net {
+
+/** 802.15.4: 250 kbit/s. */
+inline constexpr double defaultBitRate = 250'000.0;
 
 /** Callback interface a radio device implements to hear the channel. */
 class Transceiver

@@ -26,6 +26,15 @@ hashToUnitReal(std::uint64_t h)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+double
+counterDraw(std::uint64_t stream, std::uint64_t key, std::uint64_t counter)
+{
+    std::uint64_t h = splitmix64(stream);
+    h = splitmix64(h ^ key);
+    h = splitmix64(h ^ counter);
+    return hashToUnitReal(h);
+}
+
 SpatialModel::SpatialModel(const SpatialConfig &config,
                            std::vector<Position> positions)
     : cfg(config), pos(std::move(positions))
@@ -222,10 +231,9 @@ SpatialModel::linkDelivers(unsigned src, unsigned dst,
     if (p <= 0.0)
         return false;
     // Counter-based stream: one hash chain per (link, transmission).
-    std::uint64_t h = splitmix64(cfg.linkSeed ^ 0x5bd1e995u);
-    h = splitmix64(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
-    h = splitmix64(h ^ tx_seq);
-    return hashToUnitReal(h) < p;
+    return counterDraw(cfg.linkSeed ^ 0x5bd1e995u,
+                       static_cast<std::uint64_t>(src) << 32 | dst,
+                       tx_seq) < p;
 }
 
 } // namespace ulp::net

@@ -6,7 +6,7 @@
  * with whom. Dense 802.15.4 networks lose their power budget to exactly
  * these effects (contention and multi-hop relaying), so the scenario
  * engine builds one SpatialModel per network and shares it, const, with
- * every shard's SpatialMedium.
+ * every shard's net::Channel.
  *
  * Everything here is a pure function of the (static) geometry and the
  * model parameters:
@@ -90,6 +90,15 @@ std::uint64_t splitmix64(std::uint64_t x);
 
 /** Map a hash to a uniform double in [0, 1). */
 double hashToUnitReal(std::uint64_t h);
+
+/**
+ * Counter-based uniform draw in [0, 1): a splitmix64 chain over
+ * (@p stream, @p key, @p counter). Every random decision of the radio
+ * medium is one of these, keyed on the flight identity rather than on
+ * a stateful generator, so no draw depends on global event order.
+ */
+double counterDraw(std::uint64_t stream, std::uint64_t key,
+                   std::uint64_t counter);
 
 class SpatialModel
 {

@@ -71,8 +71,8 @@ enum class Placement
 /** Radio propagation models. */
 enum class RadioModel
 {
-    Broadcast, ///< flat domain(s): net::Channel / net::ShardChannel
-    Spatial,   ///< log-distance path loss: net::SpatialMedium
+    Broadcast, ///< flat domain(s), no geometry
+    Spatial,   ///< log-distance path loss over node positions
 };
 
 /** One scheduled lifecycle event: the node fails or revives at a time. */

@@ -157,10 +157,9 @@ struct NetworkSpec
     double bitRate = net::Channel::defaultBitRate;
 
     /**
-     * When set, the network runs on net::SpatialMedium (log-distance
-     * path loss over the NodeSpec positions) for every thread count;
-     * when empty, on the flat broadcast media (net::Channel /
-     * net::ShardChannel).
+     * When set, the medium (net::Channel) uses the spatial topology
+     * (log-distance path loss over the NodeSpec positions); when empty,
+     * flat broadcast domains (NodeSpec::domain).
      */
     std::optional<net::SpatialConfig> spatial;
 

@@ -53,7 +53,7 @@
  *
  * The cross-shard mechanics (what gets published, how inbound records are
  * applied, which ticks need a sync) live behind the ShardCoupling
- * interface, implemented by net::ShardChannel and net::SpatialMedium.
+ * interface, implemented by the radio medium, net::Channel.
  */
 
 #ifndef ULP_SIM_PARALLEL_HH

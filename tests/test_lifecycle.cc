@@ -5,8 +5,8 @@
  *
  *  - mid-flight death: a frame already on the air when its transmitter
  *    dies completes (the medium owns in-flight state); a receiver that
- *    dies mid-flight misses it — on both the broadcast Channel and the
- *    SpatialMedium
+ *    dies mid-flight misses it — on both the broadcast and the spatial
+ *    topology of the medium
  *  - the K = 1/2/4 oracle under churn: declared fail/revive events plus
  *    triggered route repair produce identical counters, a byte-identical
  *    merged stats tree, and an identical resilience report at every
@@ -36,7 +36,6 @@
 #include "net/medium.hh"
 #include "net/relay.hh"
 #include "net/spatial.hh"
-#include "net/spatial_medium.hh"
 #include "scenario/lower.hh"
 #include "scenario/resilience.hh"
 #include "scenario/scenario.hh"
@@ -202,7 +201,7 @@ TEST(MidflightDeath, SpatialTransmitterDetachCompletesFrame)
     cfg.linkSeed = 7;
     net::SpatialModel model(cfg, {{0.0, 0.0}, {10.0, 0.0}});
     ASSERT_EQ(model.deliveryProb(0, 1), 1.0);
-    net::SpatialMedium medium(simulation, "medium", relay, 0, model);
+    net::Channel medium(simulation, "medium", relay, 0, model);
 
     CountingRx tx, rx;
     medium.attach(&tx);
@@ -226,7 +225,7 @@ TEST(MidflightDeath, SpatialReceiverDetachMissesFrame)
     net::SpatialConfig cfg;
     cfg.linkSeed = 7;
     net::SpatialModel model(cfg, {{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}});
-    net::SpatialMedium medium(simulation, "medium", relay, 0, model);
+    net::Channel medium(simulation, "medium", relay, 0, model);
 
     CountingRx tx, rx, witness;
     medium.attach(&tx);

@@ -2,11 +2,17 @@
  * @file
  * Tests of the 802.15.4 substrate: CRC-16 correctness, frame codec
  * round-trips (property-swept over payload sizes), corruption detection
- * (any flipped byte must fail the FCS), and the broadcast channel's
- * delivery, loss, and collision models.
+ * (any flipped byte must fail the FCS), and the broadcast medium's
+ * delivery, loss, and collision models — including that loss draws are
+ * binomial and independent of attach order and transmit interleaving.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "net/channel.hh"
 #include "sim/logging.hh"
@@ -206,23 +212,6 @@ TEST(Channel, OverlappingTransmissionsCollide)
     EXPECT_EQ(rx.corrupted, 2); // both frames arrive corrupted
 }
 
-TEST(Channel, CollisionsCanBeDisabled)
-{
-    sim::Simulation simulation;
-    Channel channel(simulation, "ch");
-    channel.setCollisionsEnabled(false);
-    Listener a, b, rx;
-    channel.attach(&a);
-    channel.attach(&b);
-    channel.attach(&rx);
-
-    channel.transmit(&a, makeFrame(1));
-    channel.transmit(&b, makeFrame(2));
-    simulation.runForSeconds(0.01);
-    EXPECT_EQ(channel.collisions(), 0u);
-    EXPECT_EQ(rx.got.size(), 2u);
-}
-
 TEST(Channel, LossProbabilityDropsFrames)
 {
     sim::Simulation simulation;
@@ -238,6 +227,103 @@ TEST(Channel, LossProbabilityDropsFrames)
     }
     EXPECT_NEAR(static_cast<double>(rx.got.size()), 200.0, 50.0);
     EXPECT_GT(rx.got.size(), 0u);
+}
+
+TEST(Channel, LossRateWithinBinomialBounds)
+{
+    // 600 frames to 7 receivers at p = 0.3 are 4,200 independent draws:
+    // the lost count must sit inside the two-sided 99.9% bound
+    // n p +- 3.29 sqrt(n p (1 - p)).
+    constexpr double p = 0.3;
+    constexpr int frames = 600;
+    constexpr int receivers = 7;
+    sim::Simulation simulation;
+    Channel channel(simulation, "ch", Channel::defaultBitRate, 7);
+    channel.setLossProbability(p);
+    Listener tx;
+    std::vector<Listener> rx(receivers);
+    channel.attach(&tx);
+    for (Listener &l : rx)
+        channel.attach(&l);
+
+    for (int i = 0; i < frames; ++i) {
+        channel.transmit(&tx, makeFrame(static_cast<std::uint8_t>(i)));
+        simulation.runFor(sim::secondsToTicks(1e-3));
+    }
+    double heard = 0;
+    for (const Listener &l : rx)
+        heard += static_cast<double>(l.got.size());
+    const double n = frames * receivers;
+    EXPECT_NEAR(n - heard, n * p, 3.29 * std::sqrt(n * p * (1 - p)));
+    EXPECT_EQ(static_cast<double>(channel.framesDelivered()), heard);
+}
+
+namespace {
+
+using Heard = std::vector<std::set<std::pair<int, int>>>;
+
+/**
+ * What each of six broadcast nodes hears, as (src, seq) sets, when they
+ * attach in @p attach_order (bound to fixed node indices) and nodes 0
+ * and 1 transmit one frame each, 1 ms apart, in the order @p turns.
+ */
+Heard
+lossOutcome(const std::vector<unsigned> &attach_order,
+            const std::vector<unsigned> &turns, bool bursty)
+{
+    constexpr unsigned nodes = 6;
+    sim::Simulation simulation;
+    FrameRelay relay(1);
+    Channel channel(simulation, "ch", relay, 0,
+                    std::vector<unsigned>(nodes, 0), 11);
+    if (bursty)
+        channel.setGilbertElliott({0.1, 0.3, 0.05, 0.9});
+    else
+        channel.setLossProbability(0.4);
+    std::vector<Listener> node(nodes);
+    for (unsigned i : attach_order) {
+        channel.attach(&node[i]);
+        channel.bind(&node[i], i);
+    }
+
+    std::uint8_t next[2] = {0, 0};
+    for (unsigned src : turns) {
+        Frame frame = makeFrame(next[src]++);
+        frame.src = static_cast<std::uint16_t>(src);
+        channel.transmit(&node[src], frame);
+        simulation.runFor(sim::secondsToTicks(1e-3));
+    }
+    Heard heard(nodes);
+    for (unsigned r = 0; r < nodes; ++r) {
+        for (const Frame &f : node[r].got)
+            heard[r].insert({f.src, f.seq});
+    }
+    return heard;
+}
+
+} // namespace
+
+TEST(Channel, LossOutcomeIgnoresAttachOrderAndInterleaving)
+{
+    // Loss draws are keyed on (seed, src, dst, per-source frame number),
+    // and the Gilbert-Elliott chain is one per transmitter: reordering
+    // attaches and interleaving the two transmitters differently must
+    // leave every receiver's outcome untouched.
+    std::vector<unsigned> alternating, grouped;
+    for (unsigned i = 0; i < 200; ++i) {
+        alternating.push_back(i % 2);
+        grouped.push_back(i < 100 ? 0 : 1);
+    }
+    for (bool bursty : {false, true}) {
+        const Heard a = lossOutcome({0, 1, 2, 3, 4, 5}, alternating, bursty);
+        const Heard b = lossOutcome({5, 3, 1, 4, 0, 2}, grouped, bursty);
+        EXPECT_EQ(a, b) << (bursty ? "Gilbert-Elliott" : "i.i.d.");
+        std::size_t heard = 0;
+        for (unsigned r = 2; r < 6; ++r)
+            heard += a[r].size();
+        EXPECT_GT(heard, 0u);
+        EXPECT_LT(heard, 4u * 200u); // some frames were lost
+    }
 }
 
 TEST(Channel, DetachStopsDelivery)
@@ -262,7 +348,7 @@ TEST(Channel, DuplicateAttachPanics)
     EXPECT_THROW(channel.attach(&rx), sim::PanicError);
 }
 
-TEST(Channel, DetachIsSwapRemoveAndIdempotent)
+TEST(Channel, DetachIsIdempotent)
 {
     sim::Simulation simulation;
     Channel channel(simulation, "ch");
@@ -272,9 +358,9 @@ TEST(Channel, DetachIsSwapRemoveAndIdempotent)
     channel.attach(&b);
     channel.attach(&c);
 
-    // Remove from the middle (swap-remove moves `c` into `a`'s slot);
-    // the remaining receivers must still all hear the frame, and a
-    // second detach of the same transceiver must be a no-op.
+    // Remove from the middle: the remaining receivers must still all
+    // hear the frame, and a second detach of the same transceiver must
+    // be a no-op.
     channel.detach(&a);
     channel.detach(&a);
 

@@ -8,7 +8,8 @@
  *  - lowering conventions: sink/coordinator exemption, per-node override
  *  - the mid-flight rule extended to sleep: a receiver that enters deep
  *    sleep while a frame is on the air misses it like a dead node, on
- *    both Channel and SpatialMedium; light sleep keeps the radio in RX
+ *    both the broadcast and the spatial medium; light sleep keeps the
+ *    radio in RX
  *  - beacon MAC: coordinator beacons on the BI grid, device sync and
  *    inter-superframe sleep, the unsynced-device fallback that keeps
  *    multi-hop relays flowing beyond coordinator range
@@ -246,7 +247,7 @@ TEST(SleepScenario, LoweringExemptsSinkAndCoordinator)
 }
 
 // --------------------------------------------------------------------------
-// The mid-flight rule under sleep transitions (Channel + SpatialMedium)
+// The mid-flight rule under sleep transitions (broadcast + spatial)
 // --------------------------------------------------------------------------
 
 namespace {
@@ -340,7 +341,7 @@ TEST_F(MidflightChannelTest, LightSleepKeepsRadioInRx)
 
 namespace {
 
-/** Two positioned nodes on a SpatialMedium-backed network; node 0
+/** Two positioned nodes on a spatial network; node 0
  *  transmits one frame by hand (the apps never sample in-window). */
 scenario::NetworkSpec
 spatialPairSpec()

@@ -299,15 +299,13 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
     sleep::SleepController sleepCtl(network);
 
     if (low.broadcastLoss > 0.0) {
-        if (!network.broadcastChannel()) {
-            sim::fatal("[radio] loss needs the sequential broadcast "
-                       "channel: threads = 1 and model = broadcast (the "
-                       "spatial model has per-link loss instead)");
+        net::Channel *ch = network.broadcastChannel();
+        if (!ch) {
+            sim::fatal("[radio] loss needs threads = 1 and model = "
+                       "broadcast (the spatial model has per-link loss "
+                       "instead)");
         }
-        for (unsigned d = 0; net::Channel *ch = network.broadcastChannel(d);
-             ++d) {
-            ch->setLossProbability(low.broadcastLoss);
-        }
+        ch->setLossProbability(low.broadcastLoss);
     }
 
     // The fault campaign attaches to one node's fabric (and, when
