@@ -5,12 +5,13 @@
  * ACK + retransmit machinery off (the paper's fire-and-forget radio)
  * and on (3 retries, CSMA-CA backoff, auto-ACK).
  *
- * The channel runs a Gilbert-Elliott two-state process driven by a
- * fault-injection campaign: the stationary Bad-state fraction is held
- * at 20 % while the mean fade length sweeps from 1 to 8 frames. Longer
- * fades hurt fire-and-forget superlinearly (whole bursts of samples
- * vanish); retransmissions ride through them and buy their delivery
- * with a modest energy premium per packet.
+ * The channel runs a Gilbert-Elliott two-state process per transmitter,
+ * driven by a fault-injection campaign: the stationary Bad-state
+ * fraction is held at 20 % while the mean fade length sweeps from 1 to 8
+ * of the transmitter's frames. Fire-and-forget loses the stationary
+ * share whatever the fade length; retransmissions recover most of it,
+ * less so as fades grow, because a retry is the same transmitter's next
+ * frame and lands inside the same fade.
  */
 
 #include <cstdio>
@@ -27,7 +28,7 @@ namespace {
 using namespace ulp;
 using namespace ulp::core;
 
-constexpr double runSeconds = 20.0;
+constexpr double runSeconds = 60.0;
 constexpr std::uint16_t sinkAddr = 0x0000;
 
 /** Counts unique data frames that reach the base station intact. */
@@ -135,7 +136,7 @@ main()
     bench::banner(
         "Reliability: delivery ratio & energy vs loss burstiness\n"
         "(two-hop, Gilbert-Elliott 20% bad state, 10 Hz samples, "
-        "20 s per point)");
+        "60 s per point)");
 
     std::printf("%-12s | %-25s | %-25s | %s\n", "mean fade",
                 "fire-and-forget", "MAC: ACK + 3 retries", "MAC extras");
