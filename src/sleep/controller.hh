@@ -21,6 +21,7 @@
 #ifndef ULP_SLEEP_CONTROLLER_HH
 #define ULP_SLEEP_CONTROLLER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,9 +68,10 @@ class SleepController
 
     core::Network &network;
     std::vector<std::unique_ptr<NodeState>> states;
-    std::uint64_t lightSleeps_ = 0;
-    std::uint64_t deepSleeps_ = 0;
-    std::uint64_t frameWakes_ = 0;
+    // Bumped from every shard's worker thread.
+    std::atomic<std::uint64_t> lightSleeps_{0};
+    std::atomic<std::uint64_t> deepSleeps_{0};
+    std::atomic<std::uint64_t> frameWakes_{0};
 };
 
 } // namespace ulp::sleep
