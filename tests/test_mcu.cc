@@ -449,6 +449,15 @@ struct AluCase
     std::uint8_t a, b;
 };
 
+// CTest names each case after its printed parameter; without this gtest
+// dumps the raw bytes, pointer and padding included, so the names would
+// change from one build to the next.
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.mnemonic << '_' << unsigned{c.a} << '_' << unsigned{c.b};
+}
+
 class AluProperty : public ::testing::TestWithParam<AluCase>
 {};
 
