@@ -18,6 +18,7 @@
 #include "compare/table4.hh"
 #include "core/apps.hh"
 #include "core/sensor_node.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -115,28 +116,27 @@ runNoEp(double duty)
     auto period = static_cast<std::uint32_t>(
         std::max(200.0, 100'000.0 / rate));
 
+    ProbeLog log;
     sim::Simulation simulation;
+    simulation.setTelemetry(&log);
     NodeConfig cfg;
     cfg.sensorSignal = [](sim::Tick) { return 200; };
     SensorNode node(simulation, "node", cfg);
-    node.probes().setKeepHistory(true);
     apps::install(node, buildNoEpApp(period));
     simulation.runForSeconds(4.0);
 
     // Last complete sample: timer alarm -> TX command.
-    const auto &alarms = node.probes().ticks(Probe::TimerAlarm);
-    const auto &cmds = node.probes().ticks(Probe::RadioTxCmd);
-    std::uint64_t cycles = 0;
-    if (!alarms.empty() && !cmds.empty()) {
-        sim::Tick end = cmds.back();
-        sim::Tick start = 0;
-        for (sim::Tick t : alarms) {
-            if (t <= end)
-                start = t;
-        }
-        cycles = node.cyclesBetween(start, end);
+    const auto &alarms = log.ticks(node.probes().name(), Probe::TimerAlarm);
+    const auto &cmds = log.ticks(node.probes().name(), Probe::RadioTxCmd);
+    if (alarms.empty() || cmds.empty())
+        sim::fatal("no complete timer alarm -> TX command sample");
+    sim::Tick end = cmds.back();
+    sim::Tick start = 0;
+    for (sim::Tick t : alarms) {
+        if (t <= end)
+            start = t;
     }
-    return {cycles, node.totalAverageWatts(),
+    return {node.cyclesBetween(start, end), node.totalAverageWatts(),
             node.micro().averagePowerWatts()};
 }
 

@@ -23,53 +23,61 @@ nodeConfig()
     return cfg;
 }
 
-/** Cycle distance between the i-th occurrences of two probes. */
+/**
+ * Run @p app on a fresh node for @p seconds and time the third @p from
+ * -> @p to pair (steady state: every SWITCHON pays its wakeup handshake,
+ * as in sustained operation).
+ */
 std::uint64_t
-probeDelta(SensorNode &node, Probe from, Probe to, std::size_t occurrence)
+steadyStateCycles(const apps::NodeApp &app, double seconds, Probe from,
+                  Probe to)
 {
-    const auto &a = node.probes().ticks(from);
-    const auto &b = node.probes().ticks(to);
-    if (occurrence >= a.size() || occurrence >= b.size()) {
-        sim::fatal("probe pair %u/%u has no occurrence %zu (%zu/%zu seen)",
+    ProbeLog log;
+    sim::Simulation simulation;
+    simulation.setTelemetry(&log);
+    SensorNode node(simulation, "node", nodeConfig());
+    apps::install(node, app);
+    simulation.runForSeconds(seconds);
+
+    const auto &a = log.ticks(node.probes().name(), from);
+    const auto &b = log.ticks(node.probes().name(), to);
+    if (a.size() < 3 || b.size() < 3) {
+        sim::fatal("probe pair %u/%u has no third occurrence (%zu/%zu seen)",
                    static_cast<unsigned>(from), static_cast<unsigned>(to),
-                   occurrence, a.size(), b.size());
+                   a.size(), b.size());
     }
-    return node.cyclesBetween(a[occurrence], b[occurrence]);
+    return node.cyclesBetween(a[2], b[2]);
 }
 
-/** Last-occurrence distance (for one-shot scenarios). */
+/**
+ * Let a node running the app that @p build makes from quiet parameters
+ * (sampling effectively disabled) settle, inject @p frame, and time the
+ * last @p from -> @p to pair.
+ */
 std::uint64_t
-probeDeltaLast(SensorNode &node, Probe from, Probe to)
+injectedFrameCycles(apps::NodeApp (*build)(const apps::AppParams &),
+                    const net::Frame &frame, Probe from, Probe to)
 {
-    const auto &a = node.probes().ticks(from);
-    const auto &b = node.probes().ticks(to);
+    ProbeLog log;
+    sim::Simulation simulation;
+    simulation.setTelemetry(&log);
+    SensorNode node(simulation, "node", nodeConfig());
+    apps::AppParams params;
+    params.samplePeriodCycles = 60'000;
+    params.threshold = 0;
+    apps::install(node, build(params));
+    simulation.runForSeconds(0.01);
+
+    node.radio().injectFrame(frame);
+    simulation.runForSeconds(0.05);
+
+    const auto &a = log.ticks(node.probes().name(), from);
+    const auto &b = log.ticks(node.probes().name(), to);
     if (a.empty() || b.empty()) {
         sim::fatal("probe pair %u/%u never fired",
                    static_cast<unsigned>(from), static_cast<unsigned>(to));
     }
     return node.cyclesBetween(a.back(), b.back());
-}
-
-std::uint64_t
-sendPath(const apps::NodeApp &app)
-{
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::install(node, app);
-
-    // Three samples; measure the third (steady state: every SWITCHON
-    // pays its wakeup handshake, as in sustained operation).
-    simulation.runForSeconds(0.05);
-    return probeDelta(node, Probe::TimerAlarm, Probe::RadioTxCmd, 2);
-}
-
-/** Build an app-3/4 node with sampling effectively disabled. */
-void
-quietParams(apps::AppParams &params)
-{
-    params.samplePeriodCycles = 60'000;
-    params.threshold = 0;
 }
 
 net::Frame
@@ -106,96 +114,47 @@ oursSendPathCycles(bool with_filter)
     apps::AppParams params;
     params.samplePeriodCycles = 1000;
     params.threshold = 0; // everything passes: worst case, as in §6.3
-    return sendPath(with_filter ? apps::buildApp2(params)
-                                : apps::buildApp1(params));
+    return steadyStateCycles(with_filter ? apps::buildApp2(params)
+                                         : apps::buildApp1(params),
+                             0.05, Probe::TimerAlarm, Probe::RadioTxCmd);
 }
 
 std::uint64_t
 oursRegularMsgCycles()
 {
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::AppParams params;
-    quietParams(params);
-    apps::install(node, apps::buildApp3(params));
-    simulation.runForSeconds(0.01);
-
-    node.radio().injectFrame(foreignDataFrame());
-    simulation.runForSeconds(0.05);
-    return probeDeltaLast(node, Probe::RadioRxDone, Probe::RadioTxCmd);
+    return injectedFrameCycles(apps::buildApp3, foreignDataFrame(),
+                               Probe::RadioRxDone, Probe::RadioTxCmd);
 }
 
 std::uint64_t
 oursIrregularMsgCycles()
 {
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::AppParams params;
-    quietParams(params);
-    apps::install(node, apps::buildApp4(params));
-    simulation.runForSeconds(0.01);
-
-    node.radio().injectFrame(commandFrame(1, 150 << 8));
-    simulation.runForSeconds(0.05);
-    return probeDeltaLast(node, Probe::RadioRxDone, Probe::McuWoken);
+    return injectedFrameCycles(apps::buildApp4, commandFrame(1, 150 << 8),
+                               Probe::RadioRxDone, Probe::McuWoken);
 }
 
 std::uint64_t
 oursTimerChangeCycles()
 {
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::AppParams params;
-    quietParams(params);
-    apps::install(node, apps::buildApp4(params));
-    simulation.runForSeconds(0.01);
-
-    node.radio().injectFrame(commandFrame(0, 2000));
-    simulation.runForSeconds(0.05);
     // uC woken at the handler -> last timer load register rewritten.
-    return probeDeltaLast(node, Probe::McuWoken, Probe::TimerReconfigured);
+    return injectedFrameCycles(apps::buildApp4, commandFrame(0, 2000),
+                               Probe::McuWoken, Probe::TimerReconfigured);
 }
 
 std::uint64_t
 oursThresholdChangeCycles()
 {
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::AppParams params;
-    quietParams(params);
-    apps::install(node, apps::buildApp4(params));
-    simulation.runForSeconds(0.01);
-
-    node.radio().injectFrame(commandFrame(1, 99 << 8));
-    simulation.runForSeconds(0.05);
-    return probeDeltaLast(node, Probe::McuWoken, Probe::FilterReconfigured);
+    return injectedFrameCycles(apps::buildApp4, commandFrame(1, 99 << 8),
+                               Probe::McuWoken, Probe::FilterReconfigured);
 }
-
-namespace {
-
-std::uint64_t
-oursMicroBench(const apps::NodeApp &app)
-{
-    sim::Simulation simulation;
-    SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
-    apps::install(node, app);
-    simulation.runForSeconds(0.2);
-    return probeDelta(node, Probe::TimerAlarm, Probe::EpIsrEnd, 2);
-}
-
-} // namespace
 
 std::uint64_t
 oursBlinkCycles()
 {
     apps::AppParams params;
     params.samplePeriodCycles = 2000;
-    return oursMicroBench(apps::buildBlink(params));
+    return steadyStateCycles(apps::buildBlink(params), 0.2,
+                             Probe::TimerAlarm, Probe::EpIsrEnd);
 }
 
 std::uint64_t
@@ -203,7 +162,8 @@ oursSenseCycles()
 {
     apps::AppParams params;
     params.samplePeriodCycles = 2000;
-    return oursMicroBench(apps::buildSense(params));
+    return steadyStateCycles(apps::buildSense(params), 0.2,
+                             Probe::TimerAlarm, Probe::EpIsrEnd);
 }
 
 std::size_t

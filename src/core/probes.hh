@@ -2,15 +2,23 @@
  * @file
  * Measurement probes. Devices report named milestones (timer alarm
  * posted, TX command accepted, uC went back to sleep, ...) to the node's
- * ProbeRecorder; benches and tests turn pairs of probe ticks into the
- * cycle counts the paper reports in Table 4 and §6.1.3.
+ * ProbeRecorder, which keeps the last tick and a count per probe and
+ * emits every milestone on the Probe or Mac telemetry channel. Ordered
+ * histories come from that stream: a ProbeLog installed as the
+ * simulation's telemetry sink keeps them, and benches and tests turn
+ * pairs of its ticks into the cycle counts the paper reports in Table 4
+ * and §6.1.3.
  */
 
 #ifndef ULP_CORE_PROBES_HH
 #define ULP_CORE_PROBES_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -124,13 +132,6 @@ class ProbeRecorder : public sim::SimObject
         auto idx = static_cast<unsigned>(probe);
         lastTicks[idx] = curTick();
         ++counts[idx];
-        if (keepHistory) {
-            auto &ticks = history[idx];
-            if (ticks.size() < historyLimit)
-                ticks.push_back(curTick());
-            else
-                ++overflows;
-        }
         if (obs) {
             auto channel = isMacProbe(probe)
                                ? sim::TelemetryChannel::Mac
@@ -171,45 +172,67 @@ class ProbeRecorder : public sim::SimObject
         return counts[static_cast<unsigned>(probe)];
     }
 
-    /** Record full tick history per probe (off by default). */
-    void
-    setKeepHistory(bool keep)
-    {
-        keepHistory = keep;
-    }
-
-    /**
-     * Cap the per-probe history length (default 64 Ki entries). Ticks
-     * beyond the cap are not stored; historyOverflows() counts them so
-     * long campaigns see bounded memory instead of unbounded growth.
-     */
-    void
-    setHistoryLimit(std::size_t limit)
-    {
-        historyLimit = limit;
-    }
-
-    std::size_t historyCap() const { return historyLimit; }
-    std::uint64_t historyOverflows() const { return overflows; }
-
-    const std::vector<sim::Tick> &
-    ticks(Probe probe) const
-    {
-        return history[static_cast<unsigned>(probe)];
-    }
-
   private:
     static constexpr unsigned n = static_cast<unsigned>(Probe::NumProbes);
     std::array<sim::Tick, n> lastTicks;
     std::array<std::uint64_t, n> counts;
-    std::array<std::vector<sim::Tick>, n> history;
-    bool keepHistory = false;
-    std::size_t historyLimit = 64 * 1024;
-    std::uint64_t overflows = 0;
     std::uint64_t sleepTransitions = 0;
 
     sim::TelemetrySink *obs = nullptr;
     std::uint32_t obsId = 0;
+};
+
+/**
+ * In-memory telemetry sink that keeps every probe's tick history, keyed
+ * by (component, probe). It listens on the Probe and Mac channels only
+ * and ignores energy getters. Install it with Simulation::setTelemetry
+ * before building the node, and declare it first so it outlives the
+ * node.
+ */
+class ProbeLog : public sim::TelemetrySink
+{
+  public:
+    ProbeLog()
+    {
+        channelMask =
+            1u << static_cast<unsigned>(sim::TelemetryChannel::Probe) |
+            1u << static_cast<unsigned>(sim::TelemetryChannel::Mac);
+    }
+
+    std::uint32_t
+    registerComponent(const std::string &name) override
+    {
+        names.push_back(name);
+        return static_cast<std::uint32_t>(names.size() - 1);
+    }
+
+    void addEnergyProbe(std::uint32_t, std::function<double()>) override {}
+
+    void
+    record(sim::Tick tick, std::uint32_t component, sim::TelemetryChannel,
+           std::uint8_t a, std::uint16_t, std::uint64_t) override
+    {
+        history[{component, a}].push_back(tick);
+    }
+
+    /** Every tick @p probe fired on @p component, oldest first. */
+    const std::vector<sim::Tick> &
+    ticks(const std::string &component, Probe probe) const
+    {
+        static const std::vector<sim::Tick> none;
+        auto name = std::find(names.begin(), names.end(), component);
+        if (name == names.end())
+            return none;
+        auto it = history.find(
+            {static_cast<std::uint32_t>(name - names.begin()),
+             static_cast<std::uint8_t>(probe)});
+        return it == history.end() ? none : it->second;
+    }
+
+  private:
+    std::vector<std::string> names;
+    std::map<std::pair<std::uint32_t, std::uint8_t>, std::vector<sim::Tick>>
+        history;
 };
 
 } // namespace ulp::core

@@ -6,7 +6,6 @@
 #include "core/timer_unit.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 
 namespace ulp::fabric {
 
@@ -115,7 +114,6 @@ EventFabric::configure(const std::vector<Link> &links, std::uint8_t thresh)
         }
         routes[code] = Route{link.sink, link.source};
         ++linkCount;
-        ULP_TRACE("Fabric", this, "armed %s", linkName(link).c_str());
     }
     // An armed fabric draws idle power; an empty CAM is free (so legacy
     // scenarios see a byte-identical energy ledger).
@@ -183,8 +181,6 @@ EventFabric::deliver(const Event &event, const Route &route)
         beActiveFor(cycles, extra);
     };
     auto busyDrop = [&] {
-        ULP_TRACE("Fabric", this, "%s: sink busy, event dropped",
-                  sourceName(route.source));
         finish(fabricSinkBusy, statSinkBusy);
     };
 
@@ -196,8 +192,6 @@ EventFabric::deliver(const Event &event, const Route &route)
 
     if (sourceThresholdGated(route.source) && event.hasDatum &&
         event.datum < threshold) {
-        ULP_TRACE("Fabric", this, "%s: datum %u below threshold %u",
-                  sourceName(route.source), event.datum, threshold);
         finish(fabricFiltered, statFiltered);
         return;
     }
@@ -284,9 +278,6 @@ EventFabric::deliver(const Event &event, const Route &route)
         break;
     }
 
-    ULP_TRACE("Fabric", this, "linked %s (%llu cycles)",
-              linkName({route.source, route.sink}).c_str(),
-              static_cast<unsigned long long>(cycles));
     finish(fabricLinked, statLinked);
 }
 

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::net {
 
@@ -443,11 +442,8 @@ Channel::deliver(Delivery &delivery)
     if (delivery.local) {
         if (rec.geBad)
             ++st.geBadFrames;
-        if (!delivery.counted && collidesAtStart(rec)) {
+        if (!delivery.counted && collidesAtStart(rec))
             ++st.collisions;
-            ULP_TRACE("Channel", this, "collision at tick %llu",
-                      (unsigned long long)rec.start);
-        }
     } else {
         ++auxEvents;
     }

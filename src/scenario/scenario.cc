@@ -1,6 +1,7 @@
 #include "scenario/scenario.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -68,8 +69,9 @@ parseDouble(const Cursor &at, const std::string &key,
     errno = 0;
     char *end = nullptr;
     double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || errno == ERANGE)
-        at.fail("'" + key + "' needs a number, got '" + value + "'");
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v))
+        at.fail("'" + key + "' needs a finite number, got '" + value + "'");
     return v;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * The recording half of the telemetry subsystem (the storage half lives
- * in src/obs/). Components do not know how trace records are buffered or
- * exported; they see only this narrow sink interface, installed on their
- * Simulation before construction. A null sink (the default) disables
+ * in src/obs/). Telemetry is the only stream through which the model
+ * reports what it did. Components do not know how trace records are
+ * buffered or exported; they see only this narrow sink interface,
+ * installed on their Simulation before construction. A null sink (the default) disables
  * telemetry at the cost of one pointer test per instrumentation site, so
  * tracing can stay compiled in everywhere.
  *
@@ -99,7 +100,8 @@ telemetryChannelName(TelemetryChannel channel)
 
 /**
  * Destination for telemetry records, one per shard. Implemented by
- * obs::ShardLog; the sim layer defines only the contract.
+ * obs::ShardLog (buffered to disk) and core::ProbeLog (in-memory probe
+ * histories); the sim layer defines only the contract.
  *
  * Threading: registerComponent() and addEnergyProbe() are construction
  * -time, single-threaded. record() may be called from the owning shard's

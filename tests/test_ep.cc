@@ -231,7 +231,6 @@ isr:
 TEST_F(EpExec, SwitchOnStallsForWakeupAck)
 {
     node->powerCtrl().switchOff(ComponentId::Sensor);
-    node->probes().setKeepHistory(true);
     loadAndFire(R"(
 isr:
     SWITCHON SENSOR

@@ -351,13 +351,12 @@ TEST(FabricDelivery, ProbeLatchSinkRecordsAFabricProbe)
 {
     sim::Simulation simulation;
     core::SensorNode node(simulation, "node", nodeConfig());
-    node.probes().setKeepHistory(true);
 
     node.fabric().configure({{Source::Timer0Fire, Sink::ProbeLatch}}, 0);
     node.fabric().raise({core::Irq::Timer0});
     simulation.runForSeconds(0.001);
 
-    EXPECT_EQ(node.probes().ticks(core::Probe::FabricLatch).size(), 1u);
+    EXPECT_EQ(node.probes().count(core::Probe::FabricLatch), 1u);
     EXPECT_EQ(node.fabric().linkedDelivered(), 1u);
 }
 

@@ -5,13 +5,16 @@
  * 64-node network is byte-identical whether the simulation ran on 1, 2
  * or 4 shards. Also covers the exporters (validated with the in-tree
  * VCD parser and JSON checker), ring-overflow drop accounting, channel
- * list parsing, and the energy totals of sharded vs sequential runs.
+ * list parsing, the energy totals of sharded vs sequential runs, and the
+ * in-memory ProbeLog sink that serves ordered probe histories.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -230,23 +233,67 @@ TEST(ObsEventLog, ParseChannelListRejectsUnknownNames)
     EXPECT_FALSE(obs::parseChannelList("", &mask, &error));
 }
 
-TEST(ProbeRecorderHistory, CapBoundsStorageAndCountsOverflow)
+/**
+ * Run one app-v3 node (periodic samples plus one relayed frame) with
+ * @p log as its telemetry sink, hand the node to @p inspect, and return
+ * the statistics dump.
+ */
+std::string
+runApp3Node(core::ProbeLog *log,
+            const std::function<void(core::SensorNode &)> &inspect = {})
 {
     sim::Simulation simulation;
-    core::ProbeRecorder probes(simulation, "probes");
-    probes.setKeepHistory(true);
-    probes.setHistoryLimit(100);
+    simulation.setTelemetry(log);
+    core::NodeConfig cfg;
+    cfg.sensorSignal = [](sim::Tick) { return 200; };
+    core::SensorNode node(simulation, "node", cfg);
+    core::apps::AppParams params;
+    params.samplePeriodCycles = 1000;
+    core::apps::install(node, core::apps::buildApp3(params));
+    simulation.runForSeconds(0.01);
 
-    for (unsigned i = 0; i < 250; ++i)
-        probes.record(core::Probe::TimerAlarm);
+    net::Frame frame;
+    frame.seq = 21;
+    frame.src = 0x0042;
+    frame.dest = 0x0003;
+    frame.destPan = cfg.pan;
+    frame.payload = {55};
+    node.radio().injectFrame(frame);
+    simulation.runForSeconds(0.04);
 
-    EXPECT_EQ(probes.count(core::Probe::TimerAlarm), 250u);
-    EXPECT_EQ(probes.ticks(core::Probe::TimerAlarm).size(), 100u);
-    EXPECT_EQ(probes.historyOverflows(), 150u);
+    if (inspect)
+        inspect(node);
+    std::ostringstream os;
+    simulation.dumpStats(os);
+    return os.str();
+}
 
-    // The default cap is 64 Ki entries per probe.
-    core::ProbeRecorder fresh(simulation, "fresh");
-    EXPECT_EQ(fresh.historyCap(), 64u * 1024u);
+TEST(ProbeLog, LeavesTheNodeStatsUnchanged)
+{
+    core::ProbeLog log;
+    EXPECT_EQ(runApp3Node(nullptr), runApp3Node(&log));
+}
+
+TEST(ProbeLog, HistoryMatchesRecorderCountsAndLastTicks)
+{
+    core::ProbeLog log;
+    runApp3Node(&log, [&log](core::SensorNode &node) {
+        const core::ProbeRecorder &probes = node.probes();
+        EXPECT_GT(probes.count(core::Probe::TimerAlarm), 1u);
+        EXPECT_EQ(probes.count(core::Probe::RadioRxDone), 1u);
+        for (unsigned i = 0; i < unsigned(core::Probe::NumProbes); ++i) {
+            auto probe = static_cast<core::Probe>(i);
+            const std::vector<sim::Tick> &ticks =
+                log.ticks(probes.name(), probe);
+            EXPECT_EQ(ticks.size(), probes.count(probe))
+                << core::probeName(probe);
+            if (!ticks.empty()) {
+                EXPECT_EQ(ticks.back(), probes.last(probe))
+                    << core::probeName(probe);
+            }
+        }
+    });
+    EXPECT_TRUE(log.ticks("node.nosuch", core::Probe::TimerAlarm).empty());
 }
 
 TEST(ObsEnergy, ShardedEnergyTotalsMatchSequentialBitwise)

@@ -254,7 +254,6 @@ TEST(Reliability, WatchdogRecoversWedgedMicrocontroller)
     NodeConfig cfg;
     cfg.sensorSignal = [](sim::Tick) { return 0; };
     SensorNode node(simulation, "node", cfg);
-    node.probes().setKeepHistory(true);
 
     // Hand-built image: init programs the watchdog load (20 units =
     // 5120 cycles = 51.2 ms) but leaves it disarmed; the hang handler

@@ -23,10 +23,13 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -53,14 +56,13 @@
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "sim/trace.hh"
 #include "sleep/controller.hh"
 
 using namespace ulp;
 
 namespace {
 
-/** Legacy flag set (also the knobs `run` may override per invocation). */
+/** Flag set of the Mica2 front end and the retired node front end. */
 struct Options
 {
     std::string platform = "node";
@@ -76,7 +78,6 @@ struct Options
     std::uint64_t seed = 1;
     bool stats = false;
     bool power = false;
-    std::string trace;
     std::string traceOut;
     std::string traceChannels = "all";
     double traceEnergyPeriod = 0.0; ///< 0 = scenario / built-in default
@@ -101,7 +102,7 @@ usage(int code)
         "\n"
         "run overrides:\n"
         "  --threads=K --seconds=S --seed=N --stats --power\n"
-        "  --trace=FLAGS --trace-out=DIR --trace-channels=LIST\n"
+        "  --trace-out=DIR --trace-channels=LIST\n"
         "  --trace-energy-period=S   energy sampler period in seconds\n"
         "\n"
         "campaign run/resume options:\n"
@@ -126,8 +127,6 @@ usage(int code)
         "  --seed=N                deterministic seed\n"
         "  --power                 print the power breakdown\n"
         "  --stats                 dump the full statistics tree\n"
-        "  --trace=FLAGS           comma-separated trace categories "
-        "(EP,Bus,IrqBus,Timer,MsgProc,Radio,Mcu,Sram,Power,All)\n"
         "  --help\n"
         "\n"
         "trace channels for --trace-channels: %s or all\n"
@@ -136,6 +135,36 @@ usage(int code)
         "scenario files now (`ulpsim run <scenario.ini>`).\n",
         obs::allChannelNames().c_str());
     std::exit(code);
+}
+
+/** @p value of @p flag as a non-negative finite number, or fatal. */
+double
+flagNumber(const char *flag, const char *value)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(value, &end);
+    if (end == value || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < 0.0) {
+        sim::fatal("%s: needs a non-negative number, got '%s'", flag, value);
+    }
+    return v;
+}
+
+/** @p value of @p flag as an unsigned integer up to @p max, or fatal. */
+std::uint64_t
+flagUnsigned(const char *flag, const char *value,
+             std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(value, &end, 0);
+    if (end == value || *end != '\0' || errno == ERANGE ||
+        value[0] == '-' || v > max) {
+        sim::fatal("%s: needs an unsigned integer up to %llu, got '%s'",
+                   flag, static_cast<unsigned long long>(max), value);
+    }
+    return v;
 }
 
 Options
@@ -157,23 +186,25 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
         } else if (const char *v = value("--app")) {
             opt.app = v;
         } else if (const char *v = value("--nodes")) {
-            opt.nodes = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            opt.nodes = static_cast<unsigned>(flagUnsigned("--nodes", v));
         } else if (const char *v = value("--threads")) {
-            opt.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            opt.threads = static_cast<unsigned>(flagUnsigned("--threads", v));
         } else if (const char *v = value("--period")) {
-            opt.period = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+            opt.period =
+                static_cast<std::uint32_t>(flagUnsigned("--period", v));
         } else if (const char *v = value("--threshold")) {
-            opt.threshold = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            opt.threshold =
+                static_cast<unsigned>(flagUnsigned("--threshold", v));
         } else if (const char *v = value("--dest")) {
-            opt.dest = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            opt.dest = static_cast<unsigned>(flagUnsigned("--dest", v));
         } else if (const char *v = value("--seconds")) {
-            opt.seconds = std::strtod(v, nullptr);
+            opt.seconds = flagNumber("--seconds", v);
         } else if (const char *v = value("--signal")) {
             opt.signal = v;
         } else if (const char *v = value("--noise")) {
-            opt.noise = std::strtod(v, nullptr);
+            opt.noise = flagNumber("--noise", v);
         } else if (const char *v = value("--seed")) {
-            opt.seed = std::strtoull(v, nullptr, 0);
+            opt.seed = flagUnsigned("--seed", v, UINT64_MAX);
         } else if (arg == "--power") {
             opt.power = true;
         } else if (arg == "--stats") {
@@ -183,9 +214,7 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
         } else if (const char *v = value("--trace-channels")) {
             opt.traceChannels = v;
         } else if (const char *v = value("--trace-energy-period")) {
-            opt.traceEnergyPeriod = std::strtod(v, nullptr);
-        } else if (const char *v = value("--trace")) {
-            opt.trace = v;
+            opt.traceEnergyPeriod = flagNumber("--trace-energy-period", v);
         } else if (positional && !arg.empty() && arg[0] != '-') {
             positional->push_back(arg);
         } else {
@@ -235,8 +264,6 @@ validate(const Options &opt)
         complain("--trace-channels requires --trace-out");
     if (opt.traceEnergyPeriod != 0.0 && opt.traceOut.empty())
         complain("--trace-energy-period requires --trace-out");
-    if (opt.traceEnergyPeriod < 0.0)
-        complain("--trace-energy-period must be positive");
     std::uint32_t mask = 0;
     std::string bad;
     if (!obs::parseChannelList(opt.traceChannels, &mask, &bad)) {
@@ -439,12 +466,56 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
     return 0;
 }
 
-/** `ulpsim run <file.ini>`: scenario file plus per-invocation knobs. */
+/** A `run` override flag and the scenario key it sets. */
+struct OverrideFlag
+{
+    const char *flag;
+    const char *key;
+};
+
+constexpr OverrideFlag overrideFlags[] = {
+    {"--threads", "scenario.threads"},
+    {"--seconds", "scenario.seconds"},
+    {"--seed", "scenario.seed"},
+    {"--trace-out", "trace.out"},
+    {"--trace-channels", "trace.channels"},
+    {"--trace-energy-period", "trace.energy-period"},
+};
+
+/**
+ * `ulpsim run <file.ini>`: scenario file plus per-invocation knobs. Each
+ * override sets its scenario key through the same parser and checks as
+ * the file and the campaign overrides.
+ */
 int
 runCommand(int argc, char **argv)
 {
     std::vector<std::string> positional;
-    Options opt = parse(argc, argv, 2, &positional);
+    std::vector<std::pair<const OverrideFlag *, std::string>> overrides;
+    bool stats = false, power = false;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const OverrideFlag *o =
+            std::find_if(std::begin(overrideFlags), std::end(overrideFlags),
+                         [&](const OverrideFlag &f) {
+                             return arg.substr(0, eq) == f.flag;
+                         });
+        if (arg == "--help" || arg == "-h") {
+            usage(0);
+        } else if (arg == "--stats") {
+            stats = true;
+        } else if (arg == "--power") {
+            power = true;
+        } else if (eq != std::string::npos && o != std::end(overrideFlags)) {
+            overrides.emplace_back(o, arg.substr(eq + 1));
+        } else if (!arg.empty() && arg[0] != '-') {
+            positional.push_back(arg);
+        } else {
+            std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
+            usage(2);
+        }
+    }
     if (positional.size() != 1) {
         std::fprintf(stderr, "usage: ulpsim run <scenario.ini> "
                              "[overrides]\n\n");
@@ -452,31 +523,10 @@ runCommand(int argc, char **argv)
     }
 
     scenario::Scenario sc = scenario::parseScenarioFile(positional[0]);
-    // Flags given on the command line override the file's values.
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--threads=", 0) == 0)
-            sc.threads = opt.threads;
-        else if (arg.rfind("--seconds=", 0) == 0)
-            sc.seconds = opt.seconds;
-        else if (arg.rfind("--seed=", 0) == 0)
-            sc.seed = opt.seed;
-        else if (arg.rfind("--trace-out=", 0) == 0 ||
-                 arg.rfind("--trace-channels=", 0) == 0 ||
-                 arg.rfind("--trace-energy-period=", 0) == 0) {
-            if (!sc.trace)
-                sc.trace.emplace();
-            if (arg.rfind("--trace-out=", 0) == 0)
-                sc.trace->out = opt.traceOut;
-            else if (arg.rfind("--trace-channels=", 0) == 0)
-                sc.trace->channels = opt.traceChannels;
-            else if (opt.traceEnergyPeriod > 0.0)
-                sc.trace->energyPeriod = opt.traceEnergyPeriod;
-        }
-    }
-    if (!opt.trace.empty())
-        sim::Trace::enableFromString(opt.trace);
-    return runScenario(sc, opt.stats, opt.power);
+    for (const auto &[o, value] : overrides)
+        scenario::applyScenarioKey(sc, o->key, value, o->flag);
+    scenario::validateScenario(sc, "command line");
+    return runScenario(sc, stats, power);
 }
 
 /** The path workers are exec'd from: this very binary. */
@@ -523,17 +573,17 @@ campaignCommand(int argc, char **argv)
             return nullptr;
         };
         if (const char *v = value("--jobs"))
-            jobsFlag = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            jobsFlag = static_cast<unsigned>(flagUnsigned("--jobs", v));
         else if (const char *v = value("--store"))
             storePath = v;
         else if (const char *v = value("--timeout"))
-            timeout = std::strtod(v, nullptr);
+            timeout = flagNumber("--timeout", v);
         else if (const char *v = value("--baseline-out"))
             baselineOut = v;
         else if (const char *v = value("--check"))
             checkPath = v;
         else if (const char *v = value("--tolerance"))
-            tolerance = std::strtod(v, nullptr);
+            tolerance = flagNumber("--tolerance", v);
         else if (arg == "--list")
             list = true;
         else if (!arg.empty() && arg[0] != '-')
@@ -735,8 +785,6 @@ main(int argc, char **argv)
                          "section declares fabric links)\n");
             return 2;
         }
-        if (!opt.trace.empty())
-            sim::Trace::enableFromString(opt.trace);
         return runMica2(opt);
     } catch (const sim::SimError &e) {
         std::fprintf(stderr, "%s\n", e.what());
