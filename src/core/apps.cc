@@ -197,8 +197,8 @@ planTimers(std::uint32_t period_cycles)
         period_cycles = 1;
     if (period_cycles <= 0xFFFF)
         return {false, static_cast<std::uint16_t>(period_cycles), 0};
-    std::uint32_t tick = 50'000;
-    std::uint32_t count = (period_cycles + tick - 1) / tick;
+    const std::uint64_t tick = 50'000;
+    const std::uint64_t count = (period_cycles + tick - 1) / tick;
     if (count > 0xFFFF)
         sim::fatal("sampling period %u cycles exceeds the chained range",
                    period_cycles);
@@ -206,27 +206,38 @@ planTimers(std::uint32_t period_cycles)
             static_cast<std::uint16_t>(count)};
 }
 
-std::string
-mcuParamHeader(const AppParams &params)
+/** The uC parameter symbols, in ParamValues order. */
+const std::vector<std::string> &
+paramNames()
 {
-    TimerPlan plan = planTimers(params.samplePeriodCycles);
-    // MAC control: bits 0-2 retry budget, bit 3 auto-ACK (paired with a
-    // non-zero retry budget so symmetric apps acknowledge each other).
-    unsigned macctrl =
-        params.macRetries ? (0x08u | (params.macRetries & 0x07u)) : 0;
-    // Watchdog load register counts 256-cycle units; round the request up.
-    std::uint32_t wdt_load = (params.watchdogCycles + 255) / 256;
-    if (wdt_load > 0xFFFF)
-        wdt_load = 0xFFFF;
-    return sim::csprintf(
-        ".equ P_CHAINED, %u\n"
-        ".equ P_PERIOD1_HI, %u\n"
-        ".equ P_PERIOD1_LO, %u\n"
-        ".equ P_PERIOD_HI, %u\n"
-        ".equ P_PERIOD_LO, %u\n"
-        ".equ P_THRESH, %u\n"
-        ".equ P_DEST_HI, %u\n"
-        ".equ P_DEST_LO, %u\n"
+    static const std::vector<std::string> names = {
+        "P_CHAINED", "P_PERIOD1_HI", "P_PERIOD1_LO", "P_PERIOD_HI",
+        "P_PERIOD_LO", "P_THRESH", "P_DEST_HI", "P_DEST_LO",
+        "P_MACCTRL", "P_WDT_HI", "P_WDT_LO",
+    };
+    return names;
+}
+
+/** Staged applications (v1-v4) arm the timer chain, MAC and watchdog
+ *  their parameters ask for; the other apps ignore those settings. */
+bool
+isStaged(const std::string &name)
+{
+    return name == "app1" || name == "app2" || name == "app3" ||
+           name == "app4";
+}
+
+/** The .equ block in front of every uC source: parameters, then the
+ *  memory-map constants the code shares. */
+std::string
+mcuHeader(const ParamValues &values)
+{
+    std::string s;
+    for (std::size_t i = 0; i < numParams; ++i) {
+        s += sim::csprintf(".equ %s, %u\n", paramNames()[i].c_str(),
+                           static_cast<unsigned>(values[i]));
+    }
+    s += sim::csprintf(
         ".equ MCU_CODE, %u\n"
         ".equ MSG_INBUF_CMD, %u\n"
         ".equ MSG_INBUF_VHI, %u\n"
@@ -235,13 +246,7 @@ mcuParamHeader(const AppParams &params)
         ".equ MSG_INBUF_SRC_HI, %u\n"
         ".equ ACL_HI, %u\n"
         ".equ ACL_LO, %u\n"
-        ".equ SCRATCH, %u\n"
-        ".equ P_MACCTRL, %u\n"
-        ".equ P_WDT_HI, %u\n"
-        ".equ P_WDT_LO, %u\n",
-        plan.chained ? 1 : 0, plan.load1 >> 8, plan.load1 & 0xFF,
-        plan.load0 >> 8, plan.load0 & 0xFF,
-        params.threshold, params.dest >> 8, params.dest & 0xFF,
+        ".equ SCRATCH, %u\n",
         map::mcuCodeBase,
         map::msgBase + map::msgInBuf + cmdTargetOffset,
         map::msgBase + map::msgInBuf + cmdValueHiOffset,
@@ -249,8 +254,8 @@ mcuParamHeader(const AppParams &params)
         map::msgBase + map::msgInBuf + 7,
         map::msgBase + map::msgInBuf + 8,
         0x00, 0x42,
-        map::mcuCodeBase - 2,
-        macctrl, wdt_load >> 8, wdt_load & 0xFF);
+        map::mcuCodeBase - 2);
+    return s;
 }
 
 /**
@@ -259,8 +264,8 @@ mcuParamHeader(const AppParams &params)
  * is entirely the EP's business).
  */
 std::string
-mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
-        bool enable_timer, bool chained = false)
+mcuInit(const AppShape &shape, bool use_filter, bool radio_rx,
+        bool enable_timer)
 {
     std::string s = "\n.org MCU_CODE\ninit:\n"
                     "    LDI r0, P_DEST_HI\n"
@@ -269,7 +274,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
                     "    STS MSG_DEST_LO, r0\n"
                     "    LDI r0, 1\n"
                     "    STS MSG_PAYLOAD_LEN, r0\n";
-    if (params.macRetries > 0) {
+    if (shape.mac) {
         s += "    LDI r0, P_MACCTRL\n"
              "    STS RADIO_MACCTRL, r0\n";
     }
@@ -288,7 +293,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
              "    STS TIMER0_LOADHI, r0\n"
              "    LDI r0, P_PERIOD_LO\n"
              "    STS TIMER0_LOADLO, r0\n";
-        if (chained) {
+        if (shape.chained) {
             s += "    LDI r0, P_PERIOD1_HI\n"
                  "    STS TIMER1_LOADHI, r0\n"
                  "    LDI r0, P_PERIOD1_LO\n"
@@ -299,7 +304,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
         s += "    LDI r0, 3\n"              // enable | reload
              "    STS TIMER0_CTRL, r0\n";
     }
-    if (params.watchdogCycles > 0) {
+    if (shape.watchdog) {
         // Arm last so the first kick (from the timer ISR) lands well
         // inside the first countdown window.
         s += "    LDI r0, P_WDT_HI\n"
@@ -391,142 +396,86 @@ rc_invalid:
 )";
 
 // ---------------------------------------------------------------------------
-// Assembly of complete applications.
+// Application sources.
 // ---------------------------------------------------------------------------
-
-NodeApp
-finish(std::string name, const std::string &ep_source,
-       const std::string &mcu_source)
-{
-    NodeApp app;
-    app.name = std::move(name);
-    app.ep = epAssemble(ep_source);
-    app.mcu = mcu::assemble(mcu_source, epDefaultSymbols());
-    app.initEntry = app.mcu.symbol("init");
-    if (app.mcu.hasSymbol("reconfig"))
-        app.vectors[0] = app.mcu.symbol("reconfig");
-    return app;
-}
-
-} // namespace
-
-namespace {
 
 /** Watchdog EP plumbing shared by the staged applications. */
 std::string
-epWatchdogParts(const AppParams &params)
+epWatchdogParts(const AppShape &shape)
 {
-    if (params.watchdogCycles == 0)
+    if (!shape.watchdog)
         return "";
     return std::string(epWatchdogIsr) + epIsrBindingsWatchdog;
 }
 
-/** A bark re-runs init (full reconfiguration) via wakeup vector 7. */
-NodeApp
-finishWithWatchdog(const AppParams &params, std::string name,
-                   const std::string &ep_source,
-                   const std::string &mcu_source)
+/** The periodic timer ISR, feeding the watchdog when one is armed. */
+std::string
+epTimerIsr(const char *isr, const AppShape &shape)
 {
-    NodeApp app = finish(std::move(name), ep_source, mcu_source);
-    if (params.watchdogCycles > 0)
-        app.vectors[7] = app.initEntry;
-    return app;
+    return shape.watchdog ? withWatchdogKick(isr) : isr;
 }
 
-} // namespace
-
-NodeApp
-buildApp1(const AppParams &params)
+/** An application's fixed source: everything but the parameter block. */
+struct AppSource
 {
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrNoFilter)
-                                : epTimerIsrNoFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneGateRadio + epNullIsr +
-                     epIsrBindingsV1(chained) + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, false, false, true, chained);
-    return finishWithWatchdog(params, "app1-sample-send", ep, mc);
-}
+    const char *name;
+    std::string ep;
+    std::string mcu;
+};
 
-NodeApp
-buildApp2(const AppParams &params)
+AppSource
+appSource(const AppShape &shape)
 {
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneGateRadio + epNullIsr +
-                     epIsrBindingsV1(chained) + epIsrBindingsFilter +
-                     epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, false, true, chained);
-    return finishWithWatchdog(params, "app2-sample-filter-send", ep, mc);
-}
-
-NodeApp
-buildApp3(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneKeepRadio + epRxIsrs + epNullIsr +
-                     epIsrBindingsV1(chained) + epIsrBindingsFilter +
-                     epIsrBindingsRx + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, true, true, chained);
-    return finishWithWatchdog(params, "app3-multihop", ep, mc);
-}
-
-NodeApp
-buildApp4(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneKeepRadio + epRxIsrs + epIrregularIsr +
-                     epNullIsr + epIsrBindingsV1(chained) +
-                     epIsrBindingsFilter + epIsrBindingsRx +
-                     epIsrBindingsIrregular + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, true, true, chained) +
-                     mcuReconfigHandler;
-    return finishWithWatchdog(params, "app4-reconfigurable", ep, mc);
-}
-
-NodeApp
-buildBlink(const AppParams &params)
-{
-    // SNAP comparison: a timer interrupt toggles an LED. The "LED" is a
-    // scratch byte; the EP writes alternating values from two tiny ISRs
-    // is overkill, a single WRITEI models the set-LED operation.
-    const char *ep = R"(
+    const std::string &n = shape.name;
+    if (n == "app1") {
+        return {"app1-sample-send",
+                epTimerIsr(epTimerIsrNoFilter, shape) + epTxReadyIsr +
+                    epTxDoneGateRadio + epNullIsr +
+                    epIsrBindingsV1(shape.chained) + epWatchdogParts(shape),
+                mcuInit(shape, false, false, true)};
+    }
+    if (n == "app2") {
+        return {"app2-sample-filter-send",
+                epTimerIsr(epTimerIsrFilter, shape) + epTxReadyIsr +
+                    epTxDoneGateRadio + epNullIsr +
+                    epIsrBindingsV1(shape.chained) + epIsrBindingsFilter +
+                    epWatchdogParts(shape),
+                mcuInit(shape, true, false, true)};
+    }
+    if (n == "app3") {
+        return {"app3-multihop",
+                epTimerIsr(epTimerIsrFilter, shape) + epTxReadyIsr +
+                    epTxDoneKeepRadio + epRxIsrs + epNullIsr +
+                    epIsrBindingsV1(shape.chained) + epIsrBindingsFilter +
+                    epIsrBindingsRx + epWatchdogParts(shape),
+                mcuInit(shape, true, true, true)};
+    }
+    if (n == "app4") {
+        return {"app4-reconfigurable",
+                epTimerIsr(epTimerIsrFilter, shape) + epTxReadyIsr +
+                    epTxDoneKeepRadio + epRxIsrs + epIrregularIsr +
+                    epNullIsr + epIsrBindingsV1(shape.chained) +
+                    epIsrBindingsFilter + epIsrBindingsRx +
+                    epIsrBindingsIrregular + epWatchdogParts(shape),
+                mcuInit(shape, true, true, true) + mcuReconfigHandler};
+    }
+    if (n == "blink") {
+        // SNAP comparison: a timer interrupt toggles an LED. The "LED" is
+        // a scratch byte; the EP writes alternating values from two tiny
+        // ISRs is overkill, a single WRITEI models the set-LED operation.
+        return {"blink", R"(
 blink_isr:
     WRITEI 0x0700, 1            ; LED register in scratch space
     TERMINATE
 .isr Timer0, blink_isr
-)";
-    // The microbenchmarks don't model MAC retries or the watchdog.
-    AppParams p = params;
-    p.macRetries = 0;
-    p.watchdogCycles = 0;
-    std::string mc = mcuParamHeader(p) + mcuInit(p, false, false, true);
-    return finish("blink", ep, mc);
-}
-
-NodeApp
-buildSense(const AppParams &params)
-{
-    // SNAP comparison: periodically sample the ADC and feed a running
-    // statistic. The threshold filter block plays the accumulator role
-    // (data-processing slave), with interrupts disabled.
-    const char *ep = R"(
+)",
+                mcuInit(shape, false, false, true)};
+    }
+    if (n == "sense") {
+        // SNAP comparison: periodically sample the ADC and feed a running
+        // statistic. The threshold filter block plays the accumulator
+        // role (data-processing slave), with interrupts disabled.
+        return {"sense", R"(
 sense_isr:
     SWITCHON SENSOR
     READ SENSOR_DATA
@@ -534,58 +483,158 @@ sense_isr:
     WRITE FILTER_DATA
     TERMINATE
 .isr Timer0, sense_isr
-)";
-    std::string mc = mcuParamHeader(params) +
-                     "\n.org MCU_CODE\ninit:\n"
-                     "    LDI r0, 0\n"
-                     "    STS FILTER_CTRL, r0\n" // statistic mode: no irqs
-                     "    LDI r0, P_PERIOD_HI\n"
-                     "    STS TIMER0_LOADHI, r0\n"
-                     "    LDI r0, P_PERIOD_LO\n"
-                     "    STS TIMER0_LOADLO, r0\n"
-                     "    LDI r0, 3\n"
-                     "    STS TIMER0_CTRL, r0\n"
-                     "    SLEEP\n";
-    return finish("sense", ep, mc);
+)",
+                "\n.org MCU_CODE\ninit:\n"
+                "    LDI r0, 0\n"
+                "    STS FILTER_CTRL, r0\n" // statistic mode: no irqs
+                "    LDI r0, P_PERIOD_HI\n"
+                "    STS TIMER0_LOADHI, r0\n"
+                "    LDI r0, P_PERIOD_LO\n"
+                "    STS TIMER0_LOADLO, r0\n"
+                "    LDI r0, 3\n"
+                "    STS TIMER0_CTRL, r0\n"
+                "    SLEEP\n"};
+    }
+    // Listen-only sink: the receive pipeline of app3 with no timer,
+    // filter or send path. The forward ISR stays bound so a sink given
+    // routing-CAM entries can still relay (tree roots that uplink
+    // elsewhere).
+    return {"sink-listen",
+            std::string(epTxDoneKeepRadio) + epRxIsrs +
+                ".isr RadioTxDone, txdone_isr\n"
+                ".isr RadioTxFail, txdone_isr\n" +
+                epIsrBindingsRx,
+            mcuInit(shape, false, true, false)};
+}
+
+/** Everything an install does once both programs are in SRAM. */
+void
+bindAndBoot(SensorNode &node, const NodeApp &app)
+{
+    for (const auto &[index, handler] : app.vectors)
+        node.setMcuVector(index, handler);
+    node.boot(app.initEntry);
+}
+
+} // namespace
+
+AppShape
+appShape(const std::string &name, const AppParams &params)
+{
+    if (isStaged(name)) {
+        return {name, params.samplePeriodCycles > 0xFFFF,
+                params.macRetries > 0, params.watchdogCycles > 0};
+    }
+    if (name == "blink" || name == "sense" || name == "sink")
+        return {name};
+    sim::fatal("unknown app '%s' (valid: app1, app2, app3, app4, blink, "
+               "sense, sink)",
+               name.c_str());
+}
+
+ParamValues
+paramValues(const std::string &name, const AppParams &params)
+{
+    TimerPlan plan = planTimers(params.samplePeriodCycles);
+    // The microbenchmarks and the sink model neither MAC retries nor the
+    // watchdog, and their symbol tables say so.
+    const bool plain = name == "blink" || name == "sink";
+    const unsigned retries = plain ? 0 : params.macRetries;
+    const std::uint32_t wdt_cycles = plain ? 0 : params.watchdogCycles;
+    // MAC control: bits 0-2 retry budget, bit 3 auto-ACK (paired with a
+    // non-zero retry budget so symmetric apps acknowledge each other).
+    unsigned macctrl = retries ? (0x08u | (retries & 0x07u)) : 0;
+    // Watchdog load register counts 256-cycle units; round the request up.
+    std::uint32_t wdt_load = (wdt_cycles + 255) / 256;
+    if (wdt_load > 0xFFFF)
+        wdt_load = 0xFFFF;
+    auto byte = [](unsigned v) { return static_cast<std::uint8_t>(v); };
+    return {byte(plan.chained ? 1 : 0), byte(plan.load1 >> 8),
+            byte(plan.load1 & 0xFF), byte(plan.load0 >> 8),
+            byte(plan.load0 & 0xFF), params.threshold,
+            byte(params.dest >> 8), byte(params.dest & 0xFF),
+            byte(macctrl), byte(wdt_load >> 8), byte(wdt_load & 0xFF)};
+}
+
+AppImage
+assembleImage(const AppShape &shape, const ParamValues &values)
+{
+    AppSource source = appSource(shape);
+    mcu::ParamImage mcu = mcu::assembleWithParams(
+        mcuHeader(values) + source.mcu, epDefaultSymbols(), paramNames());
+    AppImage image;
+    NodeApp &app = image.app;
+    app.name = source.name;
+    app.ep = epAssemble(source.ep);
+    app.mcu = std::move(mcu.image);
+    image.sites = std::move(mcu.sites);
+    app.initEntry = app.mcu.symbol("init");
+    if (app.mcu.hasSymbol("reconfig"))
+        app.vectors[0] = app.mcu.symbol("reconfig");
+    // A bark re-runs init (full reconfiguration) via wakeup vector 7.
+    if (shape.watchdog)
+        app.vectors[7] = app.initEntry;
+    return image;
 }
 
 NodeApp
-buildSink(const AppParams &params)
+AppImage::stamped(const ParamValues &values) const
 {
-    // Listen-only: the receive pipeline of app3 with no timer, filter or
-    // send path. The forward ISR stays bound so a sink given routing-CAM
-    // entries can still relay (tree roots that uplink elsewhere).
-    std::string ep = std::string(epTxDoneKeepRadio) + epRxIsrs +
-                     ".isr RadioTxDone, txdone_isr\n"
-                     ".isr RadioTxFail, txdone_isr\n" +
-                     epIsrBindingsRx;
-    AppParams p = params;
-    p.macRetries = 0;
-    p.watchdogCycles = 0;
-    std::string mc = mcuParamHeader(p) + mcuInit(p, false, true, false);
-    return finish("sink-listen", ep, mc);
+    NodeApp out = app;
+    for (const mcu::ParamSite &site : sites)
+        out.mcu.chunks[site.chunk].bytes[site.offset] = values[site.param];
+    for (std::size_t i = 0; i < numParams; ++i)
+        out.mcu.symbols[paramNames()[i]] = values[i];
+    return out;
 }
 
 NodeApp
 buildByName(const std::string &name, const AppParams &params)
 {
-    if (name == "app1")
-        return buildApp1(params);
-    if (name == "app2")
-        return buildApp2(params);
-    if (name == "app3")
-        return buildApp3(params);
-    if (name == "app4")
-        return buildApp4(params);
-    if (name == "blink")
-        return buildBlink(params);
-    if (name == "sense")
-        return buildSense(params);
-    if (name == "sink")
-        return buildSink(params);
-    sim::fatal("unknown app '%s' (valid: app1, app2, app3, app4, blink, "
-               "sense, sink)",
-               name.c_str());
+    const AppShape shape = appShape(name, params);
+    return assembleImage(shape, paramValues(name, params)).app;
+}
+
+NodeApp
+buildApp1(const AppParams &params)
+{
+    return buildByName("app1", params);
+}
+
+NodeApp
+buildApp2(const AppParams &params)
+{
+    return buildByName("app2", params);
+}
+
+NodeApp
+buildApp3(const AppParams &params)
+{
+    return buildByName("app3", params);
+}
+
+NodeApp
+buildApp4(const AppParams &params)
+{
+    return buildByName("app4", params);
+}
+
+NodeApp
+buildBlink(const AppParams &params)
+{
+    return buildByName("blink", params);
+}
+
+NodeApp
+buildSense(const AppParams &params)
+{
+    return buildByName("sense", params);
+}
+
+NodeApp
+buildSink(const AppParams &params)
+{
+    return buildByName("sink", params);
 }
 
 void
@@ -593,9 +642,22 @@ install(SensorNode &node, const NodeApp &app)
 {
     node.loadEpProgram(app.ep);
     node.loadMcuProgram(app.mcu);
-    for (const auto &[index, handler] : app.vectors)
-        node.setMcuVector(index, handler);
-    node.boot(app.initEntry);
+    bindAndBoot(node, app);
+}
+
+void
+install(SensorNode &node, const AppImage &image, const ParamValues &values)
+{
+    const NodeApp &app = image.app;
+    node.loadEpProgram(app.ep);
+    node.loadMcuProgram(app.mcu);
+    for (const mcu::ParamSite &site : image.sites) {
+        const mcu::ImageChunk &chunk = app.mcu.chunks[site.chunk];
+        node.memory().poke(
+            static_cast<std::uint16_t>(chunk.base + site.offset),
+            values[site.param]);
+    }
+    bindAndBoot(node, app);
 }
 
 } // namespace ulp::core::apps

@@ -17,14 +17,23 @@
  *
  * Each NodeApp bundles the EP ISR program, the uC image (init code and
  * irregular-event handlers), and the wakeup vector bindings.
+ *
+ * Nodes running one application differ only in a few bytes of uC code:
+ * the .equ P_* parameters (sampling period, threshold, destination, MAC
+ * and watchdog settings). An application's AppShape fixes its source;
+ * its ParamValues are those bytes. A network assembles one AppImage per
+ * shape and installs it on each node with that node's values written in.
  */
 
 #ifndef ULP_CORE_APPS_HH
 #define ULP_CORE_APPS_HH
 
+#include <array>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/ep_assembler.hh"
 #include "core/sensor_node.hh"
@@ -83,7 +92,59 @@ struct NodeApp
     std::uint16_t initEntry = 0;
     /** uC wakeup vector index -> handler address. */
     std::map<std::uint8_t, std::uint16_t> vectors;
+
+    bool operator==(const NodeApp &) const = default;
 };
+
+/** Number of uC parameter symbols. */
+constexpr std::size_t numParams = 11;
+
+/** One node's parameter bytes, the values of the uC symbols P_CHAINED,
+ *  P_PERIOD1_HI/LO, P_PERIOD_HI/LO, P_THRESH, P_DEST_HI/LO, P_MACCTRL
+ *  and P_WDT_HI/LO, in that order. */
+using ParamValues = std::array<std::uint8_t, numParams>;
+
+/**
+ * What fixes an application's code. Two nodes whose applications have
+ * the same shape run the same EP and uC code; they differ only in their
+ * ParamValues.
+ */
+struct AppShape
+{
+    std::string name;      ///< scenario name: app1..app4, blink, sense, sink
+    bool chained = false;  ///< period beyond 16 bits: timer 0 chained into 1
+    bool mac = false;      ///< MAC retries (and auto-ACK) programmed
+    bool watchdog = false; ///< watchdog armed, kicked, bound to vector 7
+
+    auto operator<=>(const AppShape &) const = default;
+};
+
+/** The shape of app @p name under @p params. Unknown names are fatal
+ *  (the message lists the valid set). */
+AppShape appShape(const std::string &name, const AppParams &params);
+
+/** The parameter bytes of app @p name under @p params. A period beyond
+ *  the chained timer range is fatal. */
+ParamValues paramValues(const std::string &name, const AppParams &params);
+
+/**
+ * An application assembled once for every node of its shape. Its uC
+ * image holds the parameter values it was assembled with; @c sites
+ * locates every byte that holds one, so another node's values can be
+ * written over them.
+ */
+struct AppImage
+{
+    NodeApp app;
+    std::vector<mcu::ParamSite> sites;
+
+    /** A copy with @p values written in (code bytes and the P_* symbol
+     *  entries): equal to what buildByName assembles for them. */
+    NodeApp stamped(const ParamValues &values) const;
+};
+
+/** Assemble the application of @p shape with @p values. */
+AppImage assembleImage(const AppShape &shape, const ParamValues &values);
 
 NodeApp buildApp1(const AppParams &params = {});
 NodeApp buildApp2(const AppParams &params = {});
@@ -106,6 +167,11 @@ NodeApp buildByName(const std::string &name, const AppParams &params = {});
 
 /** Load programs and vectors into @p node and run the uC init code. */
 void install(SensorNode &node, const NodeApp &app);
+
+/** Install @p image on @p node with @p values in place of its parameter
+ *  bytes, then run the uC init code. Nothing of the image is copied. */
+void install(SensorNode &node, const AppImage &image,
+             const ParamValues &values);
 
 } // namespace ulp::core::apps
 

@@ -8,11 +8,11 @@ namespace ulp::core {
 DataBus::DataBus(sim::Simulation &simulation, const std::string &name,
                  sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
+      obs(simulation.telemetry()),
       statReads(this, "reads", "read transactions"),
       statWrites(this, "writes", "write transactions"),
       statUnmapped(this, "unmapped", "accesses no slave claimed"),
-      statWedged(this, "wedged", "accesses to a wedged (stuck) slave"),
-      obs(simulation.telemetry())
+      statWedged(this, "wedged", "accesses to a wedged (stuck) slave")
 {
     if (obs)
         obsId = obs->registerComponent(this->name());

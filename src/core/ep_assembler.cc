@@ -188,16 +188,22 @@ struct Ctx
             }
         }
         if (std::isdigit(static_cast<unsigned char>(s[0]))) {
+            const bool hex =
+                s.size() > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+            const std::string digits = hex ? s.substr(2) : s;
+            std::size_t used = 0;
+            unsigned long long v = 0;
             try {
-                if (s.size() > 2 && s[0] == '0' &&
-                    (s[1] == 'x' || s[1] == 'X')) {
-                    return static_cast<std::uint32_t>(
-                        std::stoul(s.substr(2), nullptr, 16));
-                }
-                return static_cast<std::uint32_t>(std::stoul(s));
+                v = std::stoull(digits, &used, hex ? 16 : 10);
             } catch (const std::exception &) {
-                error("bad numeric literal '" + s + "'");
+                used = 0;
             }
+            if (digits.empty() || used != digits.size() ||
+                !std::isxdigit(static_cast<unsigned char>(digits[0])))
+                error("bad numeric literal '" + s + "'");
+            if (v > 0xFFFFFFFFull)
+                error("numeric literal '" + s + "' does not fit in 32 bits");
+            return static_cast<std::uint32_t>(v);
         }
         std::uint32_t value;
         if (lookup(s, value))
@@ -205,6 +211,16 @@ struct Ctx
         if (!final)
             return 0;
         error("undefined symbol '" + s + "'");
+    }
+
+    /** A 16-bit address operand; wider values are fatal, not wrapped. */
+    std::uint16_t
+    address(const std::string &expr) const
+    {
+        std::uint32_t v = eval(expr, true);
+        if (v > 0xFFFF)
+            error(sim::csprintf("address %#x exceeds 16 bits", v));
+        return static_cast<std::uint16_t>(v);
     }
 };
 
@@ -333,6 +349,8 @@ epAssemble(const std::string &source,
         if (m == ".EQU") {
             if (line.operands.size() != 2)
                 ctx.error(".equ needs NAME, VALUE");
+            if (ctx.symbols.count(line.operands[0]))
+                ctx.error("duplicate symbol '" + line.operands[0] + "'");
             ctx.symbols[line.operands[0]] =
                 ctx.eval(line.operands[1], false);
             continue;
@@ -370,8 +388,7 @@ epAssemble(const std::string &source,
             if (line.operands.size() != 2)
                 ctx.error(".isr needs IRQNAME, LABEL");
             Irq irq = irqByName(line.operands[0], ctx);
-            std::uint32_t target = ctx.eval(line.operands[1], true);
-            program.isrBindings[irq] = static_cast<std::uint16_t>(target);
+            program.isrBindings[irq] = ctx.address(line.operands[1]);
             continue;
         }
 
@@ -397,13 +414,11 @@ epAssemble(const std::string &source,
           case EpOpcode::READ:
           case EpOpcode::WRITE:
             need(1);
-            instr.addrA = static_cast<std::uint16_t>(
-                ctx.eval(line.operands[0], true));
+            instr.addrA = ctx.address(line.operands[0]);
             break;
           case EpOpcode::WRITEI: {
             need(2);
-            instr.addrA = static_cast<std::uint16_t>(
-                ctx.eval(line.operands[0], true));
+            instr.addrA = ctx.address(line.operands[0]);
             std::uint32_t imm = ctx.eval(line.operands[1], true);
             if (imm > 31)
                 ctx.error("WRITEI immediate exceeds 5 bits");
@@ -412,10 +427,8 @@ epAssemble(const std::string &source,
           }
           case EpOpcode::TRANSFER: {
             need(3);
-            instr.addrA = static_cast<std::uint16_t>(
-                ctx.eval(line.operands[0], true));
-            instr.addrB = static_cast<std::uint16_t>(
-                ctx.eval(line.operands[1], true));
+            instr.addrA = ctx.address(line.operands[0]);
+            instr.addrB = ctx.address(line.operands[1]);
             std::uint32_t len = ctx.eval(line.operands[2], true);
             if (len < 1 || len > 32)
                 ctx.error("TRANSFER length must be 1..32");

@@ -36,6 +36,8 @@ struct EpProgram
     std::map<Irq, std::uint16_t> isrBindings;
 
     std::uint16_t symbol(const std::string &name) const;
+
+    bool operator==(const EpProgram &) const = default;
 };
 
 /** Component ids, memory-mapped registers, and common constants. */
@@ -43,7 +45,8 @@ const std::map<std::string, std::uint16_t> &epDefaultSymbols();
 
 /**
  * Assemble @p source; extra symbols in @p extra shadow nothing and extend
- * the defaults. fatal() with a line number on any error.
+ * the defaults. fatal() with a line number on any error, including a
+ * duplicate .equ or label and an address operand wider than 16 bits.
  */
 EpProgram
 epAssemble(const std::string &source,

@@ -16,11 +16,11 @@ enum : std::uint16_t { irqPost = 0, irqDeliver = 1, irqDrop = 2 };
 InterruptBus::InterruptBus(sim::Simulation &simulation,
                            const std::string &name, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
+      obs(simulation.telemetry()),
       statPosted(this, "posted", "interrupt assertions accepted"),
       statDropped(this, "dropped",
                   "events lost because the code was already asserted"),
-      statTaken(this, "taken", "interrupts granted to the event processor"),
-      obs(simulation.telemetry())
+      statTaken(this, "taken", "interrupts granted to the event processor")
 {
     if (obs)
         obsId = obs->registerComponent(this->name());

@@ -34,6 +34,19 @@ Network::build(const scenario::NetworkSpec &spec)
     }
     relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
 
+    // Assemble each distinct application once; every node installs the
+    // shared image with its own parameter bytes (installApp).
+    for (const scenario::NodeSpec &ns : spec.nodes) {
+        if (ns.prebuiltApp)
+            continue;
+        apps::AppShape shape = apps::appShape(ns.app, ns.params);
+        if (!images.count(shape)) {
+            apps::AppImage image = apps::assembleImage(
+                shape, apps::paramValues(ns.app, ns.params));
+            images.emplace(std::move(shape), std::move(image));
+        }
+    }
+
     // Spatial scenarios with K > 1 partition by locality (recursive
     // coordinate bisection), so each shard owns a compact tile and
     // cross-shard radio traffic is confined to tile borders. Everything
@@ -84,7 +97,7 @@ Network::build(const scenario::NetworkSpec &spec)
             SensorNode *node = shard.nodes.back().get();
             nodeByIndex[i] = node;
             shard.channel->bind(&node->radio(), i);
-            apps::install(*node, ns.buildApp());
+            installApp(i);
             for (const MessageProcessor::Route &r : ns.routes)
                 node->msgProc().preloadRoute(r.origin, r.nextHop);
             node->setReviveHook([this, i] { reviveNodeNow(i); });
@@ -209,7 +222,7 @@ Network::reviveNodeNow(unsigned node)
     applyNodePlatformConfig(node);
     // Reinstall the factory image (SRAM did not survive) and boot. The
     // route CAM is intentionally left empty: repair re-teaches it.
-    apps::install(*n, builtSpec.nodes[node].buildApp());
+    installApp(node);
 }
 
 void
@@ -223,11 +236,25 @@ Network::wakeNodeFromDeepSleep(unsigned node)
         sim::panic("Network: node %u woken on a foreign shard", node);
     n->deepSleepWake();
     applyNodePlatformConfig(node);
-    apps::install(*n, builtSpec.nodes[node].buildApp());
+    installApp(node);
     // A scheduled wake knows its topology: restore the spec's preload
     // (deep sleep wiped the CAM along with the rest of the SRAM domain).
     for (const MessageProcessor::Route &r : builtSpec.nodes[node].routes)
         n->msgProc().preloadRoute(r.origin, r.nextHop);
+}
+
+void
+Network::installApp(unsigned node)
+{
+    const scenario::NodeSpec &ns = builtSpec.nodes[node];
+    SensorNode &n = *nodeByIndex[node];
+    if (ns.prebuiltApp) {
+        apps::install(n, *ns.prebuiltApp);
+        return;
+    }
+    // Values first: their range checks run for every node.
+    const apps::ParamValues values = apps::paramValues(ns.app, ns.params);
+    apps::install(n, images.at(apps::appShape(ns.app, ns.params)), values);
 }
 
 void

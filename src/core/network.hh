@@ -32,6 +32,7 @@
 #define ULP_CORE_NETWORK_HH
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -170,6 +171,10 @@ class Network
 
     void build(const scenario::NetworkSpec &spec);
 
+    /** Install the node's application (its prebuilt one, or its shape's
+     *  image stamped with its parameter bytes) and boot it. */
+    void installApp(unsigned node);
+
     /** Program the node's platform registers the scenario owns (beacon
      *  MAC mode, orders, address, guard, drift). Idempotent; re-run on
      *  revive and deep-sleep wake since gating wipes transaction state. */
@@ -181,6 +186,9 @@ class Network
     std::vector<SensorNode *> nodeByIndex;
     std::vector<unsigned> shardOfNode;
     scenario::NetworkSpec builtSpec; ///< kept for lifecycle reinstalls
+    /** One assembled application per distinct shape. Filled by build(),
+     *  read-only afterwards, so shard threads share it on revive/wake. */
+    std::map<apps::AppShape, apps::AppImage> images;
     std::vector<std::unique_ptr<sim::EventFunctionWrapper>> lifecycleEvents;
     sim::Tick ran = 0;        ///< total ticks simulated so far
     bool statsMerged = false; ///< channel stats folded into shard 0

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -37,8 +38,20 @@ namespace {
 struct Asm
 {
     const std::map<std::string, std::uint16_t> *predefined;
+    const std::vector<std::string> *params = nullptr;
     std::map<std::string, std::uint32_t> symbols;
     int lineNo = 0;
+
+    /** Pass 1: .equ symbols whose value read a forward reference, so
+     *  their pass-1 value is provisional. */
+    std::set<std::string> forwardEqus;
+    /** First forward (or provisional) symbol the current pass-1
+     *  evaluation read; empty when the value is final. */
+    mutable std::string forwardRef;
+
+    /** Pass 2: the chunk being emitted and the parameter bytes so far. */
+    std::uint32_t chunkIndex = 0;
+    std::vector<ParamSite> sites;
 
     [[noreturn]] void
     error(const std::string &message) const
@@ -80,6 +93,19 @@ struct Asm
             }
         }
         return false;
+    }
+
+    /** Index of @p name in the parameter list, or -1. */
+    int
+    paramIndex(const std::string &name) const
+    {
+        if (params) {
+            for (std::size_t i = 0; i < params->size(); ++i) {
+                if ((*params)[i] == name)
+                    return static_cast<int>(i);
+            }
+        }
+        return -1;
     }
 
     /**
@@ -129,21 +155,36 @@ struct Asm
             return static_cast<std::uint8_t>(s[1]);
 
         if (std::isdigit(static_cast<unsigned char>(s[0]))) {
+            const bool hex = low.rfind("0x", 0) == 0;
+            const std::string digits = hex ? s.substr(2) : s;
+            std::size_t used = 0;
+            unsigned long long v = 0;
             try {
-                if (low.rfind("0x", 0) == 0)
-                    return static_cast<std::uint32_t>(
-                        std::stoul(s.substr(2), nullptr, 16));
-                return static_cast<std::uint32_t>(std::stoul(s));
+                v = std::stoull(digits, &used, hex ? 16 : 10);
             } catch (const std::exception &) {
-                error("bad numeric literal '" + s + "'");
+                used = 0;
             }
+            if (digits.empty() || used != digits.size() ||
+                !std::isxdigit(static_cast<unsigned char>(digits[0])))
+                error("bad numeric literal '" + s + "'");
+            if (v > 0xFFFFFFFFull)
+                error("numeric literal '" + s + "' does not fit in 32 bits");
+            return static_cast<std::uint32_t>(v);
         }
 
+        if (paramIndex(s) >= 0)
+            error("parameter '" + s + "' may only be a bare byte operand");
         std::uint32_t value;
-        if (lookupSymbol(s, value))
+        if (lookupSymbol(s, value)) {
+            if (!final && forwardRef.empty() && forwardEqus.count(s))
+                forwardRef = s;
             return value;
-        if (!final)
+        }
+        if (!final) {
+            if (forwardRef.empty())
+                forwardRef = s;
             return 0;
+        }
         error("undefined symbol '" + s + "'");
     }
 
@@ -198,6 +239,26 @@ struct Asm
             error("value " + std::to_string(v) + " does not fit in a word");
         return static_cast<std::uint16_t>(v & 0xFFFF);
     }
+
+    /** Emit a byte operand, noting where it lands if it is a parameter. */
+    void
+    emitByte(const std::string &expr, std::vector<std::uint8_t> &out)
+    {
+        const std::string name = trim(expr);
+        const int param = paramIndex(name);
+        if (param < 0) {
+            out.push_back(byteValue(expr, true));
+            return;
+        }
+        std::uint32_t v;
+        if (!lookupSymbol(name, v))
+            error("undefined parameter '" + name + "'");
+        if (v > 0xFF)
+            error("parameter '" + name + "' does not fit in a byte");
+        sites.push_back({chunkIndex, static_cast<std::uint32_t>(out.size()),
+                         static_cast<std::uint32_t>(param)});
+        out.push_back(static_cast<std::uint8_t>(v));
+    }
 };
 
 struct Statement
@@ -207,6 +268,25 @@ struct Statement
     std::string mnemonic; // empty for pure labels; starts with '.' for dirs
     std::vector<std::string> operands;
 };
+
+/**
+ * Pass-1 value of a .org or .space operand. It places every later label,
+ * so it must not read a symbol defined further down (pass 1 would read
+ * it as 0 and misplace them all).
+ */
+std::uint32_t
+placementValue(const Statement &st, Asm &ctx, const char *directive)
+{
+    if (st.operands.size() != 1)
+        ctx.error(std::string(directive) + " needs one operand");
+    ctx.forwardRef.clear();
+    std::uint32_t v = ctx.evalExpr(st.operands[0], false);
+    if (!ctx.forwardRef.empty()) {
+        ctx.error(std::string(directive) + " operand reads '" +
+                  ctx.forwardRef + "', which is not known before this line");
+    }
+    return v;
+}
 
 std::vector<Statement>
 parse(const std::string &source, Asm &ctx)
@@ -291,11 +371,8 @@ statementSize(const Statement &st, Asm &ctx)
         return st.operands.size();
     if (m == ".word")
         return st.operands.size() * 2;
-    if (m == ".space") {
-        if (st.operands.size() != 1)
-            ctx.error(".space needs one operand");
-        return ctx.evalExpr(st.operands[0], false);
-    }
+    if (m == ".space")
+        return placementValue(st, ctx, ".space");
     const InstrInfo *info = instrInfoByMnemonic(st.mnemonic);
     if (!info)
         ctx.error("unknown mnemonic '" + st.mnemonic + "'");
@@ -336,7 +413,7 @@ encode(const Statement &st, const InstrInfo &info, Asm &ctx,
         need(2);
         int rd = ctx.parseReg(st.operands[0]);
         out.push_back(static_cast<std::uint8_t>(rd << 4));
-        out.push_back(ctx.byteValue(st.operands[1], true));
+        ctx.emitByte(st.operands[1], out);
         break;
       }
       case Format::RdAddr: {
@@ -395,20 +472,20 @@ encode(const Statement &st, const InstrInfo &info, Asm &ctx,
       }
       case Format::Imm: {
         need(1);
-        out.push_back(ctx.byteValue(st.operands[0], true));
+        ctx.emitByte(st.operands[0], out);
         break;
       }
     }
 }
 
-} // namespace
-
-Image
-assemble(const std::string &source,
-         const std::map<std::string, std::uint16_t> &predefined)
+ParamImage
+assembleImpl(const std::string &source,
+             const std::map<std::string, std::uint16_t> &predefined,
+             const std::vector<std::string> *params)
 {
     Asm ctx;
     ctx.predefined = &predefined;
+    ctx.params = params;
 
     std::vector<Statement> statements = parse(source, ctx);
 
@@ -421,22 +498,25 @@ assemble(const std::string &source,
                 predefined.count(st.label)) {
                 ctx.error("duplicate symbol '" + st.label + "'");
             }
+            if (ctx.paramIndex(st.label) >= 0)
+                ctx.error("parameter '" + st.label + "' must be an .equ");
             ctx.symbols[st.label] = loc;
         }
         if (st.mnemonic.empty())
             continue;
         std::string m = Asm::lower(st.mnemonic);
         if (m == ".org") {
-            if (st.operands.size() != 1)
-                ctx.error(".org needs one operand");
-            loc = ctx.evalExpr(st.operands[0], false);
+            loc = placementValue(st, ctx, ".org");
         } else if (m == ".equ") {
             if (st.operands.size() != 2)
                 ctx.error(".equ needs NAME, VALUE");
             const std::string &name = st.operands[0];
             if (ctx.symbols.count(name) || predefined.count(name))
                 ctx.error("duplicate symbol '" + name + "'");
+            ctx.forwardRef.clear();
             ctx.symbols[name] = ctx.evalExpr(st.operands[1], false);
+            if (!ctx.forwardRef.empty())
+                ctx.forwardEqus.insert(name);
         } else {
             loc += statementSize(st, ctx);
         }
@@ -445,7 +525,8 @@ assemble(const std::string &source,
     }
 
     // Pass 2: emit.
-    Image image;
+    ParamImage out;
+    Image &image = out.image;
     ImageChunk chunk;
     loc = 0;
     chunk.base = 0;
@@ -458,6 +539,7 @@ assemble(const std::string &source,
 
     for (const Statement &st : statements) {
         ctx.lineNo = st.lineNo;
+        ctx.chunkIndex = static_cast<std::uint32_t>(image.chunks.size());
         if (st.mnemonic.empty())
             continue;
         std::string m = Asm::lower(st.mnemonic);
@@ -476,7 +558,7 @@ assemble(const std::string &source,
         }
         if (m == ".byte") {
             for (const std::string &op : st.operands)
-                chunk.bytes.push_back(ctx.byteValue(op, true));
+                ctx.emitByte(op, chunk.bytes);
             loc += st.operands.size();
             continue;
         }
@@ -508,7 +590,25 @@ assemble(const std::string &source,
             continue; // wide .equ constants are fine internally
         image.symbols[name] = static_cast<std::uint16_t>(value);
     }
-    return image;
+    out.sites = std::move(ctx.sites);
+    return out;
+}
+
+} // namespace
+
+Image
+assemble(const std::string &source,
+         const std::map<std::string, std::uint16_t> &predefined)
+{
+    return assembleImpl(source, predefined, nullptr).image;
+}
+
+ParamImage
+assembleWithParams(const std::string &source,
+                   const std::map<std::string, std::uint16_t> &predefined,
+                   const std::vector<std::string> &params)
+{
+    return assembleImpl(source, predefined, &params);
 }
 
 std::string

@@ -39,6 +39,8 @@ struct ImageChunk
 {
     std::uint16_t base = 0;
     std::vector<std::uint8_t> bytes;
+
+    bool operator==(const ImageChunk &) const = default;
 };
 
 /** Assembler output: chunks plus the resolved symbol table. */
@@ -55,11 +57,14 @@ struct Image
 
     /** True when the image defines @p name. */
     bool hasSymbol(const std::string &name) const;
+
+    bool operator==(const Image &) const = default;
 };
 
 /**
  * Assemble @p source. Errors (unknown mnemonics, bad operands, duplicate
- * or undefined symbols, range overflows) raise fatal() with the line
+ * or undefined symbols, range overflows, .org/.space operands that
+ * depend on a symbol defined further down) raise fatal() with the line
  * number.
  *
  * @param predefined symbols visible to the source before any .equ, used
@@ -67,6 +72,39 @@ struct Image
  */
 Image assemble(const std::string &source,
                const std::map<std::string, std::uint16_t> &predefined = {});
+
+/** One image byte that holds a parameter symbol's value. */
+struct ParamSite
+{
+    std::uint32_t chunk = 0;  ///< index into Image::chunks
+    std::uint32_t offset = 0; ///< byte offset within that chunk
+    std::uint32_t param = 0;  ///< index into the parameter list
+
+    bool operator==(const ParamSite &) const = default;
+};
+
+/** An image plus the bytes its parameter symbols landed in. */
+struct ParamImage
+{
+    Image image;
+    std::vector<ParamSite> sites;
+};
+
+/**
+ * Assemble @p source with @p params as parameter symbols: .equ constants
+ * whose values differ between the users of one image. A parameter may
+ * appear only as a bare byte operand (an 8-bit instruction immediate or
+ * a .byte item that is exactly its name); every such byte is listed in
+ * the result, so writing other values over those bytes (and over the
+ * parameters' symbol entries) gives exactly the image the source
+ * assembles to with those values. Any other use (inside an expression,
+ * as a word operand, in .org, .space or another .equ, or as a label) is
+ * fatal with the line number.
+ */
+ParamImage
+assembleWithParams(const std::string &source,
+                   const std::map<std::string, std::uint16_t> &predefined,
+                   const std::vector<std::string> &params);
 
 /** Disassemble one instruction at @p bytes; for debugging and tests. */
 std::string disassemble(const std::uint8_t *bytes, std::size_t available);

@@ -44,7 +44,9 @@ struct NodeSpec
     /** Hardware configuration (address, clock, power models, sensor). */
     core::NodeConfig config;
 
-    /** Application by scenario name (apps::buildByName). */
+    /** Application by scenario name (apps::appShape). The network
+     *  assembles each distinct application once and installs it with
+     *  this node's parameter bytes. */
     std::string app = "app1";
 
     /** Application parameters (period, threshold, dest, MAC, watchdog). */
@@ -131,15 +133,6 @@ struct NodeSpec
     {
         links.push_back({source, sink});
         return *this;
-    }
-
-    /** Resolve the application image this node boots. */
-    core::apps::NodeApp
-    buildApp() const
-    {
-        if (prebuiltApp)
-            return *prebuiltApp;
-        return core::apps::buildByName(app, params);
     }
 };
 

@@ -69,8 +69,9 @@ TEST_P(EpIsaRoundTrip, EncodeDecodeIdentity)
     }
     // Truncated input must not decode.
     bytes.pop_back();
-    if (!bytes.empty())
+    if (!bytes.empty()) {
         EXPECT_FALSE(EpInstruction::decode(bytes).has_value());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, EpIsaRoundTrip,
@@ -133,6 +134,35 @@ TEST(EpAssembler, ErrorsAreDiagnosed)
     EXPECT_THROW(epAssemble(".isr NotAnIrq, x\nx: TERMINATE\n"),
                  sim::FatalError);
     EXPECT_THROW(epAssemble("READ 0x10\nREAD\n"), sim::FatalError);
+}
+
+TEST(EpAssembler, WideOperandsAreFatalNotTruncated)
+{
+    // Each of these used to wrap silently: READ 0x12345 read 0x2345.
+    EXPECT_THROW(epAssemble("READ 0x12345\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble("WRITEI 0x10000, 1\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble("TRANSFER 0x0100, 0x10000, 4\n"),
+                 sim::FatalError);
+    EXPECT_THROW(epAssemble(".isr Timer0, 0x10000\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble("SWITCHON 4294967296\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble("READ 12abc\n"), sim::FatalError);
+    try {
+        epAssemble("TERMINATE\nREAD 0x12345\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    }
+    EpProgram program = epAssemble("READ 0xFFFF\nTERMINATE\n");
+    EXPECT_EQ(EpInstruction::decode(program.code)->addrA, 0xFFFF);
+}
+
+TEST(EpAssembler, DuplicateEquIsFatal)
+{
+    EXPECT_THROW(epAssemble(".equ A, 1\n.equ A, 2\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble("a:\nTERMINATE\n.equ a, 2\n"),
+                 sim::FatalError);
+    EXPECT_THROW(epAssemble(".equ a, 2\na:\nTERMINATE\n"),
+                 sim::FatalError);
 }
 
 TEST(EpAssembler, SymbolArithmeticAndEqu)

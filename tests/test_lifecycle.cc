@@ -461,4 +461,100 @@ TEST(Resilience, RevivedNodeRejoinsAndDelivers)
     EXPECT_TRUE(network.node(5).alive());
 }
 
+// ---------------------------------------------------------------------------
+// Reinstall: every install path loads the code a fresh assembly would.
+// ---------------------------------------------------------------------------
+
+/** Every SRAM byte installing @p app writes: ISR table entries, uC
+ *  vectors, EP code and uC chunks. */
+std::vector<std::pair<unsigned, std::uint8_t>>
+installedBytes(const core::apps::NodeApp &app)
+{
+    std::vector<std::pair<unsigned, std::uint8_t>> out;
+    auto word = [&](unsigned addr, std::uint16_t v) {
+        out.push_back({addr, static_cast<std::uint8_t>(v >> 8)});
+        out.push_back({addr + 1, static_cast<std::uint8_t>(v & 0xFF)});
+    };
+    for (const auto &[irq, handler] : app.ep.isrBindings)
+        word(core::map::isrTableBase + 2 * static_cast<unsigned>(irq),
+             handler);
+    for (const auto &[index, handler] : app.vectors)
+        word(core::map::mcuVectorBase + 2 * index, handler);
+    for (std::size_t i = 0; i < app.ep.code.size(); ++i)
+        out.push_back({static_cast<unsigned>(app.ep.base + i), app.ep.code[i]});
+    for (const mcu::ImageChunk &chunk : app.mcu.chunks) {
+        for (std::size_t i = 0; i < chunk.bytes.size(); ++i)
+            out.push_back({static_cast<unsigned>(chunk.base + i),
+                           chunk.bytes[i]});
+    }
+    return out;
+}
+
+::testing::AssertionResult
+holdsApp(core::SensorNode &node, const core::apps::NodeApp &app)
+{
+    for (const auto &[addr, value] : installedBytes(app)) {
+        const std::uint8_t got =
+            node.memory().peek(static_cast<std::uint16_t>(addr));
+        if (got != value) {
+            return ::testing::AssertionFailure()
+                   << node.name() << " holds " << unsigned(got) << " at "
+                   << addr << ", a fresh " << app.name << " has "
+                   << unsigned(value);
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Overwrite everything an install writes, so only a reinstall can
+ *  restore it. */
+void
+scribble(core::SensorNode &node, const core::apps::NodeApp &app)
+{
+    for (const auto &[addr, value] : installedBytes(app)) {
+        node.memory().poke(static_cast<std::uint16_t>(addr),
+                           static_cast<std::uint8_t>(~value));
+    }
+}
+
+TEST(Reinstall, ReviveAndDeepSleepWakeLoadFreshlyAssembledCode)
+{
+    // Three nodes share one app4 image with different parameter bytes;
+    // the fourth runs another application.
+    scenario::NetworkSpec spec;
+    const char *names[] = {"app4", "app4", "app4", "sink"};
+    for (unsigned i = 0; i < 4; ++i) {
+        core::NodeConfig nc;
+        nc.address = static_cast<std::uint16_t>(1 + i);
+        nc.seed = 100 + i;
+        core::apps::AppParams params;
+        params.samplePeriodCycles = 40'000 + 1'111 * i;
+        params.threshold = static_cast<std::uint8_t>(30 * i);
+        params.dest = static_cast<std::uint16_t>(0xFFFE - i);
+        spec.addNode().withConfig(nc).withApp(names[i]).withParams(params);
+    }
+    core::Network network(spec);
+    auto fresh = [&](unsigned i) {
+        const scenario::NodeSpec &ns = network.spec().nodes[i];
+        return core::apps::buildByName(ns.app, ns.params);
+    };
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_TRUE(holdsApp(network.node(i), fresh(i)));
+    network.runUntilTick(sim::secondsToTicks(0.5));
+
+    network.powerOffNodeNow(1);
+    scribble(network.node(1), fresh(1));
+    network.reviveNodeNow(1);
+    EXPECT_TRUE(holdsApp(network.node(1), fresh(1)));
+
+    network.node(2).deepSleepEnter();
+    scribble(network.node(2), fresh(2));
+    network.wakeNodeFromDeepSleep(2);
+    EXPECT_TRUE(holdsApp(network.node(2), fresh(2)));
+
+    network.runUntilTick(sim::secondsToTicks(1.0));
+    EXPECT_GT(network.node(1).radio().framesSent(), 0u);
+    EXPECT_GT(network.node(2).radio().framesSent(), 0u);
+}
+
 } // namespace

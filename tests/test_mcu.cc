@@ -158,6 +158,76 @@ TEST(Assembler, ErrorsCarryLineNumbers)
     }
 }
 
+TEST(Assembler, ForwardReferencesCannotPlaceCode)
+{
+    // Pass 1 would size .space N as 0 and put 'after' at 0, not at 4.
+    try {
+        assemble(".org 0\n.space N\nafter: NOP\n.equ N, 4\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    }
+    EXPECT_THROW(assemble(".org start\nstart: NOP\n"), sim::FatalError);
+    // An .equ that reads a later symbol is no better known.
+    EXPECT_THROW(assemble(".equ A, B\n.org A\nNOP\n.equ B, 0x10\n"),
+                 sim::FatalError);
+    // Backward references still place code.
+    Image image = assemble(".equ N, 4\n.org 0\n.space N\nafter: NOP\n");
+    EXPECT_EQ(image.symbol("after"), 4);
+}
+
+TEST(Assembler, WideLiteralsAreFatalNotTruncated)
+{
+    // Used to wrap: LDI r0, 4294967297 assembled as LDI r0, 1.
+    EXPECT_THROW(assemble("LDI r0, 4294967297\n"), sim::FatalError);
+    EXPECT_THROW(assemble(".equ BIG, 0x100000000\n"), sim::FatalError);
+    EXPECT_THROW(assemble("LDI r0, 12abc\n"), sim::FatalError);
+    Image image = assemble(".equ BIG, 0xFFFFFFFF\nLDI r0, lo(BIG)\n");
+    EXPECT_EQ(image.chunks[0].bytes[2], 0xFF);
+}
+
+TEST(Assembler, ParametersReportTheirBytes)
+{
+    const std::string source = ".equ P_A, 0x11\n"
+                               ".equ P_B, 0x22\n"
+                               ".org 0x10\n"
+                               "LDI r0, P_A\n"
+                               "MARK P_B\n"
+                               ".org 0x40\n"
+                               ".byte 1, P_A\n";
+    ParamImage out = assembleWithParams(source, {}, {"P_A", "P_B"});
+    ASSERT_EQ(out.sites.size(), 3u);
+    EXPECT_EQ(out.sites[0], (ParamSite{0, 2, 0}));
+    EXPECT_EQ(out.sites[1], (ParamSite{0, 4, 1}));
+    EXPECT_EQ(out.sites[2], (ParamSite{1, 1, 0}));
+    EXPECT_EQ(out.image.chunks[0].bytes[2], 0x11);
+    EXPECT_EQ(out.image.chunks[0].bytes[4], 0x22);
+    // Naming parameters changes nothing in the image itself.
+    EXPECT_EQ(out.image, assemble(source));
+}
+
+TEST(Assembler, ParameterMisuseIsFatal)
+{
+    // Each use would make a stamped image differ from a fresh assembly.
+    const char *misuses[] = {
+        "LDI r0, P+1\n", "LDI r0, lo(P)\n", "JMP P\n", ".word P\n",
+        ".org P\n",      ".space P\n",      ".equ Q, P\n",
+    };
+    for (const char *misuse : misuses) {
+        try {
+            assembleWithParams(std::string(".equ P, 3\nNOP\n") + misuse, {},
+                               {"P"});
+            ADD_FAILURE() << "accepted " << misuse;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 3"),
+                      std::string::npos)
+                << misuse;
+        }
+    }
+    EXPECT_THROW(assembleWithParams("P: NOP\n", {}, {"P"}),
+                 sim::FatalError);
+}
+
 TEST(Assembler, MultipleOrgChunks)
 {
     Image image = assemble(

@@ -11,6 +11,7 @@
 #include "core/apps.hh"
 #include "core/sensor_node.hh"
 #include "net/channel.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 using namespace ulp;
@@ -188,4 +189,92 @@ TEST(NodeIntegration, EpIsIdleBetweenEvents)
     // Average EP power must sit near the idle floor (Table 5: 18 nW),
     // far below the 14.25 uW active figure.
     EXPECT_LT(node.ep().averagePowerWatts(), 1e-6);
+}
+
+// --------------------------------------------------------------------------
+// Shared images: stamping a node's parameter bytes into an image assembled
+// for another node of the same shape gives exactly its fresh assembly.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/** Periods on both sides of the chained boundary, both ends of the
+ *  address range, thresholds, MAC retries and the watchdog off and on. */
+std::vector<apps::AppParams>
+paramSweep()
+{
+    std::vector<apps::AppParams> sweep;
+    for (std::uint32_t period : {1000u, 0xFFFFu, 0x10000u, 3'000'000u})
+        for (std::uint16_t dest : {0x0000, 0xFFFE})
+            for (std::uint8_t threshold : {0, 200})
+                for (std::uint8_t retries : {0, 3})
+                    for (std::uint32_t wdt : {0u, 40'000u})
+                        sweep.push_back({period, threshold, dest, retries,
+                                         wdt});
+    return sweep;
+}
+
+} // namespace
+
+TEST(AppImage, StampedImageEqualsFreshAssembly)
+{
+    for (const char *name :
+         {"app1", "app2", "app3", "app4", "blink", "sense", "sink"}) {
+        for (const apps::AppParams &p : paramSweep()) {
+            // Another node of the same shape, with every parameter byte
+            // different: the image is assembled for it.
+            apps::AppParams other = p;
+            other.samplePeriodCycles =
+                p.samplePeriodCycles > 0xFFFF ? 7'777'777 : 555;
+            other.dest = 0x1234;
+            other.threshold = 77;
+            other.macRetries = p.macRetries ? 5 : 0;
+            other.watchdogCycles = p.watchdogCycles ? 100'000 : 0;
+            const apps::AppShape shape = apps::appShape(name, p);
+            ASSERT_EQ(apps::appShape(name, other), shape);
+
+            const apps::AppImage image =
+                apps::assembleImage(shape, apps::paramValues(name, other));
+            EXPECT_TRUE(image.stamped(apps::paramValues(name, p)) ==
+                        apps::buildByName(name, p))
+                << name << " period " << p.samplePeriodCycles << " dest "
+                << p.dest << " threshold " << unsigned(p.threshold)
+                << " retries " << unsigned(p.macRetries) << " watchdog "
+                << p.watchdogCycles;
+        }
+    }
+}
+
+TEST(AppImage, InstallWritesTheNodesOwnParameters)
+{
+    apps::AppParams p;
+    p.samplePeriodCycles = 2000;
+    p.dest = 0x0BEE;
+    apps::AppParams other = p;
+    other.samplePeriodCycles = 700;
+    other.dest = 0x0001;
+    const apps::AppImage image = apps::assembleImage(
+        apps::appShape("app1", other), apps::paramValues("app1", other));
+    ASSERT_FALSE(image.sites.empty());
+
+    sim::Simulation simulation;
+    SensorNode node(simulation, "node", testConfig(42));
+    apps::install(node, image, apps::paramValues("app1", p));
+    simulation.runForSeconds(1.0);
+    // 2000 cycles at 100 kHz: 50 Hz, to the stamped destination.
+    EXPECT_GE(node.radio().framesSent(), 48u);
+    EXPECT_LE(node.radio().framesSent(), 51u);
+    EXPECT_EQ(node.radio().lastTxFrame().dest, 0x0BEE);
+}
+
+TEST(AppImage, PeriodRangeIsCheckedPerNode)
+{
+    apps::AppParams p;
+    p.samplePeriodCycles = 0xFFFFu * 50'000u + 1; // one past the chain
+    EXPECT_THROW(apps::paramValues("app1", p), sim::FatalError);
+    p.samplePeriodCycles = 0xFFFFFFFF; // must not wrap into range
+    EXPECT_THROW(apps::paramValues("app1", p), sim::FatalError);
+    p.samplePeriodCycles = 0xFFFFu * 50'000u;
+    EXPECT_NO_THROW(apps::paramValues("app1", p));
+    EXPECT_THROW(apps::appShape("no-such-app", p), sim::FatalError);
 }
