@@ -170,7 +170,7 @@ struct HeapHarness
     {
         for (std::size_t i = 0; i < depth; ++i) {
             pool.push_back(std::make_unique<sim::EventFunctionWrapper>(
-                [this, i] { lastRan = i; }, "ev"));
+                [this, i] { lastRan = i; }, sim::EventName("ev")));
             queue.schedule(pool.back().get(), 1 + lcg.next() % opHorizon);
         }
     }

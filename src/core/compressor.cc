@@ -15,7 +15,7 @@ Compressor::Compressor(sim::Simulation &simulation, const std::string &name,
     : SlaveDevice(simulation, name, parent, {comp::base, comp::size},
                   event_port, probes, clock, model, wakeup_ticks, true),
       timing(timing),
-      doneEvent([this] { finishEncode(); }, name + ".encodeDone"),
+      doneEvent([this] { finishEncode(); }, {this->name(), "encodeDone"}),
       statBlocks(this, "blocksEncoded", "sample blocks encoded"),
       statBytesIn(this, "bytesIn", "raw sample bytes staged"),
       statBytesOut(this, "bytesOut", "encoded bytes produced"),

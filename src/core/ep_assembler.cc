@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 #include <sstream>
 
 #include "core/components.hh"
@@ -136,6 +137,13 @@ struct Ctx
     std::map<std::string, std::uint32_t> symbols;
     int lineNo = 0;
 
+    /** Pass 1: .equ symbols whose value read a forward reference, so
+     *  their pass-1 value is provisional. */
+    std::set<std::string> forwardEqus;
+    /** First forward (or provisional) symbol the current pass-1
+     *  evaluation read; empty when the value is final. */
+    mutable std::string forwardRef;
+
     [[noreturn]] void
     error(const std::string &message) const
     {
@@ -206,10 +214,16 @@ struct Ctx
             return static_cast<std::uint32_t>(v);
         }
         std::uint32_t value;
-        if (lookup(s, value))
+        if (lookup(s, value)) {
+            if (!final && forwardRef.empty() && forwardEqus.count(s))
+                forwardRef = s;
             return value;
-        if (!final)
+        }
+        if (!final) {
+            if (forwardRef.empty())
+                forwardRef = s;
             return 0;
+        }
         error("undefined symbol '" + s + "'");
     }
 
@@ -339,7 +353,14 @@ epAssemble(const std::string &source,
         if (m == ".ORG") {
             if (line.operands.size() != 1)
                 ctx.error(".org needs one operand");
+            // .org places every later label, so it must not read a symbol
+            // defined further down: pass 1 would read it as 0.
+            ctx.forwardRef.clear();
             loc = ctx.eval(line.operands[0], false);
+            if (!ctx.forwardRef.empty()) {
+                ctx.error(".org operand reads '" + ctx.forwardRef +
+                          "', which is not known before this line");
+            }
             if (!org_seen) {
                 program_base = loc;
                 org_seen = true;
@@ -351,8 +372,11 @@ epAssemble(const std::string &source,
                 ctx.error(".equ needs NAME, VALUE");
             if (ctx.symbols.count(line.operands[0]))
                 ctx.error("duplicate symbol '" + line.operands[0] + "'");
+            ctx.forwardRef.clear();
             ctx.symbols[line.operands[0]] =
                 ctx.eval(line.operands[1], false);
+            if (!ctx.forwardRef.empty())
+                ctx.forwardEqus.insert(line.operands[0]);
             continue;
         }
         if (m == ".ISR")

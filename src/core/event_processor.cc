@@ -19,7 +19,7 @@ EventProcessor::EventProcessor(sim::Simulation &simulation,
       bus(bus), irqBus(irq_bus), powerCtrl(power_ctrl), probes(probes),
       clock(clock), _timing(timing),
       tracker(*this, model, power::PowerState::Idle),
-      advanceEvent(this, &EventProcessor::advance, name + ".advance"),
+      advanceEvent(this, &EventProcessor::advance, {this->name(), "advance"}),
       statIsrs(this, "isrs", "interrupt service routines executed"),
       statInstructions(this, "instructions", "EP instructions executed"),
       statBusyCycles(this, "busyCycles", "cycles spent out of READY"),

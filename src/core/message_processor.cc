@@ -25,7 +25,7 @@ MessageProcessor::MessageProcessor(sim::Simulation &simulation,
               finishProcessRx();
           activeCmd = 0;
           status &= static_cast<std::uint8_t>(~statusBusy);
-      }, name + ".cmdDone"),
+      }, {this->name(), "cmdDone"}),
       statPrepared(this, "framesPrepared", "outgoing frames built"),
       statRxProcessed(this, "rxProcessed", "received frames classified"),
       statDuplicates(this, "duplicates", "CAM-matched duplicates dropped"),

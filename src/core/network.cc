@@ -293,7 +293,7 @@ Network::scheduleNodePowerOff(unsigned node, sim::Tick when)
 {
     auto event = std::make_unique<sim::EventFunctionWrapper>(
         [this, node] { powerOffNodeNow(node); },
-        "node" + std::to_string(node) + ".lifecycle.fail");
+        sim::EventName(this->node(node).name(), "lifecycle.fail"));
     shards[shardOfNode[node]].simulation->eventq().schedule(event.get(),
                                                             when);
     lifecycleEvents.push_back(std::move(event));
@@ -304,7 +304,7 @@ Network::scheduleNodeRevive(unsigned node, sim::Tick when)
 {
     auto event = std::make_unique<sim::EventFunctionWrapper>(
         [this, node] { reviveNodeNow(node); },
-        "node" + std::to_string(node) + ".lifecycle.revive");
+        sim::EventName(this->node(node).name(), "lifecycle.revive"));
     shards[shardOfNode[node]].simulation->eventq().schedule(event.get(),
                                                             when);
     lifecycleEvents.push_back(std::move(event));

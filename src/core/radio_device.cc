@@ -17,29 +17,33 @@ RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
                   {map::radioBase, map::radioSize}, event_port, probes, clock,
                   model, wakeup_ticks, true),
       channel(channel), random(seed),
-      txDoneEvent(this, &RadioDevice::txDone, name + ".txDone"),
-      macCcaEvent(this, &RadioDevice::macCcaDecide, name + ".macCca"),
-      macAirEndEvent(this, &RadioDevice::macAirEnd, name + ".macAirEnd"),
+      txDoneEvent(this, &RadioDevice::txDone, {this->name(), "txDone"}),
+      macCcaEvent(this, &RadioDevice::macCcaDecide,
+                  {this->name(), "macCca"}),
+      macAirEndEvent(this, &RadioDevice::macAirEnd,
+                     {this->name(), "macAirEnd"}),
       macAckTimeoutEvent(this, &RadioDevice::macAckTimeout,
-                         name + ".macAckWait"),
-      macAckTxEvent(this, &RadioDevice::macSendAck, name + ".macAckTx"),
+                         {this->name(), "macAckWait"}),
+      macAckTxEvent(this, &RadioDevice::macSendAck,
+                    {this->name(), "macAckTx"}),
       macAckAirEndEvent(this, &RadioDevice::macAckAirEnd,
-                        name + ".macAckAirEnd"),
-      beaconEvent(this, &RadioDevice::beaconTx, name + ".beacon"),
+                        {this->name(), "macAckAirEnd"}),
+      beaconEvent(this, &RadioDevice::beaconTx, {this->name(), "beacon"}),
       beaconAirEndEvent(this, &RadioDevice::beaconAirEnd,
-                        name + ".beaconAirEnd"),
-      capEndEvent(this, &RadioDevice::capEnd, name + ".capEnd"),
+                        {this->name(), "beaconAirEnd"}),
+      capEndEvent(this, &RadioDevice::capEnd, {this->name(), "capEnd"}),
       guardWakeEvent(this, &RadioDevice::macGuardWake,
-                     name + ".guardWake"),
+                     {this->name(), "guardWake"}),
       beaconMissEvent(this, &RadioDevice::beaconMissed,
-                      name + ".beaconMiss"),
+                      {this->name(), "beaconMiss"}),
       indirectTxEvent(this, &RadioDevice::indirectTxSend,
-                      name + ".indirectTx"),
+                      {this->name(), "indirectTx"}),
       indirectAirEndEvent(this, &RadioDevice::indirectAirEnd,
-                          name + ".indirectAirEnd"),
-      dataReqEvent(this, &RadioDevice::dataReqSend, name + ".dataReq"),
+                          {this->name(), "indirectAirEnd"}),
+      dataReqEvent(this, &RadioDevice::dataReqSend,
+                   {this->name(), "dataReq"}),
       dataReqAirEndEvent(this, &RadioDevice::dataReqAirEnd,
-                         name + ".dataReqAirEnd"),
+                         {this->name(), "dataReqAirEnd"}),
       statTx(this, "framesSent", "frames transmitted"),
       statRx(this, "framesReceived", "intact frames received"),
       statCrcErrors(this, "crcErrors",

@@ -14,7 +14,7 @@ SensorAdc::SensorAdc(sim::Simulation &simulation, const std::string &name,
                   {map::sensorBase, map::sensorSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
       signal(std::move(signal)), noiseStddev(noise_stddev), random(seed),
-      doneEvent([this] { acquisitionDone(); }, name + ".acqDone"),
+      doneEvent([this] { acquisitionDone(); }, {this->name(), "acqDone"}),
       statSamples(this, "samples", "conversions performed"),
       statAcquisitions(this, "acquisitions",
                        "asynchronous acquisitions started")

@@ -18,7 +18,7 @@ SlaveDevice::SlaveDevice(sim::Simulation &simulation, const std::string &name,
                                 : power::PowerState::Gated),
       range(range), port(event_port), probes(probes),
       wakeupTicks(wakeup_ticks), _powered(initially_powered),
-      idleEvent([this] { becomeIdle(); }, name + ".idle")
+      idleEvent([this] { becomeIdle(); }, {this->name(), "idle"})
 {
 }
 

@@ -15,7 +15,7 @@ ThresholdFilter::ThresholdFilter(sim::Simulation &simulation,
                   {map::filterBase, map::filterSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
       compareCycles(compare_cycles),
-      decideEvent([this] { decide(); }, name + ".decide"),
+      decideEvent([this] { decide(); }, {this->name(), "decide"}),
       statDecisions(this, "decisions", "comparisons performed"),
       statPasses(this, "passes", "data that met the threshold")
 {

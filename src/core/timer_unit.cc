@@ -18,7 +18,7 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                                     block_model.idleWatts,
                                     block_model.gatedWatts},
                   wakeup_ticks, true),
-      wdtEvent(this, &TimerUnit::wdtBark, name + ".wdtBark"),
+      wdtEvent(this, &TimerUnit::wdtBark, {this->name(), "wdtBark"}),
       statAlarms(this, "alarms", "alarm interrupts posted"),
       statReconfigs(this, "reconfigs", "load/control register writes"),
       statWatchdogBarks(this, "watchdogBarks",
@@ -26,6 +26,8 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
       statWatchdogKicks(this, "watchdogKicks",
                         "watchdog kicks that restarted the countdown")
 {
+    static constexpr sim::StaticText fireNames[numTimers] = {
+        "fire0", "fire1", "fire2", "fire3"};
     double delta = (block_model.activeWatts - block_model.idleWatts) /
                    numTimers;
     for (unsigned i = 0; i < numTimers; ++i) {
@@ -34,7 +36,7 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
         timers[i].fireEvent =
             std::make_unique<sim::MemberEventWrapper<Timer>>(
                 &timers[i], &Timer::fired,
-                name + ".fire" + std::to_string(i));
+                sim::EventName(this->name(), fireNames[i]));
         timers[i].tracker = std::make_unique<power::EnergyTracker>(
             *this, power::PowerModel{delta, 0.0, 0.0},
             power::PowerState::Idle, "timer" + std::to_string(i));

@@ -152,7 +152,8 @@ FaultInjector::run(const CampaignPlan &plan)
         scheduled.push_back(std::make_unique<Action>(action));
         Action *stable = scheduled.back().get();
         events.push_back(std::make_unique<sim::EventFunctionWrapper>(
-            [this, stable] { apply(*stable); }, name() + ".action"));
+            [this, stable] { apply(*stable); },
+            sim::EventName(name(), "action")));
         sim::Tick at = std::max(curTick(),
                                 sim::secondsToTicks(action.atSeconds));
         eventq().schedule(events.back().get(), at);

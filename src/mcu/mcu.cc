@@ -8,7 +8,7 @@ Mcu::Mcu(sim::Simulation &simulation, const std::string &name, McuBus &bus,
          const Config &config, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
       bus(bus), config(config), clockDomain(config.clockHz),
-      tickEvent(this, &Mcu::tick, name + ".tick"),
+      tickEvent(this, &Mcu::tick, {this->name(), "tick"}),
       statInstructions(this, "instructions", "instructions retired"),
       statIrqsTaken(this, "irqsTaken", "interrupts taken"),
       statSleeps(this, "sleeps", "SLEEP instructions executed"),

@@ -42,7 +42,7 @@ HarvestingSupply::HarvestingSupply(sim::Simulation &simulation,
     : sim::SimObject(simulation, name, parent),
       source(std::move(source)), _store(store), load(std::move(load)),
       interval(interval),
-      pollEvent([this] { poll(); }, name + ".poll"),
+      pollEvent([this] { poll(); }, {this->name(), "poll"}),
       statHarvested(this, "harvestedJoules",
                     "energy harvested into the store"),
       statConsumed(this, "consumedJoules", "energy delivered to the node"),

@@ -113,22 +113,49 @@ class Event
     EventQueue *_queue = nullptr;
 };
 
+/**
+ * An event's diagnostic name, composed only when a diagnostic asks for it:
+ * the name of the object that owns the event and a static suffix
+ * ("node3.radio" and "txDone" read "node3.radio.txDone"), or a static
+ * name alone. It holds two pointers and no string of its own; the owner's
+ * name must outlive the event, as a SimObject's name outlives the events
+ * among its members.
+ */
+class EventName
+{
+  public:
+    consteval EventName(const char *name) : _what(name) {}
+    EventName(const std::string &owner, StaticText what)
+        : _owner(&owner), _what(what.c_str())
+    {}
+    EventName(std::string &&, StaticText) = delete;
+
+    std::string
+    str() const
+    {
+        return _owner ? *_owner + "." + _what : std::string(_what);
+    }
+
+  private:
+    const std::string *_owner = nullptr;
+    const char *_what;
+};
+
 /** An Event that invokes a bound callable (std::function; allocates). */
 class EventFunctionWrapper : public Event
 {
   public:
-    EventFunctionWrapper(std::function<void()> callback, std::string name,
+    EventFunctionWrapper(std::function<void()> callback, EventName name,
                          Priority priority = defaultPriority)
-        : Event(priority), callback(std::move(callback)),
-          _name(std::move(name))
+        : Event(priority), callback(std::move(callback)), _name(name)
     {}
 
     void process() override { callback(); }
-    std::string description() const override { return _name; }
+    std::string description() const override { return _name.str(); }
 
   private:
     std::function<void()> callback;
-    std::string _name;
+    EventName _name;
 };
 
 /**
@@ -143,18 +170,18 @@ class MemberEventWrapper : public Event
   public:
     using MemberFn = void (T::*)();
 
-    MemberEventWrapper(T *object, MemberFn fn, std::string name,
+    MemberEventWrapper(T *object, MemberFn fn, EventName name,
                        Priority priority = defaultPriority)
-        : Event(priority), object(object), fn(fn), _name(std::move(name))
+        : Event(priority), object(object), fn(fn), _name(name)
     {}
 
     void process() override { (object->*fn)(); }
-    std::string description() const override { return _name; }
+    std::string description() const override { return _name.str(); }
 
   private:
     T *object;
     MemberFn fn;
-    std::string _name;
+    EventName _name;
 };
 
 /**

@@ -6,48 +6,46 @@
 
 namespace ulp::sim::stats {
 
-Info::Info(Group *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Info::Info(Group *parent, StaticText name, StaticText desc)
+    : _name(name.c_str()), _desc(desc.c_str())
 {
     if (parent)
         parent->addStat(this);
 }
 
-namespace {
-
 void
-printLine(std::ostream &os, const std::string &prefix,
-          const std::string &name, double value, const std::string &desc)
+Info::printLine(std::ostream &os, const std::string &prefix,
+                const char *suffix, double value) const
 {
-    std::string full = prefix.empty() ? name : prefix + "." + name;
+    std::string full;
+    if (!prefix.empty())
+        full.append(prefix).push_back('.');
+    full.append(_name).append(suffix);
     os << std::left << std::setw(44) << full << " "
        << std::right << std::setw(16) << value
-       << "  # " << desc << "\n";
+       << "  # " << _desc << "\n";
 }
-
-} // namespace
 
 void
 Scalar::print(std::ostream &os, const std::string &prefix) const
 {
-    printLine(os, prefix, name(), _value, desc());
+    printLine(os, prefix, "", _value);
 }
 
 void
 Formula::print(std::ostream &os, const std::string &prefix) const
 {
-    printLine(os, prefix, name(), value(), desc());
+    printLine(os, prefix, "", value());
 }
 
 void
 Distribution::print(std::ostream &os, const std::string &prefix) const
 {
-    printLine(os, prefix, name() + ".count",
-              static_cast<double>(_count), desc());
-    printLine(os, prefix, name() + ".mean", mean(), desc());
-    printLine(os, prefix, name() + ".min", min(), desc());
-    printLine(os, prefix, name() + ".max", max(), desc());
-    printLine(os, prefix, name() + ".stddev", stddev(), desc());
+    printLine(os, prefix, ".count", static_cast<double>(_count));
+    printLine(os, prefix, ".mean", mean());
+    printLine(os, prefix, ".min", min());
+    printLine(os, prefix, ".max", max());
+    printLine(os, prefix, ".stddev", stddev());
 }
 
 Group::Group(Group *parent, std::string name)
@@ -60,23 +58,28 @@ Group::Group(Group *parent, std::string name)
 Group::~Group()
 {
     if (_parent) {
-        auto &siblings = _parent->_children;
-        std::erase(siblings, this);
+        (_prevSibling ? _prevSibling->_nextSibling : _parent->_firstChild) =
+            _nextSibling;
+        (_nextSibling ? _nextSibling->_prevSibling : _parent->_lastChild) =
+            _prevSibling;
     }
-    for (Group *child : _children)
+    for (Group *child = _firstChild; child; child = child->_nextSibling)
         child->_parent = nullptr;
 }
 
 void
 Group::addStat(Info *info)
 {
-    _stats.push_back(info);
+    (_lastStat ? _lastStat->_next : _firstStat) = info;
+    _lastStat = info;
 }
 
 void
 Group::addChildGroup(Group *child)
 {
-    _children.push_back(child);
+    child->_prevSibling = _lastChild;
+    (_lastChild ? _lastChild->_nextSibling : _firstChild) = child;
+    _lastChild = child;
 }
 
 void
@@ -85,25 +88,25 @@ Group::printStats(std::ostream &os, const std::string &prefix) const
     std::string here = prefix;
     if (!_groupName.empty())
         here = prefix.empty() ? _groupName : prefix + "." + _groupName;
-    for (const Info *info : _stats)
+    for (const Info *info = _firstStat; info; info = info->_next)
         info->print(os, here);
-    for (const Group *child : _children)
+    for (const Group *child = _firstChild; child; child = child->_nextSibling)
         child->printStats(os, here);
 }
 
 void
 Group::resetStats()
 {
-    for (Info *info : _stats)
+    for (Info *info = _firstStat; info; info = info->_next)
         info->reset();
-    for (Group *child : _children)
+    for (Group *child = _firstChild; child; child = child->_nextSibling)
         child->resetStats();
 }
 
 Info *
-Group::findStat(const std::string &name) const
+Group::findStat(std::string_view name) const
 {
-    for (Info *info : _stats) {
+    for (Info *info = _firstStat; info; info = info->_next) {
         if (info->name() == name)
             return info;
     }
@@ -111,9 +114,9 @@ Group::findStat(const std::string &name) const
 }
 
 Group *
-Group::findChild(const std::string &name) const
+Group::findChild(std::string_view name) const
 {
-    for (Group *child : _children) {
+    for (Group *child = _firstChild; child; child = child->_nextSibling) {
         if (child->groupName() == name)
             return child;
     }
@@ -123,7 +126,7 @@ Group::findChild(const std::string &name) const
 void
 Group::mergeFrom(const Group &other)
 {
-    for (Info *info : _stats) {
+    for (Info *info = _firstStat; info; info = info->_next) {
         const Info *src = other.findStat(info->name());
         if (!src)
             continue;
@@ -135,7 +138,7 @@ Group::mergeFrom(const Group &other)
                 dst_d->merge(*src_d);
         }
     }
-    for (Group *child : _children) {
+    for (Group *child = _firstChild; child; child = child->_nextSibling) {
         if (const Group *src = other.findChild(child->groupName()))
             child->mergeFrom(*src);
     }

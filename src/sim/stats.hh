@@ -5,6 +5,11 @@
  * Statistics belong to a Group (every SimObject is a Group); groups form a
  * tree mirroring the system hierarchy. Each statistic has a name and a
  * description and can be printed or reset through the group tree.
+ *
+ * A network repeats the same statistics on every node, so a statistic
+ * holds only pointers to its static name and description, and the tree
+ * links its members intrusively: registering a statistic or a group
+ * allocates nothing, and a group unlinks from its parent in O(1).
  */
 
 #ifndef ULP_SIM_STATS_HH
@@ -14,9 +19,12 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "sim/types.hh"
 
 namespace ulp::sim::stats {
 
@@ -26,14 +34,14 @@ class Group;
 class Info
 {
   public:
-    Info(Group *parent, std::string name, std::string desc);
+    Info(Group *parent, StaticText name, StaticText desc);
     virtual ~Info() = default;
 
     Info(const Info &) = delete;
     Info &operator=(const Info &) = delete;
 
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    std::string_view name() const { return _name; }
+    std::string_view desc() const { return _desc; }
 
     /** Print "prefix.name  value  # desc" line(s). */
     virtual void print(std::ostream &os, const std::string &prefix) const = 0;
@@ -41,17 +49,26 @@ class Info
     /** Reset to the initial (zero) state. */
     virtual void reset() = 0;
 
+  protected:
+    /** Print one "prefix.name<suffix>  value  # desc" line. */
+    void printLine(std::ostream &os, const std::string &prefix,
+                   const char *suffix, double value) const;
+
   private:
-    std::string _name;
-    std::string _desc;
+    friend class Group;
+
+    const char *_name;
+    const char *_desc;
+    /** The next statistic of the same group, in registration order. */
+    Info *_next = nullptr;
 };
 
 /** A simple accumulating scalar (counter or gauge). */
 class Scalar : public Info
 {
   public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Scalar(Group *parent, StaticText name, StaticText desc)
+        : Info(parent, name, desc)
     {}
 
     Scalar &operator=(double v) { _value = v; return *this; }
@@ -72,9 +89,9 @@ class Scalar : public Info
 class Formula : public Info
 {
   public:
-    Formula(Group *parent, std::string name, std::string desc,
+    Formula(Group *parent, StaticText name, StaticText desc,
             std::function<double()> fn)
-        : Info(parent, std::move(name), std::move(desc)), fn(std::move(fn))
+        : Info(parent, name, desc), fn(std::move(fn))
     {}
 
     double value() const { return fn ? fn() : 0.0; }
@@ -90,8 +107,8 @@ class Formula : public Info
 class Distribution : public Info
 {
   public:
-    Distribution(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Distribution(Group *parent, StaticText name, StaticText desc)
+        : Info(parent, name, desc)
     {}
 
     void
@@ -152,7 +169,11 @@ class Distribution : public Info
 
 /**
  * A node in the statistics tree. Groups own neither their child groups nor
- * their statistics; both typically live as members of SimObjects.
+ * their statistics; both typically live as members of SimObjects. Each
+ * statistic and child group carries its own list links, in registration
+ * order, so membership costs no allocation. A statistic must outlive any
+ * print, reset or merge of its group; a child group unlinks itself when
+ * destroyed, and a destroyed group orphans its remaining children.
  */
 class Group
 {
@@ -167,23 +188,21 @@ class Group
     const std::string &groupName() const { return _groupName; }
     void setGroupName(std::string name) { _groupName = std::move(name); }
 
-    void addStat(Info *info);
-    void addChildGroup(Group *child);
-
     /** Depth-first print of this group's stats and all children. */
     void printStats(std::ostream &os, const std::string &prefix = "") const;
 
     /** Depth-first reset. */
     void resetStats();
 
-    const std::vector<Info *> &statsList() const { return _stats; }
-    const std::vector<Group *> &childGroups() const { return _children; }
-
-    /** Find a statistic by name in this group only; nullptr if absent. */
-    Info *findStat(const std::string &name) const;
+    /**
+     * Find a statistic by name in this group only; nullptr if absent.
+     * Names compare by content, so trees built from different copies of
+     * the same text still match.
+     */
+    Info *findStat(std::string_view name) const;
 
     /** Find a direct child group by name; nullptr if absent. */
-    Group *findChild(const std::string &name) const;
+    Group *findChild(std::string_view name) const;
 
     /**
      * Fold @p other into this group: same-named Scalars accumulate,
@@ -195,10 +214,19 @@ class Group
     void mergeFrom(const Group &other);
 
   private:
+    friend class Info;
+
+    void addStat(Info *info);
+    void addChildGroup(Group *child);
+
     std::string _groupName;
     Group *_parent = nullptr;
-    std::vector<Info *> _stats;
-    std::vector<Group *> _children;
+    Info *_firstStat = nullptr;
+    Info *_lastStat = nullptr;
+    Group *_firstChild = nullptr;
+    Group *_lastChild = nullptr;
+    Group *_prevSibling = nullptr;
+    Group *_nextSibling = nullptr;
 };
 
 } // namespace ulp::sim::stats

@@ -44,6 +44,24 @@ ticksToSeconds(Tick ticks)
     return static_cast<double>(ticks) / static_cast<double>(ticksPerSecond);
 }
 
+/**
+ * A pointer to text that lives for the whole program: a string literal
+ * or a constexpr character array. The constructor is consteval, so a
+ * run-time string (a temporary's c_str() included) does not convert and
+ * cannot leave the holder dangling. Statistic and event names use it to
+ * share one copy of their text across every node.
+ */
+class StaticText
+{
+  public:
+    consteval StaticText(const char *text) : _text(text) {}
+
+    const char *c_str() const { return _text; }
+
+  private:
+    const char *_text;
+};
+
 } // namespace ulp::sim
 
 #endif // ULP_SIM_TYPES_HH

@@ -28,7 +28,7 @@ SleepController::SleepController(core::Network &net) : network(net)
         NodeState *state = st.get();
         st->event = std::make_unique<sim::EventFunctionWrapper>(
             [this, state] { tick(*state); },
-            "node" + std::to_string(i) + ".sleep");
+            sim::EventName(network.node(i).name(), "sleep"));
         if (cfg.policy == Policy::Light) {
             network.node(i).radio().setRxWakeHook(
                 [this, state] { frameWake(*state); });

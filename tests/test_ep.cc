@@ -165,6 +165,27 @@ TEST(EpAssembler, DuplicateEquIsFatal)
                  sim::FatalError);
 }
 
+TEST(EpAssembler, OrgForwardReferenceIsFatal)
+{
+    // Pass 1 used to read the later label as 0 and misplace every label.
+    try {
+        epAssemble(".org start\nstart: TERMINATE\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("'start'"), std::string::npos) << what;
+    }
+    // An .equ that reads a later symbol is provisional in pass 1 too.
+    EXPECT_THROW(
+        epAssemble(".equ A, B\n.org A\nTERMINATE\n.equ B, 0x0400\n"),
+        sim::FatalError);
+    EpProgram program = epAssemble(
+        ".equ BASE, 0x0400\n.org BASE+2\nentry: TERMINATE\n");
+    EXPECT_EQ(program.base, 0x0402);
+    EXPECT_EQ(program.symbol("entry"), 0x0402u);
+}
+
 TEST(EpAssembler, SymbolArithmeticAndEqu)
 {
     EpProgram program = epAssemble(

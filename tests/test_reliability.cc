@@ -38,7 +38,7 @@ struct AckSink : sim::SimObject, net::Transceiver
             net::Channel &channel, std::uint16_t address, bool acking)
         : sim::SimObject(simulation, name), channel(channel),
           address(address), acking(acking),
-          ackEvent([this] { sendAck(); }, name + ".ackEvent")
+          ackEvent([this] { sendAck(); }, {this->name(), "ackEvent"})
     {
         channel.attach(this);
     }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -127,6 +131,27 @@ TEST(EventQueue, DestructorDeschedules)
     }
     EXPECT_TRUE(queue.empty());
     queue.runUntil(100); // must not touch the dead event
+}
+
+TEST(EventQueue, PanicNamesTheEventOnDemand)
+{
+    EventQueue queue;
+    const std::string owner = "node3.radio";
+    EventFunctionWrapper event([] {}, EventName(owner, "txDone"));
+    EXPECT_EQ(event.description(), "node3.radio.txDone");
+    queue.schedule(&event, 10);
+    try {
+        queue.schedule(&event, 20);
+        FAIL() << "expected a panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("'node3.radio.txDone'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EventFunctionWrapper plain([] {}, "plain");
+    EXPECT_EQ(plain.description(), "plain");
+    static_assert(!std::is_constructible_v<EventName, std::string,
+                                           StaticText>);
 }
 
 TEST(EventQueue, NextTickReportsHead)
@@ -249,6 +274,97 @@ TEST(Stats, FindStatByName)
     EXPECT_EQ(group.findStat("beta"), nullptr);
 }
 
+// A statistic keeps a pointer to its text, so only text that lives for
+// the whole program may name it.
+static_assert(std::is_constructible_v<stats::Scalar, stats::Group *,
+                                      const char (&)[5], const char (&)[5]>);
+static_assert(!std::is_constructible_v<stats::Scalar, stats::Group *,
+                                       std::string, std::string>);
+static_assert(!std::is_constructible_v<stats::Scalar, stats::Group *,
+                                       const std::string &,
+                                       const std::string &>);
+
+TEST(Stats, NamesMatchByContentNotAddress)
+{
+    // Equal names in distinct arrays: a lookup or merge that compared
+    // pointers would find nothing. Shard trees built from one binary
+    // share their literals, so the K-thread oracles cannot tell.
+    static constexpr char framesA[] = "frames";
+    static constexpr char framesB[] = "frames";
+    static constexpr char latencyA[] = "latency";
+    static constexpr char latencyB[] = "latency";
+    static constexpr char desc[] = "d";
+    ASSERT_NE(static_cast<const void *>(framesA),
+              static_cast<const void *>(framesB));
+
+    stats::Group a(nullptr, "shard");
+    stats::Group aRadio(&a, "radio");
+    stats::Scalar aFrames(&aRadio, framesA, desc);
+    stats::Distribution aLatency(&aRadio, latencyA, desc);
+    stats::Group b(nullptr, "shard");
+    stats::Group bRadio(&b, "radio");
+    stats::Scalar bFrames(&bRadio, framesB, desc);
+    stats::Distribution bLatency(&bRadio, latencyB, desc);
+
+    EXPECT_EQ(bRadio.findStat(framesA), &bFrames);
+    EXPECT_EQ(aRadio.findStat(latencyB), &aLatency);
+    EXPECT_EQ(a.findChild(std::string("radio")), &aRadio);
+
+    aFrames += 2.0;
+    bFrames += 3.0;
+    aLatency.sample(1.0);
+    bLatency.sample(5.0);
+    a.mergeFrom(b);
+    EXPECT_DOUBLE_EQ(aFrames.value(), 5.0);
+    EXPECT_EQ(aLatency.count(), 2u);
+    EXPECT_DOUBLE_EQ(aLatency.max(), 5.0);
+}
+
+TEST(Stats, DestroyedGroupsUnlinkAndKeepOrder)
+{
+    stats::Group root(nullptr, "root");
+    auto first = std::make_unique<stats::Group>(&root, "first");
+    auto middle = std::make_unique<stats::Group>(&root, "middle");
+    auto last = std::make_unique<stats::Group>(&root, "last");
+    stats::Scalar s1(first.get(), "s", "");
+    stats::Scalar s2(middle.get(), "s", "");
+    stats::Scalar s3(last.get(), "s", "");
+
+    auto listed = [&root] {
+        std::ostringstream os;
+        root.printStats(os);
+        std::string names;
+        std::istringstream lines(os.str());
+        for (std::string line; std::getline(lines, line);)
+            names += line.substr(0, line.find(' ')) + ";";
+        return names;
+    };
+    EXPECT_EQ(listed(), "root.first.s;root.middle.s;root.last.s;");
+
+    middle.reset();
+    EXPECT_EQ(listed(), "root.first.s;root.last.s;");
+    last.reset();
+    EXPECT_EQ(listed(), "root.first.s;");
+
+    // The tail moved back to the first group: a new sibling follows it.
+    stats::Group fourth(&root, "fourth");
+    stats::Scalar s4(&fourth, "s", "");
+    EXPECT_EQ(listed(), "root.first.s;root.fourth.s;");
+    EXPECT_EQ(root.findChild("middle"), nullptr);
+}
+
+TEST(Stats, DestroyedParentOrphansItsChildren)
+{
+    auto parent = std::make_unique<stats::Group>(nullptr, "parent");
+    stats::Group child(parent.get(), "child");
+    stats::Scalar leaf(&child, "leaf", "");
+    parent.reset();
+    // The child must not unlink from the destroyed parent later.
+    std::ostringstream os;
+    child.printStats(os);
+    EXPECT_NE(os.str().find("child.leaf"), std::string::npos);
+}
+
 // --------------------------------------------------------------------------
 // Logging / tracing / random
 // --------------------------------------------------------------------------
@@ -283,6 +399,73 @@ TEST(Random, DeterministicPerSeed)
     for (int i = 0; i < 100; ++i)
         any_diff |= a2.uniformInt(0, 1'000'000) != c.uniformInt(0, 1'000'000);
     EXPECT_TRUE(any_diff);
+}
+
+namespace {
+
+/**
+ * Draw step @p i from @p rng and from @p ref, a std::mt19937_64 with the
+ * same seed, through the same distribution, and expect equal values.
+ */
+void
+expectSameDraw(Random &rng, std::mt19937_64 &ref, int i)
+{
+    switch (i % 4) {
+      case 0: {
+        const std::uint64_t hi = 1u << (i % 11);
+        std::uniform_int_distribution<std::uint64_t> dist(0, hi);
+        EXPECT_EQ(rng.uniformInt(0, hi), dist(ref)) << "step " << i;
+        break;
+      }
+      case 1: {
+        std::uniform_real_distribution<double> dist(0.0, 1.0);
+        EXPECT_EQ(rng.uniformReal(), dist(ref)) << "step " << i;
+        break;
+      }
+      case 2: {
+        std::uniform_real_distribution<double> dist(0.0, 1.0);
+        EXPECT_EQ(rng.chance(0.3), dist(ref) < 0.3) << "step " << i;
+        break;
+      }
+      default: {
+        std::normal_distribution<double> dist(2.0, 0.5);
+        EXPECT_EQ(rng.normal(2.0, 0.5), dist(ref)) << "step " << i;
+        break;
+      }
+    }
+}
+
+} // namespace
+
+TEST(Random, MatchesSeededStdEngine)
+{
+    Random rng(42);
+    std::mt19937_64 ref(42);
+    for (int i = 0; i < 400; ++i)
+        expectSameDraw(rng, ref, i);
+}
+
+TEST(Random, LateFirstDrawStartsFromTheSeed)
+{
+    Random late(7);
+    Random other(7);
+    for (int i = 0; i < 100; ++i)
+        other.uniformReal();
+    std::mt19937_64 ref(7);
+    for (int i = 0; i < 100; ++i)
+        expectSameDraw(late, ref, i);
+}
+
+TEST(Random, InterleavedInstancesKeepSeparateStreams)
+{
+    Random a(1), b(2);
+    std::mt19937_64 refA(1), refB(2);
+    for (int i = 0; i < 200; ++i) {
+        expectSameDraw(a, refA, i);
+        expectSameDraw(b, refB, i + 3);
+        if (i % 3 == 0)
+            expectSameDraw(b, refB, i + 1);
+    }
 }
 
 TEST(Random, ChanceRespectsProbability)
