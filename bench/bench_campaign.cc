@@ -20,8 +20,9 @@
  *
  *   bench_campaign [--smoke] [--json[=PATH]]
  *
- * --json writes the BENCH_campaign.json snapshot; --smoke shrinks the
- * ensemble for CI.
+ * The flags are the shared bench harness's (bench_util.hh): --json
+ * writes the BENCH_campaign.json snapshot, --smoke shrinks the ensemble
+ * for CI.
  */
 
 #include <chrono>
@@ -41,10 +42,6 @@
 #include "sim/logging.hh"
 
 #include <unistd.h>
-
-#ifndef ULP_BUILD_TYPE
-#define ULP_BUILD_TYPE "unspecified"
-#endif
 
 using namespace ulp;
 
@@ -73,14 +70,6 @@ sensitivity-dbm = -90
 sink = 0
 )ini";
 
-using Clock = std::chrono::steady_clock;
-
-double
-since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 std::string
 selfExecutable()
 {
@@ -92,22 +81,33 @@ selfExecutable()
     return buf;
 }
 
-struct PoolResult
+struct Execution
 {
     double wall = 0.0;
-    std::map<std::uint64_t, std::string> stats; ///< id -> stats JSON
+    std::map<std::uint64_t, std::string> stats; ///< ok run id -> stats JSON
 };
 
-PoolResult
-runPool(const std::string &canonical,
+/** One configuration: in-process when @p jobs is 0, else the pool. */
+Execution
+execute(const scenario::Scenario &base, const std::string &canonical,
         const std::vector<campaign::RunSpec> &runs, unsigned jobs,
         unsigned runsPerWorker)
 {
+    Execution result;
+    const auto start = std::chrono::steady_clock::now();
+    if (jobs == 0) {
+        for (const campaign::RunSpec &run : runs) {
+            result.stats[run.id] = campaign::executeRun(
+                campaign::resolveRun(base, run, "<bench_campaign>"));
+        }
+        result.wall = bench::secondsSince(start);
+        return result;
+    }
+
     const std::filesystem::path storePath =
         std::filesystem::temp_directory_path() /
         "bench_campaign_store.jsonl";
     std::filesystem::remove(storePath);
-
     campaign::ResultsStore store = campaign::ResultsStore::open(
         storePath.string(),
         {"bench", "<inline>", runs.size(),
@@ -120,27 +120,103 @@ runPool(const std::string &canonical,
     cfg.timeoutSeconds = 120.0;
     cfg.quiet = true;
     cfg.runsPerWorker = runsPerWorker;
-
-    const Clock::time_point start = Clock::now();
-    const campaign::CampaignResult outcome =
-        campaign::runCampaign(canonical, runs, store, cfg);
-    PoolResult result;
-    result.wall = since(start);
-
-    if (outcome.ok != runs.size()) {
-        std::fprintf(stderr,
-                     "bench_campaign: pool jobs=%u finished %llu/%zu "
-                     "runs ok\n",
-                     jobs, static_cast<unsigned long long>(outcome.ok),
-                     runs.size());
-        std::exit(1);
-    }
+    campaign::runCampaign(canonical, runs, store, cfg);
+    result.wall = bench::secondsSince(start);
     for (const campaign::RunRecord &record :
          campaign::ResultsStore::load(storePath.string())) {
-        result.stats[record.id] = record.stats;
+        if (record.ok())
+            result.stats[record.id] = record.stats;
     }
     std::filesystem::remove(storePath);
     return result;
+}
+
+struct Config
+{
+    const char *label;
+    const char *mode;
+    unsigned jobs;          ///< 0: in-process
+    unsigned runsPerWorker; ///< 0: unlimited
+};
+
+constexpr Config configs[] = {
+    {"in-process loop (no store, no workers)", "in_process", 0, 0},
+    {"spawn per run (shell-loop equivalent)", "spawn_per_run", 1, 1},
+    {"worker pool, jobs=1", "pool", 1, 0},
+    {"worker pool, jobs=2", "pool", 2, 0},
+    {"worker pool, jobs=4", "pool", 4, 0},
+};
+
+/**
+ * A seed ensemble of 16 runs of 1 simulated second (6 of 0.25 s under
+ * --smoke) through every configuration: one row each, and the table.
+ */
+std::vector<bench::Row>
+measure(bool smoke)
+{
+    const unsigned ensemble = smoke ? 6 : 16;
+    scenario::Scenario base =
+        scenario::parseScenario(scenarioText, "<bench_campaign>");
+    base.seconds = smoke ? 0.25 : 1.0;
+    const std::string canonical = scenario::printScenario(base);
+    std::vector<campaign::RunSpec> runs;
+    for (unsigned r = 0; r < ensemble; ++r) {
+        campaign::RunSpec run;
+        run.id = r;
+        run.overrides.emplace_back("scenario.seed",
+                                   std::to_string(base.seed + r));
+        runs.push_back(std::move(run));
+    }
+    bench::banner(sim::csprintf("Campaign fan-out: %u-seed ensemble, "
+                                "9-node multihop grid, %g simulated "
+                                "second(s) per run",
+                                ensemble, base.seconds));
+
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<bench::Row> rows;
+    std::vector<Execution> done;
+    for (const Config &c : configs) {
+        const Execution &x = done.emplace_back(
+            execute(base, canonical, runs, c.jobs, c.runsPerWorker));
+        bench::Row &row = rows.emplace_back();
+        row.input.text("mode", c.mode)
+            .count("jobs", std::max(c.jobs, 1u))
+            .count("runs", ensemble)
+            .number("seconds", base.seconds);
+        // The determinism contract: per-run stats bytes must not depend
+        // on the job count (or on running in-process).
+        row.exact.count("runs_ok", x.stats.size())
+            .flag("stats_identical", x.stats == done[0].stats);
+        row.rate.number("runs_per_s", ensemble / x.wall);
+        // More jobs than hardware threads measures queuing, not speedup.
+        row.info.number("wall_s", x.wall)
+            .flag("oversubscribed", c.jobs > hw);
+    }
+
+    const double pool1 = done[2].wall;
+    std::printf("%-42s %8s %10s %9s %7s\n", "configuration", "wall s",
+                "runs/s", "vs pool1", "oversub");
+    bench::rule();
+    bool identical = true;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        std::printf("%-42s %8.3f %10.2f %8.2fx %7s\n", configs[i].label,
+                    done[i].wall, ensemble / done[i].wall,
+                    pool1 / done[i].wall, configs[i].jobs > hw ? "yes" : "no");
+        identical = identical && done[i].stats == done[0].stats;
+    }
+    bench::rule();
+    std::printf("coordinator overhead vs in-process: %+.1f ms/run; "
+                "spawn-per-run pays %+.1f ms/run more than the pool\n",
+                1e3 * (pool1 - done[0].wall) / ensemble,
+                1e3 * (done[1].wall - pool1) / ensemble);
+    std::printf("per-run stats identical across jobs=1/2/4 and "
+                "in-process: %s\n", identical ? "yes" : "NO");
+    if (hw < 4) {
+        std::printf("note: only %u hardware thread(s); parallel rows "
+                    "are oversubscribed and establish correctness, not "
+                    "speedup\n", hw);
+    }
+    return rows;
 }
 
 } // namespace
@@ -152,148 +228,9 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "campaign-worker") == 0)
         return campaign::workerMain(argc, argv);
 
-    bool smoke = false;
-    std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strncmp(argv[i], "--json", 6) == 0) {
-            jsonPath = "BENCH_campaign.json";
-            if (argv[i][6] == '=')
-                jsonPath = argv[i] + 7;
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_campaign [--smoke] [--json[=PATH]]\n");
-            return 2;
-        }
-    }
-
+    const bench::Options options =
+        bench::parseOptions(argc, argv, "BENCH_campaign.json");
     sim::setQuiet(true); // the in-process rows would chatter otherwise
-    const unsigned ensemble = smoke ? 6 : 16;
-    scenario::Scenario base =
-        scenario::parseScenario(scenarioText, "<bench_campaign>");
-    if (smoke)
-        base.seconds = 0.25;
-    const std::string canonical = scenario::printScenario(base);
-
-    std::vector<campaign::RunSpec> runs;
-    for (unsigned r = 0; r < ensemble; ++r) {
-        campaign::RunSpec run;
-        run.id = r;
-        run.overrides.emplace_back("scenario.seed",
-                                   std::to_string(base.seed + r));
-        runs.push_back(std::move(run));
-    }
-
-    bench::banner("Campaign fan-out: " + std::to_string(ensemble) +
-                  "-seed ensemble, 9-node multihop grid, " +
-                  (smoke ? std::string("0.25") : std::string("1")) +
-                  " simulated second(s) per run");
-
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-
-    // Floor: the simulation alone, no store, no processes.
-    std::map<std::uint64_t, std::string> inprocStats;
-    const Clock::time_point inprocStart = Clock::now();
-    for (const campaign::RunSpec &run : runs) {
-        inprocStats[run.id] = campaign::executeRun(
-            campaign::resolveRun(base, run, "<bench_campaign>"));
-    }
-    const double inproc = since(inprocStart);
-
-    const PoolResult shell = runPool(canonical, runs, 1, 1);
-    const PoolResult pool1 = runPool(canonical, runs, 1, 0);
-    const PoolResult pool2 = runPool(canonical, runs, 2, 0);
-    const PoolResult pool4 = runPool(canonical, runs, 4, 0);
-
-    // The determinism contract: per-run stats bytes must not depend on
-    // the job count (or on running in-process).
-    bool identical = pool1.stats == pool4.stats &&
-                     pool1.stats == pool2.stats &&
-                     pool1.stats == inprocStats;
-    if (!identical) {
-        std::fprintf(stderr, "bench_campaign: per-run stats differ "
-                             "across job counts — determinism violated\n");
-    }
-
-    struct Row
-    {
-        const char *mode;
-        unsigned jobs;
-        double wall;
-    };
-    const Row rows[] = {
-        {"in-process loop (no store, no workers)", 1, inproc},
-        {"spawn per run (shell-loop equivalent)", 1, shell.wall},
-        {"worker pool, jobs=1", 1, pool1.wall},
-        {"worker pool, jobs=2", 2, pool2.wall},
-        {"worker pool, jobs=4", 4, pool4.wall},
-    };
-
-    std::printf("%-42s %8s %10s %9s %7s\n", "configuration", "wall s",
-                "runs/s", "vs pool1", "oversub");
-    bench::rule();
-    for (const Row &row : rows) {
-        std::printf("%-42s %8.3f %10.2f %8.2fx %7s\n", row.mode,
-                    row.wall, ensemble / row.wall,
-                    pool1.wall / row.wall,
-                    row.jobs > hw ? "yes" : "no");
-    }
-    bench::rule();
-    std::printf("coordinator overhead vs in-process: %+.1f ms/run; "
-                "spawn-per-run pays %+.1f ms/run more than the pool\n",
-                1e3 * (pool1.wall - inproc) / ensemble,
-                1e3 * (shell.wall - pool1.wall) / ensemble);
-    std::printf("per-run stats identical across jobs=1/2/4 and "
-                "in-process: %s\n", identical ? "yes" : "NO");
-    if (hw < 4) {
-        std::printf("note: only %u hardware thread(s); parallel rows "
-                    "are oversubscribed and establish correctness, not "
-                    "speedup\n", hw);
-    }
-
-    if (!jsonPath.empty()) {
-        std::FILE *out = std::fopen(jsonPath.c_str(), "wb");
-        if (!out) {
-            std::fprintf(stderr, "bench_campaign: cannot write %s\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        std::fprintf(out,
-                     "{\n  \"schema\": \"ulpsn-campaign-bench/1\",\n"
-                     "  \"host\": {\"hardware_concurrency\": %u, "
-                     "\"build_type\": \"%s\"},\n"
-                     "  \"runs\": %u,\n  \"rows\": [\n",
-                     hw, ULP_BUILD_TYPE, ensemble);
-        const struct
-        {
-            const char *mode;
-            unsigned jobs;
-            double wall;
-        } jrows[] = {
-            {"in_process", 1, inproc},
-            {"spawn_per_run", 1, shell.wall},
-            {"pool", 1, pool1.wall},
-            {"pool", 2, pool2.wall},
-            {"pool", 4, pool4.wall},
-        };
-        for (std::size_t i = 0; i < std::size(jrows); ++i) {
-            std::fprintf(
-                out,
-                "    {\"mode\": \"%s\", \"jobs\": %u, \"runs\": %u, "
-                "\"wall_s\": %.4f, \"runs_per_s\": %.2f, "
-                "\"speedup_vs_jobs1\": %.3f, \"oversubscribed\": %s}%s\n",
-                jrows[i].mode, jrows[i].jobs, ensemble, jrows[i].wall,
-                ensemble / jrows[i].wall, pool1.wall / jrows[i].wall,
-                jrows[i].jobs > hw ? "true" : "false",
-                i + 1 < std::size(jrows) ? "," : "");
-        }
-        std::fprintf(out, "  ],\n  \"stats_identical\": %s\n}\n",
-                     identical ? "true" : "false");
-        std::fclose(out);
-        std::printf("snapshot written: %s\n", jsonPath.c_str());
-    }
-
-    return identical ? 0 : 1;
+    return bench::run(options, "bench_campaign",
+                      [](bool smoke, bool) { return measure(smoke); });
 }

@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -262,9 +261,7 @@ oracle(unsigned count, double seconds, bool linked,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i)
-        smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
+    const bool smoke = bench::parseOptions(argc, argv, nullptr).smoke;
 
     bench::banner("Event fabric: energy per serviced event, "
                   "linked vs EP vs uC");

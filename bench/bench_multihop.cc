@@ -13,26 +13,22 @@
  * 2- and 4-shard runs must be byte-identical to the sequential run
  * before the row is reported.
  *
- * Modes:
+ * Flags (the shared bench harness, bench_util.hh):
  *   (none)         the full table on stdout
  *   --smoke        one short gated run at 64 nodes (CI under sanitizers)
- *   --json[=PATH]  machine-readable BENCH_multihop.json snapshot
- *   --check[=PATH] perf-regression smoke: re-measure the small rows and
- *                  compare events/host-second against the committed
- *                  snapshot with a loose ref/4 band (Release CI only —
- *                  a sanitizer or Debug build is legitimately slower)
+ *   --json[=PATH]  write the rows as the BENCH_multihop.json snapshot
+ *   --check[=PATH] re-run the committed rows up to 256 nodes (Release
+ *                  CI only: a sanitizer or Debug build is slower)
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "core/network.hh"
 #include "scenario/lower.hh"
 #include "scenario/scenario.hh"
@@ -66,22 +62,6 @@ gridScenario(unsigned nodes, unsigned threads, double spacing,
     return sc;
 }
 
-struct Row
-{
-    unsigned nodes = 0;
-    double spacing = 0.0;
-    double seconds = 0.0;
-    double minProb = 1.0;
-    unsigned maxDepth = 0;
-    std::uint64_t framesSent = 0;
-    std::uint64_t sinkPackets = 0;
-    std::size_t origins = 0;
-    double totalEnergyJ = 0.0;
-    double energyPerBitJ = 0.0; ///< network energy per delivered payload bit
-    double eventsPerHostSec = 0.0; ///< K = 1 run, includes lowering amortized out
-    bool oracleOk = false;      ///< K = 2/4 stats byte-identical to K = 1
-};
-
 struct RunResult
 {
     core::Network::Counters counters;
@@ -99,13 +79,8 @@ run(const scenario::Scenario &sc)
     core::Network network(low.spec);
     const auto start = std::chrono::steady_clock::now();
     network.runForSeconds(low.seconds);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-
     RunResult r;
-    r.hostSeconds = elapsed;
+    r.hostSeconds = bench::secondsSince(start);
     r.counters = network.counters();
     const core::MessageProcessor &mp = network.node(*low.sink).msgProc();
     r.sinkPackets = mp.localDeliveries();
@@ -118,193 +93,109 @@ run(const scenario::Scenario &sc)
     return r;
 }
 
-Row
+/**
+ * One row: the workload on one shard, gated on the cross-thread-count
+ * oracle, and on packets reaching the sink. Prints its table line.
+ */
+bench::Row
 sweepPoint(unsigned nodes, double spacing, double seconds,
-           double min_prob = 1.0, unsigned max_oracle_threads = 4)
+           double minProb = 1.0)
 {
     scenario::Scenario sc = gridScenario(nodes, 1, spacing, seconds);
-    sc.routes.minProb = min_prob;
-    RunResult k1 = run(sc);
-
-    Row row;
-    row.nodes = nodes;
-    row.spacing = spacing;
-    row.seconds = seconds;
-    row.minProb = min_prob;
-    row.maxDepth = scenario::lower(sc).maxDepth();
-    row.framesSent = k1.counters.framesSent;
-    row.sinkPackets = k1.sinkPackets;
-    row.origins = k1.origins;
-    row.totalEnergyJ = k1.totalEnergyJ;
-    row.energyPerBitJ =
-        k1.sinkPackets
-            ? k1.totalEnergyJ / (static_cast<double>(k1.sinkPackets) *
-                                 payloadBits)
-            : 0.0;
-    row.eventsPerHostSec =
-        k1.hostSeconds > 0.0
-            ? static_cast<double>(k1.counters.eventsProcessed) /
-                  k1.hostSeconds
-            : 0.0;
+    sc.routes.minProb = minProb;
+    const RunResult k1 = run(sc);
+    const unsigned maxDepth = scenario::lower(sc).maxDepth();
+    // Network energy per delivered payload bit.
+    const double energyPerBit =
+        k1.sinkPackets ? k1.totalEnergyJ /
+                             (static_cast<double>(k1.sinkPackets) *
+                              payloadBits)
+                       : 0.0;
 
     // The determinism gate: the same workload on 2 and 4 shards must
-    // merge to the identical counters and the identical stats tree.
-    row.oracleOk = true;
+    // merge to the identical counters and the identical stats tree. Past
+    // 1024 nodes (the 10k memory-scaling point) a K<=2 oracle keeps the
+    // row affordable.
+    const unsigned maxOracleThreads = nodes > 1024 ? 2 : 4;
+    bool oracleOk = true;
     for (unsigned threads : {2u, 4u}) {
-        if (threads > max_oracle_threads)
+        if (threads > maxOracleThreads)
             continue;
         sc.threads = threads;
         RunResult kn = run(sc);
         if (!(kn.counters == k1.counters) || kn.stats != k1.stats ||
             kn.sinkPackets != k1.sinkPackets) {
-            row.oracleOk = false;
+            oracleOk = false;
             std::fprintf(stderr,
                          "bench_multihop: %u nodes: threads=%u diverged "
                          "from the sequential run\n",
                          nodes, threads);
         }
     }
+
+    std::printf("%7u %7gm %6u %6s %9llu %9llu %8zu %10.3f nJ %7s\n",
+                nodes, spacing, maxDepth, "0",
+                static_cast<unsigned long long>(k1.counters.framesSent),
+                static_cast<unsigned long long>(k1.sinkPackets), k1.origins,
+                energyPerBit * 1e9, oracleOk ? "ok" : "FAIL");
+    bench::Row row;
+    row.input.count("nodes", nodes)
+        .number("spacing_m", spacing)
+        .number("seconds", seconds)
+        .number("min_prob", minProb);
+    row.exact.count("max_depth", maxDepth)
+        .count("frames_sent", k1.counters.framesSent)
+        .count("sink_packets", k1.sinkPackets)
+        .count("origins", k1.origins)
+        .flag("threads_oracle_ok", oracleOk)
+        .flag("sink_reached", k1.sinkPackets > 0);
+    // K = 1 run only; lowering is not timed.
+    row.rate.number("events_per_host_second",
+                    static_cast<double>(k1.counters.eventsProcessed) /
+                        k1.hostSeconds);
+    row.info.number("total_energy_j", k1.totalEnergyJ)
+        .number("energy_per_bit_j", energyPerBit);
     return row;
 }
 
-void
-printTable(const std::vector<Row> &rows)
+/**
+ * Scale sweep at constant density, then a density sweep at 64 nodes (a
+ * wider pitch stretches the route tree: more hops); --smoke runs one
+ * short point. Rows above @p maxNodes are left out.
+ */
+std::vector<bench::Row>
+runSweep(bool smoke, unsigned maxNodes)
 {
     std::printf("%7s %8s %6s %6s %9s %9s %8s %13s %7s\n", "nodes",
                 "spacing", "hops", "sink", "sent", "packets", "origins",
                 "energy/bit", "oracle");
-    for (const Row &r : rows) {
-        std::printf("%7u %7gm %6u %6s %9llu %9llu %8zu %10.3f nJ %7s\n",
-                    r.nodes, r.spacing, r.maxDepth, "0",
-                    static_cast<unsigned long long>(r.framesSent),
-                    static_cast<unsigned long long>(r.sinkPackets),
-                    r.origins, r.energyPerBitJ * 1e9,
-                    r.oracleOk ? "ok" : "FAIL");
+    if (smoke)
+        return {sweepPoint(64, 40.0, 0.4)};
+    struct Point
+    {
+        unsigned nodes;
+        double spacing, seconds, minProb;
+    };
+    constexpr Point points[] = {
+        {64, 40.0, 2.0, 1.0},
+        {256, 40.0, 1.0, 1.0},
+        {1024, 40.0, 0.5, 1.0},
+        // 10k nodes: the memory-scaling point (pooled frames + SoA node
+        // state). The far corner is ~200 hops out, so only the sink's
+        // neighborhood delivers within the short window.
+        {10000, 40.0, 0.05, 1.0},
+        {64, 30.0, 2.0, 1.0},
+        // 55 m pitch: the grid links fade (delivery probability ~0.4),
+        // so routing must accept lossy hops.
+        {64, 55.0, 2.0, 0.4},
+    };
+    std::vector<bench::Row> rows;
+    for (const Point &p : points) {
+        if (p.nodes <= maxNodes)
+            rows.push_back(
+                sweepPoint(p.nodes, p.spacing, p.seconds, p.minProb));
     }
-}
-
-int
-writeJson(const std::vector<Row> &rows, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "bench_multihop: cannot write %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"multihop\",\n  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"nodes\": %u, \"spacing_m\": %g, \"seconds\": %g, "
-            "\"min_prob\": %g, "
-            "\"max_depth\": %u, \"frames_sent\": %llu, "
-            "\"sink_packets\": %llu, \"origins\": %zu, "
-            "\"total_energy_j\": %.9g, \"energy_per_bit_j\": %.9g, "
-            "\"events_per_host_second\": %.9g, "
-            "\"threads_oracle_ok\": %s}%s\n",
-            r.nodes, r.spacing, r.seconds, r.minProb, r.maxDepth,
-            static_cast<unsigned long long>(r.framesSent),
-            static_cast<unsigned long long>(r.sinkPackets), r.origins,
-            r.totalEnergyJ, r.energyPerBitJ, r.eventsPerHostSec,
-            r.oracleOk ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return 0;
-}
-
-/**
- * Perf-regression smoke (CI), mirroring bench_sim_throughput --check:
- * re-measure the small rows of the committed snapshot and fail only
- * below ref/4 — the CI host differs from the host that wrote the
- * snapshot, so the gate catches order-of-magnitude scenario-path
- * regressions, not drift. Rows above the node cap are skipped (and
- * said so): re-lowering a 10k-node grid is a bench, not a smoke.
- */
-int
-runCheck(const std::string &path)
-{
-    constexpr unsigned maxCheckNodes = 256;
-
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "check: cannot read %s\n", path.c_str());
-        return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::printf("check: host has %u core(s), %s build; reference %s\n",
-                cores, ULP_BUILD_TYPE, path.c_str());
-
-    int failures = 0;
-    unsigned rows = 0;
-    std::size_t pos = 0;
-    while (true) {
-        const std::size_t n = text.find("\"nodes\": ", pos);
-        if (n == std::string::npos)
-            break;
-        const unsigned nodes = static_cast<unsigned>(
-            std::strtoul(text.c_str() + n + 9, nullptr, 10));
-        const std::size_t sp = text.find("\"spacing_m\": ", n);
-        const std::size_t se = text.find("\"seconds\": ", n);
-        const std::size_t mp = text.find("\"min_prob\": ", n);
-        const std::size_t ev = text.find("\"events_per_host_second\": ", n);
-        if (sp == std::string::npos || se == std::string::npos ||
-            mp == std::string::npos || ev == std::string::npos)
-            break;
-        const double spacing = std::strtod(text.c_str() + sp + 13, nullptr);
-        const double seconds = std::strtod(text.c_str() + se + 11, nullptr);
-        const double minProb = std::strtod(text.c_str() + mp + 12, nullptr);
-        const double ref = std::strtod(text.c_str() + ev + 26, nullptr);
-        pos = ev + 26;
-
-        if (nodes > maxCheckNodes) {
-            std::printf("check: %4u nodes: skipped (> %u-node smoke cap)\n",
-                        nodes, maxCheckNodes);
-            continue;
-        }
-        ++rows;
-
-        // Same workload as the committed row, best of two runs: the
-        // first run eats the cold caches.
-        scenario::Scenario sc = gridScenario(nodes, 1, spacing, seconds);
-        sc.routes.minProb = minProb;
-        double measured = 0.0;
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            RunResult r = run(sc);
-            if (r.hostSeconds > 0.0)
-                measured = std::max(
-                    measured,
-                    static_cast<double>(r.counters.eventsProcessed) /
-                        r.hostSeconds);
-        }
-        const bool ok = ref <= 0.0 || measured >= ref / 4.0;
-        std::printf("check: %4u nodes %5gm: %8.2f Mev/s vs committed "
-                    "%8.2f Mev/s -> %s\n",
-                    nodes, spacing, measured / 1e6, ref / 1e6,
-                    ok ? "ok" : "REGRESSION");
-        if (!ok)
-            ++failures;
-    }
-    if (rows == 0) {
-        std::fprintf(stderr, "check: no rows parsed from %s\n",
-                     path.c_str());
-        return 1;
-    }
-    if (failures) {
-        std::fprintf(stderr, "check: %d of %u rows below the ref/4 band\n",
-                     failures, rows);
-        return 1;
-    }
-    std::printf("check OK: all %u rows within band\n", rows);
-    return 0;
+    return rows;
 }
 
 } // namespace
@@ -312,79 +203,12 @@ runCheck(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    bool json = false;
-    bool check = false;
-    std::string jsonPath = "BENCH_multihop.json";
-    std::string checkPath = "BENCH_multihop.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json = true;
-            jsonPath = argv[i] + 7;
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
-            check = true;
-            checkPath = argv[i] + 8;
-        } else {
-            std::fprintf(stderr, "usage: bench_multihop [--smoke] "
-                                 "[--json[=PATH]] [--check[=PATH]]\n");
-            return 2;
-        }
-    }
-
+    const bench::Options options =
+        bench::parseOptions(argc, argv, "BENCH_multihop.json", true);
     sim::setQuiet(true); // keep the table clean of msgProc-busy warnings
-
-    if (check) {
-        try {
-            return runCheck(checkPath);
-        } catch (const sim::SimError &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-    }
-
-    try {
-        std::vector<Row> rows;
-        if (smoke) {
-            rows.push_back(sweepPoint(64, 40.0, 0.4));
-        } else {
-            // Scale sweep at constant density, then a density sweep at 64
-            // nodes (a wider pitch stretches the route tree: more hops).
-            rows.push_back(sweepPoint(64, 40.0, 2.0));
-            rows.push_back(sweepPoint(256, 40.0, 1.0));
-            rows.push_back(sweepPoint(1024, 40.0, 0.5));
-            // 10k nodes: the memory-scaling point (pooled frames + SoA
-            // node state). A short window and a K<=2 oracle keep the
-            // row affordable; the far corner is ~200 hops out so only
-            // the sink's neighborhood delivers within the window.
-            rows.push_back(sweepPoint(10000, 40.0, 0.05, 1.0, 2));
-            rows.push_back(sweepPoint(64, 30.0, 2.0));
-            // 55 m pitch: the grid links fade (delivery probability
-            // ~0.4), so routing must accept lossy hops.
-            rows.push_back(sweepPoint(64, 55.0, 2.0, 0.4));
-        }
-
-        printTable(rows);
-        bool ok = true;
-        for (const Row &r : rows) {
-            ok = ok && r.oracleOk && r.sinkPackets > 0;
-            if (r.sinkPackets == 0) {
-                std::fprintf(stderr,
-                             "bench_multihop: %u nodes delivered nothing "
-                             "to the sink\n",
-                             r.nodes);
-            }
-        }
-        if (json && ok)
-            return writeJson(rows, jsonPath);
-        return ok ? 0 : 1;
-    } catch (const sim::SimError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
+    // Re-lowering a 10k-node grid is a bench, not a smoke: a check re-runs
+    // the rows up to 256 nodes.
+    return bench::run(options, "bench_multihop", [](bool smoke, bool check) {
+        return runSweep(smoke, check ? 256 : UINT_MAX);
+    });
 }

@@ -49,8 +49,7 @@ oracleSpec(unsigned nodes)
         nc.sensorSignal = [](sim::Tick) { return 200; };
         core::apps::AppParams params;
         params.samplePeriodCycles = 2500 + 37 * i;
-        spec.addNode().withConfig(nc).withPrebuiltApp(
-            core::apps::buildApp1(params));
+        spec.addNode().withConfig(nc).withApp("app1").withParams(params);
     }
     return spec;
 }

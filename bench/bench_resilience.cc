@@ -19,22 +19,21 @@
  * as determinism-at-scale gates — repair still beats no-repair, but
  * read the 64-node block for the recovery story.
  *
- * Modes:
+ * Flags (the shared bench harness, bench_util.hh):
  *   (none)         the full table on stdout
  *   --smoke        one short gated run at 64 nodes (CI under sanitizers)
- *   --json[=PATH]  machine-readable BENCH_resilience.json snapshot
+ *   --json[=PATH]  write the rows as a BENCH_resilience.json snapshot
  */
 
 #include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "core/network.hh"
 #include "scenario/lower.hh"
 #include "scenario/resilience.hh"
@@ -129,23 +128,6 @@ busiestRelays(const scenario::Scenario &sc, unsigned kills)
     return order;
 }
 
-struct Row
-{
-    unsigned nodes = 0;
-    double seconds = 0.0;
-    unsigned kills = 0;
-    const char *policy = "";
-    double steadyRatio = 0.0;
-    double postRepairRatio = 0.0;
-    std::uint64_t repairRounds = 0;
-    std::uint64_t repairUpdates = 0;
-    double firstDeathS = 0.0;
-    double firstPartitionS = 0.0;
-    double lifetimeS = 0.0; ///< last window that still delivered
-    double totalEnergyJ = 0.0;
-    bool oracleOk = false; ///< K = 2/4 byte-identical to K = 1
-};
-
 struct RunResult
 {
     core::Network::Counters counters;
@@ -180,7 +162,7 @@ run(const scenario::Scenario &sc)
  * One sweep row: `kills` busiest relays die together at seconds / 4
  * under the given repair policy, gated on the K = 2/4 oracle.
  */
-Row
+bench::Row
 sweepPoint(unsigned nodes, double seconds, unsigned kills,
            const Policy &policy)
 {
@@ -200,91 +182,75 @@ sweepPoint(unsigned nodes, double seconds, unsigned kills,
         sc.lifecycle->batteryInterval = 0.05;
     }
     RunResult k1 = run(sc);
-
-    Row row;
-    row.nodes = nodes;
-    row.seconds = seconds;
-    row.kills = kills;
-    row.policy = policy.name;
-    row.steadyRatio = k1.report.steadyDeliveryRatio;
-    row.postRepairRatio = k1.report.postRepairDeliveryRatio;
-    row.repairRounds = k1.report.repairRounds;
-    row.repairUpdates = k1.report.repairUpdates;
-    row.firstDeathS = sim::ticksToSeconds(k1.report.firstDeathTick);
-    row.firstPartitionS =
-        sim::ticksToSeconds(k1.report.firstPartitionTick);
-    row.lifetimeS = sim::ticksToSeconds(k1.report.lastDeliveryTick);
-    row.totalEnergyJ = k1.totalEnergyJ;
+    const scenario::ResilienceReport &rep = k1.report;
 
     // The determinism gate: the same churn on 2 and 4 shards must merge
     // to identical counters, stats and resilience report.
-    row.oracleOk = true;
+    bool oracleOk = true;
     for (unsigned threads : {2u, 4u}) {
         sc.threads = threads;
         RunResult kn = run(sc);
         if (!(kn.counters == k1.counters) || kn.stats != k1.stats ||
             kn.reportText != k1.reportText) {
-            row.oracleOk = false;
+            oracleOk = false;
             std::fprintf(stderr,
                          "bench_resilience: %u nodes %s: threads=%u "
                          "diverged from the sequential run\n",
                          nodes, policy.name, threads);
         }
     }
+
+    const double lifetime = sim::ticksToSeconds(rep.lastDeliveryTick);
+    std::printf("%7u %6u %10s %7.3f %7.3f %7llu %8llu %6.2fs %6.2fs %7s\n",
+                nodes, kills, policy.name, rep.steadyDeliveryRatio,
+                rep.postRepairDeliveryRatio,
+                static_cast<unsigned long long>(rep.repairRounds),
+                static_cast<unsigned long long>(rep.repairUpdates),
+                sim::ticksToSeconds(rep.firstDeathTick), lifetime,
+                oracleOk ? "ok" : "FAIL");
+    bench::Row row;
+    row.input.count("nodes", nodes)
+        .number("seconds", seconds)
+        .count("kills", kills)
+        .text("policy", policy.name);
+    // Every repaired row must actually deliver after its last repair
+    // round; a silent zero is a regression, not a row.
+    row.exact.count("repair_rounds", rep.repairRounds)
+        .count("repair_updates", rep.repairUpdates)
+        .flag("threads_oracle_ok", oracleOk)
+        .flag("delivers_after_repair",
+              rep.repairRounds == 0 || rep.postRepairDeliveryRatio > 0.0);
+    row.info.number("steady_delivery_ratio", rep.steadyDeliveryRatio)
+        .number("post_repair_delivery_ratio", rep.postRepairDeliveryRatio)
+        .number("first_death_s", sim::ticksToSeconds(rep.firstDeathTick))
+        .number("first_partition_s",
+                sim::ticksToSeconds(rep.firstPartitionTick))
+        .number("lifetime_s", lifetime) // last window that still delivered
+        .number("total_energy_j", k1.totalEnergyJ);
     return row;
 }
 
-void
-printTable(const std::vector<Row> &rows)
+/**
+ * Churn-rate x repair-policy grid at 64 nodes, then the scale points:
+ * larger meshes, triggered repair vs none; --smoke runs one short
+ * point.
+ */
+std::vector<bench::Row>
+runSweep(bool smoke)
 {
     std::printf("%7s %6s %10s %7s %7s %7s %8s %7s %7s %7s\n", "nodes",
                 "kills", "policy", "steady", "postfix", "rounds",
                 "updates", "death", "life", "oracle");
-    for (const Row &r : rows) {
-        std::printf("%7u %6u %10s %7.3f %7.3f %7llu %8llu %6.2fs "
-                    "%6.2fs %7s\n",
-                    r.nodes, r.kills, r.policy, r.steadyRatio,
-                    r.postRepairRatio,
-                    static_cast<unsigned long long>(r.repairRounds),
-                    static_cast<unsigned long long>(r.repairUpdates),
-                    r.firstDeathS, r.lifetimeS,
-                    r.oracleOk ? "ok" : "FAIL");
-    }
-}
-
-int
-writeJson(const std::vector<Row> &rows, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "bench_resilience: cannot write %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"resilience\",\n  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"nodes\": %u, \"seconds\": %g, \"kills\": %u, "
-            "\"policy\": \"%s\", \"steady_delivery_ratio\": %.9g, "
-            "\"post_repair_delivery_ratio\": %.9g, "
-            "\"repair_rounds\": %llu, \"repair_updates\": %llu, "
-            "\"first_death_s\": %.9g, \"first_partition_s\": %.9g, "
-            "\"lifetime_s\": %.9g, \"total_energy_j\": %.9g, "
-            "\"threads_oracle_ok\": %s}%s\n",
-            r.nodes, r.seconds, r.kills, r.policy, r.steadyRatio,
-            r.postRepairRatio,
-            static_cast<unsigned long long>(r.repairRounds),
-            static_cast<unsigned long long>(r.repairUpdates),
-            r.firstDeathS, r.firstPartitionS, r.lifetimeS,
-            r.totalEnergyJ, r.oracleOk ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return 0;
+    if (smoke)
+        return {sweepPoint(64, 4.0, 3, policies[2])};
+    std::vector<bench::Row> rows;
+    for (unsigned kills : {3u, 6u})
+        for (const Policy &policy : policies)
+            rows.push_back(sweepPoint(64, 8.0, kills, policy));
+    rows.push_back(sweepPoint(256, 6.0, 6, policies[0]));
+    rows.push_back(sweepPoint(256, 6.0, 6, policies[2]));
+    rows.push_back(sweepPoint(1024, 4.0, 8, policies[2]));
+    return rows;
 }
 
 } // namespace
@@ -292,61 +258,9 @@ writeJson(const std::vector<Row> &rows, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    bool json = false;
-    std::string jsonPath = "BENCH_resilience.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json = true;
-            jsonPath = argv[i] + 7;
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: bench_resilience [--smoke] [--json[=PATH]]\n");
-            return 2;
-        }
-    }
-
+    const bench::Options options =
+        bench::parseOptions(argc, argv, "BENCH_resilience.json");
     sim::setQuiet(true); // keep the table clean of msgProc-busy warnings
-
-    try {
-        std::vector<Row> rows;
-        if (smoke) {
-            rows.push_back(sweepPoint(64, 4.0, 3, policies[2]));
-        } else {
-            // Churn-rate x repair-policy grid at 64 nodes, then the
-            // scale points: larger meshes, triggered repair vs none.
-            for (unsigned kills : {3u, 6u})
-                for (const Policy &policy : policies)
-                    rows.push_back(sweepPoint(64, 8.0, kills, policy));
-            rows.push_back(sweepPoint(256, 6.0, 6, policies[0]));
-            rows.push_back(sweepPoint(256, 6.0, 6, policies[2]));
-            rows.push_back(sweepPoint(1024, 4.0, 8, policies[2]));
-        }
-
-        printTable(rows);
-        bool ok = true;
-        for (const Row &r : rows) {
-            ok = ok && r.oracleOk;
-            // Every repaired row must actually deliver after its last
-            // repair round; a silent zero is a regression, not a row.
-            if (r.repairRounds > 0 && r.postRepairRatio == 0.0) {
-                ok = false;
-                std::fprintf(stderr,
-                             "bench_resilience: %u nodes %s: nothing "
-                             "delivered after repair\n",
-                             r.nodes, r.policy);
-            }
-        }
-        if (json && ok)
-            return writeJson(rows, jsonPath);
-        return ok ? 0 : 1;
-    } catch (const sim::SimError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
+    return bench::run(options, "bench_resilience",
+                      [](bool smoke, bool) { return runSweep(smoke); });
 }

@@ -13,54 +13,46 @@
  *  - BM_NetworkScale: N complete sensor nodes (1/8/32/64) sharing one
  *    broadcast Channel, all sampling and transmitting.
  *
- * Special modes (no google-benchmark):
- *  --json[=PATH]  run the kernel benchmarks and write a machine-readable
- *                 BENCH_simkernel.json snapshot (default ./BENCH_simkernel.json),
- *                 including host metadata, a sharded-kernel thread sweep
- *                 (broadcast and spatial scenarios, every row flagged
- *                 `oversubscribed` when threads exceed host cores), and a
- *                 64-node two-run determinism check;
- *  --check[=PATH] perf-regression smoke: re-measure the network_scale
- *                 rows and fail if throughput fell below a quarter of the
- *                 committed snapshot's (tolerance band for differing CI
- *                 hosts); prints the host core count;
- *  --smoke        one short N-node run at each scale + the determinism
- *                 check; asserts completion, not speed (CI under ASan).
- *                 Oversubscribed thread counts run correctness-only and
- *                 are labelled as such — no timing is recorded for them.
- *  --threads=K    shard the --smoke networks across K worker threads and
- *                 additionally assert the stats match the sequential run
+ * Special modes (no google-benchmark), on the shared bench harness
+ * (bench_util.hh):
+ *  --json[=PATH]  write the BENCH_simkernel.json snapshot: heap vs set
+ *                 throughput per queue depth, the network_scale rows, a
+ *                 sharded-kernel thread sweep and a determinism row;
+ *  --check[=PATH] perf-regression gate: re-run every committed row;
+ *                 counters and flags must match exactly, throughput must
+ *                 reach a quarter of the committed value;
+ *  --smoke        each scale for 0.05 simulated seconds against the
+ *                 sequential run, then a 64-node rerun; asserts traffic
+ *                 and identical counters, not speed (CI under ASan). It
+ *                 prints no timing, so an oversubscribed thread count is
+ *                 correctness coverage only;
+ *  --threads=K    shard the --smoke networks across K worker threads
  *                 (CI under TSan).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "baseline/mica2_platform.hh"
 #include "baseline/minios.hh"
+#include "bench_util.hh"
 #include "core/apps.hh"
 #include "core/network.hh"
 #include "core/sensor_node.hh"
 #include "net/channel.hh"
 #include "scenario/spec.hh"
 #include "sim/simulation.hh"
-
-#ifndef ULP_BUILD_TYPE
-#define ULP_BUILD_TYPE "unspecified"
-#endif
 
 using namespace ulp;
 using namespace ulp::core;
@@ -247,39 +239,7 @@ BENCHMARK(BM_EventQueueSetBaseline)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 // N-node broadcast-network scaling.
 // --------------------------------------------------------------------------
 
-struct NetworkResult
-{
-    std::uint64_t eventsProcessed = 0;
-    std::uint64_t framesSent = 0;
-    std::uint64_t framesDelivered = 0;
-    std::uint64_t collisions = 0;
-    std::uint64_t epIsrs = 0;
-    sim::Tick endTick = 0;
-
-    bool
-    operator==(const NetworkResult &o) const
-    {
-        return eventsProcessed == o.eventsProcessed &&
-               framesSent == o.framesSent &&
-               framesDelivered == o.framesDelivered &&
-               collisions == o.collisions && epIsrs == o.epIsrs &&
-               endTick == o.endTick;
-    }
-};
-
-NetworkResult
-collectResult(Network &network)
-{
-    const Network::Counters c = network.counters();
-    NetworkResult result;
-    result.eventsProcessed = c.eventsProcessed;
-    result.framesSent = c.framesSent;
-    result.framesDelivered = c.framesDelivered;
-    result.collisions = c.collisions;
-    result.epIsrs = c.epIsrs;
-    result.endTick = c.endTick;
-    return result;
-}
+using Counters = Network::Counters;
 
 /**
  * Simulate @p num_nodes complete sensor nodes on one broadcast channel
@@ -288,7 +248,7 @@ collectResult(Network &network)
  * period so the network is not in artificial lockstep. Counters are
  * identical for every thread count (core::Network's contract).
  */
-NetworkResult
+Counters
 runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
 {
     scenario::NetworkSpec spec;
@@ -304,13 +264,12 @@ runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
         nc.sensorSignal = [](sim::Tick) { return 200; };
         apps::AppParams params;
         params.samplePeriodCycles = 2500 + 37 * i;
-        spec.addNode().withConfig(nc).withPrebuiltApp(
-            apps::buildApp1(params));
+        spec.addNode().withConfig(nc).withApp("app1").withParams(params);
     }
 
     Network network(spec);
     network.runForSeconds(seconds);
-    return collectResult(network);
+    return network.counters();
 }
 
 /**
@@ -321,7 +280,7 @@ runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
  * per-shard-pair lookahead actually pay off — the broadcast channel
  * above keeps every shard pair coupled by construction.
  */
-NetworkResult
+Counters
 runSpatialNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
 {
     const unsigned side = static_cast<unsigned>(
@@ -349,7 +308,7 @@ runSpatialNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
 
     Network network(spec);
     network.runForSeconds(seconds);
-    return collectResult(network);
+    return network.counters();
 }
 
 void
@@ -358,7 +317,7 @@ BM_NetworkScale(benchmark::State &state)
     auto num_nodes = static_cast<unsigned>(state.range(0));
     std::uint64_t events = 0;
     for (auto _ : state) {
-        NetworkResult result = runNetwork(num_nodes, 0.2);
+        Counters result = runNetwork(num_nodes, 0.2);
         events += result.eventsProcessed;
         benchmark::DoNotOptimize(result.framesSent);
     }
@@ -431,14 +390,6 @@ BENCHMARK(BM_Assembler);
 // JSON snapshot + smoke modes.
 // --------------------------------------------------------------------------
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
-
 /** Mops/s of the heap op mix at @p depth over @p iterations. */
 template <typename Harness>
 double
@@ -451,301 +402,138 @@ measureOpsPerSec(std::size_t depth, std::uint64_t iterations)
     auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iterations; ++i)
         harness.step(i);
-    double elapsed = secondsSince(start);
+    double elapsed = bench::secondsSince(start);
     return static_cast<double>(iterations) / elapsed;
 }
 
-const char *
-compilerId()
+constexpr std::uint64_t queueIterations = 2'000'000;
+
+/** Heap vs set-baseline throughput of the op mix at @p depth. */
+bench::Row
+queueRow(std::size_t depth)
 {
-#if defined(__clang__)
-    return "clang " __VERSION__;
-#elif defined(__GNUC__)
-    return "gcc " __VERSION__;
-#else
-    return "unknown";
-#endif
+    const double heap = measureOpsPerSec<HeapHarness>(depth, queueIterations);
+    const double set = measureOpsPerSec<SetHarness>(depth, queueIterations);
+    bench::Row row;
+    row.input.text("table", "event_queue").count("depth", depth);
+    row.rate.number("heap_mops", heap / 1e6);
+    // The reference queue's throughput is not the simulator's.
+    row.info.number("set_baseline_mops", set / 1e6)
+        .number("speedup", heap / set);
+    return row;
 }
 
-int
-writeSnapshot(const std::string &path)
+/** The counters every network row records exactly. */
+void
+exactCounts(bench::Fields &exact, const Counters &c)
 {
-    constexpr std::size_t depths[] = {64, 256, 1024, 4096};
-    constexpr std::uint64_t iterations = 2'000'000;
-    constexpr double network_seconds = 0.5;
+    exact.count("events", c.eventsProcessed)
+        .count("frames_sent", c.framesSent)
+        .count("frames_delivered", c.framesDelivered)
+        .count("collisions", c.collisions);
+}
 
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-
-    // Host metadata: throughput numbers are meaningless without knowing
-    // what produced them (a 1-core CI box cannot show parallel speedup).
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::fprintf(out, "{\n  \"schema\": \"ulpsn-simkernel-bench/3\",\n");
-    std::fprintf(out,
-                 "  \"host\": {\"hardware_concurrency\": %u, "
-                 "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n",
-                 cores, ULP_BUILD_TYPE, compilerId());
-    std::fprintf(out, "  \"event_queue\": [\n");
-    bool first = true;
-    for (std::size_t depth : depths) {
-        double heap = measureOpsPerSec<HeapHarness>(depth, iterations);
-        double set = measureOpsPerSec<SetHarness>(depth, iterations);
-        std::printf("depth %5zu: heap %8.2f Mops/s  set %8.2f Mops/s  "
-                    "speedup %.2fx\n",
-                    depth, heap / 1e6, set / 1e6, heap / set);
-        std::fprintf(out,
-                     "%s    {\"depth\": %zu, \"heap_mops\": %.3f, "
-                     "\"set_baseline_mops\": %.3f, \"speedup\": %.3f}",
-                     first ? "" : ",\n", depth, heap / 1e6, set / 1e6,
-                     heap / set);
-        first = false;
-    }
-    std::fprintf(out, "\n  ],\n  \"network_scale\": [\n");
-
-    first = true;
-    for (unsigned nodes : {1u, 8u, 32u, 64u}) {
-        auto start = std::chrono::steady_clock::now();
-        NetworkResult result = runNetwork(nodes, network_seconds);
-        double elapsed = secondsSince(start);
-        double events_per_sec =
-            static_cast<double>(result.eventsProcessed) / elapsed;
-        std::printf("nodes %3u: %9llu events in %6.3f s host "
-                    "(%7.2f Mev/s), %llu frames sent, %llu delivered, "
-                    "%llu collisions\n",
-                    nodes,
-                    static_cast<unsigned long long>(result.eventsProcessed),
-                    elapsed, events_per_sec / 1e6,
-                    static_cast<unsigned long long>(result.framesSent),
-                    static_cast<unsigned long long>(result.framesDelivered),
-                    static_cast<unsigned long long>(result.collisions));
-        std::fprintf(
-            out,
-            "%s    {\"nodes\": %u, \"simulated_seconds\": %.2f, "
-            "\"events\": %llu, \"host_seconds\": %.4f, "
-            "\"events_per_host_second\": %.0f, \"frames_sent\": %llu, "
-            "\"frames_delivered\": %llu, \"collisions\": %llu}",
-            first ? "" : ",\n", nodes, network_seconds,
-            static_cast<unsigned long long>(result.eventsProcessed), elapsed,
-            events_per_sec,
-            static_cast<unsigned long long>(result.framesSent),
-            static_cast<unsigned long long>(result.framesDelivered),
-            static_cast<unsigned long long>(result.collisions));
-        first = false;
-    }
-
-    std::fprintf(out, "\n  ],\n  \"parallel_scale\": [\n");
-
-    // Sharded-kernel scaling. The broadcast channel couples every shard
-    // pair by construction (one shared medium), so it bounds the sync
-    // overhead; the spatial grids are what locality partitioning and
-    // per-shard-pair lookahead actually speed up. Every thread count
-    // must reproduce the sequential counters exactly. Rows where the
-    // thread count exceeds the host's cores are flagged oversubscribed:
-    // their speedup column measures scheduling noise, not the kernel.
-    struct ParallelCase
-    {
-        const char *scenario;
-        unsigned nodes;
-        double seconds;
-    };
-    constexpr ParallelCase cases[] = {
-        {"broadcast", 64, 0.5},
-        {"spatial", 256, 0.2},
-        {"spatial", 1024, 0.05},
-    };
-    bool parallel_match = true;
-    first = true;
-    for (const ParallelCase &pc : cases) {
-        const bool broadcast = std::strcmp(pc.scenario, "broadcast") == 0;
-        NetworkResult seq;
-        double seq_elapsed = 0.0;
-        for (unsigned threads : {1u, 2u, 4u}) {
-            auto start = std::chrono::steady_clock::now();
-            NetworkResult result =
-                broadcast ? runNetwork(pc.nodes, pc.seconds, threads)
-                          : runSpatialNetwork(pc.nodes, pc.seconds, threads);
-            double elapsed = secondsSince(start);
-            if (threads == 1) {
-                seq = result;
-                seq_elapsed = elapsed;
-            }
-            bool match = result == seq;
-            parallel_match = parallel_match && match;
-            bool oversub = cores != 0 && threads > cores;
-            double speedup = seq_elapsed / elapsed;
-            std::printf("%-9s %4u nodes, %u threads: %6.3f s host "
-                        "(speedup %.2fx%s, stats %s)\n",
-                        pc.scenario, pc.nodes, threads, elapsed, speedup,
-                        oversub ? ", OVERSUBSCRIBED" : "",
-                        match ? "identical" : "DIVERGED");
-            std::fprintf(out,
-                         "%s    {\"scenario\": \"%s\", \"threads\": %u, "
-                         "\"nodes\": %u, \"simulated_seconds\": %.2f, "
-                         "\"host_seconds\": %.4f, "
-                         "\"speedup_vs_sequential\": %.3f, "
-                         "\"oversubscribed\": %s, \"stats_identical\": %s}",
-                         first ? "" : ",\n", pc.scenario, threads, pc.nodes,
-                         pc.seconds, elapsed, speedup,
-                         oversub ? "true" : "false",
-                         match ? "true" : "false");
-            first = false;
-        }
-    }
-
-    // Determinism: two seeded 64-node runs must agree on every stat.
-    NetworkResult a = runNetwork(64, network_seconds);
-    NetworkResult b = runNetwork(64, network_seconds);
-    bool deterministic = a == b;
-    std::printf("64-node determinism check: %s\n",
-                deterministic ? "PASS" : "FAIL");
-    std::fprintf(out,
-                 "\n  ],\n  \"determinism_64_nodes\": {\"deterministic\": "
-                 "%s, \"events\": %llu, \"frames_sent\": %llu, "
-                 "\"frames_delivered\": %llu, \"collisions\": %llu}\n}\n",
-                 deterministic ? "true" : "false",
-                 static_cast<unsigned long long>(a.eventsProcessed),
-                 static_cast<unsigned long long>(a.framesSent),
-                 static_cast<unsigned long long>(a.framesDelivered),
-                 static_cast<unsigned long long>(a.collisions));
-    std::fclose(out);
-    std::printf("snapshot written to %s\n", path.c_str());
-    return (deterministic && parallel_match) ? 0 : 1;
+/** One sequential broadcast network, timed. */
+bench::Row
+scaleRow(unsigned nodes, double seconds)
+{
+    auto start = std::chrono::steady_clock::now();
+    const Counters c = runNetwork(nodes, seconds);
+    const double elapsed = bench::secondsSince(start);
+    bench::Row row;
+    row.input.text("table", "network_scale")
+        .count("nodes", nodes)
+        .number("simulated_seconds", seconds);
+    exactCounts(row.exact, c);
+    row.rate.number("events_per_host_second",
+                    static_cast<double>(c.eventsProcessed) / elapsed);
+    row.info.number("host_seconds", elapsed);
+    return row;
 }
 
 /**
- * Perf-regression smoke (CI): re-measure the network_scale rows and
- * compare each against the committed snapshot at @p path. The band is
- * deliberately loose — fail only below ref/4 — because the CI host
- * differs from the host that wrote the snapshot; the goal is catching
- * order-of-magnitude kernel regressions, not 10% drift. Run it on a
- * Release build only: a sanitizer or Debug build is legitimately far
- * slower than any committed Release number.
+ * The sharded kernel at @p threads against the sequential run: the
+ * broadcast channel couples every shard pair (the sync-overhead bound),
+ * the spatial grids are what locality partitioning speeds up. With more
+ * threads than host cores the speedup measures scheduling noise, so it
+ * is info, never gated.
  */
-int
-runCheck(const std::string &path)
+bench::Row
+parallelRow(bool broadcast, unsigned nodes, unsigned threads, double seconds)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "check: cannot read %s\n", path.c_str());
-        return 1;
+    double elapsed[2] = {};
+    Counters runs[2];
+    for (unsigned i = 0; i < 2; ++i) {
+        const unsigned k = i == 0 ? 1 : threads;
+        auto start = std::chrono::steady_clock::now();
+        runs[i] = broadcast ? runNetwork(nodes, seconds, k)
+                            : runSpatialNetwork(nodes, seconds, k);
+        elapsed[i] = bench::secondsSince(start);
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    const std::size_t begin = text.find("\"network_scale\"");
-    const std::size_t end = text.find("\"parallel_scale\"");
-    if (begin == std::string::npos || end == std::string::npos ||
-        end <= begin) {
-        std::fprintf(stderr, "check: %s has no network_scale section\n",
-                     path.c_str());
-        return 1;
-    }
-
     const unsigned cores = std::thread::hardware_concurrency();
-    std::printf("check: host has %u core(s), %s build; reference %s\n",
-                cores, ULP_BUILD_TYPE, path.c_str());
-
-    int failures = 0;
-    unsigned rows = 0;
-    std::size_t pos = begin;
-    while (true) {
-        const std::size_t n = text.find("\"nodes\": ", pos);
-        if (n == std::string::npos || n >= end)
-            break;
-        const unsigned nodes = static_cast<unsigned>(
-            std::strtoul(text.c_str() + n + 9, nullptr, 10));
-        const std::size_t s = text.find("\"simulated_seconds\": ", n);
-        const double sim_seconds =
-            (s != std::string::npos && s < end)
-                ? std::strtod(text.c_str() + s + 21, nullptr)
-                : 0.5;
-        const std::size_t e = text.find("\"events_per_host_second\": ", n);
-        if (e == std::string::npos || e >= end)
-            break;
-        const double ref = std::strtod(text.c_str() + e + 26, nullptr);
-        pos = e + 26;
-        ++rows;
-
-        // Same simulated duration as the committed row, best of two
-        // runs: the first run eats the cold caches.
-        double measured = 0.0;
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            auto start = std::chrono::steady_clock::now();
-            NetworkResult result = runNetwork(nodes, sim_seconds);
-            double elapsed = secondsSince(start);
-            measured = std::max(
-                measured,
-                static_cast<double>(result.eventsProcessed) / elapsed);
-        }
-        bool ok = ref <= 0.0 || measured >= ref / 4.0;
-        std::printf("check: %4u nodes: %8.2f Mev/s vs committed %8.2f "
-                    "Mev/s -> %s\n",
-                    nodes, measured / 1e6, ref / 1e6,
-                    ok ? "ok" : "REGRESSION");
-        if (!ok)
-            ++failures;
-    }
-    if (rows == 0) {
-        std::fprintf(stderr, "check: no network_scale rows parsed from %s\n",
-                     path.c_str());
-        return 1;
-    }
-    if (failures) {
-        std::fprintf(stderr, "check: %d of %u rows below the ref/4 band\n",
-                     failures, rows);
-        return 1;
-    }
-    std::printf("check OK: all %u network_scale rows within band\n", rows);
-    return 0;
+    bench::Row row;
+    row.input.text("table", "parallel_scale")
+        .text("scenario", broadcast ? "broadcast" : "spatial")
+        .count("nodes", nodes)
+        .count("threads", threads)
+        .number("simulated_seconds", seconds);
+    const Counters &c = runs[1];
+    exactCounts(row.exact, c);
+    row.exact.flag("stats_identical", c == runs[0])
+        .flag("traffic", c.framesSent > 0 &&
+                             (nodes == 1 || c.framesDelivered > 0 ||
+                              c.collisions > 0));
+    row.info.number("host_seconds", elapsed[1])
+        .number("speedup_vs_sequential", elapsed[0] / elapsed[1])
+        .flag("oversubscribed", cores != 0 && threads > cores);
+    return row;
 }
 
-int
-runSmoke(unsigned threads)
+/** Two seeded runs on @p threads shards must agree on every counter. */
+bench::Row
+determinismRow(unsigned nodes, double seconds, unsigned threads)
 {
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (cores != 0 && threads > cores) {
-        // Oversubscribed: still worth running (the TSan correctness
-        // oracle is the point of --threads), but never time it.
-        std::printf("smoke: %u threads on %u host core(s) -- "
-                    "oversubscribed; correctness-only, no timings\n",
-                    threads, cores);
+    const Counters a = runNetwork(nodes, seconds, threads);
+    bench::Row row;
+    row.input.text("table", "determinism")
+        .count("nodes", nodes)
+        .count("threads", threads)
+        .number("simulated_seconds", seconds);
+    row.exact.flag("deterministic",
+                   a == runNetwork(nodes, seconds, threads));
+    exactCounts(row.exact, a);
+    return row;
+}
+
+/** The snapshot rows, which --json writes and --check re-runs, or the
+ *  --smoke rows on @p threads shards. */
+std::vector<bench::Row>
+measureRows(bool smoke, unsigned threads)
+{
+    std::vector<bench::Row> rows;
+    auto add = [&rows](bench::Row row) {
+        std::printf("%s %s %s\n", row.input.json().c_str(),
+                    row.exact.json().c_str(), row.rate.json().c_str());
+        rows.push_back(std::move(row));
+    };
+    if (smoke) {
+        for (unsigned nodes : {1u, 8u, 32u, 64u})
+            add(parallelRow(true, nodes, std::min(threads, nodes), 0.05));
+        add(determinismRow(64, 0.05, threads));
+        return rows;
     }
-    for (unsigned nodes : {1u, 8u, 32u, 64u}) {
-        const unsigned t = std::min(threads, nodes);
-        NetworkResult result = runNetwork(nodes, 0.05, t);
-        if (result.eventsProcessed == 0 || result.framesSent == 0 ||
-            (nodes > 1 &&
-             result.framesDelivered + result.collisions == 0)) {
-            std::fprintf(stderr, "smoke: %u-node run looks dead\n", nodes);
-            return 1;
-        }
-        std::printf("smoke %2u nodes (%u threads): %llu events, "
-                    "%llu frames\n",
-                    nodes, t,
-                    static_cast<unsigned long long>(result.eventsProcessed),
-                    static_cast<unsigned long long>(result.framesSent));
-    }
-    NetworkResult a = runNetwork(64, 0.05, threads);
-    NetworkResult b = runNetwork(64, 0.05, threads);
-    if (!(a == b)) {
-        std::fprintf(stderr, "smoke: 64-node run is not deterministic\n");
-        return 1;
-    }
-    if (threads > 1) {
-        NetworkResult seq = runNetwork(64, 0.05, 1);
-        if (!(a == seq)) {
-            std::fprintf(stderr,
-                         "smoke: %u-thread stats diverge from sequential\n",
-                         threads);
-            return 1;
-        }
-    }
-    std::printf("smoke OK (64-node rerun bit-identical)\n");
-    return 0;
+    for (std::size_t depth : {64, 256, 1024, 4096})
+        add(queueRow(depth));
+    for (unsigned nodes : {1u, 8u, 32u, 64u})
+        add(scaleRow(nodes, 0.5));
+    for (unsigned threads : {1u, 2u, 4u})
+        add(parallelRow(true, 64, threads, 0.5));
+    for (unsigned threads : {1u, 2u, 4u})
+        add(parallelRow(false, 256, threads, 0.2));
+    for (unsigned threads : {1u, 2u, 4u})
+        add(parallelRow(false, 1024, threads, 0.05));
+    add(determinismRow(64, 0.5, 1));
+    return rows;
 }
 
 } // namespace
@@ -753,27 +541,28 @@ runSmoke(unsigned threads)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
     unsigned threads = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--json", 6) == 0) {
-            std::string path = "BENCH_simkernel.json";
-            if (argv[i][6] == '=')
-                path = argv[i] + 7;
-            return writeSnapshot(path);
-        } else if (std::strncmp(argv[i], "--check", 7) == 0) {
-            std::string path = "BENCH_simkernel.json";
-            if (argv[i][7] == '=')
-                path = argv[i] + 8;
-            return runCheck(path);
-        }
+    const bench::Options options = bench::parseOptions(
+        argc, argv, "BENCH_simkernel.json", true,
+        " [--threads=K] [--benchmark_*...]",
+        [&threads](std::string_view arg) {
+            // google-benchmark parses its own flags below.
+            if (arg.starts_with("--benchmark_"))
+                return true;
+            if (!arg.starts_with("--threads="))
+                return false;
+            const std::string_view k = arg.substr(10);
+            const auto [end, ec] =
+                std::from_chars(k.data(), k.data() + k.size(), threads);
+            return ec == std::errc() && end == k.data() + k.size() &&
+                   threads > 0;
+        });
+    if (options.smoke || !options.json.empty() || !options.check.empty()) {
+        return bench::run(options, "bench_sim_throughput",
+                          [threads](bool smoke, bool) {
+                              return measureRows(smoke, threads);
+                          });
     }
-    if (smoke)
-        return runSmoke(threads == 0 ? 1 : threads);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -1,32 +1,19 @@
 #include "campaign/report.hh"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace ulp::campaign {
 
 namespace {
-
-/** Extract a numeric field from a flat JSON object; false if absent. */
-bool
-numberField(const std::string &json, const char *name, double *out)
-{
-    const std::string needle = "\"" + std::string(name) + "\":";
-    auto pos = json.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-    return true;
-}
 
 /** Group key: the override list minus the ensemble seed axis. */
 std::string
@@ -55,64 +42,6 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[rank - 1];
 }
 
-struct BaselineGroup
-{
-    std::string group;
-    std::size_t n = 0;
-    double deliveryP50 = 0;
-    double energyPerBitP50 = 0;
-    double lifetimeP50 = 0;
-};
-
-/**
- * Parse the baseline snapshot we wrote ourselves: scan for each
- * `{"group":"..."` object and pull its numeric fields. Tolerant of
- * whitespace, intolerant of a missing file.
- */
-std::vector<BaselineGroup>
-loadBaseline(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open baseline '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    std::vector<BaselineGroup> out;
-    const std::string marker = "{\"group\":\"";
-    std::size_t pos = 0;
-    while ((pos = text.find(marker, pos)) != std::string::npos) {
-        std::size_t start = pos + marker.size();
-        std::string name;
-        std::size_t i = start;
-        for (; i < text.size() && text[i] != '"'; ++i) {
-            if (text[i] == '\\' && i + 1 < text.size())
-                name += text[++i];
-            else
-                name += text[i];
-        }
-        std::size_t end = text.find('}', i);
-        if (end == std::string::npos)
-            sim::fatal("baseline '%s' is truncated", path.c_str());
-        const std::string object = text.substr(pos, end - pos + 1);
-
-        BaselineGroup g;
-        g.group = name;
-        double n = 0;
-        if (numberField(object, "n", &n))
-            g.n = static_cast<std::size_t>(n);
-        numberField(object, "delivery_ratio_p50", &g.deliveryP50);
-        numberField(object, "energy_per_bit_j_p50", &g.energyPerBitP50);
-        numberField(object, "lifetime_s_p50", &g.lifetimeP50);
-        out.push_back(std::move(g));
-        pos = end;
-    }
-    if (out.empty())
-        sim::fatal("baseline '%s' holds no groups", path.c_str());
-    return out;
-}
-
 bool
 withinTolerance(double a, double b, double tolerance)
 {
@@ -122,39 +51,56 @@ withinTolerance(double a, double b, double tolerance)
 } // namespace
 
 std::vector<GroupSummary>
+loadBaseline(const std::string &path)
+{
+    const sim::json::Document doc = sim::json::Document::fromFile(path);
+    std::vector<GroupSummary> out;
+    for (const sim::json::Value &g : doc.root()["groups"].array()) {
+        GroupSummary b;
+        b.group = g["group"].string();
+        b.n = g["n"].unsignedInt();
+        b.deliveryP50 = g["delivery_ratio_p50"].number();
+        b.energyPerBitP50 = g["energy_per_bit_j_p50"].number();
+        b.lifetimeP50 = g["lifetime_s_p50"].number();
+        out.push_back(std::move(b));
+    }
+    if (out.empty())
+        sim::fatal("baseline '%s' holds no groups", path.c_str());
+    return out;
+}
+
+std::vector<GroupSummary>
 summarize(const std::vector<RunRecord> &records)
 {
-    struct Samples
-    {
-        std::vector<double> delivery, energyPerBit, lifetime;
-    };
+    // Per group, the samples of each summaryStats member.
+    using Samples = std::array<std::vector<double>, std::size(summaryStats)>;
     std::map<std::string, Samples> byGroup;
     for (const RunRecord &record : records) {
         if (!record.ok())
             continue;
         Samples &s = byGroup[groupKey(record)];
-        double v = 0;
-        if (numberField(record.stats, "delivery_ratio", &v))
-            s.delivery.push_back(v);
-        if (numberField(record.stats, "energy_per_bit_j", &v))
-            s.energyPerBit.push_back(v);
-        if (numberField(record.stats, "lifetime_s", &v))
-            s.lifetime.push_back(v);
+        const sim::json::Document stats(
+            "run " + std::to_string(record.id) + " stats",
+            record.stats.empty() ? "{}" : record.stats);
+        for (std::size_t k = 0; k < s.size(); ++k) {
+            if (const sim::json::Value *v = stats.root().find(summaryStats[k]))
+                s[k].push_back(v->number());
+        }
     }
 
     std::vector<GroupSummary> out;
     for (auto &[group, s] : byGroup) {
-        std::sort(s.delivery.begin(), s.delivery.end());
-        std::sort(s.energyPerBit.begin(), s.energyPerBit.end());
-        std::sort(s.lifetime.begin(), s.lifetime.end());
+        for (std::vector<double> &samples : s)
+            std::sort(samples.begin(), samples.end());
+        const auto &[delivery, energyPerBit, lifetime] = s;
         GroupSummary g;
         g.group = group;
-        g.n = s.delivery.size();
-        g.deliveryP50 = percentile(s.delivery, 0.50);
-        g.deliveryP95 = percentile(s.delivery, 0.95);
-        g.deliveryP99 = percentile(s.delivery, 0.99);
-        g.energyPerBitP50 = percentile(s.energyPerBit, 0.50);
-        g.lifetimeP50 = percentile(s.lifetime, 0.50);
+        g.n = delivery.size();
+        g.deliveryP50 = percentile(delivery, 0.50);
+        g.deliveryP95 = percentile(delivery, 0.95);
+        g.deliveryP99 = percentile(delivery, 0.99);
+        g.energyPerBitP50 = percentile(energyPerBit, 0.50);
+        g.lifetimeP50 = percentile(lifetime, 0.50);
         out.push_back(std::move(g));
     }
     return out;
@@ -199,7 +145,7 @@ writeBaseline(const std::string &path,
     if (!out)
         sim::fatal("cannot write baseline '%s'", path.c_str());
     std::fprintf(out, "{\"campaign\":\"%s\",\"groups\":[\n",
-                 jsonEscape(header.campaign).c_str());
+                 sim::json::escape(header.campaign).c_str());
     for (std::size_t i = 0; i < groups.size(); ++i) {
         const GroupSummary &g = groups[i];
         std::fprintf(out,
@@ -207,7 +153,7 @@ writeBaseline(const std::string &path,
                      "\"delivery_ratio_p50\":%.6f,"
                      "\"energy_per_bit_j_p50\":%.9g,"
                      "\"lifetime_s_p50\":%.6f}%s\n",
-                     jsonEscape(g.group).c_str(), g.n, g.deliveryP50,
+                     sim::json::escape(g.group).c_str(), g.n, g.deliveryP50,
                      g.energyPerBitP50, g.lifetimeP50,
                      i + 1 < groups.size() ? "," : "");
     }
@@ -219,14 +165,14 @@ unsigned
 checkBaseline(const std::string &path,
               const std::vector<GroupSummary> &groups, double tolerance)
 {
-    const std::vector<BaselineGroup> baseline = loadBaseline(path);
+    const std::vector<GroupSummary> baseline = loadBaseline(path);
     unsigned violations = 0;
     auto violate = [&violations](const std::string &msg) {
         std::fprintf(stderr, "campaign check: %s\n", msg.c_str());
         ++violations;
     };
 
-    for (const BaselineGroup &b : baseline) {
+    for (const GroupSummary &b : baseline) {
         const GroupSummary *current = nullptr;
         for (const GroupSummary &g : groups) {
             if (g.group == b.group) {
@@ -263,7 +209,7 @@ checkBaseline(const std::string &path,
     }
     for (const GroupSummary &g : groups) {
         bool known = false;
-        for (const BaselineGroup &b : baseline)
+        for (const GroupSummary &b : baseline)
             known |= b.group == g.group;
         if (!known) {
             violate("group '" + g.group +

@@ -43,6 +43,10 @@ void printReport(const ResultsStore::Header &header,
                  const std::vector<RunRecord> &records,
                  const std::vector<GroupSummary> &groups);
 
+/** Read the baseline at @p path (group and p50 fields; fatal, naming
+ *  path:line:column, when it is malformed or holds no groups). */
+std::vector<GroupSummary> loadBaseline(const std::string &path);
+
 /** Write the baseline JSON snapshot of @p groups to @p path. */
 void writeBaseline(const std::string &path,
                    const ResultsStore::Header &header,

@@ -1,308 +1,91 @@
 #include "campaign/store.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cinttypes>
-#include <cstring>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace ulp::campaign {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal JSON line parser, sized for the store's own records: objects,
-// strings, unsigned numbers, arrays of strings, and verbatim capture of
-// one nested object (the stats blob, which must survive byte-identical).
-// ---------------------------------------------------------------------------
+using sim::json::Document;
+using sim::json::escape;
+using sim::json::Member;
+using sim::json::Value;
 
-struct LineParser
+/** The header line; members other than those written are skipped. */
+ResultsStore::Header
+readHeader(const Value &line)
 {
-    const std::string &s;
-    std::size_t pos = 0;
-
-    bool
-    failIf(bool cond)
-    {
-        if (cond)
-            ok = false;
-        return !ok;
-    }
-    bool ok = true;
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return pos < s.size() && s[pos] == c;
-    }
-
-    std::string
-    parseString()
-    {
-        std::string out;
-        if (!consume('"'))
-            return out;
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (failIf(pos >= s.size()))
-                return out;
-            char e = s[pos++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (failIf(pos + 4 > s.size()))
-                    return out;
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = s[pos++];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else {
-                        ok = false;
-                        return out;
-                    }
-                }
-                // The writer only emits \u00XX control escapes.
-                out += static_cast<char>(v & 0xff);
-                break;
-              }
-              default:
-                ok = false;
-                return out;
-            }
-        }
-        if (failIf(pos >= s.size()))
-            return out;
-        ++pos; // closing quote
-        return out;
-    }
-
-    std::uint64_t
-    parseUnsigned()
-    {
-        skipWs();
-        std::size_t start = pos;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos])))
-            ++pos;
-        if (failIf(pos == start))
-            return 0;
-        return std::strtoull(s.c_str() + start, nullptr, 10);
-    }
-
-    /** Capture one balanced {...} object verbatim (string-aware). */
-    std::string
-    parseRawObject()
-    {
-        skipWs();
-        if (failIf(pos >= s.size() || s[pos] != '{'))
-            return "";
-        std::size_t start = pos;
-        int depth = 0;
-        bool inString = false;
-        while (pos < s.size()) {
-            char c = s[pos];
-            if (inString) {
-                if (c == '\\')
-                    ++pos; // skip the escaped char
-                else if (c == '"')
-                    inString = false;
-            } else if (c == '"') {
-                inString = true;
-            } else if (c == '{') {
-                ++depth;
-            } else if (c == '}') {
-                if (--depth == 0) {
-                    ++pos;
-                    return s.substr(start, pos - start);
-                }
-            }
-            ++pos;
-        }
-        ok = false;
-        return "";
-    }
-
-    std::vector<std::string>
-    parseStringArray()
-    {
-        std::vector<std::string> out;
-        if (!consume('['))
-            return out;
-        if (peek(']')) {
-            consume(']');
-            return out;
-        }
-        while (ok) {
-            out.push_back(parseString());
-            if (peek(']')) {
-                consume(']');
-                break;
-            }
-            if (!consume(','))
-                break;
-        }
-        return out;
-    }
-
-    /** Skip any value (used for unknown fields: forward compatibility). */
-    void
-    skipValue()
-    {
-        skipWs();
-        if (pos >= s.size()) {
-            ok = false;
-            return;
-        }
-        char c = s[pos];
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            parseRawObject();
-        } else if (c == '[') {
-            int depth = 0;
-            bool inString = false;
-            while (pos < s.size()) {
-                char d = s[pos];
-                if (inString) {
-                    if (d == '\\')
-                        ++pos;
-                    else if (d == '"')
-                        inString = false;
-                } else if (d == '"') {
-                    inString = true;
-                } else if (d == '[') {
-                    ++depth;
-                } else if (d == ']') {
-                    if (--depth == 0) {
-                        ++pos;
-                        return;
-                    }
-                }
-                ++pos;
-            }
-            ok = false;
-        } else {
-            while (pos < s.size() && s[pos] != ',' && s[pos] != '}' &&
-                   s[pos] != ']')
-                ++pos;
-        }
-    }
-};
-
-/** Parse a header line; returns false when malformed. */
-bool
-parseHeaderLine(const std::string &line, ResultsStore::Header *header)
-{
-    LineParser p{line};
-    if (!p.consume('{'))
-        return false;
+    ResultsStore::Header header;
     bool isHeader = false;
-    while (p.ok) {
-        std::string key = p.parseString();
-        if (!p.consume(':'))
-            break;
-        if (key == "type")
-            isHeader = p.parseString() == "campaign";
-        else if (key == "campaign")
-            header->campaign = p.parseString();
-        else if (key == "scenario")
-            header->scenario = p.parseString();
-        else if (key == "runs")
-            header->runs = p.parseUnsigned();
-        else if (key == "digest")
-            header->digest =
-                std::strtoull(p.parseString().c_str(), nullptr, 16);
-        else
-            p.skipValue();
-        if (p.peek('}')) {
-            p.consume('}');
-            return p.ok && isHeader;
+    for (const Member &m : line.object()) {
+        if (m.key == "type")
+            isHeader = m.value.string() == "campaign";
+        else if (m.key == "campaign")
+            header.campaign = m.value.string();
+        else if (m.key == "scenario")
+            header.scenario = m.value.string();
+        else if (m.key == "runs")
+            header.runs = m.value.unsignedInt();
+        else if (m.key == "digest") {
+            const std::string &hex = m.value.string();
+            const char *end = hex.data() + hex.size();
+            const auto [last, ec] =
+                std::from_chars(hex.data(), end, header.digest, 16);
+            if (ec != std::errc() || last != end)
+                m.value.fail("digest is not a 64-bit hexadecimal number");
         }
-        if (!p.consume(','))
-            break;
     }
-    return false;
+    if (!isHeader)
+        line.fail("not a campaign results-store header");
+    return header;
 }
 
-/** Parse a run-record line; returns false when malformed. */
-bool
-parseRecordLine(const std::string &line, RunRecord *record)
+/** A run-record line; unknown members are skipped so newer stores
+ *  stay readable. */
+RunRecord
+readRecord(const Value &line)
 {
-    LineParser p{line};
-    if (!p.consume('{'))
-        return false;
+    RunRecord record;
     bool sawId = false, sawStatus = false;
-    while (p.ok) {
-        std::string key = p.parseString();
-        if (!p.consume(':'))
-            break;
-        if (key == "id") {
-            record->id = p.parseUnsigned();
+    for (const Member &m : line.object()) {
+        if (m.key == "id") {
+            record.id = m.value.unsignedInt();
             sawId = true;
-        } else if (key == "status") {
-            record->status = p.parseString();
+        } else if (m.key == "status") {
+            record.status = m.value.string();
             sawStatus = true;
-        } else if (key == "attempts")
-            record->attempts = static_cast<unsigned>(p.parseUnsigned());
-        else if (key == "elapsed_us")
-            record->elapsedUs = p.parseUnsigned();
-        else if (key == "overrides")
-            record->overrides = p.parseStringArray();
-        else if (key == "stats")
-            record->stats = p.parseRawObject();
-        else if (key == "error")
-            record->error = p.parseString();
-        else
-            p.skipValue();
-        if (p.peek('}')) {
-            p.consume('}');
-            return p.ok && sawId && sawStatus;
+        } else if (m.key == "attempts") {
+            const std::uint64_t attempts = m.value.unsignedInt();
+            if (attempts > UINT_MAX)
+                m.value.fail("attempt count out of range");
+            record.attempts = static_cast<unsigned>(attempts);
+        } else if (m.key == "elapsed_us") {
+            record.elapsedUs = m.value.unsignedInt();
+        } else if (m.key == "overrides") {
+            for (const Value &o : m.value.array())
+                record.overrides.push_back(o.string());
+        } else if (m.key == "stats") {
+            m.value.object();
+            for (const char *key : summaryStats) {
+                if (const Value *v = m.value.find(key))
+                    v->number();
+            }
+            record.stats = std::string(m.value.source);
+        } else if (m.key == "error") {
+            record.error = m.value.string();
         }
-        if (!p.consume(','))
-            break;
     }
-    return false;
+    if (!sawId || !sawStatus)
+        line.fail("run record without \"id\" and \"status\"");
+    return record;
 }
 
 struct ParsedStore
@@ -333,27 +116,30 @@ parseStore(const std::string &path, const std::string &text)
         std::size_t next = lastAndTorn ? text.size() : nl + 1;
         ++lineNo;
 
-        bool good = false;
-        if (!sawHeader) {
-            good = parseHeaderLine(line, &out.header);
-            sawHeader = good;
-        } else {
-            RunRecord record;
-            good = parseRecordLine(line, &record);
-            if (good)
-                out.records.push_back(std::move(record));
-        }
-        if (!good) {
-            const bool lastLine = next >= text.size();
-            if (lastLine && sawHeader) {
-                // A torn tail is the expected crash artifact.
-                ++out.torn;
-                return out;
+        const bool headerLine = !sawHeader;
+        try {
+            const Document doc(path, std::move(line), lineNo);
+            if (headerLine) {
+                out.header = readHeader(doc.root());
+                sawHeader = true;
+            } else {
+                out.records.push_back(readRecord(doc.root()));
             }
-            sim::fatal("%s:%u: malformed results-store line",
-                       path.c_str(), lineNo);
+        } catch (const sim::FatalError &) {
+            // A torn tail is the expected crash artifact; a bad line
+            // anywhere else is fatal, naming path:line:column.
+            if (next < text.size() || headerLine)
+                throw;
+            ++out.torn;
+            return out;
         }
         if (lastAndTorn) {
+            // Appending after a header without its newline would glue
+            // the first record onto it.
+            if (headerLine) {
+                sim::fatal("%s:%u: results-store header has no newline",
+                           path.c_str(), lineNo);
+            }
             // Parsed, but the newline never made it out: the flush was
             // cut mid-record — treat as torn so it is rewritten whole.
             out.records.pop_back();
@@ -380,30 +166,6 @@ readWholeFile(const std::string &path)
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else
-                out += static_cast<char>(c);
-        }
-    }
-    return out;
-}
 
 ResultsStore
 ResultsStore::open(const std::string &path, const Header &header,
@@ -457,8 +219,8 @@ ResultsStore::open(const std::string &path, const Header &header,
         buf, sizeof buf,
         "{\"type\":\"campaign\",\"campaign\":\"%s\",\"scenario\":\"%s\","
         "\"runs\":%" PRIu64 ",\"digest\":\"%016" PRIx64 "\"}\n",
-        jsonEscape(header.campaign).c_str(),
-        jsonEscape(header.scenario).c_str(), header.runs, header.digest);
+        escape(header.campaign).c_str(),
+        escape(header.scenario).c_str(), header.runs, header.digest);
     if (n < 0 || static_cast<std::size_t>(n) >= sizeof buf ||
         std::fwrite(buf, 1, static_cast<std::size_t>(n), store.out) !=
             static_cast<std::size_t>(n)) {
@@ -498,15 +260,15 @@ ResultsStore::append(const RunRecord &record)
     for (std::size_t i = 0; i < record.overrides.size(); ++i) {
         if (i)
             overrides += ",";
-        overrides += "\"" + jsonEscape(record.overrides[i]) + "\"";
+        overrides += "\"" + escape(record.overrides[i]) + "\"";
     }
     std::ostringstream line;
     line << "{\"id\":" << record.id << ",\"status\":\""
-         << jsonEscape(record.status) << "\",\"attempts\":"
+         << escape(record.status) << "\",\"attempts\":"
          << record.attempts << ",\"elapsed_us\":" << record.elapsedUs
          << ",\"overrides\":[" << overrides << "],\"stats\":"
          << (record.stats.empty() ? "{}" : record.stats)
-         << ",\"error\":\"" << jsonEscape(record.error) << "\"}\n";
+         << ",\"error\":\"" << escape(record.error) << "\"}\n";
     const std::string text = line.str();
     // One write + flush per record: the crash-safety unit is the line.
     if (std::fwrite(text.data(), 1, text.size(), out) != text.size())

@@ -42,6 +42,11 @@
 
 namespace ulp::campaign {
 
+/** The `stats` members `campaign report` summarizes, in GroupSummary
+ *  order: a record holding one as anything but a number does not load. */
+inline constexpr const char *summaryStats[] = {
+    "delivery_ratio", "energy_per_bit_j", "lifetime_s"};
+
 /** One stored run outcome. */
 struct RunRecord
 {
@@ -55,9 +60,6 @@ struct RunRecord
 
     bool ok() const { return status == "ok"; }
 };
-
-/** JSON string escaping for the fields we write (and its inverse). */
-std::string jsonEscape(const std::string &s);
 
 class ResultsStore
 {

@@ -37,8 +37,6 @@ Network::build(const scenario::NetworkSpec &spec)
     // Assemble each distinct application once; every node installs the
     // shared image with its own parameter bytes (installApp).
     for (const scenario::NodeSpec &ns : spec.nodes) {
-        if (ns.prebuiltApp)
-            continue;
         apps::AppShape shape = apps::appShape(ns.app, ns.params);
         if (!images.count(shape)) {
             apps::AppImage image = apps::assembleImage(
@@ -248,10 +246,6 @@ Network::installApp(unsigned node)
 {
     const scenario::NodeSpec &ns = builtSpec.nodes[node];
     SensorNode &n = *nodeByIndex[node];
-    if (ns.prebuiltApp) {
-        apps::install(n, *ns.prebuiltApp);
-        return;
-    }
     // Values first: their range checks run for every node.
     const apps::ParamValues values = apps::paramValues(ns.app, ns.params);
     apps::install(n, images.at(apps::appShape(ns.app, ns.params)), values);

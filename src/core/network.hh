@@ -171,8 +171,8 @@ class Network
 
     void build(const scenario::NetworkSpec &spec);
 
-    /** Install the node's application (its prebuilt one, or its shape's
-     *  image stamped with its parameter bytes) and boot it. */
+    /** Install the node's application (its shape's image stamped with
+     *  its parameter bytes) and boot it. */
     void installApp(unsigned node);
 
     /** Program the node's platform registers the scenario owns (beacon

@@ -2,13 +2,12 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "obs/exporters.hh"
+#include "sim/json.hh"
 #include "sim/telemetry.hh"
 
 namespace ulp::obs {
@@ -16,6 +15,7 @@ namespace ulp::obs {
 namespace {
 
 using sim::TelemetryChannel;
+using sim::json::escape;
 
 /**
  * Human names for the small enums carried in record payloads. These
@@ -26,25 +26,6 @@ using sim::TelemetryChannel;
 constexpr const char *powerStateNames[] = {"gated", "idle", "active"};
 constexpr const char *epStateNames[] = {"ready", "wait_bus", "lookup",
                                         "fetch", "execute"};
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
 
 /** "node12.ep" -> 12; components outside a node go to pid 0. */
 unsigned
@@ -105,12 +86,12 @@ exportChrome(const MergedLog &log, const ExportNames &names)
         processes.emplace(pid[c], proc);
         event("\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
               std::to_string(pid[c]) + ",\"tid\":" + std::to_string(c + 1) +
-              ",\"args\":{\"name\":\"" + jsonEscape(name) + "\"}");
+              ",\"args\":{\"name\":\"" + escape(name) + "\"}");
     }
     for (const auto &[p, proc] : processes) {
         event("\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
               std::to_string(p) + ",\"tid\":0,\"args\":{\"name\":\"" +
-              jsonEscape(proc) + "\"}");
+              escape(proc) + "\"}");
     }
 
     const std::uint64_t endTick =
@@ -120,7 +101,7 @@ exportChrome(const MergedLog &log, const ExportNames &names)
                         const std::string &name, std::uint64_t start,
                         std::uint64_t end) {
         event("\"ph\":\"X\",\"cat\":\"" + std::string(cat) +
-              "\",\"name\":\"" + jsonEscape(name) +
+              "\",\"name\":\"" + escape(name) +
               "\",\"pid\":" + std::to_string(pid[comp]) +
               ",\"tid\":" + std::to_string(comp + 1) +
               ",\"ts\":" + fmtDouble(us(start)) +
@@ -129,7 +110,7 @@ exportChrome(const MergedLog &log, const ExportNames &names)
     auto instant = [&](std::uint32_t comp, const char *cat,
                        const std::string &name, std::uint64_t tick) {
         event("\"ph\":\"i\",\"s\":\"t\",\"cat\":\"" + std::string(cat) +
-              "\",\"name\":\"" + jsonEscape(name) +
+              "\",\"name\":\"" + escape(name) +
               "\",\"pid\":" + std::to_string(pid[comp]) +
               ",\"tid\":" + std::to_string(comp + 1) +
               ",\"ts\":" + fmtDouble(us(tick)));
@@ -234,7 +215,7 @@ exportChrome(const MergedLog &log, const ExportNames &names)
                 double watts = (joules - lastEnergy[c]) /
                                ((r.tick - lastEnergyTick[c]) * 1e-9);
                 event("\"ph\":\"C\",\"cat\":\"energy\",\"name\":\"" +
-                      jsonEscape(log.components[c] + " power") +
+                      escape(log.components[c] + " power") +
                       "\",\"pid\":" + std::to_string(pid[c]) +
                       ",\"ts\":" + fmtDouble(us(r.tick)) +
                       ",\"args\":{\"uW\":" + fmtDouble(watts * 1e6) + "}");
@@ -271,201 +252,6 @@ exportChrome(const MergedLog &log, const ExportNames &names)
 
     os << "\n]}\n";
     return os.str();
-}
-
-// --- JSON validator --------------------------------------------------------
-
-namespace {
-
-struct JsonParser
-{
-    const char *begin;
-    const char *p;
-    const char *end;
-    std::string error;
-
-    bool
-    fail(const std::string &msg)
-    {
-        error = msg + " at offset " + std::to_string(p - begin);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r')) {
-            ++p;
-        }
-    }
-
-    bool
-    literal(const char *text)
-    {
-        std::size_t n = std::strlen(text);
-        if (static_cast<std::size_t>(end - p) < n ||
-            std::strncmp(p, text, n) != 0) {
-            return fail(std::string("expected '") + text + "'");
-        }
-        p += n;
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (p >= end || *p != '"')
-            return fail("expected string");
-        ++p;
-        while (p < end && *p != '"') {
-            if (static_cast<unsigned char>(*p) < 0x20)
-                return fail("raw control character in string");
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return fail("dangling escape");
-                char c = *p;
-                if (c == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++p;
-                        if (p >= end ||
-                            !std::isxdigit(static_cast<unsigned char>(*p)))
-                            return fail("bad \\u escape");
-                    }
-                } else if (!std::strchr("\"\\/bfnrt", c)) {
-                    return fail("bad escape character");
-                }
-            }
-            ++p;
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p;
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const char *start = p;
-        if (p < end && *p == '-')
-            ++p;
-        if (p >= end || !std::isdigit(static_cast<unsigned char>(*p)))
-            return fail("malformed number");
-        while (p < end && std::isdigit(static_cast<unsigned char>(*p)))
-            ++p;
-        if (p < end && *p == '.') {
-            ++p;
-            if (p >= end || !std::isdigit(static_cast<unsigned char>(*p)))
-                return fail("malformed fraction");
-            while (p < end && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        if (p < end && (*p == 'e' || *p == 'E')) {
-            ++p;
-            if (p < end && (*p == '+' || *p == '-'))
-                ++p;
-            if (p >= end || !std::isdigit(static_cast<unsigned char>(*p)))
-                return fail("malformed exponent");
-            while (p < end && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        (void)start;
-        return true;
-    }
-
-    bool
-    value()
-    {
-        skipWs();
-        if (p >= end)
-            return fail("unexpected end of input");
-        switch (*p) {
-          case '{': {
-            ++p;
-            skipWs();
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (p >= end || *p != ':')
-                    return fail("expected ':'");
-                ++p;
-                if (!value())
-                    return false;
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == '}') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++p;
-            skipWs();
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            while (true) {
-                if (!value())
-                    return false;
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == ']') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-          }
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-};
-
-} // namespace
-
-bool
-validateJson(const std::string &json, std::string *error)
-{
-    JsonParser parser{json.data(), json.data(), json.data() + json.size(),
-                      {}};
-    if (!parser.value()) {
-        if (error)
-            *error = parser.error;
-        return false;
-    }
-    parser.skipWs();
-    if (parser.p != parser.end) {
-        if (error)
-            *error = "trailing content after top-level value";
-        return false;
-    }
-    return true;
 }
 
 // --- power timeline + summary ---------------------------------------------

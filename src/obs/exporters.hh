@@ -13,9 +13,9 @@
  *    Figure 6 power axis as a timeline instead of an average).
  *  - A human-readable summary.
  *
- * Both viewer formats ship with small in-tree validators (a VCD parser
- * and a JSON syntax checker) so tests and `ulptrace --check` can prove
- * the output is well-formed without external tooling.
+ * Both viewer formats can be proved well-formed without external
+ * tooling: VCD by the parser below, Chrome JSON by the simulator's one
+ * JSON parser (sim/json.hh); tests and `ulptrace --check` run them.
  */
 
 #ifndef ULP_OBS_EXPORTERS_HH
@@ -48,9 +48,6 @@ bool validateVcd(const std::string &vcd, std::string *error);
 /** Chrome trace_event JSON ("traceEvents" object form). */
 std::string exportChrome(const MergedLog &log,
                          const ExportNames &names = {});
-
-/** Strict JSON syntax check; false + @p error at the first violation. */
-bool validateJson(const std::string &json, std::string *error);
 
 /** Power-vs-time CSV from the Energy channel samples. */
 std::string exportPowerCsv(const MergedLog &log);

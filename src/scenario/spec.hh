@@ -3,8 +3,8 @@
  * The lowered network description: the single configuration surface in
  * front of `core::Network` (the historical per-node-lambda Config shim
  * is gone). A NodeSpec is one node, fully resolved: its hardware
- * configuration, its application (by scenario name or as a prebuilt
- * image), its position, and its routing-CAM preload. A NetworkSpec is
+ * configuration, its application (by scenario name and parameters),
+ * its position, and its routing-CAM preload. A NetworkSpec is
  * the whole network plus the kernel/channel parameters.
  *
  * Everything here is plain data with a small fluent builder — no
@@ -64,12 +64,6 @@ struct NodeSpec
     std::vector<core::MessageProcessor::Route> routes;
 
     /**
-     * Escape hatch for tests and benches: a prebuilt application image
-     * used verbatim instead of `app`/`params`.
-     */
-    std::optional<core::apps::NodeApp> prebuiltApp;
-
-    /**
      * Event-fabric links armed on this node ([events] section plus
      * per-node overrides). The fabric's threshold comparator uses
      * params.threshold.
@@ -120,12 +114,6 @@ struct NodeSpec
     withRoute(std::uint16_t origin, std::uint16_t next_hop)
     {
         routes.push_back({origin, next_hop});
-        return *this;
-    }
-    NodeSpec &
-    withPrebuiltApp(core::apps::NodeApp a)
-    {
-        prebuiltApp = std::move(a);
         return *this;
     }
     NodeSpec &

@@ -440,6 +440,38 @@ TEST(ResultsStore, RefusesCorruptMiddleAndMismatchedStores)
                  sim::FatalError);
 }
 
+TEST(ResultsStore, UnreadableValuesInAMiddleRecordAreFatal)
+{
+    TmpDir tmp;
+    const std::string path = tmp.file("store.jsonl");
+    const std::string header =
+        "{\"type\":\"campaign\",\"campaign\":\"camp\",\"scenario\":\"b\","
+        "\"runs\":2,\"digest\":\"0000000000000007\"}\n";
+    const std::string last =
+        "{\"id\":1,\"status\":\"ok\",\"attempts\":1,\"elapsed_us\":0,"
+        "\"overrides\":[],\"stats\":{},\"error\":\"\"}\n";
+    // An unknown member is skipped only when it is JSON; a stats value
+    // that is not JSON is not read as 0, and one the report summarizes
+    // must be a number when the store loads, not when it is reported.
+    for (const char *middle :
+         {"{\"id\":0,\"status\":\"ok\",\"note\":@@ garbage @@,"
+          "\"stats\":{}}\n",
+          "{\"id\":0,\"status\":\"ok\","
+          "\"stats\":{\"delivery_ratio\":oops}}\n",
+          "{\"id\":0,\"status\":\"ok\","
+          "\"stats\":{\"delivery_ratio\":\"x\"}}\n"}) {
+        std::ofstream(path, std::ios::trunc) << header << middle << last;
+        try {
+            campaign::ResultsStore::load(path);
+            ADD_FAILURE() << "loaded: " << middle;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(path + ":2:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ResultsStore, FieldEncodingRoundTrips)
 {
     const std::string nasty = "a b\tc%20\r\nd";
@@ -762,6 +794,48 @@ TEST(CampaignReport, BaselineGatePassesWithinToleranceAndFailsOutside)
     std::vector<campaign::GroupSummary> renamed = groups;
     renamed[0].group = "nodes.period=9999";
     EXPECT_GT(campaign::checkBaseline(path, renamed, 0.05), 0u);
+}
+
+TEST(CampaignReport, ReformattedBaselineGatesLikeTheCompactOne)
+{
+    TmpDir tmp;
+    std::vector<campaign::RunRecord> records;
+    for (unsigned seed = 0; seed < 3; ++seed)
+        records.push_back(okRecord(seed, "nodes.period=1000", seed,
+                                   0.9, 1e-6, 10.0));
+    const std::vector<campaign::GroupSummary> groups =
+        campaign::summarize(records);
+    const std::string compact = tmp.file("baseline.json");
+    campaign::writeBaseline(compact, {"camp", "b", 3, 1}, groups);
+
+    // The same baseline as `python3 -m json.tool` prints it.
+    const std::string pretty = tmp.file("pretty.json");
+    std::ofstream(pretty) << R"({
+    "campaign": "camp",
+    "groups": [
+        {
+            "group": "nodes.period=1000",
+            "n": 3,
+            "delivery_ratio_p50": 0.9,
+            "energy_per_bit_j_p50": 1e-06,
+            "lifetime_s_p50": 10.0
+        }
+    ]
+}
+)";
+
+    std::vector<campaign::GroupSummary> nudged = groups;
+    nudged[0].deliveryP50 *= 1.02;
+    std::vector<campaign::GroupSummary> renamed = groups;
+    renamed[0].group = "nodes.period=9999";
+    for (const auto &[current, tolerance] :
+         {std::pair{groups, 0.05}, std::pair{nudged, 0.05},
+          std::pair{nudged, 0.01}, std::pair{renamed, 0.05}}) {
+        EXPECT_EQ(campaign::checkBaseline(pretty, current, tolerance),
+                  campaign::checkBaseline(compact, current, tolerance));
+    }
+    EXPECT_EQ(campaign::checkBaseline(pretty, groups, 0.05), 0u);
+    EXPECT_GT(campaign::checkBaseline(pretty, nudged, 0.01), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
  * oracle from the issue: for a fixed seed, the merged binary trace of a
  * 64-node network is byte-identical whether the simulation ran on 1, 2
  * or 4 shards. Also covers the exporters (validated with the in-tree
- * VCD parser and JSON checker), ring-overflow drop accounting, channel
+ * VCD parser and JSON parser), ring-overflow drop accounting, channel
  * list parsing, the energy totals of sharded vs sequential runs, and the
  * in-memory ProbeLog sink that serves ordered probe histories.
  */
@@ -25,6 +25,7 @@
 #include "obs/event_log.hh"
 #include "obs/exporters.hh"
 #include "obs/trace_reader.hh"
+#include "sim/json.hh"
 #include "sim/telemetry.hh"
 
 using namespace ulp;
@@ -45,8 +46,7 @@ oracleSpec(unsigned nodes, unsigned threads)
         nc.sensorSignal = [](sim::Tick) { return 200; };
         core::apps::AppParams params;
         params.samplePeriodCycles = 2500 + 37 * i;
-        spec.addNode().withConfig(nc).withPrebuiltApp(
-            core::apps::buildApp1(params));
+        spec.addNode().withConfig(nc).withApp("app1").withParams(params);
     }
     return spec;
 }
@@ -146,10 +146,8 @@ TEST(ObsExporters, ChromeTraceIsValidJsonAndCoversAllHardwareChannels)
     };
     std::string json = obs::exportChrome(log, names);
 
-    std::string error;
-    EXPECT_TRUE(obs::validateJson(json, &error)) << error;
-    EXPECT_FALSE(obs::validateJson("{\"a\":1,}", &error));
-    EXPECT_FALSE(obs::validateJson("{\"a\":1} extra", &error));
+    const sim::json::Document doc("chrome export", json);
+    EXPECT_FALSE(doc.root()["traceEvents"].array().empty());
 
     EXPECT_NE(json.find("\"cat\":\"power\""), std::string::npos);
     EXPECT_NE(json.find("\"cat\":\"bus\""), std::string::npos);

@@ -55,8 +55,7 @@ benchSpec(unsigned nodes, unsigned threads)
         nc.sensorSignal = [](sim::Tick) { return 200; };
         core::apps::AppParams params;
         params.samplePeriodCycles = 2500 + 37 * i;
-        spec.addNode().withConfig(nc).withPrebuiltApp(
-            core::apps::buildApp1(params));
+        spec.addNode().withConfig(nc).withApp("app1").withParams(params);
     }
     return spec;
 }
@@ -237,8 +236,7 @@ TEST(ParallelNetwork, SpecValidation)
     spec = scenario::NetworkSpec{};                     // zero nodes
     EXPECT_THROW(core::Network{spec}, sim::FatalError);
     spec = benchSpec(4, 2);
-    spec.nodes[0].prebuiltApp.reset();
-    spec.nodes[0].app = "no-such-app";                  // buildByName fatal
+    spec.nodes[0].app = "no-such-app";                  // appShape fatal
     EXPECT_THROW(core::Network{spec}, sim::FatalError);
 }
 

@@ -291,9 +291,9 @@ readFile(const std::string &path)
 }
 
 /**
- * Execute a lowered scenario: build the network, wire the optional
- * fault campaign and telemetry trace, run, and report. One runner for
- * every scenario entry point (run, campaign workers).
+ * Execute a lowered scenario for `ulpsim run`: build the network, wire
+ * the optional fault campaign and telemetry trace, run, and report.
+ * Campaign workers set up their runs in campaign::executeRun instead.
  */
 int
 runScenario(const scenario::Scenario &sc, bool stats, bool power)

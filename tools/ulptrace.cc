@@ -26,6 +26,7 @@
 #include "obs/event_log.hh"
 #include "obs/exporters.hh"
 #include "obs/trace_reader.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
 
@@ -169,10 +170,8 @@ main(int argc, char **argv)
             names.probe = decodeProbe;
             std::string json = obs::exportChrome(log, names);
             if (check) {
-                std::string error;
-                if (!obs::validateJson(json, &error))
-                    sim::fatal("ulptrace: generated JSON is invalid: %s",
-                               error.c_str());
+                const sim::json::Document parsed(
+                    outPath.empty() ? "<stdout>" : outPath, json);
                 std::fprintf(stderr, "ulptrace: JSON OK (%zu bytes)\n",
                              json.size());
             }
