@@ -5,8 +5,9 @@
  * and for the Mica2 baseline (which executes every CPU instruction), plus
  * the simulation-kernel fast path itself:
  *
- *  - BM_EventQueuePopulated: the indexed d-ary heap under a realistic
- *    schedule/reschedule/deschedule mix at several resident depths;
+ *  - BM_EventQueuePopulated: the kernel's event queue under a realistic
+ *    schedule/reschedule/deschedule mix at several resident depths, with
+ *    ticks drawn from every nanosecond or only from a 10 us edge grid;
  *  - BM_EventQueueSetBaseline: the same op mix against a reference
  *    std::set red-black-tree queue (the pre-heap implementation), so the
  *    speedup is tracked release over release;
@@ -15,9 +16,10 @@
  *
  * Special modes (no google-benchmark), on the shared bench harness
  * (bench_util.hh):
- *  --json[=PATH]  write the BENCH_simkernel.json snapshot: heap vs set
- *                 throughput per queue depth, the network_scale rows, a
- *                 sharded-kernel thread sweep and a determinism row;
+ *  --json[=PATH]  write the BENCH_simkernel.json snapshot: queue vs set
+ *                 throughput per depth and tick grid, the network_scale
+ *                 rows, a sharded-kernel thread sweep and a determinism
+ *                 row;
  *  --check[=PATH] perf-regression gate: re-run every committed row;
  *                 counters and flags must match exactly, throughput must
  *                 reach a quarter of the committed value;
@@ -146,24 +148,42 @@ class SetQueue
 constexpr sim::Tick opHorizon = 100'000;
 
 /**
+ * The edge grid of the clocked op mix: the 100 kHz system clock's
+ * period, on which the EP and the uC reschedule themselves. Over the
+ * 100 us horizon that is ten edges, so a queue of depth N holds about
+ * N / 10 events per tick; the uniform mix (edge 1) almost never shares
+ * a tick.
+ */
+constexpr sim::Tick clockEdge = 10'000;
+
+/** A tick up to opHorizon after @p now, on the next multiple of @p edge. */
+sim::Tick
+drawTick(Lcg &lcg, sim::Tick now, sim::Tick edge)
+{
+    const sim::Tick t = now + 1 + lcg.next() % opHorizon;
+    return (t + edge - 1) / edge * edge;
+}
+
+/**
  * One steady-state kernel iteration against the real EventQueue: pop the
  * head and reschedule it forward (the clocked-component pattern), with
  * every fourth iteration instead moving a random resident event — the
  * timer-retarget/MAC-backoff pattern.
  */
-struct HeapHarness
+struct QueueHarness
 {
     sim::EventQueue queue;
     std::vector<std::unique_ptr<sim::EventFunctionWrapper>> pool;
     std::size_t lastRan = 0;
+    sim::Tick edge;
     Lcg lcg;
 
-    explicit HeapHarness(std::size_t depth)
+    QueueHarness(std::size_t depth, sim::Tick edge) : edge(edge)
     {
         for (std::size_t i = 0; i < depth; ++i) {
             pool.push_back(std::make_unique<sim::EventFunctionWrapper>(
                 [this, i] { lastRan = i; }, sim::EventName("ev")));
-            queue.schedule(pool.back().get(), 1 + lcg.next() % opHorizon);
+            queue.schedule(pool.back().get(), drawTick(lcg, 0, edge));
         }
     }
 
@@ -174,13 +194,13 @@ struct HeapHarness
             auto &victim = *pool[lcg.next() % pool.size()];
             if (victim.scheduled()) {
                 queue.reschedule(&victim,
-                                 queue.curTick() + 1 + lcg.next() % opHorizon);
+                                 drawTick(lcg, queue.curTick(), edge));
                 return;
             }
         }
         queue.runOne();
         queue.schedule(pool[lastRan].get(),
-                       queue.curTick() + 1 + lcg.next() % opHorizon);
+                       drawTick(lcg, queue.curTick(), edge));
     }
 };
 
@@ -189,12 +209,13 @@ struct SetHarness
 {
     SetQueue queue;
     std::vector<SetQueue::Ev> pool;
+    sim::Tick edge;
     Lcg lcg;
 
-    explicit SetHarness(std::size_t depth) : pool(depth)
+    SetHarness(std::size_t depth, sim::Tick edge) : pool(depth), edge(edge)
     {
         for (auto &e : pool)
-            queue.schedule(&e, 1 + lcg.next() % opHorizon);
+            queue.schedule(&e, drawTick(lcg, 0, edge));
     }
 
     void
@@ -203,37 +224,40 @@ struct SetHarness
         if (iter % 4 == 3) {
             auto &victim = pool[lcg.next() % pool.size()];
             if (victim.scheduled) {
-                queue.reschedule(&victim,
-                                 queue.cur + 1 + lcg.next() % opHorizon);
+                queue.reschedule(&victim, drawTick(lcg, queue.cur, edge));
                 return;
             }
         }
         SetQueue::Ev *ran = queue.runOne();
-        queue.schedule(ran, queue.cur + 1 + lcg.next() % opHorizon);
+        queue.schedule(ran, drawTick(lcg, queue.cur, edge));
     }
 };
 
 void
 BM_EventQueuePopulated(benchmark::State &state)
 {
-    HeapHarness harness(static_cast<std::size_t>(state.range(0)));
+    QueueHarness harness(static_cast<std::size_t>(state.range(0)),
+                         static_cast<sim::Tick>(state.range(1)));
     std::uint64_t iter = 0;
     for (auto _ : state)
         harness.step(iter++);
     state.SetItemsProcessed(static_cast<std::int64_t>(iter));
 }
-BENCHMARK(BM_EventQueuePopulated)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EventQueuePopulated)
+    ->ArgsProduct({{64, 256, 1024, 4096}, {1, clockEdge}});
 
 void
 BM_EventQueueSetBaseline(benchmark::State &state)
 {
-    SetHarness harness(static_cast<std::size_t>(state.range(0)));
+    SetHarness harness(static_cast<std::size_t>(state.range(0)),
+                       static_cast<sim::Tick>(state.range(1)));
     std::uint64_t iter = 0;
     for (auto _ : state)
         harness.step(iter++);
     state.SetItemsProcessed(static_cast<std::int64_t>(iter));
 }
-BENCHMARK(BM_EventQueueSetBaseline)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EventQueueSetBaseline)
+    ->ArgsProduct({{64, 256, 1024, 4096}, {1, clockEdge}});
 
 // --------------------------------------------------------------------------
 // N-node broadcast-network scaling.
@@ -390,12 +414,12 @@ BENCHMARK(BM_Assembler);
 // JSON snapshot + smoke modes.
 // --------------------------------------------------------------------------
 
-/** Mops/s of the heap op mix at @p depth over @p iterations. */
+/** Ops/s of the op mix at @p depth on @p edge over @p iterations. */
 template <typename Harness>
 double
-measureOpsPerSec(std::size_t depth, std::uint64_t iterations)
+measureOpsPerSec(std::size_t depth, sim::Tick edge, std::uint64_t iterations)
 {
-    Harness harness(depth);
+    Harness harness(depth, edge);
     // Warm the queue into steady state before timing.
     for (std::uint64_t i = 0; i < iterations / 10; ++i)
         harness.step(i);
@@ -408,18 +432,23 @@ measureOpsPerSec(std::size_t depth, std::uint64_t iterations)
 
 constexpr std::uint64_t queueIterations = 2'000'000;
 
-/** Heap vs set-baseline throughput of the op mix at @p depth. */
+/** Queue vs set-baseline throughput of the op mix at @p depth, with
+ *  ticks on multiples of @p edge. */
 bench::Row
-queueRow(std::size_t depth)
+queueRow(std::size_t depth, sim::Tick edge)
 {
-    const double heap = measureOpsPerSec<HeapHarness>(depth, queueIterations);
-    const double set = measureOpsPerSec<SetHarness>(depth, queueIterations);
+    const double queue =
+        measureOpsPerSec<QueueHarness>(depth, edge, queueIterations);
+    const double set =
+        measureOpsPerSec<SetHarness>(depth, edge, queueIterations);
     bench::Row row;
-    row.input.text("table", "event_queue").count("depth", depth);
-    row.rate.number("heap_mops", heap / 1e6);
+    row.input.text("table", "event_queue")
+        .count("depth", depth)
+        .count("edge_ticks", edge);
+    row.rate.number("queue_mops", queue / 1e6);
     // The reference queue's throughput is not the simulator's.
     row.info.number("set_baseline_mops", set / 1e6)
-        .number("speedup", heap / set);
+        .number("speedup", queue / set);
     return row;
 }
 
@@ -523,7 +552,10 @@ measureRows(bool smoke, unsigned threads)
         return rows;
     }
     for (std::size_t depth : {64, 256, 1024, 4096})
-        add(queueRow(depth));
+        add(queueRow(depth, 1));
+    // About 26 events per edge, the regime of the 1,024-node grid
+    // workload (18 per tick).
+    add(queueRow(256, clockEdge));
     for (unsigned nodes : {1u, 8u, 32u, 64u})
         add(scaleRow(nodes, 0.5));
     for (unsigned threads : {1u, 2u, 4u})

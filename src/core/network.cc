@@ -86,7 +86,6 @@ Network::build(const scenario::NetworkSpec &spec)
         // shard and keep their global names, so the merged stat tree
         // matches the sequential kernel's.
         shard.nodes.reserve(members[s].size());
-        shard.simulation->eventq().reserve(members[s].size() * 8 + 64);
         for (unsigned i : members[s]) {
             const scenario::NodeSpec &ns = spec.nodes[i];
             shard.nodes.push_back(std::make_unique<SensorNode>(

@@ -9,12 +9,7 @@
  * sensor node consumes no host cycles between events — mirroring the
  * event-driven idle behaviour of the architecture being modelled.
  *
- * The queue is an indexed d-ary min-heap over intrusive events: each Event
- * carries its own heap slot, so schedule/deschedule/reschedule are pointer
- * swaps in one contiguous vector with no per-event allocation, nextTick()
- * is O(1), and reschedule() — the dominant operation for clocked
- * components — re-sifts the event in place. The ordering contract is a
- * strict total order:
+ * The ordering contract is a strict total order:
  *
  *   1. earlier tick first;
  *   2. at the same tick, lower priority value first;
@@ -24,7 +19,7 @@
  *
  * The scheduling sequence is the pair (origin tick, counter): the
  * simulated time at which the scheduling happened, then a per-queue
- * counter. For a single queue this is exactly the old plain-counter FIFO
+ * counter. For a single queue this is exactly a plain-counter FIFO
  * (simulated time never decreases across schedule calls, so the pair is
  * lexicographically monotone in call order). The split exists for the
  * parallel kernel: an event relayed from another shard can be inserted
@@ -32,8 +27,25 @@
  * shard scheduled it, which slots it among same-(tick, priority) local
  * events exactly where the single-queue kernel would have placed it.
  *
+ * Every device of the modelled node steps on one shared system clock, so
+ * in a network many events fall on the same tick. The queue therefore
+ * keeps one bucket per distinct pending tick and a 4-ary min-heap over
+ * those ticks, not over events. A bucket holds its tick's events in a
+ * block of slots, sorted by (priority, origin tick, sequence), with a
+ * head index past the ones already run. Popping an event advances the
+ * head, and scheduling into a tick that already has events appends to
+ * its bucket (or, for a lower priority value or a relayed event's
+ * earlier origin, inserts into it); neither touches the heap, which
+ * changes only when a tick gains its first pending event or loses its
+ * last. A schedule finds its tick's bucket through a one-entry cache of
+ * the last bucket it used, else through an open-addressed tick -> bucket
+ * index. An Event records only its slot in its bucket; deschedule()
+ * finds the bucket through the event's tick and leaves a hole in the
+ * slot, so no other event moves. Buckets and their blocks are recycled,
+ * so a steady-state run allocates nothing per event or per tick.
+ *
  * This makes every run of a seeded simulation bit-identical regardless of
- * the heap's internal layout.
+ * the queue's internal layout.
  */
 
 #ifndef ULP_SIM_EVENT_QUEUE_HH
@@ -101,12 +113,11 @@ class Event
   private:
     friend class EventQueue;
 
-    static constexpr std::size_t badHeapIndex = ~std::size_t{0};
-
     Tick _when = 0;
     Tick _originTick = 0;
     std::uint64_t _seq = 0;
-    std::size_t _heapIndex = badHeapIndex;
+    /** Index in its tick's bucket while scheduled. */
+    std::size_t _slot = 0;
     Priority _priority;
     bool _scheduled = false;
     bool _destructing = false;
@@ -191,7 +202,7 @@ class MemberEventWrapper : public Event
 class EventQueue
 {
   public:
-    EventQueue() { heap.reserve(initialCapacity); }
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -221,31 +232,24 @@ class EventQueue
     void deschedule(Event *event);
 
     /**
-     * Move an already-scheduled (or unscheduled) event to @p when,
-     * re-sifting it in place. The event receives a fresh scheduling
-     * sequence number, exactly as a deschedule()+schedule() pair would,
-     * so same-tick FIFO ordering is unchanged from that idiom.
+     * Move an already-scheduled (or unscheduled) event to @p when. The
+     * event receives a fresh scheduling sequence number, exactly as a
+     * deschedule()+schedule() pair would, so same-tick FIFO ordering is
+     * unchanged from that idiom.
      */
     void reschedule(Event *event, Tick when);
 
-    /**
-     * Pre-size the heap's pointer vector for @p n pending events, so a
-     * large network's warm-up does not grow it through repeated
-     * reallocation. Never shrinks.
-     */
-    void reserve(std::size_t n) { heap.reserve(n); }
-
     /** True when no events are pending. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return _size == 0; }
 
     /** Number of pending events. */
-    std::size_t size() const { return heap.size(); }
+    std::size_t size() const { return _size; }
 
     /** Tick of the next pending event; maxTick when empty. O(1). */
     Tick
     nextTick() const
     {
-        return heap.empty() ? maxTick : heap.front()->_when;
+        return ticks.empty() ? maxTick : ticks.front().tick;
     }
 
     /**
@@ -262,19 +266,71 @@ class EventQueue
     std::uint64_t numProcessed() const { return _numProcessed; }
 
   private:
-    /**
-     * Heap arity. Four keeps the tree shallow (fewer cache lines touched
-     * per sift than a binary heap) while the child scan still fits in one
-     * 64-byte line of Event pointers.
-     */
-    static constexpr std::size_t arity = 4;
-    static constexpr std::size_t initialCapacity = 64;
+    using BucketId = std::size_t;
+    static constexpr BucketId noBucket = ~BucketId{0};
 
-    static bool
-    less(const Event *a, const Event *b)
+    /**
+     * The pending events of one tick: a block of 2^order slots in the
+     * arena. Slots [head, size) hold them in (priority, origin tick,
+     * sequence) order, with a null hole for each event descheduled from
+     * between two others; while the bucket is pending, the slots at head
+     * and size - 1 hold events. The slots before head have run.
+     */
+    struct Bucket
     {
-        if (a->_when != b->_when)
-            return a->_when < b->_when;
+        Tick tick = 0;
+        std::size_t base = 0; ///< first arena slot of the block
+        std::size_t head = 0;
+        std::size_t size = 0;
+        std::size_t holes = 0;
+        std::size_t heapSlot = 0; ///< position in the tick heap
+        unsigned order = 0;
+    };
+
+    /** A tick and its bucket: a tick-heap entry or an index slot. */
+    struct TickEntry
+    {
+        Tick tick = 0;
+        BucketId bucket = noBucket;
+    };
+
+    /**
+     * Open-addressed tick -> bucket map with linear probing and
+     * backward-shift deletion: one flat array, no allocation per tick.
+     */
+    class TickIndex
+    {
+      public:
+        TickIndex();
+        /** The bucket of @p tick, or noBucket. */
+        BucketId find(Tick tick) const;
+        /** The bucket of @p tick; if it has none, map it to @p bucket
+         *  and return that. */
+        BucketId emplace(Tick tick, BucketId bucket);
+        /** Unmap @p tick, which must be present. */
+        void erase(Tick tick);
+
+      private:
+        std::size_t home(Tick tick) const;
+        /** The slot holding @p tick, or the empty slot ending its probe
+         *  run. */
+        std::size_t locate(Tick tick) const;
+        std::size_t next(std::size_t slot) const
+        {
+            return (slot + 1) & (slots.size() - 1);
+        }
+
+        std::vector<TickEntry> slots; ///< size a power of two, at most
+                                      ///< half full; empty: noBucket
+        unsigned shift;               ///< 64 - log2(slots.size())
+        std::size_t count = 0;
+    };
+
+    /** Within one tick: lower priority value, then earlier origin tick,
+     *  then earlier sequence first. */
+    static bool
+    before(const Event *a, const Event *b)
+    {
         if (a->_priority != b->_priority)
             return a->_priority < b->_priority;
         if (a->_originTick != b->_originTick)
@@ -282,14 +338,42 @@ class EventQueue
         return a->_seq < b->_seq;
     }
 
+    /** The bucket of pending tick @p when, or noBucket. */
+    BucketId findBucket(Tick when) const;
+    /** A free block of 2^@p order arena slots; its first slot. */
+    std::size_t allocBlock(unsigned order);
+    /** Stamp @p event's sequence and put it in its tick's bucket. */
+    void insert(Event *event, Tick when, Tick origin_tick);
+    /** Take scheduled @p event out of its bucket. */
+    void unlink(Event *event, const char *caller);
+    /** Drop the holes at either end of @p bucket. */
+    void trim(Bucket &bucket);
+    /** Close every hole of @p bucket, moving later events down. */
+    void compact(Bucket &bucket);
+    /** Recycle the emptied bucket @p id and drop its tick. */
+    void release(BucketId id);
+    /** Detach @p event's queue bookkeeping. */
+    static void orphan(Event *event);
+
     void siftUp(std::size_t idx);
     void siftDown(std::size_t idx);
-    /** Unlink the event at heap slot @p idx and restore the heap. */
-    void removeAt(std::size_t idx);
-    /** Detach @p event's queue bookkeeping (after heap removal). */
-    void orphan(Event *event);
+    void place(std::size_t idx, TickEntry entry);
 
-    std::vector<Event *> heap;
+    std::vector<Bucket> buckets;
+    std::vector<BucketId> freeBuckets;
+    /** Every bucket's block of event slots. Blocks are recycled by size,
+     *  so the arena holds what the pending ticks need at their peak; a
+     *  vector per bucket would keep the largest tick it ever held. */
+    std::vector<Event *> arena;
+    /** The free blocks of each order: their first slots. */
+    std::vector<std::vector<std::size_t>> freeBlocks;
+    /** 4-ary min-heap of the pending ticks; a tick has one entry. */
+    std::vector<TickEntry> ticks;
+    TickIndex index;
+    /** The bucket the last schedule used, and its tick; noBucket once
+     *  that bucket is released. */
+    TickEntry lastBucket;
+    std::size_t _size = 0;
     Tick _curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t _numProcessed = 0;
