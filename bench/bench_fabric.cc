@@ -35,7 +35,7 @@
 #include "core/network.hh"
 #include "core/sensor_node.hh"
 #include "fabric/event_fabric.hh"
-#include "scenario/lower.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/simulation.hh"
 #include "tech/eq1_model.hh"
@@ -218,15 +218,14 @@ networkScenario(unsigned count, unsigned threads, double seconds, bool linked)
 Network::Counters
 runNetwork(const scenario::Scenario &sc, std::string *stats)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    Network network(low.spec);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
     if (stats) {
         std::ostringstream os;
-        network.dumpStats(os);
+        run.network.dumpStats(os);
         *stats = os.str();
     }
-    return network.counters();
+    return run.network.counters();
 }
 
 /** Run @p threads_list and insist every run is byte-identical to K=1. */

@@ -29,9 +29,8 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/network.hh"
 #include "scenario/lower.hh"
-#include "scenario/scenario.hh"
+#include "scenario/run.hh"
 #include "sim/logging.hh"
 
 using namespace ulp;
@@ -65,9 +64,7 @@ gridScenario(unsigned nodes, unsigned threads, double spacing,
 struct RunResult
 {
     core::Network::Counters counters;
-    std::uint64_t sinkPackets = 0;
-    std::size_t origins = 0;
-    double totalEnergyJ = 0.0;
+    scenario::RunTotals totals;
     double hostSeconds = 0.0; ///< wall-clock time of the run itself
     std::string stats;
 };
@@ -75,20 +72,15 @@ struct RunResult
 RunResult
 run(const scenario::Scenario &sc)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
+    scenario::ScenarioRun scenarioRun(sc);
     const auto start = std::chrono::steady_clock::now();
-    network.runForSeconds(low.seconds);
+    scenarioRun.run();
     RunResult r;
     r.hostSeconds = bench::secondsSince(start);
-    r.counters = network.counters();
-    const core::MessageProcessor &mp = network.node(*low.sink).msgProc();
-    r.sinkPackets = mp.localDeliveries();
-    r.origins = mp.localDeliveriesBySource().size();
-    for (unsigned i = 0; i < network.numNodes(); ++i)
-        r.totalEnergyJ += network.node(i).totalAverageWatts() * low.seconds;
+    r.counters = scenarioRun.network.counters();
+    r.totals = scenarioRun.totals();
     std::ostringstream os;
-    network.dumpStats(os);
+    scenarioRun.network.dumpStats(os);
     r.stats = os.str();
     return r;
 }
@@ -104,13 +96,13 @@ sweepPoint(unsigned nodes, double spacing, double seconds,
     scenario::Scenario sc = gridScenario(nodes, 1, spacing, seconds);
     sc.routes.minProb = minProb;
     const RunResult k1 = run(sc);
+    const scenario::RunTotals &t = k1.totals;
     const unsigned maxDepth = scenario::lower(sc).maxDepth();
     // Network energy per delivered payload bit.
     const double energyPerBit =
-        k1.sinkPackets ? k1.totalEnergyJ /
-                             (static_cast<double>(k1.sinkPackets) *
-                              payloadBits)
-                       : 0.0;
+        t.sinkPackets ? t.energyJoules /
+                            (static_cast<double>(t.sinkPackets) * payloadBits)
+                      : 0.0;
 
     // The determinism gate: the same workload on 2 and 4 shards must
     // merge to the identical counters and the identical stats tree. Past
@@ -124,7 +116,7 @@ sweepPoint(unsigned nodes, double spacing, double seconds,
         sc.threads = threads;
         RunResult kn = run(sc);
         if (!(kn.counters == k1.counters) || kn.stats != k1.stats ||
-            kn.sinkPackets != k1.sinkPackets) {
+            kn.totals.sinkPackets != t.sinkPackets) {
             oracleOk = false;
             std::fprintf(stderr,
                          "bench_multihop: %u nodes: threads=%u diverged "
@@ -136,7 +128,7 @@ sweepPoint(unsigned nodes, double spacing, double seconds,
     std::printf("%7u %7gm %6u %6s %9llu %9llu %8zu %10.3f nJ %7s\n",
                 nodes, spacing, maxDepth, "0",
                 static_cast<unsigned long long>(k1.counters.framesSent),
-                static_cast<unsigned long long>(k1.sinkPackets), k1.origins,
+                static_cast<unsigned long long>(t.sinkPackets), t.origins,
                 energyPerBit * 1e9, oracleOk ? "ok" : "FAIL");
     bench::Row row;
     row.input.count("nodes", nodes)
@@ -145,15 +137,15 @@ sweepPoint(unsigned nodes, double spacing, double seconds,
         .number("min_prob", minProb);
     row.exact.count("max_depth", maxDepth)
         .count("frames_sent", k1.counters.framesSent)
-        .count("sink_packets", k1.sinkPackets)
-        .count("origins", k1.origins)
+        .count("sink_packets", t.sinkPackets)
+        .count("origins", t.origins)
         .flag("threads_oracle_ok", oracleOk)
-        .flag("sink_reached", k1.sinkPackets > 0);
+        .flag("sink_reached", t.sinkPackets > 0);
     // K = 1 run only; lowering is not timed.
     row.rate.number("events_per_host_second",
                     static_cast<double>(k1.counters.eventsProcessed) /
                         k1.hostSeconds);
-    row.info.number("total_energy_j", k1.totalEnergyJ)
+    row.info.number("total_energy_j", t.energyJoules)
         .number("energy_per_bit_j", energyPerBit);
     return row;
 }

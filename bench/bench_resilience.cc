@@ -34,9 +34,8 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/network.hh"
 #include "scenario/lower.hh"
-#include "scenario/resilience.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -140,21 +139,19 @@ struct RunResult
 RunResult
 run(const scenario::Scenario &sc)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    scenario::ResilienceManager manager(network, sc, low);
+    scenario::ScenarioRun scenarioRun(sc);
+    scenarioRun.run();
 
     RunResult r;
-    r.report = manager.run();
+    r.report = *scenarioRun.resilience;
     std::ostringstream rep;
     scenario::printResilienceReport(rep, r.report);
     r.reportText = rep.str();
-    for (unsigned i = 0; i < network.numNodes(); ++i)
-        r.totalEnergyJ += network.node(i).totalAverageWatts() * low.seconds;
+    r.totalEnergyJ = scenarioRun.totals().energyJoules;
     std::ostringstream os;
-    network.dumpStats(os);
+    scenarioRun.network.dumpStats(os);
     r.stats = os.str();
-    r.counters = network.counters();
+    r.counters = scenarioRun.network.counters();
     return r;
 }
 

@@ -17,33 +17,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "core/network.hh"
-#include "core/sensor_node.hh"
-#include "fault/fault_injector.hh"
-#include "scenario/lower.hh"
-#include "scenario/resilience.hh"
+#include "scenario/run.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "sleep/controller.hh"
 
 namespace ulp::campaign {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::string
-readFileOrFatal(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-} // namespace
 
 std::string
 encodeField(const std::string &s)
@@ -82,86 +60,31 @@ decodeField(const std::string &s)
 std::string
 executeRun(const scenario::Scenario &scenario)
 {
-    scenario::Lowered low = scenario::lower(scenario);
-    const unsigned N = static_cast<unsigned>(low.spec.nodes.size());
-
-    core::Network network(low.spec);
-    sleep::SleepController sleepCtl(network);
-
-    if (low.broadcastLoss > 0.0) {
-        net::Channel *ch = network.broadcastChannel();
-        if (!ch) {
-            sim::fatal("[radio] loss needs threads = 1 and model = "
-                       "broadcast");
-        }
-        ch->setLossProbability(low.broadcastLoss);
-    }
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (low.fault) {
-        const unsigned target = low.fault->node;
-        core::SensorNode &node = network.node(target);
-        injector = std::make_unique<fault::FaultInjector>(
-            network.shardSimulation(network.shardOf(target)), "fault",
-            scenario.seed);
-        injector->attachSram(&node.memory());
-        injector->attachDevice("msgProc", &node.msgProc());
-        injector->attachDevice("compressor", &node.compressor());
-        if (net::Channel *ch = network.broadcastChannel())
-            injector->attachChannel(ch);
-        injector->attachLifecycle([&network, target](bool up) {
-            if (up)
-                network.reviveNodeNow(target);
-            else
-                network.powerOffNodeNow(target);
-        });
-        injector->runText(readFileOrFatal(low.fault->campaign));
-    }
-
-    std::optional<scenario::ResilienceReport> resilience;
-    if (scenario.lifecycle) {
-        scenario::ResilienceManager manager(network, scenario, low);
-        resilience = manager.run();
-    } else {
-        network.runForSeconds(low.seconds);
-    }
-
-    const core::Network::Counters c = network.counters();
-
-    std::uint64_t sinkPackets = 0;
-    std::size_t origins = 0;
-    if (low.sink) {
-        const core::MessageProcessor &mp =
-            network.node(*low.sink).msgProc();
-        sinkPackets = mp.localDeliveries();
-        origins = mp.localDeliveriesBySource().size();
-    }
-
-    std::uint64_t prepared = 0;
-    double energy = 0.0;
-    for (unsigned i = 0; i < N; ++i) {
-        prepared += network.node(i).msgProc().framesPrepared();
-        energy += network.node(i).totalAverageWatts() * low.seconds;
-    }
+    scenario::Scenario sc = scenario;
+    sc.trace.reset(); // campaigns never trace
+    scenario::ScenarioRun run(sc);
+    run.run();
+    const core::Network::Counters c = run.network.counters();
+    const scenario::RunTotals t = run.totals();
 
     // Routed scenario: fraction of originated frames that reached the
     // sink (the resilience layer's definition). Unrouted: MAC-level
     // delivered/sent (broadcast fan-out can push this past 1).
+    auto ratio = [](std::uint64_t num, std::uint64_t den) {
+        return den ? static_cast<double>(num) / static_cast<double>(den)
+                   : 0.0;
+    };
     const double deliveryRatio =
-        low.sink ? (prepared ? static_cast<double>(sinkPackets) /
-                                   static_cast<double>(prepared)
-                             : 0.0)
-                 : (c.framesSent
-                        ? static_cast<double>(c.framesDelivered) /
-                              static_cast<double>(c.framesSent)
-                        : 0.0);
+        run.low.sink ? ratio(t.sinkPackets, t.framesPrepared)
+                     : ratio(c.framesDelivered, c.framesSent);
     // Application payloads are one byte (8 bits) per packet at the sink.
     const double energyPerBit =
-        sinkPackets ? energy / (static_cast<double>(sinkPackets) * 8.0)
-                    : 0.0;
+        t.sinkPackets
+            ? t.energyJoules / (static_cast<double>(t.sinkPackets) * 8.0)
+            : 0.0;
     const double lifetime =
-        resilience ? sim::ticksToSeconds(resilience->lastDeliveryTick)
-                   : low.seconds;
+        run.resilience ? sim::ticksToSeconds(run.resilience->lastDeliveryTick)
+                       : run.low.seconds;
 
     // The byte-identity contract: fixed schema, fixed formats, no host
     // facts. Keep in sync with store.hh's doc comment.
@@ -179,10 +102,10 @@ executeRun(const scenario::Scenario &scenario)
         static_cast<unsigned long long>(c.collisions),
         static_cast<unsigned long long>(c.epIsrs),
         static_cast<unsigned long long>(c.mcuWakeups),
-        static_cast<unsigned long long>(prepared),
-        static_cast<unsigned long long>(sinkPackets),
-        static_cast<unsigned long long>(origins), energy, deliveryRatio,
-        energyPerBit, lifetime);
+        static_cast<unsigned long long>(t.framesPrepared),
+        static_cast<unsigned long long>(t.sinkPackets),
+        static_cast<unsigned long long>(t.origins), t.energyJoules,
+        deliveryRatio, energyPerBit, lifetime);
     if (n < 0 || static_cast<std::size_t>(n) >= sizeof buf)
         sim::fatal("stats record overflow");
     return std::string(buf, static_cast<std::size_t>(n));
@@ -193,6 +116,8 @@ executeRun(const scenario::Scenario &scenario)
 // ---------------------------------------------------------------------------
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /** Handle one "!"-prefixed test-hook override; true when consumed. */
 bool
@@ -268,7 +193,6 @@ workerMain(int argc, char **argv)
                 std::fprintf(stderr, "campaign-worker: %s\n", e.what());
                 return 1;
             }
-            base.trace.reset(); // campaigns never trace
             haveBase = true;
             continue;
         }

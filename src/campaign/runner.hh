@@ -47,8 +47,9 @@
 namespace ulp::campaign {
 
 /**
- * Execute one resolved scenario in-process and return the fixed-schema
- * single-line stats JSON — the byte-identity contract of the store:
+ * Execute one resolved scenario in-process through scenario::ScenarioRun
+ * (the runner `ulpsim run` uses) and return the fixed-schema single-line
+ * stats JSON — the byte-identity contract of the store:
  *
  *   {"events":..,"sent":..,"delivered":..,"collisions":..,"ep_isrs":..,
  *    "wakeups":..,"prepared":..,"sink_packets":..,"origins":..,
@@ -59,9 +60,9 @@ namespace ulp::campaign {
  * resilience layer's definition) for routed scenarios, and the MAC
  * delivered/sent ratio when the scenario has no sink.
  *
- * Tracing is ignored (campaign runs never trace); faults and lifecycle
- * run exactly as `ulpsim run` would drive them. Throws sim::SimError on
- * scenario-level failure.
+ * The scenario's [trace] section is dropped (campaign runs never
+ * trace); every other section runs as under `ulpsim run`. Throws
+ * sim::SimError on scenario-level failure.
  */
 std::string executeRun(const scenario::Scenario &scenario);
 

@@ -239,10 +239,8 @@ lower(const Scenario &sc)
     out.name = sc.name;
     out.seconds = sc.seconds;
     out.broadcastLoss = sc.radio.loss;
-    out.fault = sc.fault;
     out.trace = sc.trace;
     out.sink = sc.routes.sink;
-    out.lifecycle = sc.lifecycle;
 
     const std::vector<net::Position> pos = place(sc);
     const std::vector<unsigned> parent = routeParents(sc, pos, out.depth);

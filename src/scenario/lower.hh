@@ -1,8 +1,8 @@
 /**
  * @file
  * Lowering: turn a parsed, declarative Scenario into the resolved
- * NetworkSpec that core::Network consumes, plus the run-level facts the
- * driver needs (duration, sink, hop depths, fault/trace passthrough).
+ * NetworkSpec that core::Network consumes, plus the run-level facts a
+ * run needs (duration, sink, hop depths, trace passthrough).
  *
  * This is where the scenario's conventions become concrete:
  *
@@ -67,15 +67,11 @@ struct Lowered
      */
     std::vector<unsigned> parents;
 
-    /** Node churn / repair / battery settings, passed through. */
-    std::optional<Scenario::Lifecycle> lifecycle;
-
-    /** Broadcast-channel loss probability ([radio] loss; the driver
+    /** Broadcast-channel loss probability ([radio] loss; ScenarioRun
      *  applies it to Network::broadcastChannel post-construction). */
     double broadcastLoss = 0.0;
 
-    /** Fault-campaign / trace-output sections, passed through. */
-    std::optional<Scenario::Fault> fault;
+    /** The trace-output section, passed through. */
     std::optional<Scenario::Trace> trace;
 
     /** Maximum depth over all routed nodes (0 when unrouted). */

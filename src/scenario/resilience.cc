@@ -398,7 +398,6 @@ ResilienceManager::run()
         });
     report.steadyDeliveryRatio = ratio(steadyPrep, steadyDeliv);
 
-    lastReport = report;
     return report;
 }
 

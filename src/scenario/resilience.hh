@@ -118,9 +118,6 @@ class ResilienceManager
     /** Run the full scenario duration in control-point segments. */
     ResilienceReport run();
 
-    /** The report of the last run() (empty before). */
-    const ResilienceReport &report() const { return lastReport; }
-
   private:
     std::vector<unsigned> aliveSet() const;
     /** Usable links between alive nodes (mirrors the lowerer's rules). */
@@ -147,8 +144,6 @@ class ResilienceManager
     std::vector<std::uint64_t> lastUpCount;
     std::vector<std::uint64_t> lastDeepCount;
     std::uint8_t cmdSeq = 0; ///< sequence for injected command frames
-
-    ResilienceReport lastReport;
 };
 
 /** Print the human-readable headline summary (identical at any K). */

@@ -28,6 +28,12 @@ CASES = [
     (["campaign", "report", "missing.results.jsonl", "--tolerance=abc"],
      "--tolerance"),
     (["--platform=mica2", "--seconds=0.1x"], "--seconds"),
+    # No Mica2 run reads a destination.
+    (["--platform=mica2", "--dest=3"], "--dest"),
+    # The threshold register is 8 bits wide.
+    (["--platform=mica2", "--threshold=300"], "--threshold"),
+    # The soft-timer count (period / 1000) is 16 bits wide.
+    (["--platform=mica2", "--period=65600000"], "--period"),
 ]
 
 

@@ -24,6 +24,7 @@
 #include "core/sensor_node.hh"
 #include "fabric/event_fabric.hh"
 #include "scenario/lower.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -430,10 +431,9 @@ linkedScenario(unsigned count, unsigned threads, bool linked)
 core::Network::Counters
 runScenario(const Scenario &sc)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    network.runForSeconds(low.seconds);
-    return network.counters();
+    scenario::ScenarioRun run(sc);
+    run.run();
+    return run.network.counters();
 }
 
 } // namespace

@@ -37,7 +37,7 @@
 #include "net/relay.hh"
 #include "net/spatial.hh"
 #include "scenario/lower.hh"
-#include "scenario/resilience.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulation.hh"
@@ -119,19 +119,18 @@ struct ChurnRun
 ChurnRun
 runChurn(const Scenario &sc)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    scenario::ResilienceManager manager(network, sc, low);
+    scenario::ScenarioRun run(sc);
+    run.run();
 
     ChurnRun out;
-    out.report = manager.run();
+    out.report = *run.resilience;
     std::ostringstream stats;
-    network.dumpStats(stats);
+    run.network.dumpStats(stats);
     out.stats = stats.str();
     std::ostringstream report;
     scenario::printResilienceReport(report, out.report);
     out.reportText = report.str();
-    out.counters = network.counters();
+    out.counters = run.network.counters();
     return out;
 }
 
@@ -412,14 +411,13 @@ TEST(Resilience, RepairEnergyLandsInTheLedger)
         Scenario variant = sc;
         variant.lifecycle->repair = policy;
         variant.lifecycle->repairPeriod = 0.5;
-        scenario::Lowered lowered = scenario::lower(variant);
-        core::Network network(lowered.spec);
-        scenario::ResilienceManager manager(network, variant, lowered);
-        scenario::ResilienceReport report = manager.run();
-        wakes = network.node(child).micro().wakeups();
-        mcuJoules =
-            network.node(child).micro().energyTracker().energyJoules();
-        return report;
+        scenario::ScenarioRun churn(variant);
+        churn.run();
+        const core::Microcontroller &micro =
+            churn.network.node(child).micro();
+        wakes = micro.wakeups();
+        mcuJoules = micro.energyTracker().energyJoules();
+        return *churn.resilience;
     };
 
     std::uint64_t wakesOff = 0, wakesOn = 0;
@@ -446,15 +444,14 @@ TEST(Resilience, RevivedNodeRejoinsAndDelivers)
     sc.lifecycle->repair = RepairPolicy::Triggered;
     sc.lifecycle->repairPeriod = 0.5;
 
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    scenario::ResilienceManager manager(network, sc, low);
-    scenario::ResilienceReport report = manager.run();
+    scenario::ScenarioRun run(sc);
+    run.run();
+    core::Network &network = run.network;
 
-    EXPECT_GT(report.repairUpdates, 0u);
+    EXPECT_GT(run.resilience->repairUpdates, 0u);
     const auto &bySource =
         network.node(0).msgProc().localDeliveriesBySource();
-    const std::uint16_t addr5 = low.addresses[5];
+    const std::uint16_t addr5 = run.low.addresses[5];
     ASSERT_TRUE(bySource.contains(addr5))
         << "the revived node's frames must reach the sink";
     EXPECT_GT(bySource.at(addr5), 0u);

@@ -31,11 +31,11 @@
 #include "net/pool.hh"
 #include "net/relay.hh"
 #include "scenario/lower.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "scenario/spec.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
-#include "sleep/controller.hh"
 
 using namespace ulp;
 
@@ -250,12 +250,10 @@ std::string
 scenarioStats(scenario::Scenario sc, unsigned threads)
 {
     sc.threads = threads;
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    ulp::sleep::SleepController sleepCtl(network);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
     std::ostringstream os;
-    network.dumpStats(os);
+    run.network.dumpStats(os);
     return os.str();
 }
 

@@ -10,15 +10,20 @@
  *    packets to the sink through the routing CAM
  *  - the K = 1/2/4 oracle on a 64-node spatial multi-hop network:
  *    identical counters and a byte-identical merged stats tree
+ *  - the scenario runner: setup diagnostics, and [sleep], [fault],
+ *    [lifecycle] and [trace] all wired into one in-process run
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/network.hh"
 #include "scenario/lower.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 
@@ -90,15 +95,14 @@ gridScenario(unsigned count, unsigned threads, double seconds)
 core::Network::Counters
 runScenario(const Scenario &sc, std::string *stats = nullptr)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
     if (stats) {
         std::ostringstream os;
-        network.dumpStats(os);
+        run.network.dumpStats(os);
         *stats = os.str();
     }
-    return network.counters();
+    return run.network.counters();
 }
 
 // ---------------------------------------------------------------------------
@@ -373,9 +377,9 @@ TEST(ScenarioMultihop, ThreeHopChainDeliversToSink)
 {
     Scenario sc = chainScenario(4);
     sc.seconds = 3.0;
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    network.runForSeconds(sc.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
+    core::Network &network = run.network;
 
     const core::MessageProcessor &mp = network.node(0).msgProc();
     EXPECT_GT(mp.localDeliveries(), 0u);
@@ -407,6 +411,101 @@ TEST(ScenarioMultihop, ThreadCountOracle)
     EXPECT_EQ(k1, k4);
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(s1, s4);
+}
+
+// ---------------------------------------------------------------------------
+// The scenario runner.
+// ---------------------------------------------------------------------------
+
+/** Build @p sc's run expecting a diagnostic that contains @p what. */
+void
+expectRunError(const Scenario &sc, const std::string &what)
+{
+    try {
+        scenario::ScenarioRun run(sc);
+        FAIL() << "expected a run error mentioning '" << what << "'";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << "diagnostic was: " << e.what();
+    }
+}
+
+/** A fresh, empty directory under the test temp dir. */
+std::filesystem::path
+freshDir(const std::string &leaf)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / leaf;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+TEST(ScenarioRunner, RadioLossNeedsTheOneShardBroadcastMedium)
+{
+    Scenario sc;
+    sc.nodes.count = 4;
+    sc.radio.loss = 0.1;
+    sc.threads = 2;
+    expectRunError(sc, "[radio] loss");
+
+    sc.threads = 1;
+    sc.radio.model = RadioModel::Spatial;
+    expectRunError(sc, "[radio] loss");
+}
+
+TEST(ScenarioRunner, MissingFaultPlanNamesThePath)
+{
+    // Traced: the error unwinds a network whose shard queues still hold
+    // the log's energy samplers, a teardown the sanitizer builds check.
+    Scenario sc;
+    sc.nodes.count = 2;
+    sc.trace.emplace();
+    sc.trace->out = (freshDir("runner-missing-plan") / "trace").string();
+    sc.fault.emplace();
+    sc.fault->campaign = "no-such-dir/missing.plan";
+    expectRunError(sc, "no-such-dir/missing.plan");
+}
+
+TEST(ScenarioRunner, WiresEverySectionInProcess)
+{
+    const std::filesystem::path dir = freshDir("runner-wiring");
+    const std::string plan = (dir / "fail.plan").string();
+    std::ofstream(plan) << "0.2  node-fail\n";
+
+    // Eight nodes on one broadcast domain, routed to sink 0: node 3
+    // light-sleeps like the rest until its fault plan kills it.
+    Scenario sc;
+    sc.name = "runner-wiring";
+    sc.seconds = 0.5;
+    sc.nodes.count = 8;
+    sc.nodes.app = "app3";
+    sc.routes.sink = 0;
+    sc.sleep.emplace();
+    sc.sleep->policy = ulp::sleep::Policy::Light;
+    sc.sleep->period = 0.2;
+    sc.sleep->on = 0.05;
+    sc.fault.emplace();
+    sc.fault->campaign = plan;
+    sc.fault->node = 3;
+    sc.lifecycle.emplace();
+    sc.trace.emplace();
+    sc.trace->out = (dir / "trace").string();
+
+    sim::setQuiet(true);
+    scenario::ScenarioRun run(sc);
+    run.run();
+    sim::setQuiet(false);
+
+    EXPECT_EQ(run.sleepCtl->managedNodes(), 7u); // all but the sink
+    ASSERT_NE(run.injector, nullptr);
+    EXPECT_EQ(run.injector->injectedLifecycleEvents(), 1u);
+    EXPECT_FALSE(run.network.node(3).alive());
+    ASSERT_TRUE(run.resilience);
+    EXPECT_FALSE(run.resilience->samples.empty());
+    ASSERT_NE(run.log, nullptr);
+    EXPECT_GT(run.log->totalRecorded(), 0u);
+    EXPECT_GT(run.totals().sinkPackets, 0u);
 }
 
 } // namespace

@@ -30,10 +30,10 @@
 #include "net/channel.hh"
 #include "net/frame.hh"
 #include "scenario/lower.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "sleep/controller.hh"
 
 using namespace ulp;
 namespace map = ulp::core::map;
@@ -106,20 +106,18 @@ beaconGridScenario(unsigned threads, double seconds)
     return sc;
 }
 
-/** Run a lowered scenario under a SleepController; return merged stats. */
+/** Run a scenario through the runner; return merged stats. */
 core::Network::Counters
 runWithSleep(const Scenario &sc, std::string *stats = nullptr)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    ulp::sleep::SleepController sleepCtl(network);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
     if (stats) {
         std::ostringstream os;
-        network.dumpStats(os);
+        run.network.dumpStats(os);
         *stats = os.str();
     }
-    return network.counters();
+    return run.network.counters();
 }
 
 } // namespace
@@ -497,9 +495,9 @@ TEST(BeaconMac, UnsyncedRelayBeyondCoordinatorRangeStillDelivers)
     sc.mac->beaconOrder = 4;
     sc.mac->sfOrder = 2;
 
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
+    core::Network &network = run.network;
 
     core::SensorNode &relay = network.node(1);
     core::SensorNode &leaf = network.node(2);
@@ -550,12 +548,11 @@ TEST(DeepSleep, DutyCycledNodeDrawsAFractionOfAwakePower)
     sim::setQuiet(true);
     // 1% duty: awake 10 ms of every second.
     Scenario sleepy = dutyScenario(ulp::sleep::Policy::Deep, 1.0, 0.01, 3.0);
-    scenario::Lowered low = scenario::lower(sleepy);
-    core::Network network(low.spec);
-    ulp::sleep::SleepController sleepCtl(network);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sleepy);
+    run.run();
+    core::Network &network = run.network;
 
-    EXPECT_GE(sleepCtl.deepSleeps(), 2u);
+    EXPECT_GE(run.sleepCtl->deepSleeps(), 2u);
     EXPECT_GE(network.node(1).probes().count(core::Probe::DeepSleepEnter),
               2u);
     const double awakeWatts = network.node(0).totalAverageWatts();
@@ -572,19 +569,17 @@ TEST(DeepSleep, TimerWakeLatchesDeepSleepResetReason)
 {
     sim::setQuiet(true);
     Scenario sc = dutyScenario(ulp::sleep::Policy::Deep, 1.0, 0.2, 2.1);
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    ulp::sleep::SleepController sleepCtl(network);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
 
     // t = 2.1 s sits inside on-window k=2: the node is awake, and the
     // last boot was a scheduled deep-sleep wake, not a cold power-on.
-    core::SensorNode &node = network.node(1);
+    core::SensorNode &node = run.network.node(1);
     EXPECT_FALSE(node.inDeepSleep());
     EXPECT_TRUE(node.alive());
     EXPECT_EQ(node.micro().resetReason(), mcu::ResetReason::DeepSleepTimer);
     EXPECT_GE(node.probes().count(core::Probe::DeepSleepExit), 2u);
-    EXPECT_EQ(sleepCtl.deepSleeps(),
+    EXPECT_EQ(run.sleepCtl->deepSleeps(),
               node.probes().count(core::Probe::DeepSleepEnter));
     sim::setQuiet(false);
 }
@@ -607,14 +602,12 @@ TEST(LightSleep, IncomingFrameWakesTheSink)
     sc.overrides[0].sleepPolicy = ulp::sleep::Policy::None;
     sc.overrides[1].sleepPolicy = ulp::sleep::Policy::Light;
 
-    scenario::Lowered low = scenario::lower(sc);
-    core::Network network(low.spec);
-    ulp::sleep::SleepController sleepCtl(network);
-    network.runForSeconds(low.seconds);
+    scenario::ScenarioRun run(sc);
+    run.run();
 
-    EXPECT_GT(sleepCtl.lightSleeps(), 0u);
-    EXPECT_GT(sleepCtl.frameWakes(), 0u);
-    core::SensorNode &sink = network.node(1);
+    EXPECT_GT(run.sleepCtl->lightSleeps(), 0u);
+    EXPECT_GT(run.sleepCtl->frameWakes(), 0u);
+    core::SensorNode &sink = run.network.node(1);
     EXPECT_GT(sink.probes().count(core::Probe::LightSleepEnter), 0u);
     EXPECT_FALSE(sink.msgProc().localDeliveriesBySource().empty());
     sim::setQuiet(false);

@@ -11,11 +11,11 @@
  * A scenario describes the whole experiment — node count and placement,
  * per-node apps and overrides, the radio model, multi-hop routes toward
  * a sink, fault campaigns, trace output — see scenario/scenario.hh.
+ * `ulpsim run` runs it through scenario::ScenarioRun (scenario/run.hh),
+ * as campaign workers do, and prints the report.
  *
- * The old flag-based node front end (--app/--nodes/--period/... without
- * a subcommand) is gone: those runs are scenario files now, and the
- * driver points anyone who tries at `ulpsim run`. The Mica2 baseline
- * platform remains flag-only (`--platform=mica2`).
+ * The flag-based node front end is gone (node runs are scenario files);
+ * only the Mica2 baseline platform keeps flags (`--platform=mica2`).
  *
  * Examples:
  *   ulpsim run examples/multihop_grid.ini --threads=4 --stats
@@ -30,11 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,41 +42,30 @@
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
 #include "campaign/store.hh"
-#include "core/apps.hh"
-#include "core/network.hh"
 #include "core/sensor_node.hh"
-#include "fault/fault_injector.hh"
 #include "obs/event_log.hh"
-#include "scenario/lower.hh"
-#include "scenario/resilience.hh"
+#include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "sleep/controller.hh"
 
 using namespace ulp;
 
 namespace {
 
-/** Flag set of the Mica2 front end and the retired node front end. */
+/** Flag set of the Mica2 front end. */
 struct Options
 {
     std::string platform = "node";
     std::string app = "app1";
-    unsigned nodes = 1;
-    unsigned threads = 1;
     std::uint32_t period = 1000;
     unsigned threshold = 0;
-    unsigned dest = 0;
     double seconds = 10.0;
     std::string signal = "const:128";
     double noise = 0.0;
     std::uint64_t seed = 1;
     bool stats = false;
     bool power = false;
-    std::string traceOut;
-    std::string traceChannels = "all";
-    double traceEnergyPeriod = 0.0; ///< 0 = scenario / built-in default
 };
 
 [[noreturn]] void
@@ -168,10 +153,10 @@ flagUnsigned(const char *flag, const char *value,
 }
 
 Options
-parse(int argc, char **argv, int first, std::vector<std::string> *positional)
+parse(int argc, char **argv)
 {
     Options opt;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&](const char *key) -> const char * {
             std::size_t n = std::strlen(key);
@@ -185,18 +170,13 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
             opt.platform = v;
         } else if (const char *v = value("--app")) {
             opt.app = v;
-        } else if (const char *v = value("--nodes")) {
-            opt.nodes = static_cast<unsigned>(flagUnsigned("--nodes", v));
-        } else if (const char *v = value("--threads")) {
-            opt.threads = static_cast<unsigned>(flagUnsigned("--threads", v));
         } else if (const char *v = value("--period")) {
-            opt.period =
-                static_cast<std::uint32_t>(flagUnsigned("--period", v));
+            // One soft-timer count per 1000 cycles must fit 16 bits.
+            opt.period = static_cast<std::uint32_t>(
+                flagUnsigned("--period", v, 65535000));
         } else if (const char *v = value("--threshold")) {
             opt.threshold =
-                static_cast<unsigned>(flagUnsigned("--threshold", v));
-        } else if (const char *v = value("--dest")) {
-            opt.dest = static_cast<unsigned>(flagUnsigned("--dest", v));
+                static_cast<unsigned>(flagUnsigned("--threshold", v, 255));
         } else if (const char *v = value("--seconds")) {
             opt.seconds = flagNumber("--seconds", v);
         } else if (const char *v = value("--signal")) {
@@ -209,14 +189,6 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
             opt.power = true;
         } else if (arg == "--stats") {
             opt.stats = true;
-        } else if (const char *v = value("--trace-out")) {
-            opt.traceOut = v;
-        } else if (const char *v = value("--trace-channels")) {
-            opt.traceChannels = v;
-        } else if (const char *v = value("--trace-energy-period")) {
-            opt.traceEnergyPeriod = flagNumber("--trace-energy-period", v);
-        } else if (positional && !arg.empty() && arg[0] != '-') {
-            positional->push_back(arg);
         } else {
             std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
             usage(2);
@@ -226,9 +198,9 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
 }
 
 /**
- * Reject bad flags and bad flag *combinations* before any simulation
- * object is built: a typo should earn the usage text, not a mid-build
- * sim::fatal with half a node tree constructed.
+ * Reject bad flag values before any simulation object is built: a typo
+ * should earn the usage text, not a mid-build sim::fatal with half a
+ * node tree constructed.
  */
 void
 validate(const Options &opt)
@@ -238,8 +210,8 @@ validate(const Options &opt)
 
     if (opt.platform != "node" && opt.platform != "mica2")
         complain("unknown platform '" + opt.platform + "'");
-    static const char *apps[] = {"app1", "app2",  "app3", "app4",
-                                 "blink", "sense", "sink"};
+    static const char *apps[] = {"app1", "app2",  "app3",
+                                 "app4", "blink", "sense"};
     if (std::find(std::begin(apps), std::end(apps), opt.app) ==
         std::end(apps)) {
         complain("unknown app '" + opt.app + "'");
@@ -247,29 +219,8 @@ validate(const Options &opt)
     std::string kind = opt.signal.substr(0, opt.signal.find(':'));
     if (kind != "const" && kind != "sine" && kind != "ramp")
         complain("unknown signal spec '" + opt.signal + "'");
-    if (opt.nodes > 1)
-        complain("--nodes belongs to the retired flag front end; declare "
-                 "[nodes] count in a scenario file and `ulpsim run` it");
-    if (opt.threads > 1)
-        complain("--threads without a subcommand belongs to the retired "
-                 "flag front end; use `ulpsim run <scenario.ini> "
-                 "--threads=K`");
     if (!(opt.seconds > 0.0))
         complain("--seconds must be positive");
-    if (!opt.traceOut.empty())
-        complain("--trace-out without a subcommand belongs to the retired "
-                 "flag front end; use `ulpsim run <scenario.ini> "
-                 "--trace-out=DIR`");
-    if (opt.traceChannels != "all" && opt.traceOut.empty())
-        complain("--trace-channels requires --trace-out");
-    if (opt.traceEnergyPeriod != 0.0 && opt.traceOut.empty())
-        complain("--trace-energy-period requires --trace-out");
-    std::uint32_t mask = 0;
-    std::string bad;
-    if (!obs::parseChannelList(opt.traceChannels, &mask, &bad)) {
-        complain("unknown trace channel '" + bad + "' (valid: " +
-                 obs::allChannelNames() + ", all)");
-    }
 
     if (errors.empty())
         return;
@@ -279,101 +230,21 @@ validate(const Options &opt)
     usage(2);
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 /**
- * Execute a lowered scenario for `ulpsim run`: build the network, wire
- * the optional fault campaign and telemetry trace, run, and report.
- * Campaign workers set up their runs in campaign::executeRun instead.
+ * `ulpsim run`'s report on a finished run: the headline counters, one
+ * line per declared scenario feature, the single-node detail lines, and
+ * the statistics tree with --stats.
  */
 int
-runScenario(const scenario::Scenario &sc, bool stats, bool power)
+printReport(scenario::ScenarioRun &run, bool stats, bool power)
 {
-    scenario::Lowered low = scenario::lower(sc);
-    const unsigned N = static_cast<unsigned>(low.spec.nodes.size());
-
-    std::unique_ptr<obs::EventLog> log;
-    if (low.trace && !low.trace->out.empty()) {
-        obs::EventLogConfig ecfg;
-        ecfg.dir = low.trace->out;
-        ecfg.energySamplePeriod = sim::secondsToTicks(low.trace->energyPeriod);
-        std::string bad;
-        if (!obs::parseChannelList(low.trace->channels, &ecfg.channelMask,
-                                   &bad)) {
-            sim::fatal("bad trace channel '%s'", bad.c_str());
-        }
-        log = std::make_unique<obs::EventLog>(ecfg, sc.threads);
-        low.spec.telemetrySink = [&log](unsigned s) { return &log->sink(s); };
-    }
-
-    core::Network network(low.spec);
-    if (log) {
-        for (unsigned s = 0; s < sc.threads; ++s)
-            log->attachSampler(s, network.shardSimulation(s));
-    }
-
-    // Duty-cycled sleep schedules from the [sleep] section (a no-op
-    // when every node's policy is none).
-    sleep::SleepController sleepCtl(network);
-
-    if (low.broadcastLoss > 0.0) {
-        net::Channel *ch = network.broadcastChannel();
-        if (!ch) {
-            sim::fatal("[radio] loss needs threads = 1 and model = "
-                       "broadcast (the spatial model has per-link loss "
-                       "instead)");
-        }
-        ch->setLossProbability(low.broadcastLoss);
-    }
-
-    // The fault campaign attaches to one node's fabric (and, when
-    // available, the broadcast channel), on that node's shard.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (low.fault) {
-        const unsigned target = low.fault->node;
-        core::SensorNode &node = network.node(target);
-        injector = std::make_unique<fault::FaultInjector>(
-            network.shardSimulation(network.shardOf(target)), "fault",
-            sc.seed);
-        injector->attachSram(&node.memory());
-        injector->attachDevice("msgProc", &node.msgProc());
-        injector->attachDevice("compressor", &node.compressor());
-        if (net::Channel *ch = network.broadcastChannel())
-            injector->attachChannel(ch);
-        // node-fail / node-revive plan actions act on the target node.
-        injector->attachLifecycle([&network, target](bool up) {
-            if (up)
-                network.reviveNodeNow(target);
-            else
-                network.powerOffNodeNow(target);
-        });
-        injector->runText(readFile(low.fault->campaign));
-    }
-
-    // A [lifecycle] section hands the run loop to the resilience layer:
-    // segmented execution with churn, repair and degradation metrics.
-    std::optional<scenario::ResilienceReport> resilience;
-    if (sc.lifecycle) {
-        scenario::ResilienceManager manager(network, sc, low);
-        resilience = manager.run();
-    } else {
-        network.runForSeconds(low.seconds);
-    }
-    if (log)
-        log->finish();
+    const scenario::Lowered &low = run.low;
+    core::Network &network = run.network;
+    const unsigned N = network.numNodes();
     const core::Network::Counters c = network.counters();
 
     std::printf("scenario=%s nodes=%u threads=%u simulated=%.3fs\n",
-                low.name.c_str(), N, sc.threads, low.seconds);
+                low.name.c_str(), N, network.threads(), low.seconds);
     std::printf("events processed:  %llu\n",
                 static_cast<unsigned long long>(c.eventsProcessed));
     std::printf("frames sent:       %llu\n",
@@ -396,11 +267,12 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
                     static_cast<unsigned long long>(c.fabricDrops));
     }
     if (low.sink) {
-        const core::MessageProcessor &mp = network.node(*low.sink).msgProc();
+        const scenario::RunTotals t = run.totals();
         std::printf("packets at sink:   %llu (origins %zu, max depth %u)\n",
-                    static_cast<unsigned long long>(mp.localDeliveries()),
-                    mp.localDeliveriesBySource().size(), low.maxDepth());
+                    static_cast<unsigned long long>(t.sinkPackets),
+                    t.origins, low.maxDepth());
     }
+    const sleep::SleepController &sleepCtl = *run.sleepCtl;
     if (sleepCtl.managedNodes()) {
         std::printf("sleep:             %u nodes managed (light sleeps "
                     "%llu, deep sleeps %llu, frame wakes %llu)\n",
@@ -409,9 +281,9 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
                     static_cast<unsigned long long>(sleepCtl.deepSleeps()),
                     static_cast<unsigned long long>(sleepCtl.frameWakes()));
     }
-    if (resilience)
-        scenario::printResilienceReport(std::cout, *resilience);
-    if (injector) {
+    if (run.resilience)
+        scenario::printResilienceReport(std::cout, *run.resilience);
+    if (const fault::FaultInjector *injector = run.injector.get()) {
         std::printf("faults injected:   channel %llu, bit flips %llu, "
                     "device %llu, droops %llu, lifecycle %llu\n",
                     static_cast<unsigned long long>(
@@ -425,7 +297,7 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
                     static_cast<unsigned long long>(
                         injector->injectedLifecycleEvents()));
     }
-    if (log) {
+    if (const obs::EventLog *log = run.log.get()) {
         std::printf("trace records:     %llu (%llu dropped) -> %s\n",
                     static_cast<unsigned long long>(log->totalRecorded()),
                     static_cast<unsigned long long>(log->totalDropped()),
@@ -526,7 +398,9 @@ runCommand(int argc, char **argv)
     for (const auto &[o, value] : overrides)
         scenario::applyScenarioKey(sc, o->key, value, o->flag);
     scenario::validateScenario(sc, "command line");
-    return runScenario(sc, stats, power);
+    scenario::ScenarioRun run(sc);
+    run.run();
+    return printReport(run, stats, power);
 }
 
 /** The path workers are exec'd from: this very binary. */
@@ -774,7 +648,7 @@ main(int argc, char **argv)
             return 0;
         }
 
-        Options opt = parse(argc, argv, 1, nullptr);
+        Options opt = parse(argc, argv);
         validate(opt);
         if (opt.platform == "node") {
             std::fprintf(stderr,
