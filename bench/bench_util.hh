@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/ini.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -325,7 +326,7 @@ checkSnapshot(const std::string &path, const char *bench,
 {
     using sim::json::Member;
     using sim::json::Value;
-    const auto doc = sim::json::Document::fromFile(path);
+    const sim::json::Document doc(path, sim::readFile(path, "snapshot"));
     validateSnapshot(doc, bench);
     std::printf("check: host has %u core(s), %s build; reference %s\n",
                 std::thread::hardware_concurrency(), ULP_BUILD_TYPE,

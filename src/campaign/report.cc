@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 
+#include "sim/ini.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -53,7 +54,7 @@ withinTolerance(double a, double b, double tolerance)
 std::vector<GroupSummary>
 loadBaseline(const std::string &path)
 {
-    const sim::json::Document doc = sim::json::Document::fromFile(path);
+    const sim::json::Document doc(path, sim::readFile(path, "baseline"));
     std::vector<GroupSummary> out;
     for (const sim::json::Value &g : doc.root()["groups"].array()) {
         GroupSummary b;

@@ -1,62 +1,16 @@
 #include "campaign/spec.hh"
 
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "sim/logging.hh"
+#include "sim/ini.hh"
 
 namespace ulp::campaign {
 
 namespace {
 
+using sim::ini::Cursor;
+using sim::ini::parseUnsigned;
+
 /** Expanded-run-list safety cap: a sweep past this is surely a typo. */
 constexpr std::uint64_t maxRuns = 1'000'000;
-
-struct Cursor
-{
-    const std::string &file;
-    unsigned line = 0;
-
-    [[noreturn]] void
-    fail(const std::string &message) const
-    {
-        if (line == 0)
-            sim::fatal("%s: %s", file.c_str(), message.c_str());
-        sim::fatal("%s:%u: %s", file.c_str(), line, message.c_str());
-    }
-};
-
-std::string
-trim(const std::string &s)
-{
-    const char *ws = " \t\r";
-    auto b = s.find_first_not_of(ws);
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(ws);
-    return s.substr(b, e - b + 1);
-}
-
-std::uint64_t
-parseUnsigned(const Cursor &at, const std::string &key,
-              const std::string &value, std::uint64_t max)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-        value[0] == '-') {
-        at.fail("'" + key + "' needs an unsigned integer, got '" + value +
-                "'");
-    }
-    if (v > max) {
-        at.fail("'" + key + "' value " + value + " exceeds the maximum " +
-                std::to_string(max));
-    }
-    return v;
-}
 
 /**
  * Expand one axis value list: comma-separated items, where an item of
@@ -67,10 +21,7 @@ parseAxisValues(const Cursor &at, const std::string &key,
                 const std::string &value)
 {
     std::vector<std::string> out;
-    std::istringstream list(value);
-    std::string item;
-    while (std::getline(list, item, ',')) {
-        item = trim(item);
+    for (const std::string &item : sim::ini::split(value)) {
         if (item.empty())
             at.fail("axis '" + key + "' has an empty value entry");
         auto dots = item.find("..");
@@ -78,8 +29,8 @@ parseAxisValues(const Cursor &at, const std::string &key,
         // signal spec or a float) is a literal value.
         if (dots != std::string::npos && dots > 0 &&
             dots + 2 < item.size()) {
-            std::string lo = trim(item.substr(0, dots));
-            std::string hi = trim(item.substr(dots + 2));
+            std::string lo = sim::ini::trim(item.substr(0, dots));
+            std::string hi = sim::ini::trim(item.substr(dots + 2));
             if (lo.find_first_not_of("0123456789") == std::string::npos &&
                 hi.find_first_not_of("0123456789") == std::string::npos) {
                 std::uint64_t a = parseUnsigned(at, key, lo, UINT64_MAX);
@@ -124,68 +75,38 @@ parseCampaign(const std::string &text, const std::string &filename)
 {
     CampaignSpec spec;
     Cursor at{filename};
-
-    enum class Section
-    {
-        None,
-        Campaign,
-        Axis,
-        Run,
-    };
-    Section section = Section::None;
+    std::string section;
     bool sawCampaign = false;
-
-    std::istringstream in(text);
-    std::string raw;
-    while (std::getline(in, raw)) {
-        ++at.line;
-        auto hash = raw.find_first_of("#;");
-        if (hash != std::string::npos)
-            raw.erase(hash);
-        std::string line = trim(raw);
-        if (line.empty())
-            continue;
-
-        if (line.front() == '[') {
-            if (line.back() != ']')
-                at.fail("unterminated section header '" + line + "'");
-            std::string sec = trim(line.substr(1, line.size() - 2));
-            if (sec == "campaign") {
+    sim::ini::read(
+        text, at,
+        [&](const std::string &name) {
+            if (name == "campaign") {
                 if (sawCampaign)
                     at.fail("duplicate [campaign] section");
                 sawCampaign = true;
-                section = Section::Campaign;
-            } else if (sec == "axis") {
-                section = Section::Axis;
-            } else if (sec == "run") {
-                section = Section::Run;
+            } else if (name == "run") {
                 spec.runs.emplace_back();
-            } else
-                at.fail("unknown section '[" + sec +
+            } else if (name != "axis") {
+                at.fail("unknown section '[" + name +
                         "]' (campaign files take [campaign], [axis] and "
                         "[run])");
-            continue;
-        }
-
-        auto eq = line.find('=');
-        if (eq == std::string::npos)
-            at.fail("expected 'key = value', got '" + line + "'");
-        std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
-        if (key.empty())
-            at.fail("empty key");
-        if (value.empty())
-            at.fail("'" + key + "' has an empty value");
-
-        switch (section) {
-          case Section::None:
-            at.fail("'" + key + "' appears before any [section]");
-          case Section::Campaign:
-            if (key == "name")
+            }
+            section = name;
+        },
+        [&](const std::string &key, const std::string &value) {
+            if (section == "axis") {
+                for (const CampaignSpec::Axis &axis : spec.axes) {
+                    if (axis.key == key)
+                        at.fail("duplicate axis '" + key + "'");
+                }
+                spec.axes.push_back({key, parseAxisValues(at, key, value)});
+            } else if (section == "run") {
+                spec.runs.back().emplace_back(key, value);
+            } else if (key == "name") {
                 spec.name = value;
-            else if (key == "scenario")
+            } else if (key == "scenario") {
                 spec.scenario = value;
-            else if (key == "repeat") {
+            } else if (key == "repeat") {
                 spec.repeat = static_cast<unsigned>(
                     parseUnsigned(at, key, value, maxRuns));
                 if (spec.repeat == 0)
@@ -193,21 +114,10 @@ parseCampaign(const std::string &text, const std::string &filename)
             } else if (key == "seed-base") {
                 spec.seedBase = parseUnsigned(at, key, value, UINT64_MAX);
                 spec.seedBaseSet = true;
-            } else
+            } else {
                 at.fail("unknown key '" + key + "' in [campaign]");
-            break;
-          case Section::Axis:
-            for (const CampaignSpec::Axis &axis : spec.axes) {
-                if (axis.key == key)
-                    at.fail("duplicate axis '" + key + "'");
             }
-            spec.axes.push_back({key, parseAxisValues(at, key, value)});
-            break;
-          case Section::Run:
-            spec.runs.back().emplace_back(key, value);
-            break;
-        }
-    }
+        });
 
     at.line = 0;
     if (!sawCampaign)
@@ -224,12 +134,7 @@ parseCampaign(const std::string &text, const std::string &filename)
 CampaignSpec
 parseCampaignFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open campaign file '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseCampaign(text.str(), path);
+    return parseCampaign(sim::readFile(path, "campaign file"), path);
 }
 
 std::vector<RunSpec>

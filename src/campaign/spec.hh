@@ -2,8 +2,9 @@
  * @file
  * Campaign specs: a declarative sweep / ensemble over a base scenario.
  *
- * A campaign file is the same INI dialect as a scenario file and names a
- * base scenario plus the runs to derive from it:
+ * A campaign file is in the INI dialect of scenario files, read by the
+ * same sim/ini.hh reader, and names a base scenario plus the runs to
+ * derive from it:
  *
  *   [campaign]
  *   name = dutycycle-sweep
@@ -22,7 +23,7 @@
  * Axis keys are scenario::applyScenarioKey dotted paths ("nodes.period",
  * "scenario.seed", "lifecycle.repair", "node.3.period", ...), so every
  * scenario key is sweepable. Axis values are comma lists; `A..B` expands
- * to the inclusive unsigned range. The run list is the cartesian product
+ * to the inclusive range of decimal integers. The run list is the cartesian product
  * of the axes in file order (last axis varies fastest), times `repeat`
  * seeds (innermost), followed by every explicit [run] section. Run IDs
  * are the 0-based position in that list — the identity the results

@@ -4,9 +4,9 @@
 #include <cinttypes>
 #include <climits>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "sim/ini.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -154,17 +154,6 @@ parseStore(const std::string &path, const std::string &text)
     return out;
 }
 
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        sim::fatal("cannot open results store '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 } // namespace
 
 ResultsStore
@@ -182,7 +171,8 @@ ResultsStore::open(const std::string &path, const Header &header,
                        "resume` to continue it or pick another --store",
                        path.c_str());
         }
-        ParsedStore parsed = parseStore(path, readWholeFile(path));
+        ParsedStore parsed =
+            parseStore(path, sim::readFile(path, "results store"));
         if (parsed.header.digest != header.digest) {
             sim::fatal("results store '%s' was produced by a different "
                        "campaign (digest %016" PRIx64 " != %016" PRIx64
@@ -234,7 +224,8 @@ ResultsStore::open(const std::string &path, const Header &header,
 std::vector<RunRecord>
 ResultsStore::load(const std::string &path, Header *header)
 {
-    ParsedStore parsed = parseStore(path, readWholeFile(path));
+    ParsedStore parsed =
+        parseStore(path, sim::readFile(path, "results store"));
     if (header)
         *header = parsed.header;
     return std::move(parsed.records);

@@ -602,6 +602,81 @@ buildApp1(const AppParams &params)
 }
 
 NodeApp
+buildMcuOnly(std::uint32_t period_cycles)
+{
+    NodeApp app;
+    app.name = "mcu-only";
+
+    // The EP only dispatches: every event wakes the microcontroller.
+    app.ep = epAssemble(R"(
+timer_isr:
+    WAKEUP 1
+txready_isr:
+    WAKEUP 2
+txdone_isr:
+    WAKEUP 3
+.isr Timer0, timer_isr
+.isr MsgTxReady, txready_isr
+.isr RadioTxDone, txdone_isr
+)");
+
+    std::string mc = sim::csprintf(
+        ".equ MCU_CODE, %u\n"
+        ".equ P_PERIOD_HI, %u\n"
+        ".equ P_PERIOD_LO, %u\n",
+        map::mcuCodeBase, (period_cycles >> 8) & 0xFF,
+        period_cycles & 0xFF);
+    mc += R"(
+.org MCU_CODE
+init:
+    LDI r0, 1
+    STS MSG_PAYLOAD_LEN, r0
+    LDI r0, P_PERIOD_HI
+    STS TIMER0_LOADHI, r0
+    LDI r0, P_PERIOD_LO
+    STS TIMER0_LOADLO, r0
+    LDI r0, 3
+    STS TIMER0_CTRL, r0
+    SLEEP
+
+; sample and stage the payload in software
+h_timer:
+    LDS r0, SENSOR_DATA
+    STS MSG_PAYLOAD, r0
+    LDI r0, 1
+    STS MSG_CTRL, r0
+    SLEEP
+
+; move the prepared frame to the radio in software
+h_txready:
+    LDP p1, MSG_OUTBUF
+    LDP p2, RADIO_TXFIFO
+    LDI r8, 12
+h_cp:
+    LDX r0, p1
+    STX p2, r0
+    INCP p1
+    INCP p2
+    DEC r8
+    JNZ h_cp
+    LDI r0, 12
+    STS RADIO_TXLEN, r0
+    LDI r0, 1
+    STS RADIO_CTRL, r0
+    SLEEP
+
+h_txdone:
+    SLEEP
+)";
+    app.mcu = mcu::assemble(mc, epDefaultSymbols());
+    app.initEntry = app.mcu.symbol("init");
+    app.vectors[1] = app.mcu.symbol("h_timer");
+    app.vectors[2] = app.mcu.symbol("h_txready");
+    app.vectors[3] = app.mcu.symbol("h_txdone");
+    return app;
+}
+
+NodeApp
 buildApp2(const AppParams &params)
 {
     return buildByName("app2", params);

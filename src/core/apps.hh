@@ -147,6 +147,15 @@ struct AppImage
 AppImage assembleImage(const AppShape &shape, const ParamValues &values);
 
 NodeApp buildApp1(const AppParams &params = {});
+
+/**
+ * The SNAP-style ablation of v1 (the paper's §2 critique): the EP only
+ * dispatches, every ISR a single WAKEUP, and the microcontroller samples
+ * and stages each packet over the byte-serial bus. Samples every
+ * @p period_cycles (at most 16 bits).
+ */
+NodeApp buildMcuOnly(std::uint32_t period_cycles);
+
 NodeApp buildApp2(const AppParams &params = {});
 NodeApp buildApp3(const AppParams &params = {});
 NodeApp buildApp4(const AppParams &params = {});

@@ -1,10 +1,9 @@
 #include "scenario/run.hh"
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/sensor_node.hh"
+#include "sim/ini.hh"
 #include "sim/logging.hh"
 
 namespace ulp::scenario {
@@ -75,12 +74,7 @@ ScenarioRun::ScenarioRun(const Scenario &scenario)
             else
                 network.powerOffNodeNow(target);
         });
-        std::ifstream in(sc.fault->campaign);
-        if (!in)
-            sim::fatal("cannot open '%s'", sc.fault->campaign.c_str());
-        std::ostringstream plan;
-        plan << in.rdbuf();
-        injector->runText(plan.str());
+        injector->runText(sim::readFile(sc.fault->campaign, "fault plan"));
     }
 }
 

@@ -1,556 +1,19 @@
 #include "scenario/scenario.hh"
 
-#include <cerrno>
-#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
-#include "sim/logging.hh"
+#include "sim/ini.hh"
 
 namespace ulp::scenario {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Parsing.
-// ---------------------------------------------------------------------------
-
-/** Parser state: current position for diagnostics. */
-struct Cursor
-{
-    const std::string &file;
-    unsigned line = 0;
-
-    [[noreturn]] void
-    fail(const std::string &message) const
-    {
-        // line 0 = not a file position (programmatic override contexts).
-        if (line == 0)
-            sim::fatal("%s: %s", file.c_str(), message.c_str());
-        sim::fatal("%s:%u: %s", file.c_str(), line, message.c_str());
-    }
-};
-
-std::string
-trim(const std::string &s)
-{
-    const char *ws = " \t\r";
-    auto b = s.find_first_not_of(ws);
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(ws);
-    return s.substr(b, e - b + 1);
-}
-
-std::uint64_t
-parseUnsigned(const Cursor &at, const std::string &key,
-              const std::string &value, std::uint64_t max)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-        value[0] == '-') {
-        at.fail("'" + key + "' needs an unsigned integer, got '" + value +
-                "'");
-    }
-    if (v > max) {
-        at.fail("'" + key + "' value " + value + " exceeds the maximum " +
-                std::to_string(max));
-    }
-    return v;
-}
-
-double
-parseDouble(const Cursor &at, const std::string &key,
-            const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v))
-        at.fail("'" + key + "' needs a finite number, got '" + value + "'");
-    return v;
-}
-
-double
-parseProbability(const Cursor &at, const std::string &key,
-                 const std::string &value)
-{
-    double v = parseDouble(at, key, value);
-    if (v < 0.0 || v > 1.0)
-        at.fail("'" + key + "' must be in [0, 1], got '" + value + "'");
-    return v;
-}
-
-void
-parseScenarioKey(const Cursor &at, Scenario &sc, const std::string &key,
-                 const std::string &value)
-{
-    if (key == "name")
-        sc.name = value;
-    else if (key == "seconds") {
-        sc.seconds = parseDouble(at, key, value);
-        if (!(sc.seconds > 0.0))
-            at.fail("'seconds' must be positive");
-    } else if (key == "seed")
-        sc.seed = parseUnsigned(at, key, value, UINT64_MAX);
-    else if (key == "threads") {
-        sc.threads =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 1024));
-        if (sc.threads == 0)
-            at.fail("'threads' must be at least 1");
-    } else
-        at.fail("unknown key '" + key + "' in [scenario]");
-}
-
-void
-parseNodesKey(const Cursor &at, Scenario &sc, const std::string &key,
-              const std::string &value)
-{
-    Scenario::Nodes &n = sc.nodes;
-    if (key == "count") {
-        n.count =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'534));
-        if (n.count == 0)
-            at.fail("'count' must be at least 1");
-    } else if (key == "app")
-        n.app = value;
-    else if (key == "period")
-        n.period =
-            static_cast<std::uint32_t>(parseUnsigned(at, key, value,
-                                                     UINT32_MAX));
-    else if (key == "period-stagger")
-        n.periodStagger =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'535));
-    else if (key == "threshold")
-        n.threshold =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 255));
-    else if (key == "mac-retries")
-        n.macRetries =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 7));
-    else if (key == "watchdog")
-        n.watchdog =
-            static_cast<std::uint32_t>(parseUnsigned(at, key, value,
-                                                     UINT32_MAX));
-    else if (key == "dest")
-        n.dest =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'534));
-    else if (key == "signal")
-        n.signal = value;
-    else if (key == "noise")
-        n.noise = parseDouble(at, key, value);
-    else if (key == "placement") {
-        if (value == "grid")
-            n.placement = Placement::Grid;
-        else if (value == "uniform")
-            n.placement = Placement::Uniform;
-        else if (value == "explicit")
-            n.placement = Placement::Explicit;
-        else
-            at.fail("'placement' must be grid, uniform or explicit, got '" +
-                    value + "'");
-    } else if (key == "grid-cols")
-        n.gridCols =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'534));
-    else if (key == "spacing") {
-        n.spacing = parseDouble(at, key, value);
-        if (!(n.spacing > 0.0))
-            at.fail("'spacing' must be positive");
-    } else if (key == "area") {
-        n.area = parseDouble(at, key, value);
-        if (n.area < 0.0)
-            at.fail("'area' must be non-negative");
-    } else
-        at.fail("unknown key '" + key + "' in [nodes]");
-}
-
-void
-parseRadioKey(const Cursor &at, Scenario &sc, const std::string &key,
-              const std::string &value)
-{
-    Scenario::Radio &r = sc.radio;
-    if (key == "model") {
-        if (value == "broadcast")
-            r.model = RadioModel::Broadcast;
-        else if (value == "spatial")
-            r.model = RadioModel::Spatial;
-        else
-            at.fail("'model' must be broadcast or spatial, got '" + value +
-                    "'");
-    } else if (key == "bit-rate") {
-        r.bitRate = parseDouble(at, key, value);
-        if (!(r.bitRate > 0.0))
-            at.fail("'bit-rate' must be positive");
-    } else if (key == "loss")
-        r.loss = parseProbability(at, key, value);
-    else if (key == "path-loss-exponent") {
-        r.spatial.pathLossExponent = parseDouble(at, key, value);
-        if (!(r.spatial.pathLossExponent > 0.0))
-            at.fail("'path-loss-exponent' must be positive");
-    } else if (key == "reference-loss-db")
-        r.spatial.referenceLossDb = parseDouble(at, key, value);
-    else if (key == "tx-power-dbm")
-        r.spatial.txPowerDbm = parseDouble(at, key, value);
-    else if (key == "sensitivity-dbm")
-        r.spatial.sensitivityDbm = parseDouble(at, key, value);
-    else if (key == "fade-margin-db") {
-        r.spatial.fadeMarginDb = parseDouble(at, key, value);
-        if (r.spatial.fadeMarginDb < 0.0)
-            at.fail("'fade-margin-db' must be non-negative");
-    } else if (key == "interference-margin-db") {
-        r.spatial.interferenceMarginDb = parseDouble(at, key, value);
-        if (r.spatial.interferenceMarginDb < 0.0)
-            at.fail("'interference-margin-db' must be non-negative");
-    } else
-        at.fail("unknown key '" + key + "' in [radio]");
-}
-
-void
-parseRoutesKey(const Cursor &at, Scenario &sc, const std::string &key,
-               const std::string &value)
-{
-    Scenario::Routes &r = sc.routes;
-    if (key == "sink")
-        r.sink = static_cast<unsigned>(parseUnsigned(at, key, value, 65'533));
-    else if (key == "mode") {
-        if (value == "auto")
-            r.mode = RouteMode::Auto;
-        else if (value == "explicit")
-            r.mode = RouteMode::Explicit;
-        else if (value == "none")
-            r.mode = RouteMode::None;
-        else
-            at.fail("'mode' must be auto, explicit or none, got '" + value +
-                    "'");
-    } else if (key == "min-prob")
-        r.minProb = parseProbability(at, key, value);
-    else
-        at.fail("unknown key '" + key + "' in [routes]");
-}
-
-/** One `source -> sink` fabric link. */
-fabric::Link
-parseLink(const Cursor &at, const std::string &key, const std::string &text)
-{
-    auto arrow = text.find("->");
-    if (arrow == std::string::npos) {
-        at.fail("'" + key + "' entries are 'source -> sink', got '" + text +
-                "'");
-    }
-    std::string src = trim(text.substr(0, arrow));
-    std::string dst = trim(text.substr(arrow + 2));
-    auto source = fabric::parseSource(src);
-    if (!source)
-        at.fail("'" + key + "': unknown event source '" + src + "'");
-    auto sink = fabric::parseSink(dst);
-    if (!sink)
-        at.fail("'" + key + "': unknown event sink '" + dst + "'");
-    return {*source, *sink};
-}
-
-/**
- * The fabric routes by interrupt request line, so two links on the same
- * line (e.g. adc.done and adc.threshold) can never both be armed —
- * reject at the declaring line rather than at network construction.
- */
-void
-checkNewLink(const Cursor &at, const std::string &key,
-             const std::vector<fabric::Link> &prior, const fabric::Link &link)
-{
-    for (const fabric::Link &p : prior) {
-        if (fabric::sourceIrq(p.source) == fabric::sourceIrq(link.source)) {
-            at.fail("'" + key + "': '" +
-                    std::string(fabric::sourceName(link.source)) +
-                    "' routes the same request line as the earlier '" +
-                    fabric::sourceName(p.source) + "' link");
-        }
-    }
-}
-
-void
-parseEventsKey(const Cursor &at, Scenario &sc, const std::string &key,
-               const std::string &value)
-{
-    Scenario::Events &e = *sc.events;
-    if (key == "link") {
-        fabric::Link link = parseLink(at, key, value);
-        checkNewLink(at, key, e.links, link);
-        e.links.push_back(link);
-    } else
-        at.fail("unknown key '" + key + "' in [events]");
-}
-
-/** Comma-separated link list for [node N] `links`; "none" = empty. */
-std::vector<fabric::Link>
-parseLinkList(const Cursor &at, const std::string &key,
-              const std::string &value)
-{
-    std::vector<fabric::Link> links;
-    if (value == "none")
-        return links;
-    std::istringstream list(value);
-    std::string item;
-    while (std::getline(list, item, ',')) {
-        item = trim(item);
-        if (item.empty())
-            at.fail("'" + key + "' has an empty entry");
-        fabric::Link link = parseLink(at, key, item);
-        checkNewLink(at, key, links, link);
-        links.push_back(link);
-    }
-    return links;
-}
-
-ulp::sleep::Policy
-parseSleepPolicy(const Cursor &at, const std::string &key,
-                 const std::string &value)
-{
-    if (value == "none")
-        return ulp::sleep::Policy::None;
-    if (value == "light")
-        return ulp::sleep::Policy::Light;
-    if (value == "deep")
-        return ulp::sleep::Policy::Deep;
-    at.fail("'" + key + "' must be none, light or deep, got '" + value +
-            "'");
-}
-
-void
-parseMacKey(const Cursor &at, Scenario &sc, const std::string &key,
-            const std::string &value)
-{
-    Scenario::Mac &m = *sc.mac;
-    if (key == "mode") {
-        if (value == "csma")
-            m.mode = ulp::sleep::MacMode::Csma;
-        else if (value == "beacon")
-            m.mode = ulp::sleep::MacMode::Beacon;
-        else
-            at.fail("'mode' must be csma or beacon, got '" + value + "'");
-    } else if (key == "beacon-order")
-        m.beaconOrder =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 14));
-    else if (key == "sf-order")
-        m.sfOrder = static_cast<unsigned>(parseUnsigned(at, key, value, 14));
-    else if (key == "guard")
-        m.guard = static_cast<unsigned>(parseUnsigned(at, key, value, 255));
-    else if (key == "drift-ppm") {
-        m.driftPpm = parseDouble(at, key, value);
-        if (m.driftPpm < 0.0)
-            at.fail("'drift-ppm' must be non-negative");
-    } else if (key == "coordinator")
-        m.coordinator =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'533));
-    else
-        at.fail("unknown key '" + key + "' in [mac]");
-}
-
-void
-parseSleepKey(const Cursor &at, Scenario &sc, const std::string &key,
-              const std::string &value)
-{
-    Scenario::Sleep &s = *sc.sleep;
-    if (key == "policy")
-        s.policy = parseSleepPolicy(at, key, value);
-    else if (key == "period") {
-        s.period = parseDouble(at, key, value);
-        if (!(s.period > 0.0))
-            at.fail("'period' must be positive (seconds)");
-    } else if (key == "on") {
-        s.on = parseDouble(at, key, value);
-        if (!(s.on > 0.0))
-            at.fail("'on' must be positive (seconds)");
-    } else
-        at.fail("unknown key '" + key + "' in [sleep]");
-}
-
-void
-parseNodeKey(const Cursor &at, NodeOverride &o, const std::string &key,
-             const std::string &value)
-{
-    if (key == "app")
-        o.app = value;
-    else if (key == "period")
-        o.period =
-            static_cast<std::uint32_t>(parseUnsigned(at, key, value,
-                                                     UINT32_MAX));
-    else if (key == "threshold")
-        o.threshold =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 255));
-    else if (key == "mac-retries")
-        o.macRetries =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 7));
-    else if (key == "watchdog")
-        o.watchdog =
-            static_cast<std::uint32_t>(parseUnsigned(at, key, value,
-                                                     UINT32_MAX));
-    else if (key == "signal")
-        o.signal = value;
-    else if (key == "noise")
-        o.noise = parseDouble(at, key, value);
-    else if (key == "x")
-        o.x = parseDouble(at, key, value);
-    else if (key == "y")
-        o.y = parseDouble(at, key, value);
-    else if (key == "address")
-        o.address =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'534));
-    else if (key == "seed")
-        o.seed = parseUnsigned(at, key, value, UINT64_MAX);
-    else if (key == "dest")
-        o.dest =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'534));
-    else if (key == "next-hop")
-        o.nextHop =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'533));
-    else if (key == "domain")
-        o.domain =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 255));
-    else if (key == "sleep-policy")
-        o.sleepPolicy = parseSleepPolicy(at, key, value);
-    else if (key == "sleep-period") {
-        o.sleepPeriod = parseDouble(at, key, value);
-        if (!(*o.sleepPeriod > 0.0))
-            at.fail("'sleep-period' must be positive (seconds)");
-    } else if (key == "sleep-on") {
-        o.sleepOn = parseDouble(at, key, value);
-        if (!(*o.sleepOn > 0.0))
-            at.fail("'sleep-on' must be positive (seconds)");
-    } else if (key == "links")
-        o.links = parseLinkList(at, key, value);
-    else
-        at.fail("unknown key '" + key + "' in [node N]");
-}
-
-/**
- * Source lines of every fail/revive entry, parallel to the event
- * vectors. Range checks (node index, event time) need the whole file —
- * [nodes] count or [scenario] seconds may come later — so they run
- * after parsing, against these recorded positions.
- */
-struct LifecycleLines
-{
-    std::vector<unsigned> fail;
-    std::vector<unsigned> revive;
-};
-
-void
-parseLifecycleEvents(const Cursor &at, const std::string &key,
-                     const std::string &value,
-                     std::vector<LifecycleEvent> &events,
-                     std::vector<unsigned> &lines)
-{
-    std::istringstream list(value);
-    std::string item;
-    while (std::getline(list, item, ',')) {
-        item = trim(item);
-        if (item.empty())
-            at.fail("'" + key + "' has an empty entry");
-        auto sep = item.find('@');
-        if (sep == std::string::npos) {
-            at.fail("'" + key + "' entries are node@seconds, got '" + item +
-                    "'");
-        }
-        LifecycleEvent ev;
-        ev.node = static_cast<unsigned>(
-            parseUnsigned(at, key, trim(item.substr(0, sep)), 65'534));
-        ev.atSeconds = parseDouble(at, key, trim(item.substr(sep + 1)));
-        if (ev.atSeconds < 0.0)
-            at.fail("'" + key + "' time must be non-negative");
-        events.push_back(ev);
-        lines.push_back(at.line);
-    }
-}
-
-void
-parseLifecycleKey(const Cursor &at, Scenario &sc, LifecycleLines &lines,
-                  const std::string &key, const std::string &value)
-{
-    Scenario::Lifecycle &l = *sc.lifecycle;
-    if (key == "fail")
-        parseLifecycleEvents(at, key, value, l.fail, lines.fail);
-    else if (key == "revive")
-        parseLifecycleEvents(at, key, value, l.revive, lines.revive);
-    else if (key == "repair") {
-        if (value == "none")
-            l.repair = RepairPolicy::None;
-        else if (value == "periodic")
-            l.repair = RepairPolicy::Periodic;
-        else if (value == "triggered")
-            l.repair = RepairPolicy::Triggered;
-        else
-            at.fail("'repair' must be none, periodic or triggered, got '" +
-                    value + "'");
-    } else if (key == "repair-period") {
-        l.repairPeriod = parseDouble(at, key, value);
-        if (!(l.repairPeriod > 0.0))
-            at.fail("'repair-period' must be positive");
-    } else if (key == "metric") {
-        if (value == "hops")
-            l.metric = RouteMetric::Hops;
-        else if (value == "energy")
-            l.metric = RouteMetric::Energy;
-        else
-            at.fail("'metric' must be hops or energy, got '" + value + "'");
-    } else if (key == "energy-weight") {
-        l.energyWeight = parseDouble(at, key, value);
-        if (l.energyWeight < 0.0)
-            at.fail("'energy-weight' must be non-negative");
-    } else if (key == "battery") {
-        l.battery = parseDouble(at, key, value);
-        if (l.battery < 0.0)
-            at.fail("'battery' must be non-negative (joules; 0 disables)");
-    } else if (key == "battery-initial")
-        l.batteryInitial = parseDouble(at, key, value);
-    else if (key == "harvest") {
-        l.harvest = parseDouble(at, key, value);
-        if (l.harvest < 0.0)
-            at.fail("'harvest' must be non-negative");
-    } else if (key == "battery-interval") {
-        l.batteryInterval = parseDouble(at, key, value);
-        if (!(l.batteryInterval > 0.0))
-            at.fail("'battery-interval' must be positive");
-    } else if (key == "revive-level")
-        l.reviveLevel = parseProbability(at, key, value);
-    else
-        at.fail("unknown key '" + key + "' in [lifecycle]");
-}
-
-void
-parseFaultKey(const Cursor &at, Scenario &sc, const std::string &key,
-              const std::string &value)
-{
-    if (key == "campaign")
-        sc.fault->campaign = value;
-    else if (key == "node")
-        sc.fault->node =
-            static_cast<unsigned>(parseUnsigned(at, key, value, 65'533));
-    else
-        at.fail("unknown key '" + key + "' in [fault]");
-}
-
-void
-parseTraceKey(const Cursor &at, Scenario &sc, const std::string &key,
-              const std::string &value)
-{
-    if (key == "out")
-        sc.trace->out = value;
-    else if (key == "channels")
-        sc.trace->channels = value;
-    else if (key == "energy-period") {
-        sc.trace->energyPeriod = parseDouble(at, key, value);
-        if (!(sc.trace->energyPeriod > 0.0))
-            at.fail("'energy-period' must be positive (seconds)");
-    } else
-        at.fail("unknown key '" + key + "' in [trace]");
-}
-
-// ---------------------------------------------------------------------------
-// Printing.
-// ---------------------------------------------------------------------------
+using sim::ini::Cursor;
+using sim::ini::parseDouble;
+using sim::ini::parseUnsigned;
+using sim::ini::trim;
 
 /** Shortest decimal form that parses back to exactly @p v. */
 std::string
@@ -565,59 +28,581 @@ formatDouble(double v)
     return buf;
 }
 
-const char *
-placementName(Placement p)
+// ---------------------------------------------------------------------------
+// The key list.
+// ---------------------------------------------------------------------------
+
+/** How an enumerator is spelled in a scenario file. */
+template <class E>
+struct Spelling
 {
-    switch (p) {
-      case Placement::Grid: return "grid";
-      case Placement::Uniform: return "uniform";
-      case Placement::Explicit: return "explicit";
-    }
-    return "?";
+    E value;
+    const char *name;
+};
+
+constexpr Spelling<Placement> placements[] = {
+    {Placement::Grid, "grid"},
+    {Placement::Uniform, "uniform"},
+    {Placement::Explicit, "explicit"},
+};
+constexpr Spelling<RadioModel> radioModels[] = {
+    {RadioModel::Broadcast, "broadcast"},
+    {RadioModel::Spatial, "spatial"},
+};
+constexpr Spelling<ulp::sleep::MacMode> macModes[] = {
+    {ulp::sleep::MacMode::Csma, "csma"},
+    {ulp::sleep::MacMode::Beacon, "beacon"},
+};
+constexpr Spelling<RouteMode> routeModes[] = {
+    {RouteMode::Auto, "auto"},
+    {RouteMode::Explicit, "explicit"},
+    {RouteMode::None, "none"},
+};
+constexpr Spelling<ulp::sleep::Policy> sleepPolicies[] = {
+    {ulp::sleep::Policy::None, "none"},
+    {ulp::sleep::Policy::Light, "light"},
+    {ulp::sleep::Policy::Deep, "deep"},
+};
+constexpr Spelling<RepairPolicy> repairPolicies[] = {
+    {RepairPolicy::None, "none"},
+    {RepairPolicy::Periodic, "periodic"},
+    {RepairPolicy::Triggered, "triggered"},
+};
+constexpr Spelling<RouteMetric> routeMetrics[] = {
+    {RouteMetric::Hops, "hops"},
+    {RouteMetric::Energy, "energy"},
+};
+
+/** The values a real-valued key accepts. */
+enum class Range
+{
+    Any,
+    Positive,
+    NonNegative,
+    Probability, ///< [0, 1]
+};
+
+/**
+ * Every section and its keys, in printed order: the one list the parse
+ * and the print side both walk. @p v is a Parse or a Print; S is
+ * Scenario when parsing and const Scenario when printing. Integer keys
+ * give their maximum and, when not 0, their minimum.
+ */
+template <class V, class S>
+void
+sections(V &v, S &sc)
+{
+    v.section("scenario", sc, [](auto &k, auto &s) {
+        k.text("name", s.name);
+        k.real("seconds", s.seconds, Range::Positive);
+        k.number("seed", s.seed, UINT64_MAX);
+        k.number("threads", s.threads, 1024, 1);
+    });
+    v.section("nodes", sc.nodes, [](auto &k, auto &n) {
+        k.number("count", n.count, 65'534, 1);
+        k.text("app", n.app);
+        k.number("period", n.period, UINT32_MAX);
+        k.number("period-stagger", n.periodStagger, 65'535);
+        k.number("threshold", n.threshold, 255);
+        k.number("mac-retries", n.macRetries, 7);
+        k.number("watchdog", n.watchdog, UINT32_MAX);
+        k.number("dest", n.dest, 65'534);
+        k.text("signal", n.signal);
+        k.real("noise", n.noise);
+        k.choice("placement", n.placement, placements);
+        k.number("grid-cols", n.gridCols, 65'534);
+        k.real("spacing", n.spacing, Range::Positive);
+        k.real("area", n.area, Range::NonNegative);
+    });
+    v.section("radio", sc.radio, [](auto &k, auto &r) {
+        k.choice("model", r.model, radioModels);
+        k.real("bit-rate", r.bitRate, Range::Positive);
+        k.real("loss", r.loss, Range::Probability);
+        k.real("path-loss-exponent", r.spatial.pathLossExponent,
+               Range::Positive);
+        k.real("reference-loss-db", r.spatial.referenceLossDb);
+        k.real("tx-power-dbm", r.spatial.txPowerDbm);
+        k.real("sensitivity-dbm", r.spatial.sensitivityDbm);
+        k.real("fade-margin-db", r.spatial.fadeMarginDb, Range::NonNegative);
+        k.real("interference-margin-db", r.spatial.interferenceMarginDb,
+               Range::NonNegative);
+    });
+    v.section("mac", sc.mac, [](auto &k, auto &m) {
+        k.choice("mode", m.mode, macModes);
+        k.number("beacon-order", m.beaconOrder, 14);
+        k.number("sf-order", m.sfOrder, 14);
+        k.number("guard", m.guard, 255);
+        k.real("drift-ppm", m.driftPpm, Range::NonNegative);
+        k.number("coordinator", m.coordinator, 65'533);
+    });
+    v.section("routes", sc.routes, [](auto &k, auto &r) {
+        k.number("sink", r.sink, 65'533);
+        k.choice("mode", r.mode, routeModes);
+        k.real("min-prob", r.minProb, Range::Probability);
+    });
+    v.section("events", sc.events,
+              [](auto &k, auto &e) { k.link("link", e.links); });
+    v.section("sleep", sc.sleep, [](auto &k, auto &s) {
+        k.choice("policy", s.policy, sleepPolicies);
+        k.real("period", s.period, Range::Positive);
+        k.real("on", s.on, Range::Positive);
+    });
+    v.section("lifecycle", sc.lifecycle, [](auto &k, auto &l) {
+        k.schedule("fail", l.fail);
+        k.schedule("revive", l.revive);
+        k.choice("repair", l.repair, repairPolicies);
+        k.real("repair-period", l.repairPeriod, Range::Positive);
+        k.choice("metric", l.metric, routeMetrics);
+        k.real("energy-weight", l.energyWeight, Range::NonNegative);
+        k.real("battery", l.battery, Range::NonNegative);
+        k.real("battery-initial", l.batteryInitial);
+        k.real("harvest", l.harvest, Range::NonNegative);
+        k.real("battery-interval", l.batteryInterval, Range::Positive);
+        k.real("revive-level", l.reviveLevel, Range::Probability);
+    });
+    v.nodes(sc.overrides, [](auto &k, auto &o) {
+        k.text("app", o.app);
+        k.number("period", o.period, UINT32_MAX);
+        k.number("threshold", o.threshold, 255);
+        k.number("mac-retries", o.macRetries, 7);
+        k.number("watchdog", o.watchdog, UINT32_MAX);
+        k.text("signal", o.signal);
+        k.real("noise", o.noise);
+        k.real("x", o.x);
+        k.real("y", o.y);
+        k.number("address", o.address, 65'534);
+        k.number("seed", o.seed, UINT64_MAX);
+        k.number("dest", o.dest, 65'534);
+        k.number("next-hop", o.nextHop, 65'533);
+        k.number("domain", o.domain, 255);
+        k.choice("sleep-policy", o.sleepPolicy, sleepPolicies);
+        k.real("sleep-period", o.sleepPeriod, Range::Positive);
+        k.real("sleep-on", o.sleepOn, Range::Positive);
+        k.linkList("links", o.links);
+    });
+    v.section("fault", sc.fault, [](auto &k, auto &f) {
+        k.text("campaign", f.campaign);
+        k.number("node", f.node, 65'533);
+    });
+    v.section("trace", sc.trace, [](auto &k, auto &t) {
+        k.text("out", t.out);
+        k.text("channels", t.channels);
+        k.real("energy-period", t.energyPeriod, Range::Positive);
+    });
 }
 
-const char *
-routeModeName(RouteMode m)
+// ---------------------------------------------------------------------------
+// Parsing.
+// ---------------------------------------------------------------------------
+
+/** The value type of a plain or an optional field. */
+template <class T>
+struct Plain
 {
-    switch (m) {
-      case RouteMode::Auto: return "auto";
-      case RouteMode::Explicit: return "explicit";
-      case RouteMode::None: return "none";
-    }
-    return "?";
+    using type = T;
+};
+template <class T>
+struct Plain<std::optional<T>>
+{
+    using type = T;
+};
+
+/** A section as a reference: an optional section is created. */
+template <class T>
+T &
+open(T &section)
+{
+    return section;
+}
+template <class T>
+T &
+open(std::optional<T> &section)
+{
+    if (!section)
+        section.emplace();
+    return *section;
 }
 
-const char *
-repairPolicyName(RepairPolicy p)
+/**
+ * Source line of every fail/revive entry, by key. Range checks (node
+ * index, event time) need the whole file — [nodes] count or [scenario]
+ * seconds may come later — so they run after parsing and point back at
+ * these lines.
+ */
+using EntryLines = std::map<std::string, std::vector<unsigned>>;
+
+/**
+ * The parse side of the key list: opens one section (creating an
+ * optional one) and sets at most one of its keys, checking that key's
+ * bound, range or spelling.
+ */
+struct Parse
 {
-    switch (p) {
-      case RepairPolicy::None: return "none";
-      case RepairPolicy::Periodic: return "periodic";
-      case RepairPolicy::Triggered: return "triggered";
+    const Cursor &at;
+    const std::string &sectionName; ///< "node N" for a [node N] block
+    std::optional<unsigned> node;   ///< the [node N] block to open
+    std::string key{};              ///< empty: open the section only
+    std::string value{};
+    EntryLines *lines = nullptr;    ///< where fail/revive lines go, if kept
+    bool opened = false;
+    bool found = false;
+
+    template <class S, class Keys>
+    void
+    section(const char *name, S &s, Keys keys)
+    {
+        if (!node && sectionName == name) {
+            opened = true;
+            keys(*this, open(s));
+        }
     }
-    return "?";
+
+    template <class Keys>
+    void
+    nodes(std::map<unsigned, NodeOverride> &overrides, Keys keys)
+    {
+        if (node) {
+            opened = true;
+            keys(*this, overrides[*node]);
+        }
+    }
+
+    template <class T>
+    void
+    text(const char *name, T &field)
+    {
+        if (is(name))
+            field = value;
+    }
+
+    template <class T>
+    void
+    number(const char *name, T &field, std::uint64_t max,
+           std::uint64_t min = 0)
+    {
+        if (!is(name))
+            return;
+        const std::uint64_t v = parseUnsigned(at, key, value, max);
+        if (v < min)
+            at.fail("'" + key + "' must be at least " + std::to_string(min));
+        field = static_cast<typename Plain<T>::type>(v);
+    }
+
+    template <class T>
+    void
+    real(const char *name, T &field, Range range = Range::Any)
+    {
+        if (!is(name))
+            return;
+        const double v = parseDouble(at, key, value);
+        if (range == Range::Positive && !(v > 0.0))
+            at.fail("'" + key + "' must be positive");
+        if (range == Range::NonNegative && v < 0.0)
+            at.fail("'" + key + "' must be non-negative");
+        if (range == Range::Probability && (v < 0.0 || v > 1.0))
+            at.fail("'" + key + "' must be in [0, 1], got '" + value + "'");
+        field = v;
+    }
+
+    template <class T, class E, std::size_t N>
+    void
+    choice(const char *name, T &field, const Spelling<E> (&table)[N])
+    {
+        if (!is(name))
+            return;
+        std::string names;
+        for (std::size_t i = 0; i < N; ++i) {
+            if (value == table[i].name) {
+                field = table[i].value;
+                return;
+            }
+            names += (i == 0 ? "" : i + 1 < N ? ", " : " or ");
+            names += table[i].name;
+        }
+        at.fail("'" + key + "' must be " + names + ", got '" + value + "'");
+    }
+
+    /** A repeated key: each line appends one `source -> sink` link. */
+    void
+    link(const char *name, std::vector<fabric::Link> &links)
+    {
+        if (is(name))
+            addLink(links, value);
+    }
+
+    /** A comma list of links that replaces the whole set; "none" is the
+     *  empty set. */
+    void
+    linkList(const char *name,
+             std::optional<std::vector<fabric::Link>> &links)
+    {
+        if (!is(name))
+            return;
+        links.emplace();
+        if (value == "none")
+            return;
+        for (const std::string &item : sim::ini::split(value))
+            addLink(*links, entry(item));
+    }
+
+    /** A comma list of node@seconds entries; repeated keys append. */
+    void
+    schedule(const char *name, std::vector<LifecycleEvent> &events)
+    {
+        if (!is(name))
+            return;
+        for (const std::string &item : sim::ini::split(value)) {
+            const auto sep = entry(item).find('@');
+            if (sep == std::string::npos) {
+                at.fail("'" + key + "' entries are node@seconds, got '" +
+                        item + "'");
+            }
+            LifecycleEvent ev;
+            ev.node = static_cast<unsigned>(
+                parseUnsigned(at, key, trim(item.substr(0, sep)), 65'534));
+            ev.atSeconds = parseDouble(at, key, trim(item.substr(sep + 1)));
+            if (ev.atSeconds < 0.0)
+                at.fail("'" + key + "' time must be non-negative");
+            events.push_back(ev);
+            if (lines)
+                (*lines)[key].push_back(at.line);
+        }
+    }
+
+  private:
+    bool
+    is(const char *name)
+    {
+        if (key != name)
+            return false;
+        found = true;
+        return true;
+    }
+
+    /** @p item of a comma list, which must not be empty. */
+    const std::string &
+    entry(const std::string &item) const
+    {
+        if (item.empty())
+            at.fail("'" + key + "' has an empty entry");
+        return item;
+    }
+
+    /**
+     * Append the `source -> sink` link @p text to @p links. The fabric
+     * routes by interrupt request line, so two links on the same line
+     * (e.g. adc.done and adc.threshold) can never both be armed — reject
+     * at the declaring line rather than at network construction.
+     */
+    void
+    addLink(std::vector<fabric::Link> &links, const std::string &text) const
+    {
+        const auto arrow = text.find("->");
+        if (arrow == std::string::npos) {
+            at.fail("'" + key + "' entries are 'source -> sink', got '" +
+                    text + "'");
+        }
+        const std::string src = trim(text.substr(0, arrow));
+        const std::string dst = trim(text.substr(arrow + 2));
+        const auto source = fabric::parseSource(src);
+        if (!source)
+            at.fail("'" + key + "': unknown event source '" + src + "'");
+        const auto sink = fabric::parseSink(dst);
+        if (!sink)
+            at.fail("'" + key + "': unknown event sink '" + dst + "'");
+        for (const fabric::Link &p : links) {
+            if (fabric::sourceIrq(p.source) == fabric::sourceIrq(*source)) {
+                at.fail("'" + key + "': '" +
+                        std::string(fabric::sourceName(*source)) +
+                        "' routes the same request line as the earlier '" +
+                        fabric::sourceName(p.source) + "' link");
+            }
+        }
+        links.push_back({*source, *sink});
+    }
+};
+
+/**
+ * Open @p p's section of @p sc and set its key, if it has one; an
+ * unknown key is fatal. Returns false when no section has that name.
+ */
+bool
+apply(Scenario &sc, Parse &&p)
+{
+    sections(p, sc);
+    if (p.opened && !p.key.empty() && !p.found)
+        p.at.fail("unknown key '" + p.key + "' in [" + p.sectionName + "]");
+    return p.opened;
 }
+
+// ---------------------------------------------------------------------------
+// Printing.
+// ---------------------------------------------------------------------------
+
+/** Whether a field holds a value: an optional when set, a string when not
+ *  empty, anything else always. */
+template <class T>
+bool
+held(const T &)
+{
+    return true;
+}
+template <class T>
+bool
+held(const std::optional<T> &field)
+{
+    return field.has_value();
+}
+bool
+held(const std::string &field)
+{
+    return !field.empty();
+}
+
+template <class T>
+const T &
+unwrap(const T &field)
+{
+    return field;
+}
+template <class T>
+const T &
+unwrap(const std::optional<T> &field)
+{
+    return *field;
+}
+
+/** The items of @p list, each through @p format, joined by ", ". */
+template <class List, class Format>
+std::string
+join(const List &list, Format format)
+{
+    std::string out;
+    for (const auto &item : list)
+        out += (out.empty() ? "" : ", ") + format(item);
+    return out;
+}
+
+/** The print side of the key list: writes every section present and
+ *  every key that holds a value. */
+struct Print
+{
+    std::ostringstream os;
+    const char *gap = ""; ///< before a header: a blank line after the first
+
+    template <class S, class Keys>
+    void
+    section(const char *name, const S &s, Keys keys)
+    {
+        if (!held(s))
+            return;
+        os << gap << "[" << name << "]\n";
+        gap = "\n";
+        keys(*this, unwrap(s));
+    }
+
+    template <class Keys>
+    void
+    nodes(const std::map<unsigned, NodeOverride> &overrides, Keys keys)
+    {
+        for (const auto &[index, o] : overrides) {
+            os << "\n[node " << index << "]\n";
+            keys(*this, o);
+        }
+    }
+
+    template <class T>
+    void
+    text(const char *name, const T &field)
+    {
+        put(name, field, [](const std::string &s) { return s; });
+    }
+
+    template <class T>
+    void
+    number(const char *name, const T &field, std::uint64_t,
+           std::uint64_t = 0)
+    {
+        put(name, field, [](auto v) { return std::to_string(v); });
+    }
+
+    template <class T>
+    void
+    real(const char *name, const T &field, Range = Range::Any)
+    {
+        put(name, field, formatDouble);
+    }
+
+    template <class T, class E, std::size_t N>
+    void
+    choice(const char *name, const T &field, const Spelling<E> (&table)[N])
+    {
+        put(name, field, [&table](E e) {
+            for (const Spelling<E> &s : table) {
+                if (s.value == e)
+                    return s.name;
+            }
+            return "?";
+        });
+    }
+
+    void
+    link(const char *name, const std::vector<fabric::Link> &links)
+    {
+        for (const fabric::Link &l : links)
+            put(name, l, fabric::linkName);
+    }
+
+    void
+    linkList(const char *name,
+             const std::optional<std::vector<fabric::Link>> &links)
+    {
+        put(name, links, [](const std::vector<fabric::Link> &list) {
+            return list.empty() ? "none" : join(list, fabric::linkName);
+        });
+    }
+
+    void
+    schedule(const char *name, const std::vector<LifecycleEvent> &events)
+    {
+        if (events.empty())
+            return;
+        put(name, events, [](const std::vector<LifecycleEvent> &list) {
+            return join(list, [](const LifecycleEvent &e) {
+                return std::to_string(e.node) + "@" +
+                       formatDouble(e.atSeconds);
+            });
+        });
+    }
+
+  private:
+    template <class T, class Format>
+    void
+    put(const char *name, const T &field, Format format)
+    {
+        if (held(field))
+            os << name << " = " << format(unwrap(field)) << "\n";
+    }
+};
 
 // ---------------------------------------------------------------------------
 // Cross-key validation.
 // ---------------------------------------------------------------------------
 
 /**
- * Whole-scenario constraints no single key can check. @p lifecycleLines
- * carries the source line of each fail/revive entry when coming from
+ * Whole-scenario constraints no single key can check. @p lines carries
+ * the source line of each fail/revive entry when coming from
  * parseScenario (so diagnostics point at the offending entry); it is
  * null when re-validating after programmatic overrides.
  */
 void
-validateParsed(Cursor &at, const Scenario &sc,
-               const LifecycleLines *lifecycleLines)
+validateParsed(Cursor &at, const Scenario &sc, EntryLines *lines)
 {
     if (sc.lifecycle) {
         auto checkEvents = [&](const std::string &key,
-                               const std::vector<LifecycleEvent> &events,
-                               const std::vector<unsigned> *lines) {
+                               const std::vector<LifecycleEvent> &events) {
             for (std::size_t i = 0; i < events.size(); ++i) {
-                at.line = lines ? (*lines)[i] : 0;
+                at.line = lines ? (*lines)[key][i] : 0;
                 if (events[i].node >= sc.nodes.count) {
                     at.fail("'" + key + "' node " +
                             std::to_string(events[i].node) +
@@ -632,10 +617,8 @@ validateParsed(Cursor &at, const Scenario &sc,
                 }
             }
         };
-        checkEvents("fail", sc.lifecycle->fail,
-                    lifecycleLines ? &lifecycleLines->fail : nullptr);
-        checkEvents("revive", sc.lifecycle->revive,
-                    lifecycleLines ? &lifecycleLines->revive : nullptr);
+        checkEvents("fail", sc.lifecycle->fail);
+        checkEvents("revive", sc.lifecycle->revive);
     }
     at.line = 0;
     for (const auto &[index, o] : sc.overrides) {
@@ -734,327 +717,47 @@ parseScenario(const std::string &text, const std::string &filename)
 {
     Scenario sc;
     Cursor at{filename};
-
-    enum class Section
-    {
-        None,
-        Scenario,
-        Nodes,
-        Radio,
-        Mac,
-        Routes,
-        Events,
-        Sleep,
-        Lifecycle,
-        Node,
-        Fault,
-        Trace,
-    };
-    Section section = Section::None;
-    NodeOverride *override = nullptr;
-    LifecycleLines lifecycleLines;
-
-    std::istringstream in(text);
-    std::string raw;
-    while (std::getline(in, raw)) {
-        ++at.line;
-        // Strip comments ('#' or ';' to end of line), then whitespace.
-        auto hash = raw.find_first_of("#;");
-        if (hash != std::string::npos)
-            raw.erase(hash);
-        std::string line = trim(raw);
-        if (line.empty())
-            continue;
-
-        if (line.front() == '[') {
-            if (line.back() != ']')
-                at.fail("unterminated section header '" + line + "'");
-            std::string sec = trim(line.substr(1, line.size() - 2));
-            if (sec == "scenario")
-                section = Section::Scenario;
-            else if (sec == "nodes")
-                section = Section::Nodes;
-            else if (sec == "radio")
-                section = Section::Radio;
-            else if (sec == "mac") {
-                section = Section::Mac;
-                if (!sc.mac)
-                    sc.mac.emplace();
-            } else if (sec == "routes")
-                section = Section::Routes;
-            else if (sec == "events") {
-                section = Section::Events;
-                if (!sc.events)
-                    sc.events.emplace();
-            } else if (sec == "sleep") {
-                section = Section::Sleep;
-                if (!sc.sleep)
-                    sc.sleep.emplace();
-            } else if (sec == "lifecycle") {
-                section = Section::Lifecycle;
-                if (!sc.lifecycle)
-                    sc.lifecycle.emplace();
-            } else if (sec == "fault") {
-                section = Section::Fault;
-                if (!sc.fault)
-                    sc.fault.emplace();
-            } else if (sec == "trace") {
-                section = Section::Trace;
-                if (!sc.trace)
-                    sc.trace.emplace();
-            } else if (sec.rfind("node ", 0) == 0) {
-                std::string index = trim(sec.substr(5));
-                unsigned node = static_cast<unsigned>(
-                    parseUnsigned(at, "node", index, 65'534));
+    std::string section;
+    std::optional<unsigned> node;
+    EntryLines lines;
+    sim::ini::read(
+        text, at,
+        [&](const std::string &name) {
+            section = name;
+            node.reset();
+            if (name.rfind("node ", 0) == 0) {
+                section = "node N";
+                node = static_cast<unsigned>(
+                    parseUnsigned(at, "node", trim(name.substr(5)), 65'534));
                 // A second [node N] header would silently merge into
                 // (and partly overwrite) the first — reject it instead.
-                if (sc.overrides.count(node)) {
-                    at.fail("duplicate [node " + std::to_string(node) +
+                if (sc.overrides.count(*node)) {
+                    at.fail("duplicate [node " + std::to_string(*node) +
                             "] section");
                 }
-                section = Section::Node;
-                override = &sc.overrides[node];
-            } else
-                at.fail("unknown section '[" + sec + "]'");
-            continue;
-        }
-
-        auto eq = line.find('=');
-        if (eq == std::string::npos)
-            at.fail("expected 'key = value', got '" + line + "'");
-        std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
-        if (key.empty())
-            at.fail("empty key");
-        if (value.empty())
-            at.fail("'" + key + "' has an empty value");
-
-        switch (section) {
-          case Section::None:
-            at.fail("'" + key + "' appears before any [section]");
-          case Section::Scenario:
-            parseScenarioKey(at, sc, key, value);
-            break;
-          case Section::Nodes:
-            parseNodesKey(at, sc, key, value);
-            break;
-          case Section::Radio:
-            parseRadioKey(at, sc, key, value);
-            break;
-          case Section::Mac:
-            parseMacKey(at, sc, key, value);
-            break;
-          case Section::Routes:
-            parseRoutesKey(at, sc, key, value);
-            break;
-          case Section::Events:
-            parseEventsKey(at, sc, key, value);
-            break;
-          case Section::Sleep:
-            parseSleepKey(at, sc, key, value);
-            break;
-          case Section::Lifecycle:
-            parseLifecycleKey(at, sc, lifecycleLines, key, value);
-            break;
-          case Section::Node:
-            parseNodeKey(at, *override, key, value);
-            break;
-          case Section::Fault:
-            parseFaultKey(at, sc, key, value);
-            break;
-          case Section::Trace:
-            parseTraceKey(at, sc, key, value);
-            break;
-        }
-    }
-
-    validateParsed(at, sc, &lifecycleLines);
-
+            }
+            if (!apply(sc, {at, section, node}))
+                at.fail("unknown section '[" + name + "]'");
+        },
+        [&](const std::string &key, const std::string &value) {
+            apply(sc, {at, section, node, key, value, &lines});
+        });
+    validateParsed(at, sc, &lines);
     return sc;
 }
 
 Scenario
 parseScenarioFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open scenario file '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseScenario(text.str(), path);
+    return parseScenario(sim::readFile(path, "scenario file"), path);
 }
 
 std::string
 printScenario(const Scenario &sc)
 {
-    std::ostringstream os;
-    os << "[scenario]\n"
-       << "name = " << sc.name << "\n"
-       << "seconds = " << formatDouble(sc.seconds) << "\n"
-       << "seed = " << sc.seed << "\n"
-       << "threads = " << sc.threads << "\n";
-
-    const Scenario::Nodes &n = sc.nodes;
-    os << "\n[nodes]\n"
-       << "count = " << n.count << "\n"
-       << "app = " << n.app << "\n"
-       << "period = " << n.period << "\n"
-       << "period-stagger = " << n.periodStagger << "\n"
-       << "threshold = " << n.threshold << "\n"
-       << "mac-retries = " << n.macRetries << "\n"
-       << "watchdog = " << n.watchdog << "\n"
-       << "dest = " << n.dest << "\n"
-       << "signal = " << n.signal << "\n"
-       << "noise = " << formatDouble(n.noise) << "\n"
-       << "placement = " << placementName(n.placement) << "\n"
-       << "grid-cols = " << n.gridCols << "\n"
-       << "spacing = " << formatDouble(n.spacing) << "\n"
-       << "area = " << formatDouble(n.area) << "\n";
-
-    const Scenario::Radio &r = sc.radio;
-    os << "\n[radio]\n"
-       << "model = "
-       << (r.model == RadioModel::Spatial ? "spatial" : "broadcast") << "\n"
-       << "bit-rate = " << formatDouble(r.bitRate) << "\n"
-       << "loss = " << formatDouble(r.loss) << "\n"
-       << "path-loss-exponent = " << formatDouble(r.spatial.pathLossExponent)
-       << "\n"
-       << "reference-loss-db = " << formatDouble(r.spatial.referenceLossDb)
-       << "\n"
-       << "tx-power-dbm = " << formatDouble(r.spatial.txPowerDbm) << "\n"
-       << "sensitivity-dbm = " << formatDouble(r.spatial.sensitivityDbm)
-       << "\n"
-       << "fade-margin-db = " << formatDouble(r.spatial.fadeMarginDb) << "\n"
-       << "interference-margin-db = "
-       << formatDouble(r.spatial.interferenceMarginDb) << "\n";
-
-    if (sc.mac) {
-        const Scenario::Mac &m = *sc.mac;
-        os << "\n[mac]\n"
-           << "mode = "
-           << (m.mode == ulp::sleep::MacMode::Beacon ? "beacon" : "csma")
-           << "\n"
-           << "beacon-order = " << m.beaconOrder << "\n"
-           << "sf-order = " << m.sfOrder << "\n"
-           << "guard = " << m.guard << "\n"
-           << "drift-ppm = " << formatDouble(m.driftPpm) << "\n";
-        if (m.coordinator)
-            os << "coordinator = " << *m.coordinator << "\n";
-    }
-
-    os << "\n[routes]\n";
-    if (sc.routes.sink)
-        os << "sink = " << *sc.routes.sink << "\n";
-    os << "mode = " << routeModeName(sc.routes.mode) << "\n"
-       << "min-prob = " << formatDouble(sc.routes.minProb) << "\n";
-
-    if (sc.events) {
-        os << "\n[events]\n";
-        for (const fabric::Link &l : sc.events->links)
-            os << "link = " << fabric::linkName(l) << "\n";
-    }
-
-    if (sc.sleep) {
-        const Scenario::Sleep &s = *sc.sleep;
-        os << "\n[sleep]\n"
-           << "policy = " << ulp::sleep::policyName(s.policy) << "\n"
-           << "period = " << formatDouble(s.period) << "\n"
-           << "on = " << formatDouble(s.on) << "\n";
-    }
-
-    if (sc.lifecycle) {
-        const Scenario::Lifecycle &l = *sc.lifecycle;
-        os << "\n[lifecycle]\n";
-        auto events = [&os](const char *key,
-                            const std::vector<LifecycleEvent> &list) {
-            if (list.empty())
-                return;
-            os << key << " = ";
-            for (std::size_t i = 0; i < list.size(); ++i) {
-                if (i)
-                    os << ", ";
-                os << list[i].node << "@" << formatDouble(list[i].atSeconds);
-            }
-            os << "\n";
-        };
-        events("fail", l.fail);
-        events("revive", l.revive);
-        os << "repair = " << repairPolicyName(l.repair) << "\n"
-           << "repair-period = " << formatDouble(l.repairPeriod) << "\n"
-           << "metric = "
-           << (l.metric == RouteMetric::Energy ? "energy" : "hops") << "\n"
-           << "energy-weight = " << formatDouble(l.energyWeight) << "\n"
-           << "battery = " << formatDouble(l.battery) << "\n"
-           << "battery-initial = " << formatDouble(l.batteryInitial) << "\n"
-           << "harvest = " << formatDouble(l.harvest) << "\n"
-           << "battery-interval = " << formatDouble(l.batteryInterval) << "\n"
-           << "revive-level = " << formatDouble(l.reviveLevel) << "\n";
-    }
-
-    for (const auto &[index, o] : sc.overrides) {
-        os << "\n[node " << index << "]\n";
-        if (o.app)
-            os << "app = " << *o.app << "\n";
-        if (o.period)
-            os << "period = " << *o.period << "\n";
-        if (o.threshold)
-            os << "threshold = " << *o.threshold << "\n";
-        if (o.macRetries)
-            os << "mac-retries = " << *o.macRetries << "\n";
-        if (o.watchdog)
-            os << "watchdog = " << *o.watchdog << "\n";
-        if (o.signal)
-            os << "signal = " << *o.signal << "\n";
-        if (o.noise)
-            os << "noise = " << formatDouble(*o.noise) << "\n";
-        if (o.x)
-            os << "x = " << formatDouble(*o.x) << "\n";
-        if (o.y)
-            os << "y = " << formatDouble(*o.y) << "\n";
-        if (o.address)
-            os << "address = " << *o.address << "\n";
-        if (o.seed)
-            os << "seed = " << *o.seed << "\n";
-        if (o.dest)
-            os << "dest = " << *o.dest << "\n";
-        if (o.nextHop)
-            os << "next-hop = " << *o.nextHop << "\n";
-        if (o.domain)
-            os << "domain = " << *o.domain << "\n";
-        if (o.sleepPolicy)
-            os << "sleep-policy = " << ulp::sleep::policyName(*o.sleepPolicy)
-               << "\n";
-        if (o.sleepPeriod)
-            os << "sleep-period = " << formatDouble(*o.sleepPeriod) << "\n";
-        if (o.sleepOn)
-            os << "sleep-on = " << formatDouble(*o.sleepOn) << "\n";
-        if (o.links) {
-            os << "links = ";
-            if (o.links->empty())
-                os << "none";
-            for (std::size_t i = 0; i < o.links->size(); ++i) {
-                if (i)
-                    os << ", ";
-                os << fabric::linkName((*o.links)[i]);
-            }
-            os << "\n";
-        }
-    }
-
-    if (sc.fault) {
-        os << "\n[fault]\n"
-           << "campaign = " << sc.fault->campaign << "\n"
-           << "node = " << sc.fault->node << "\n";
-    }
-    if (sc.trace) {
-        os << "\n[trace]\n";
-        if (!sc.trace->out.empty())
-            os << "out = " << sc.trace->out << "\n";
-        os << "channels = " << sc.trace->channels << "\n"
-           << "energy-period = " << formatDouble(sc.trace->energyPeriod)
-           << "\n";
-    }
-    return os.str();
+    Print print;
+    sections(print, sc);
+    return print.os.str();
 }
 
 void
@@ -1073,52 +776,23 @@ applyScenarioKey(Scenario &sc, const std::string &dottedKey,
     if (value.empty())
         at.fail("'" + dottedKey + "' has an empty value");
 
-    if (section == "scenario")
-        parseScenarioKey(at, sc, key, value);
-    else if (section == "nodes")
-        parseNodesKey(at, sc, key, value);
-    else if (section == "radio")
-        parseRadioKey(at, sc, key, value);
-    else if (section == "mac") {
-        if (!sc.mac)
-            sc.mac.emplace();
-        parseMacKey(at, sc, key, value);
-    } else if (section == "routes")
-        parseRoutesKey(at, sc, key, value);
-    else if (section == "events") {
-        if (!sc.events)
-            sc.events.emplace();
-        parseEventsKey(at, sc, key, value);
-    } else if (section == "sleep") {
-        if (!sc.sleep)
-            sc.sleep.emplace();
-        parseSleepKey(at, sc, key, value);
-    } else if (section == "lifecycle") {
-        if (!sc.lifecycle)
-            sc.lifecycle.emplace();
-        LifecycleLines lines; // positions are meaningless for overrides
-        parseLifecycleKey(at, sc, lines, key, value);
-    } else if (section == "fault") {
-        if (!sc.fault)
-            sc.fault.emplace();
-        parseFaultKey(at, sc, key, value);
-    } else if (section == "trace") {
-        if (!sc.trace)
-            sc.trace.emplace();
-        parseTraceKey(at, sc, key, value);
-    } else if (section == "node") {
+    std::optional<unsigned> node;
+    if (section == "node") {
         auto dot2 = key.find('.');
         if (dot2 == std::string::npos || dot2 == 0 ||
             dot2 + 1 == key.size()) {
             at.fail("per-node override key '" + dottedKey +
                     "' must be node.N.key (e.g. node.3.period)");
         }
-        unsigned node = static_cast<unsigned>(
+        node = static_cast<unsigned>(
             parseUnsigned(at, "node", key.substr(0, dot2), 65'534));
-        parseNodeKey(at, sc.overrides[node], key.substr(dot2 + 1), value);
-    } else
+        section = "node N";
+        key.erase(0, dot2 + 1);
+    }
+    if (!apply(sc, {at, section, node, key, value})) {
         at.fail("unknown section '" + section + "' in override key '" +
                 dottedKey + "'");
+    }
 }
 
 void

@@ -1,12 +1,13 @@
 /**
  * @file
- * The declarative scenario format: an INI subset (hand-rolled parser, no
- * dependencies) describing a whole network experiment as data — node
- * count and placement, per-node application and parameter overrides, the
- * radio model, static multi-hop routing toward a sink, plus optional
+ * The declarative scenario format: the INI dialect of sim/ini.hh
+ * describing a whole network experiment as data — node count and
+ * placement, per-node application and parameter overrides, the radio
+ * model, static multi-hop routing toward a sink, plus optional
  * fault-campaign and trace-output sections. `ulpsim run file.ini`
  * executes one; `ulpsim print-scenario file.ini` dumps it fully
- * resolved.
+ * resolved. scenario.cc lists each section's keys once, and the parser,
+ * the dotted-key overrides and the printer all walk that one list.
  *
  * Syntax:
  *   - sections in brackets: [scenario], [nodes], [radio], [mac]
@@ -16,6 +17,7 @@
  *     route repair), [node N] (per-node overrides; duplicate headers are
  *     an error), [fault], [trace]
  *   - `key = value` assignments; '#' and ';' start comments
+ *   - integers are decimal, or hexadecimal after `0x`
  *   - unknown sections and unknown keys are errors, not warnings
  *   - every diagnostic carries "file:line:"
  *

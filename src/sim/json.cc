@@ -1,8 +1,6 @@
 #include "sim/json.hh"
 
 #include <charconv>
-#include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -310,17 +308,6 @@ Document::Document(std::string origin_, std::string text,
       firstLine(firstLine_)
 {
     Parser(*this).document(top);
-}
-
-Document
-Document::fromFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return Document(path, text.str());
 }
 
 std::string

@@ -79,9 +79,6 @@ class Document
      */
     Document(std::string origin, std::string text, unsigned firstLine = 1);
 
-    /** Read and parse the file at @p path. */
-    static Document fromFile(const std::string &path);
-
     /** Values view the text: a Document never moves. */
     Document(const Document &) = delete;
     Document &operator=(const Document &) = delete;

@@ -35,20 +35,6 @@ enum class Policy : std::uint8_t
     Deep,     ///< state-losing sleep, timer-only wake via cold boot
 };
 
-constexpr const char *
-policyName(Policy policy)
-{
-    switch (policy) {
-      case Policy::None:
-        return "none";
-      case Policy::Light:
-        return "light";
-      case Policy::Deep:
-        return "deep";
-    }
-    return "?";
-}
-
 /** Periodic sense-and-send duty cycle: awake [k*period, k*period+on). */
 struct Schedule
 {
@@ -72,18 +58,6 @@ enum class MacMode : std::uint8_t
     Csma = 0, ///< CSMA-CA / fire-and-forget (the legacy MAC)
     Beacon,   ///< beacon-enabled duty-cycled superframes
 };
-
-constexpr const char *
-macModeName(MacMode mode)
-{
-    switch (mode) {
-      case MacMode::Csma:
-        return "csma";
-      case MacMode::Beacon:
-        return "beacon";
-    }
-    return "?";
-}
 
 /** Network-wide MAC selection, programmed into every radio by the
  *  network builder (scenario [mac] section). */

@@ -12,6 +12,10 @@ output with 64-bit FNV-1a, and compares the hash with the committed
 tests/golden/<name>.digest. Any mismatch, missing digest or failed run
 makes the exit code 1. --update-golden rewrites the digest files instead.
 
+Each scenario is also run through `ulpsim print-scenario`, the
+canonical text campaign workers re-parse. Printing that text again must
+give the same bytes, and a run of it must hash to the same digest.
+
 Scenarios with a [trace] section write their trace to a temporary
 directory; its path is replaced by a fixed token before hashing. The
 horizons of the longer examples are capped (CAPS) so the whole corpus
@@ -85,6 +89,34 @@ def run(ulpsim, path, scratch):
     return fnv1a64(out)
 
 
+def print_scenario(ulpsim, path):
+    proc = subprocess.run([ulpsim, "print-scenario", path], cwd=ROOT,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        return None
+    return proc.stdout
+
+
+def check_printed(ulpsim, path, scratch, digest):
+    """None when the printed form of `path` is a print-scenario fixpoint
+    whose run hashes to `digest`, else what is wrong with it."""
+    text = print_scenario(ulpsim, path)
+    if text is None:
+        return "ulpsim print-scenario failed"
+    printed_dir = os.path.join(scratch, "printed")
+    os.makedirs(printed_dir, exist_ok=True)
+    printed = os.path.join(printed_dir, os.path.basename(path))
+    with open(printed, "wb") as f:
+        f.write(text)
+    if print_scenario(ulpsim, printed) != text:
+        return "the printed form is not a print-scenario fixpoint"
+    again = run(ulpsim, printed, printed_dir)
+    if again != digest:
+        return f"the printed form runs to {again}, not {digest}"
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ulpsim", required=True, help="path to ulpsim")
@@ -100,6 +132,11 @@ def main():
             rel = os.path.relpath(path, ROOT)
             if digest is None:
                 print(f"FAIL  {rel}: ulpsim run failed")
+                bad += 1
+                continue
+            problem = check_printed(ulpsim, path, scratch, digest)
+            if problem:
+                print(f"FAIL  {rel}: {problem}")
                 bad += 1
                 continue
             digest_file = os.path.join(HERE, name + ".digest")

@@ -1,6 +1,7 @@
 /**
  * @file
- * Campaign engine tests: spec expansion, the append-only results store
+ * Campaign engine tests: spec parsing (with a mutation test of the spec
+ * reader) and expansion, the append-only results store
  * (round-trip, torn-tail recovery, resume bookkeeping), the
  * multi-process runner (all-ok fan-out, job-count determinism, resume
  * completing exactly the missing runs, crash/flaky/wedge robustness via
@@ -29,6 +30,7 @@
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
 #include "campaign/store.hh"
+#include "mutation.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 
@@ -248,6 +250,37 @@ TEST(CampaignSpec, RejectsMalformedSpecs)
                                          "[run]\n",
                                          "<s>"),
                  sim::FatalError); // empty [run]
+}
+
+TEST(CampaignSpec, RangeBoundsAreDecimal)
+{
+    const campaign::CampaignSpec spec = campaign::parseCampaign(
+        "[campaign]\nscenario = b\n[axis]\nnodes.count = 010..012\n",
+        "<spec>");
+    ASSERT_EQ(spec.axes.size(), 1u);
+    EXPECT_EQ(spec.axes[0].values,
+              (std::vector<std::string>{"10", "11", "12"}));
+}
+
+TEST(CampaignSpec, MutantsLoadOrFailNamingTheFile)
+{
+    // [campaign], [axis] and [run] sections, a range and a hex seed.
+    test::TestDir tmp;
+    test::mutate(tmp.file("mutant.ini"),
+                 "[campaign]\n"
+                 "name = sweep\n"
+                 "scenario = base.ini ; relative to this file\n"
+                 "repeat = 2\n"
+                 "seed-base = 0x10\n"
+                 "[axis]\n"
+                 "nodes.period = 1000, 2000\n"
+                 "scenario.seconds = 1..3\n"
+                 "[run]\n"
+                 "nodes.count = 6\n"
+                 "node.1.x = 5\n",
+                 "[]=#;,.@>-0x1 \n", [](const std::string &path) {
+                     campaign::parseCampaignFile(path);
+                 });
 }
 
 TEST(CampaignSpec, RepeatCannotCombineWithAnExplicitSeedAxis)

@@ -17,22 +17,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "campaign/report.hh"
 #include "campaign/store.hh"
+#include "mutation.hh"
+#include "sim/ini.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
 using namespace ulp;
 using sim::json::Document;
 using sim::json::Value;
+using test::TestDir;
 
 namespace {
 
@@ -155,87 +154,8 @@ TEST(Json, EscapeRoundTripsThroughTheParser)
 
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
-}
-
-/**
- * Feed @p load every truncation of @p valid and every substitution of
- * one byte by one of a fixed alphabet of JSON-structural and
- * line-framing bytes, written to @p path. Each mutant must load or throw
- * a FatalError that names @p path.
- */
-void
-mutate(const std::string &path, const std::string &valid,
-       const std::function<void(const std::string &)> &load)
-{
-    static constexpr char alphabet[] = "\"{}[],:0e\\\nx";
-    std::vector<std::string> mutants;
-    for (std::size_t n = 0; n < valid.size(); ++n)
-        mutants.push_back(valid.substr(0, n));
-    for (std::size_t i = 0; i < valid.size(); ++i) {
-        for (const char c : std::string_view(alphabet)) {
-            if (valid[i] == c)
-                continue;
-            std::string m = valid;
-            m[i] = c;
-            mutants.push_back(std::move(m));
-        }
-    }
-
-    unsigned loaded = 0, refused = 0;
-    for (const std::string &m : mutants) {
-        writeFile(path, m);
-        try {
-            load(path);
-            ++loaded;
-        } catch (const sim::FatalError &e) {
-            ++refused;
-            if (std::string(e.what()).find(path) == std::string::npos) {
-                ADD_FAILURE() << "error does not name the file: "
-                              << e.what() << "\nmutant:\n"
-                              << m;
-                return;
-            }
-        }
-    }
-    // Neither side may be empty, or the test proves nothing.
-    EXPECT_GT(loaded, 0u) << path;
-    EXPECT_GT(refused, 0u) << path;
-}
-
-/** A temporary directory of the test's own: ctest runs tests in parallel. */
-struct TestDir
-{
-    std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) /
-        (std::string("json_") +
-         ::testing::UnitTest::GetInstance()->current_test_info()->name());
-
-    TestDir()
-    {
-        std::filesystem::remove_all(dir);
-        std::filesystem::create_directories(dir);
-    }
-    ~TestDir() { std::filesystem::remove_all(dir); }
-
-    std::string
-    file(const char *leaf) const
-    {
-        return (dir / leaf).string();
-    }
-};
+/** JSON-structural and line-framing bytes. */
+constexpr std::string_view jsonAlphabet = "\"{}[],:0e\\\nx";
 
 campaign::RunRecord
 okRecord(std::uint64_t id, const char *seed)
@@ -276,10 +196,9 @@ TEST(JsonMutation, ResultsStore)
                                      false)
             .append(okRecord(0, "scenario.seed=1"));
     }
-    mutate(tmp.file("store.jsonl"), readFile(valid),
-           [](const std::string &path) {
-               campaign::ResultsStore::load(path);
-           });
+    test::mutate(
+        tmp.file("store.jsonl"), sim::readFile(valid, "store"), jsonAlphabet,
+        [](const std::string &path) { campaign::ResultsStore::load(path); });
 }
 
 TEST(JsonMutation, Baseline)
@@ -290,8 +209,10 @@ TEST(JsonMutation, Baseline)
         valid, {"camp", "base.ini", 2, 1},
         campaign::summarize({okRecord(0, "scenario.seed=1"),
                              okRecord(1, "scenario.seed=2")}));
-    mutate(tmp.file("baseline.json"), readFile(valid),
-           [](const std::string &path) { campaign::loadBaseline(path); });
+    test::mutate(
+        tmp.file("baseline.json"), sim::readFile(valid, "baseline"),
+        jsonAlphabet,
+        [](const std::string &path) { campaign::loadBaseline(path); });
 }
 
 TEST(JsonMutation, BenchSnapshot)
@@ -299,11 +220,13 @@ TEST(JsonMutation, BenchSnapshot)
     TestDir tmp;
     const std::string valid = tmp.file("valid.json");
     ASSERT_TRUE(bench::writeSnapshot(valid, "bench_test", {scaleRow(6764)}));
-    mutate(tmp.file("snapshot.json"), readFile(valid),
-           [](const std::string &path) {
-               bench::validateSnapshot(Document::fromFile(path),
-                                       "bench_test");
-           });
+    test::mutate(tmp.file("snapshot.json"),
+                 sim::readFile(valid, "snapshot"), jsonAlphabet,
+                 [](const std::string &path) {
+                     bench::validateSnapshot(
+                         Document(path, sim::readFile(path, "snapshot")),
+                         "bench_test");
+                 });
 }
 
 // --- bench snapshot check ----------------------------------------------------
@@ -346,11 +269,11 @@ TEST(BenchSnapshot, ReformattedSnapshotChecksLikeTheWrittenOne)
 }
 )";
     const std::string reformatted = tmp.file("reformatted.json");
-    writeFile(reformatted, pretty);
+    test::writeFile(reformatted, pretty);
     std::string bumped = pretty;
     bumped.replace(bumped.find("6764"), 4, "6765");
     const std::string changed = tmp.file("changed.json");
-    writeFile(changed, bumped);
+    test::writeFile(changed, bumped);
 
     const auto measure = [] { return std::vector{scaleRow(6764)}; };
     EXPECT_EQ(bench::checkSnapshot(written, "bench_test", measure), 0);

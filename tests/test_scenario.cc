@@ -4,6 +4,9 @@
  * faithful front end for the simulator, not a second implementation.
  *
  *  - parse/print round-trip identity and line-numbered diagnostics
+ *  - the canonical printed text pinned byte for byte, and a mutation
+ *    test: every truncation and one-byte substitution of an every-key
+ *    scenario round-trips or fails naming the file
  *  - deterministic placement (grid geometry, seeded uniform draws)
  *  - lowering conventions: addresses, seeds, stagger, BFS route trees
  *  - end-to-end multi-hop: a 3-node relay chain delivers distant
@@ -22,6 +25,7 @@
 #include <string>
 
 #include "core/network.hh"
+#include "mutation.hh"
 #include "scenario/lower.hh"
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
@@ -270,6 +274,245 @@ TEST(ScenarioParse, LifecycleRoundTrip)
     Scenario again = scenario::parseScenario(printed, "printed.ini");
     EXPECT_EQ(sc, again);
     EXPECT_EQ(printed, scenario::printScenario(again));
+}
+
+/** A valid scenario that sets every key of every section. */
+constexpr const char *everyKeyText = R"ini([scenario]
+name = every-key
+seconds = 2.5
+seed = 0x10
+threads = 2
+
+[nodes]
+count = 9
+app = app4
+period = 1500
+period-stagger = 11
+threshold = 100
+mac-retries = 2
+watchdog = 50000
+dest = 3
+signal = sine:60,5
+noise = 1.25
+placement = grid
+grid-cols = 3
+spacing = 35.5
+area = 150
+
+[radio]
+model = spatial
+bit-rate = 125000
+loss = 0
+path-loss-exponent = 2.75
+reference-loss-db = 41
+tx-power-dbm = -1
+sensitivity-dbm = -88.5
+fade-margin-db = 2.5
+interference-margin-db = 5
+
+[mac]
+mode = beacon
+beacon-order = 7
+sf-order = 4
+guard = 12
+drift-ppm = 20
+coordinator = 8
+
+[routes]
+sink = 8
+mode = auto
+min-prob = 0.5
+
+[events]
+link = timer.fire -> adc.sample
+link = adc.threshold -> msgproc.tx
+
+[sleep]
+policy = light
+period = 0.5
+on = 0.125
+
+[lifecycle]
+fail = 1@1.5, 5@2
+revive = 5@2.25
+repair = triggered
+repair-period = 0.25
+metric = energy
+energy-weight = 2.5
+battery = 0.02
+battery-initial = 0.01
+harvest = 0.0001
+battery-interval = 0.05
+revive-level = 0.25
+
+[node 8]
+app = sink
+period = 4000
+threshold = 7
+mac-retries = 3
+watchdog = 1000
+signal = const:9
+noise = 0.5
+x = 75
+y = 80.25
+address = 100
+seed = 0x2a
+dest = 4
+next-hop = 2
+domain = 1
+sleep-policy = deep
+sleep-period = 2
+sleep-on = 0.5
+links = none
+
+[node 3]
+links = adc.done -> msgproc.tx, msgproc.txready -> radio.tx
+
+[fault]
+campaign = plan.txt
+node = 2
+
+[trace]
+out = trace-dir
+channels = Radio,Power
+energy-period = 0.002
+)ini";
+
+TEST(ScenarioParse, CanonicalTextIsFrozen)
+{
+    // Campaign workers re-parse this text and campaignDigest hashes it
+    // to decide whether a store can be resumed, so its bytes must not
+    // drift.
+    EXPECT_EQ(scenario::printScenario(
+                  scenario::parseScenario(everyKeyText, "every-key.ini")),
+              R"ini([scenario]
+name = every-key
+seconds = 2.5
+seed = 16
+threads = 2
+
+[nodes]
+count = 9
+app = app4
+period = 1500
+period-stagger = 11
+threshold = 100
+mac-retries = 2
+watchdog = 50000
+dest = 3
+signal = sine:60,5
+noise = 1.25
+placement = grid
+grid-cols = 3
+spacing = 35.5
+area = 150
+
+[radio]
+model = spatial
+bit-rate = 125000
+loss = 0
+path-loss-exponent = 2.75
+reference-loss-db = 41
+tx-power-dbm = -1
+sensitivity-dbm = -88.5
+fade-margin-db = 2.5
+interference-margin-db = 5
+
+[mac]
+mode = beacon
+beacon-order = 7
+sf-order = 4
+guard = 12
+drift-ppm = 20
+coordinator = 8
+
+[routes]
+sink = 8
+mode = auto
+min-prob = 0.5
+
+[events]
+link = timer.fire -> adc.sample
+link = adc.threshold -> msgproc.tx
+
+[sleep]
+policy = light
+period = 0.5
+on = 0.125
+
+[lifecycle]
+fail = 1@1.5, 5@2
+revive = 5@2.25
+repair = triggered
+repair-period = 0.25
+metric = energy
+energy-weight = 2.5
+battery = 0.02
+battery-initial = 0.01
+harvest = 0.0001
+battery-interval = 0.05
+revive-level = 0.25
+
+[node 3]
+links = adc.done -> msgproc.tx, msgproc.txready -> radio.tx
+
+[node 8]
+app = sink
+period = 4000
+threshold = 7
+mac-retries = 3
+watchdog = 1000
+signal = const:9
+noise = 0.5
+x = 75
+y = 80.25
+address = 100
+seed = 42
+dest = 4
+next-hop = 2
+domain = 1
+sleep-policy = deep
+sleep-period = 2
+sleep-on = 0.5
+links = none
+
+[fault]
+campaign = plan.txt
+node = 2
+
+[trace]
+out = trace-dir
+channels = Radio,Power
+energy-period = 0.002
+)ini");
+}
+
+TEST(ScenarioParse, IntegersAreDecimalOrHex)
+{
+    // A leading zero does not make a number octal.
+    const Scenario sc = scenario::parseScenario(
+        "[scenario]\nseed = 010\n[nodes]\ncount = 08\nperiod = 0X40\n",
+        "ints.ini");
+    EXPECT_EQ(sc.seed, 10u);
+    EXPECT_EQ(sc.nodes.count, 8u);
+    EXPECT_EQ(sc.nodes.period, 64u);
+}
+
+TEST(ScenarioMutation, EveryKeyScenario)
+{
+    // Each accepted mutant round-trips through its canonical text, and
+    // printing that text again is a fixed point.
+    test::TestDir tmp;
+    test::mutate(
+        tmp.file("mutant.ini"), everyKeyText, "[]=#;,.@>-0x1 \n",
+        [](const std::string &path) {
+            const Scenario sc = scenario::parseScenarioFile(path);
+            const std::string printed = scenario::printScenario(sc);
+            const Scenario again =
+                scenario::parseScenario(printed, "printed.ini");
+            EXPECT_TRUE(again == sc) << "printed:\n" << printed;
+            EXPECT_EQ(scenario::printScenario(again), printed);
+        });
 }
 
 // ---------------------------------------------------------------------------

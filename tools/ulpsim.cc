@@ -23,8 +23,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <cstdlib>
@@ -46,6 +44,7 @@
 #include "obs/event_log.hh"
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
+#include "sim/ini.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -122,17 +121,17 @@ usage(int code)
     std::exit(code);
 }
 
+/** Diagnostics on flag values name the flag as an INI key would. */
+const sim::ini::Cursor commandLine{"command line"};
+
 /** @p value of @p flag as a non-negative finite number, or fatal. */
 double
 flagNumber(const char *flag, const char *value)
 {
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v) || v < 0.0) {
-        sim::fatal("%s: needs a non-negative number, got '%s'", flag, value);
-    }
+    const double v = sim::ini::parseDouble(commandLine, flag, value);
+    if (v < 0.0)
+        commandLine.fail(std::string("'") + flag +
+                         "' must be non-negative");
     return v;
 }
 
@@ -141,15 +140,7 @@ std::uint64_t
 flagUnsigned(const char *flag, const char *value,
              std::uint64_t max = std::numeric_limits<unsigned>::max())
 {
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value, &end, 0);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        value[0] == '-' || v > max) {
-        sim::fatal("%s: needs an unsigned integer up to %llu, got '%s'",
-                   flag, static_cast<unsigned long long>(max), value);
-    }
-    return v;
+    return sim::ini::parseUnsigned(commandLine, flag, value, max);
 }
 
 Options
