@@ -747,6 +747,47 @@ TEST_F(DeviceTest, RxOverrunDropsSecondFrame)
               1u);
 }
 
+TEST_F(DeviceTest, SupplyLossMidFrameReportsNoTxDone)
+{
+    net::Frame frame;
+    frame.seq = 4;
+    frame.src = cfg.address;
+    frame.dest = 0;
+    frame.destPan = cfg.pan;
+    frame.payload = {0x7E};
+    std::vector<std::uint8_t> wire = frame.serialize();
+    const auto commandTx = [&] {
+        for (std::size_t i = 0; i < wire.size(); ++i)
+            wr(static_cast<map::Addr>(map::radioBase + map::radioTxFifo + i),
+               wire[i]);
+        wr(map::radioBase + map::radioTxLen,
+           static_cast<std::uint8_t>(wire.size()));
+        wr(map::radioBase + map::radioCtrl, RadioDevice::cmdTx);
+    };
+
+    // The supply fails while the frame is on the air: the radio loses
+    // its transmission, so nothing is counted and no TxDone fires.
+    commandTx();
+    ASSERT_EQ(rd(map::radioBase + map::radioStatus) &
+                  RadioDevice::statusTxBusy,
+              RadioDevice::statusTxBusy);
+    node->supplyDown();
+    advance(0.01);
+    EXPECT_EQ(node->radio().framesSent(), 0u);
+    EXPECT_EQ(node->probes().count(Probe::RadioTxDone), 0u);
+
+    // Back on supply the transmitter is free: the next frame goes out.
+    node->supplyUp();
+    EXPECT_EQ(rd(map::radioBase + map::radioStatus) &
+                  RadioDevice::statusTxBusy,
+              0);
+    commandTx();
+    advance(0.01);
+    EXPECT_EQ(node->radio().framesSent(), 1u);
+    EXPECT_EQ(node->radio().lastTxFrame(), frame);
+    EXPECT_EQ(node->probes().count(Probe::RadioTxDone), 1u);
+}
+
 TEST_F(DeviceTest, MalformedTxStillTimesOut)
 {
     sim::setQuiet(true);

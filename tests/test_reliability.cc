@@ -244,6 +244,102 @@ TEST(Reliability, RetryBudgetExhaustionPostsTxFail)
     EXPECT_GE(sender.msgProc().framesPrepared(), 9u);
 }
 
+namespace {
+
+/** Stage @p frame in the node's TX FIFO and issue the TX command. */
+void
+commandTx(SensorNode &node, const net::Frame &frame)
+{
+    std::vector<std::uint8_t> wire = frame.serialize();
+    for (std::size_t i = 0; i < wire.size(); ++i)
+        node.dataBus().write(
+            static_cast<map::Addr>(map::radioBase + map::radioTxFifo + i),
+            wire[i]);
+    node.dataBus().write(map::radioBase + map::radioTxLen,
+                         static_cast<std::uint8_t>(wire.size()));
+    node.dataBus().write(map::radioBase + map::radioCtrl,
+                         RadioDevice::cmdTx);
+}
+
+/** A unicast data frame: the kind the acknowledged MAC carries. */
+net::Frame
+unicastFrame(const NodeConfig &cfg)
+{
+    net::Frame frame;
+    frame.seq = 5;
+    frame.src = cfg.address;
+    frame.dest = 0x0020;
+    frame.destPan = cfg.pan;
+    frame.payload = {0x7E};
+    return frame;
+}
+
+} // namespace
+
+TEST(Reliability, AcknowledgedMacWithoutMediumCountsTheFrameSent)
+{
+    sim::Simulation simulation;
+    NodeConfig cfg;
+    cfg.address = 0x0010;
+    cfg.sensorSignal = [](sim::Tick) { return 42; };
+    SensorNode node(simulation, "node", cfg); // no medium
+    node.dataBus().write(map::radioBase + map::radioMacCtrl,
+                         3 | RadioDevice::macAutoAckBit);
+
+    const net::Frame frame = unicastFrame(cfg);
+    commandTx(node, frame);
+
+    // The MAC path: the CCA comes before the frame, so it is still in
+    // flight when a fire-and-forget frame of its size would be done.
+    simulation.runForSeconds(static_cast<double>(frame.sizeBytes()) * 8.0 /
+                             net::Channel::defaultBitRate);
+    EXPECT_EQ(node.radio().framesSent(), 0u);
+
+    // Nothing can answer, so the frame counts as acknowledged: no ACK
+    // window, no retry, no failure.
+    simulation.runForSeconds(0.05);
+    EXPECT_EQ(node.radio().framesSent(), 1u);
+    EXPECT_EQ(node.radio().lastTxFrame(), frame);
+    EXPECT_EQ(node.probes().count(Probe::RadioTxDone), 1u);
+    EXPECT_EQ(node.radio().ackTimeouts(), 0u);
+    EXPECT_EQ(node.radio().retransmissions(), 0u);
+    EXPECT_EQ(node.radio().txFailures(), 0u);
+    EXPECT_EQ(node.radio().acksReceived(), 0u);
+}
+
+TEST(Reliability, JammedMediumSpendsTheRetryBudgetOnBusyCcas)
+{
+    sim::Simulation simulation;
+    NodeConfig cfg;
+    cfg.address = 0x0010;
+    cfg.sensorSignal = [](sim::Tick) { return 42; };
+    SensorNode node(simulation, "node", cfg);
+    node.dataBus().write(map::radioBase + map::radioMacCtrl, 2);
+
+    // A start symbol whose frame holds the medium for a whole second:
+    // every clear-channel assessment of the run finds it busy.
+    node.radio().frameStarted(simulation.curTick() +
+                              sim::secondsToTicks(1.0));
+    commandTx(node, unicastFrame(cfg));
+    simulation.runForSeconds(0.5);
+
+    // Each of the three attempts (the first and two retries) gives up
+    // after macMaxCsmaBackoffs busy CCAs; the third one fails the
+    // transaction.
+    const auto ccaBusy = static_cast<std::uint64_t>(
+        static_cast<const sim::stats::Scalar *>(
+            node.radio().findStat("ccaBusy"))
+            ->value());
+    EXPECT_EQ(ccaBusy, 3u * RadioDevice::macMaxCsmaBackoffs);
+    EXPECT_EQ(node.radio().retransmissions(), 2u);
+    EXPECT_EQ(node.probes().count(Probe::RadioRetry), 2u);
+    EXPECT_EQ(node.radio().txFailures(), 1u);
+    EXPECT_EQ(node.radio().framesSent(), 0u);
+    EXPECT_EQ(node.radio().ackTimeouts(), 0u);
+    EXPECT_EQ(node.probes().count(Probe::RadioTxDone), 0u);
+    EXPECT_GT(node.radio().backoffSlots(), 0u);
+}
+
 // --------------------------------------------------------------------------
 // Watchdog: a wedged microcontroller is force-reset and the node recovers.
 // --------------------------------------------------------------------------

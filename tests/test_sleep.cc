@@ -484,6 +484,67 @@ TEST(BeaconMac, DeviceSyncsAndSleepsBetweenSuperframes)
               coord.radio().beaconIntervalTicks());
 }
 
+TEST(BeaconMac, IndirectFrameIsDeliveredOnDataRequest)
+{
+    sim::setQuiet(true); // the bare nodes have no ISRs bound
+    sim::Simulation simulation;
+    net::Channel channel(simulation, "channel",
+                         net::Channel::defaultBitRate, 42);
+    core::NodeConfig cfg;
+    cfg.sensorSignal = [](sim::Tick) { return 0; };
+
+    cfg.address = 1;
+    core::SensorNode coord(simulation, "coord", cfg, &channel);
+    coord.dataBus().write(map::radioBase + map::radioAddrLo, 1);
+    coord.dataBus().write(map::radioBase + map::radioBeaconOrder, 3);
+    coord.dataBus().write(map::radioBase + map::radioSfOrder, 1);
+    coord.dataBus().write(map::radioBase + map::radioMacMode,
+                          core::RadioDevice::macModeBeaconCoord);
+
+    cfg.address = 2;
+    core::SensorNode device(simulation, "device", cfg, &channel);
+    device.dataBus().write(map::radioBase + map::radioAddrLo, 2);
+    device.dataBus().write(map::radioBase + map::radioCtrl,
+                           core::RadioDevice::cmdRxOn);
+    device.dataBus().write(map::radioBase + map::radioMacMode,
+                           core::RadioDevice::macModeBeaconDevice);
+
+    // The coordinator's unicast data to the device waits in the
+    // transaction queue for the device to ask for it.
+    net::Frame frame;
+    frame.seq = 9;
+    frame.src = 1;
+    frame.dest = 2;
+    frame.destPan = cfg.pan;
+    frame.payload = {0x5A};
+    std::vector<std::uint8_t> wire = frame.serialize();
+    for (std::size_t i = 0; i < wire.size(); ++i)
+        coord.dataBus().write(
+            static_cast<map::Addr>(map::radioBase + map::radioTxFifo + i),
+            wire[i]);
+    coord.dataBus().write(map::radioBase + map::radioTxLen,
+                          static_cast<std::uint8_t>(wire.size()));
+    coord.dataBus().write(map::radioBase + map::radioCtrl,
+                          core::RadioDevice::cmdTx);
+    EXPECT_EQ(coord.radio().indirectQueued(), 1u);
+    EXPECT_EQ(coord.radio().framesSent(), 0u);
+
+    // Two beacon intervals: the first beacon advertises the frame, the
+    // device sends one data request, the coordinator delivers it.
+    simulation.runForSeconds(0.25);
+    sim::setQuiet(false);
+
+    EXPECT_EQ(device.radio().dataRequests(), 1u);
+    EXPECT_EQ(device.probes().count(core::Probe::MacDataRequest), 1u);
+    EXPECT_EQ(coord.radio().indirectDelivered(), 1u);
+    EXPECT_EQ(coord.radio().indirectExpired(), 0u);
+    EXPECT_EQ(coord.radio().framesSent(), 1u);
+    EXPECT_EQ(coord.radio().lastTxFrame(), frame);
+    EXPECT_EQ(coord.probes().count(core::Probe::RadioTxDone), 1u);
+    EXPECT_EQ(device.radio().framesReceived(), 1u);
+    EXPECT_GE(device.radio().beaconsReceived(), 2u);
+}
+
 TEST(BeaconMac, UnsyncedRelayBeyondCoordinatorRangeStillDelivers)
 {
     // A 3-node chain: node 2 can never hear coordinator 0's beacons, so
