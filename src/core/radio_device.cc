@@ -6,6 +6,18 @@
 
 namespace ulp::core {
 
+namespace {
+
+/** Air time of @p bytes at 250 kbit/s, for frames no medium times. */
+sim::Tick
+airTicks(std::size_t bytes)
+{
+    return sim::secondsToTicks(static_cast<double>(bytes) * 8.0 /
+                               net::Channel::defaultBitRate);
+}
+
+} // namespace
+
 RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
                          sim::SimObject *parent, fabric::EventSource &event_port,
                          ProbeRecorder *probes,
@@ -17,20 +29,14 @@ RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
                   {map::radioBase, map::radioSize}, event_port, probes, clock,
                   model, wakeup_ticks, true),
       channel(channel), random(seed),
-      txDoneEvent(this, &RadioDevice::txDone, {this->name(), "txDone"}),
+      airEndEvent(this, &RadioDevice::airEnd, {this->name(), "airEnd"}),
       macCcaEvent(this, &RadioDevice::macCcaDecide,
                   {this->name(), "macCca"}),
-      macAirEndEvent(this, &RadioDevice::macAirEnd,
-                     {this->name(), "macAirEnd"}),
       macAckTimeoutEvent(this, &RadioDevice::macAckTimeout,
                          {this->name(), "macAckWait"}),
       macAckTxEvent(this, &RadioDevice::macSendAck,
                     {this->name(), "macAckTx"}),
-      macAckAirEndEvent(this, &RadioDevice::macAckAirEnd,
-                        {this->name(), "macAckAirEnd"}),
       beaconEvent(this, &RadioDevice::beaconTx, {this->name(), "beacon"}),
-      beaconAirEndEvent(this, &RadioDevice::beaconAirEnd,
-                        {this->name(), "beaconAirEnd"}),
       capEndEvent(this, &RadioDevice::capEnd, {this->name(), "capEnd"}),
       guardWakeEvent(this, &RadioDevice::macGuardWake,
                      {this->name(), "guardWake"}),
@@ -38,12 +44,8 @@ RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
                       {this->name(), "beaconMiss"}),
       indirectTxEvent(this, &RadioDevice::indirectTxSend,
                       {this->name(), "indirectTx"}),
-      indirectAirEndEvent(this, &RadioDevice::indirectAirEnd,
-                          {this->name(), "indirectAirEnd"}),
       dataReqEvent(this, &RadioDevice::dataReqSend,
                    {this->name(), "dataReq"}),
-      dataReqAirEndEvent(this, &RadioDevice::dataReqAirEnd,
-                         {this->name(), "dataReqAirEnd"}),
       statTx(this, "framesSent", "frames transmitted"),
       statRx(this, "framesReceived", "intact frames received"),
       statCrcErrors(this, "crcErrors",
@@ -126,7 +128,7 @@ RadioDevice::busRead(map::Addr offset)
         return 0;
       case radioStatus:
         return static_cast<std::uint8_t>(
-            ((txBusy || macActive) ? statusTxBusy : 0) |
+            (transmitting() ? statusTxBusy : 0) |
             (rxEnabled ? statusRxOn : 0) |
             (rxReady ? statusRxReady : 0));
       case radioTxLen:
@@ -216,7 +218,7 @@ RadioDevice::busWrite(map::Addr offset, std::uint8_t value)
 void
 RadioDevice::startTx()
 {
-    if (txBusy || macActive) {
+    if (transmitting()) {
         sim::warn("%s: TX command while transmitting ignored",
                   name().c_str());
         return;
@@ -227,13 +229,7 @@ RadioDevice::startTx()
         std::span<const std::uint8_t>(txFifo.data(), txLen));
     if (!frame) {
         ++statTxMalformed;
-        // The hardware would still clock the bytes out; model the timing
-        // but nothing intelligible reaches the channel.
-        txBusy = true;
-        sim::Tick air = sim::secondsToTicks(
-            static_cast<double>(txLen) * 8.0 / net::Channel::defaultBitRate);
-        beActiveFor(clock.ticksToCycles(air) + 1);
-        scheduleRel(&txDoneEvent, air);
+        transmit(Air::Malformed, {});
         return;
     }
 
@@ -254,35 +250,82 @@ RadioDevice::startTx()
     }
 
     // Unicast data frames go through the acknowledged MAC when a retry
-    // budget is configured; everything else keeps the legacy
-    // fire-and-forget timing.
-    if (macMaxRetries() > 0 && frame->type == net::Frame::Type::Data &&
-        frame->dest != net::Frame::broadcastAddr) {
+    // budget is configured; everything else is fire-and-forget.
+    if (acknowledged(*frame)) {
         macStartTx(*frame);
         return;
     }
-
-    lastTx = *frame;
-    txBusy = true;
-    sim::Tick end;
-    if (channel) {
-        end = channel->transmit(this, *frame);
-    } else {
-        end = curTick() + sim::secondsToTicks(
-            static_cast<double>(frame->sizeBytes()) * 8.0 /
-            net::Channel::defaultBitRate);
-    }
-    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-    eventq().schedule(&txDoneEvent, end);
+    lastTx = std::move(*frame);
+    transmit(Air::Data, lastTx);
 }
 
 void
-RadioDevice::txDone()
+RadioDevice::transmit(Air what, const net::Frame &frame)
 {
-    txBusy = false;
+    onAir = what;
+    // The undecodable FIFO image still clocks its bytes out, but nothing
+    // intelligible reaches the medium.
+    const sim::Tick end =
+        what == Air::Malformed ? curTick() + airTicks(txLen)
+        : channel              ? channel->transmit(this, frame)
+                               : curTick() + airTicks(frame.sizeBytes());
+    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
+    eventq().schedule(&airEndEvent, end);
+}
+
+void
+RadioDevice::airEnd()
+{
+    const Air what = onAir;
+    onAir = Air::None;
+    switch (what) {
+      case Air::Data:
+      case Air::Malformed:
+        reportTxDone();
+        return;
+      case Air::Mac:
+        // Beacon mode routes every TX through the MAC for CAP timing,
+        // but only unicast data with a retry budget is acknowledged.
+        // With no medium to answer, the frame counts as acknowledged so
+        // single-node setups keep working with the MAC enabled.
+        if (!channel || (beaconMode() && !acknowledged(lastTx))) {
+            macFinish(true);
+            return;
+        }
+        // The receiver listens for the whole ACK window.
+        beActiveFor(clock.ticksToCycles(ackWaitTicks) + 1);
+        scheduleRel(&macAckTimeoutEvent, ackWaitTicks);
+        return;
+      case Air::Beacon:
+        // Resume a transmission that was parked while our beacon was on
+        // the air.
+        macReleaseParked();
+        return;
+      case Air::Indirect:
+        ++statIndirectDelivered;
+        reportTxDone();
+        return;
+      case Air::None:
+      case Air::Ack:
+      case Air::DataRequest:
+        return;
+    }
+}
+
+void
+RadioDevice::reportTxDone()
+{
     ++statTx;
     recordProbe(Probe::RadioTxDone);
     postIrq(Irq::RadioTxDone);
+}
+
+sim::Tick
+RadioDevice::backoff(unsigned exponent)
+{
+    auto slots = random.uniformInt(0, (1u << exponent) - 1);
+    statBackoffSlots += static_cast<double>(slots);
+    return static_cast<sim::Tick>(slots) * backoffSlotTicks;
 }
 
 // --- acknowledged-transmission MAC ----------------------------------------
@@ -291,7 +334,6 @@ void
 RadioDevice::macStartTx(const net::Frame &frame)
 {
     lastTx = frame;
-    pendingTx = frame;
     macActive = true;
     macRetries = 0;
     macBe = macMinBE;
@@ -306,10 +348,7 @@ RadioDevice::macCsmaBegin()
         return;
     }
     macCcaBusyCount = 0;
-    auto slots = random.uniformInt(0, (1u << macBe) - 1);
-    statBackoffSlots += static_cast<double>(slots);
-    scheduleRel(&macCcaEvent,
-                static_cast<sim::Tick>(slots) * backoffSlotTicks + ccaTicks);
+    scheduleRel(&macCcaEvent, backoff(macBe) + ccaTicks);
 }
 
 void
@@ -320,7 +359,7 @@ RadioDevice::macCcaDecide()
         // K-approximate medium-busy horizon and break the thread-count
         // oracle; the superframe already serialises contention. Our own
         // transmitter (beacon or ACK in the air) still has priority.
-        if (txBusy) {
+        if (onAir != Air::None) {
             scheduleRel(&macCcaEvent, backoffSlotTicks);
             return;
         }
@@ -333,7 +372,7 @@ RadioDevice::macCcaDecide()
             ++statDeferredTx;
             return;
         }
-        macAirStart();
+        transmit(Air::Mac, lastTx);
         return;
     }
     if (mediumBusy()) {
@@ -344,61 +383,15 @@ RadioDevice::macCcaDecide()
             return;
         }
         macBe = std::min(macBe + 1, macMaxBE);
-        auto slots = random.uniformInt(0, (1u << macBe) - 1);
-        statBackoffSlots += static_cast<double>(slots);
-        scheduleRel(&macCcaEvent,
-                    static_cast<sim::Tick>(slots) * backoffSlotTicks +
-                        ccaTicks);
+        scheduleRel(&macCcaEvent, backoff(macBe) + ccaTicks);
         return;
     }
-    macAirStart();
-}
-
-void
-RadioDevice::macAirStart()
-{
-    txBusy = true;
-    sim::Tick end;
-    if (channel) {
-        end = channel->transmit(this, pendingTx);
-    } else {
-        end = curTick() + sim::secondsToTicks(
-            static_cast<double>(pendingTx.sizeBytes()) * 8.0 /
-            net::Channel::defaultBitRate);
-    }
-    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-    eventq().schedule(&macAirEndEvent, end);
-}
-
-void
-RadioDevice::macAirEnd()
-{
-    txBusy = false;
-    if (beaconMode() &&
-        (pendingTx.type != net::Frame::Type::Data ||
-         pendingTx.dest == net::Frame::broadcastAddr ||
-         macMaxRetries() == 0)) {
-        // Beacon mode routes every TX through the MAC for CAP timing,
-        // but only unicast data with a retry budget is acknowledged.
-        macFinish(true);
-        return;
-    }
-    if (!channel) {
-        // No medium to answer: behave like an acknowledged success so
-        // single-node setups keep working with the MAC enabled.
-        macFinish(true);
-        return;
-    }
-    awaitingAck = true;
-    // The receiver listens for the whole ACK window.
-    beActiveFor(clock.ticksToCycles(ackWaitTicks) + 1);
-    scheduleRel(&macAckTimeoutEvent, ackWaitTicks);
+    transmit(Air::Mac, lastTx);
 }
 
 void
 RadioDevice::macAckTimeout()
 {
-    awaitingAck = false;
     ++statAckTimeouts;
     macRetryOrFail();
 }
@@ -406,9 +399,7 @@ RadioDevice::macAckTimeout()
 void
 RadioDevice::macAckReceived()
 {
-    if (macAckTimeoutEvent.scheduled())
-        eventq().deschedule(&macAckTimeoutEvent);
-    awaitingAck = false;
+    eventq().deschedule(&macAckTimeoutEvent);
     ++statAcksReceived;
     macFinish(true);
 }
@@ -431,12 +422,9 @@ void
 RadioDevice::macFinish(bool success)
 {
     macActive = false;
-    awaitingAck = false;
     macWaitingCap = false;
     if (success) {
-        ++statTx;
-        recordProbe(Probe::RadioTxDone);
-        postIrq(Irq::RadioTxDone);
+        reportTxDone();
     } else {
         ++statTxFailures;
         postIrq(Irq::RadioTxFail);
@@ -446,29 +434,12 @@ RadioDevice::macFinish(bool success)
 void
 RadioDevice::macSendAck()
 {
-    ackTxPending = false;
     // The ACK yields to anything the node started during the turnaround.
-    if (!powered() || txBusy || macActive)
+    if (!powered() || transmitting())
         return;
-    txBusy = true;
-    sim::Tick end;
-    if (channel) {
-        end = channel->transmit(this, ackTx);
-    } else {
-        end = curTick() + sim::secondsToTicks(
-            static_cast<double>(ackTx.sizeBytes()) * 8.0 /
-            net::Channel::defaultBitRate);
-    }
-    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-    eventq().schedule(&macAckAirEndEvent, end);
+    transmit(Air::Ack, ackTx);
     ++statAcksSent;
     recordProbe(Probe::RadioAckSent);
-}
-
-void
-RadioDevice::macAckAirEnd()
-{
-    txBusy = false;
 }
 
 // --- beacon-enabled (duty-cycled) MAC --------------------------------------
@@ -504,13 +475,6 @@ RadioDevice::guardTicks() const
     return guard;
 }
 
-sim::Tick
-RadioDevice::airTicks(const net::Frame &frame) const
-{
-    return sim::secondsToTicks(static_cast<double>(frame.sizeBytes()) *
-                               8.0 / net::Channel::defaultBitRate);
-}
-
 void
 RadioDevice::scheduleBeacons()
 {
@@ -542,7 +506,7 @@ RadioDevice::beaconTx()
 
     // A radio busy at the beacon point (a CAP transaction spilled over)
     // skips this beacon but holds the grid.
-    if (!(txBusy || macActive)) {
+    if (!transmitting()) {
         net::Frame beacon;
         beacon.type = net::Frame::Type::Beacon;
         beacon.seq = beaconSeq++;
@@ -558,11 +522,7 @@ RadioDevice::beaconTx()
             beacon.payload.push_back(
                 static_cast<std::uint8_t>(p.frame.dest & 0xFF));
         }
-        txBusy = true;
-        sim::Tick end = channel ? channel->transmit(this, beacon)
-                                : curTick() + airTicks(beacon);
-        beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-        eventq().schedule(&beaconAirEndEvent, end);
+        transmit(Air::Beacon, beacon);
         ++statBeaconsSent;
         recordProbe(Probe::BeaconTx);
     }
@@ -572,17 +532,6 @@ RadioDevice::beaconTx()
     eventq().reschedule(&capEndEvent, capEndTick);
     nextBeaconAt += beaconIntervalTicks();
     eventq().reschedule(&beaconEvent, nextBeaconAt);
-}
-
-void
-RadioDevice::beaconAirEnd()
-{
-    txBusy = false;
-    // Resume a transmission that was parked while our beacon was on air.
-    if (macActive && macWaitingCap) {
-        macWaitingCap = false;
-        macCapBegin();
-    }
 }
 
 void
@@ -612,10 +561,7 @@ RadioDevice::beaconReceived(const net::Frame &frame)
     expectedBeaconAt = curTick() + beaconIntervalTicks();
 
     // A CAP opened: release a deferred transmission.
-    if (macActive && macWaitingCap) {
-        macWaitingCap = false;
-        macCapBegin();
-    }
+    macReleaseParked();
 
     // Pull indirect data advertised for us: data request after the
     // turnaround plus a slotted backoff (several children may have heard
@@ -627,7 +573,7 @@ RadioDevice::beaconReceived(const net::Frame &frame)
             (frame.payload[3 + 2 * i] << 8) | frame.payload[4 + 2 * i]);
         if (addr != macAddr)
             continue;
-        if (dataReqQueued || macActive || txBusy)
+        if (dataReqEvent.scheduled() || transmitting())
             break; // busy this CAP; the frame stays advertised
         dataReq = net::Frame{};
         dataReq.type = net::Frame::Type::Command;
@@ -636,13 +582,8 @@ RadioDevice::beaconReceived(const net::Frame &frame)
         dataReq.dest = frame.src;
         dataReq.src = macAddr;
         dataReq.payload.push_back(cmdFrameDataRequest);
-        dataReqQueued = true;
-        auto slots = random.uniformInt(0, (1u << capBackoffExp) - 1);
-        statBackoffSlots += static_cast<double>(slots);
-        eventq().reschedule(&dataReqEvent,
-                            curTick() + turnaroundTicks +
-                                static_cast<sim::Tick>(slots) *
-                                    backoffSlotTicks);
+        scheduleRel(&dataReqEvent,
+                    turnaroundTicks + backoff(capBackoffExp));
         break;
     }
 }
@@ -686,10 +627,7 @@ RadioDevice::beaconMissed()
         // Sync loss: stay awake in RX and hunt for a beacon. With no
         // CAP to honour, a parked transmission goes out unsynchronized.
         _beaconSynced = false;
-        if (macActive && macWaitingCap) {
-            macWaitingCap = false;
-            macCapBegin();
-        }
+        macReleaseParked();
         return;
     }
     // Keep the grid: stay awake through the gap and expect the next one.
@@ -705,9 +643,11 @@ RadioDevice::macTrySleep()
         return; // always-active superframe
     if (!powered() || macAsleep)
         return;
-    if (txBusy || macActive || awaitingAck || ackTxPending ||
-        dataReqQueued || indirectTxQueued)
-        return; // a transaction is still running; skip this sleep window
+    // A transaction (the ACK wait is part of the MAC's) is still running:
+    // skip this sleep window.
+    if (transmitting() || macAckTxEvent.scheduled() ||
+        dataReqEvent.scheduled() || indirectTxEvent.scheduled())
+        return;
     macAsleep = true;
     ++statMacSleeps;
     recordProbe(Probe::MacSleep);
@@ -739,10 +679,16 @@ RadioDevice::macCapBegin()
         }
         return;
     }
-    auto slots = random.uniformInt(0, (1u << capBackoffExp) - 1);
-    statBackoffSlots += static_cast<double>(slots);
-    scheduleRel(&macCcaEvent,
-                static_cast<sim::Tick>(slots) * backoffSlotTicks);
+    scheduleRel(&macCcaEvent, backoff(capBackoffExp));
+}
+
+void
+RadioDevice::macReleaseParked()
+{
+    if (macActive && macWaitingCap) {
+        macWaitingCap = false;
+        macCapBegin();
+    }
 }
 
 void
@@ -760,7 +706,7 @@ RadioDevice::queueIndirect(const net::Frame &frame)
 void
 RadioDevice::indirectRequested(std::uint16_t src)
 {
-    if (indirectTxQueued)
+    if (indirectTxEvent.scheduled())
         return;
     auto it = std::find_if(pendingIndirect.begin(), pendingIndirect.end(),
                            [src](const PendingIndirect &p) {
@@ -770,59 +716,32 @@ RadioDevice::indirectRequested(std::uint16_t src)
         return;
     indirectTx = it->frame;
     pendingIndirect.erase(it);
-    indirectTxQueued = true;
-    eventq().reschedule(&indirectTxEvent, curTick() + turnaroundTicks);
+    scheduleRel(&indirectTxEvent, turnaroundTicks);
 }
 
 void
 RadioDevice::indirectTxSend()
 {
-    indirectTxQueued = false;
     if (!powered())
         return;
-    if (txBusy || macActive) {
+    if (transmitting()) {
         // Transmitter claimed during the turnaround: requeue for one
         // more beacon; the device will ask again.
         pendingIndirect.insert(pendingIndirect.begin(), {indirectTx, 1});
         return;
     }
     lastTx = indirectTx;
-    txBusy = true;
-    sim::Tick end = channel ? channel->transmit(this, indirectTx)
-                            : curTick() + airTicks(indirectTx);
-    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-    eventq().schedule(&indirectAirEndEvent, end);
-}
-
-void
-RadioDevice::indirectAirEnd()
-{
-    txBusy = false;
-    ++statTx;
-    ++statIndirectDelivered;
-    recordProbe(Probe::RadioTxDone);
-    postIrq(Irq::RadioTxDone);
+    transmit(Air::Indirect, lastTx);
 }
 
 void
 RadioDevice::dataReqSend()
 {
-    dataReqQueued = false;
-    if (!powered() || txBusy || macActive || macAsleep)
+    if (!powered() || transmitting() || macAsleep)
         return;
-    txBusy = true;
-    sim::Tick end = channel ? channel->transmit(this, dataReq)
-                            : curTick() + airTicks(dataReq);
-    beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
-    eventq().schedule(&dataReqAirEndEvent, end);
+    transmit(Air::DataRequest, dataReq);
     ++statDataRequests;
     recordProbe(Probe::MacDataRequest);
-}
-
-void
-RadioDevice::dataReqAirEnd()
-{
-    txBusy = false;
 }
 
 void
@@ -870,8 +789,8 @@ RadioDevice::frameArrived(const net::Frame &frame, bool corrupted)
         // ACKs are MAC-level traffic: matched against the pending
         // transaction (even with RX nominally off -- the radio sits in
         // RX-after-TX while awaiting one) and never surfaced to masters.
-        if (!corrupted && awaitingAck && frame.seq == pendingTx.seq &&
-            frame.src == pendingTx.dest) {
+        if (!corrupted && macAckTimeoutEvent.scheduled() &&
+            frame.seq == lastTx.seq && frame.src == lastTx.dest) {
             macAckReceived();
         }
         return;
@@ -885,8 +804,8 @@ RadioDevice::frameArrived(const net::Frame &frame, bool corrupted)
         return;
     }
     if (macAutoAck() && frame.type == net::Frame::Type::Data &&
-        frame.dest != net::Frame::broadcastAddr && !macActive && !txBusy &&
-        !ackTxPending) {
+        frame.dest != net::Frame::broadcastAddr && !transmitting() &&
+        !macAckTxEvent.scheduled()) {
         // The radio has no address filter (the message processor owns
         // addressing), so any intact unicast data frame is acknowledged
         // after the RX->TX turnaround.
@@ -896,7 +815,6 @@ RadioDevice::frameArrived(const net::Frame &frame, bool corrupted)
         ackTx.destPan = frame.destPan;
         ackTx.dest = frame.src;
         ackTx.src = frame.dest;
-        ackTxPending = true;
         scheduleRel(&macAckTxEvent, turnaroundTicks);
     }
     injectFrame(frame);
@@ -940,21 +858,15 @@ RadioDevice::onPowerOn()
 void
 RadioDevice::onPowerOff()
 {
-    if (txDoneEvent.scheduled())
-        eventq().deschedule(&txDoneEvent);
     for (sim::Event *ev :
-         {&macCcaEvent, &macAirEndEvent, &macAckTimeoutEvent,
-          &macAckTxEvent, &macAckAirEndEvent, &beaconEvent,
-          &beaconAirEndEvent, &capEndEvent, &guardWakeEvent,
-          &beaconMissEvent, &indirectTxEvent, &indirectAirEndEvent,
-          &dataReqEvent, &dataReqAirEndEvent}) {
+         {&airEndEvent, &macCcaEvent, &macAckTimeoutEvent, &macAckTxEvent,
+          &beaconEvent, &capEndEvent, &guardWakeEvent, &beaconMissEvent,
+          &indirectTxEvent, &dataReqEvent}) {
         if (ev->scheduled())
             eventq().deschedule(ev);
     }
-    txBusy = false;
+    onAir = Air::None;
     macActive = false;
-    awaitingAck = false;
-    ackTxPending = false;
     rxReady = false;
     rxLen = 0;
     txLen = 0;
@@ -970,8 +882,6 @@ RadioDevice::onPowerOff()
     expectedBeaconAt = 0;
     macWaitingCap = false;
     pendingIndirect.clear();
-    indirectTxQueued = false;
-    dataReqQueued = false;
     // rxEnabled persists as configuration so forwarding nodes return to
     // listening when the ISR powers the radio back on; the MAC control,
     // mode, superframe-order, address, and guard registers persist the

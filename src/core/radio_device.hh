@@ -18,9 +18,17 @@
  * backoff in 20-symbol slots with exponential BE in [3, 5]) and wait for
  * an Ack frame; a missing ACK triggers bounded retransmission. The MAC
  * auto-acknowledges intact unicast data frames after the 12-symbol
- * turnaround. Success posts Irq::RadioTxDone as before; exhausting the
- * retry budget posts Irq::RadioTxFail. With radioMacCtrl == 0 (reset
- * value) behaviour is exactly the legacy fire-and-forget model.
+ * turnaround. Success posts Irq::RadioTxDone; exhausting the retry budget
+ * posts Irq::RadioTxFail. With radioMacCtrl == 0 (the reset value) every
+ * frame is fire-and-forget: it goes on the air at the TX command and
+ * posts Irq::RadioTxDone when it ends.
+ *
+ * One on-air path: every frame -- fire-and-forget data, the MAC's frame,
+ * an ACK, a beacon, an indirect frame, a data request, and the
+ * undecodable FIFO image that is timed but never sent -- goes through
+ * transmit(), which takes the end tick from the medium (or times the
+ * frame without one), charges the active stint and schedules the one
+ * air-end event. One frame is on the air at a time; onAir says which.
  *
  * Duty-cycled beacon mode (map::radioMacMode, 802.15.4 beacon-enabled
  * PAN): one coordinator emits beacons every aBaseSuperframeDuration x
@@ -291,21 +299,46 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     }
 
   private:
+    /** What this radio has on the air: one frame at a time. */
+    enum class Air : std::uint8_t {
+        None,
+        Data,        ///< fire-and-forget data
+        Malformed,   ///< the undecodable FIFO image, timed, never sent
+        Mac,         ///< the MAC transaction's frame (lastTx)
+        Ack,
+        Beacon,
+        Indirect,    ///< a coordinator's frame for a data request
+        DataRequest,
+    };
+
     void startTx();
-    void txDone();
+    /** The one path to the air: times @p frame (with the medium, or
+     *  locally without one), charges the active stint and schedules
+     *  airEndEvent, whose handler acts on @p what. */
+    void transmit(Air what, const net::Frame &frame);
+    void airEnd();
+    /** A frame on the air or a MAC transaction running. */
+    bool transmitting() const { return onAir != Air::None || macActive; }
+    void reportTxDone();
+    /** Draw [0, 2^exponent) backoff slots; count them, return their span. */
+    sim::Tick backoff(unsigned exponent);
 
     // MAC (acknowledged transmission) path.
+    /** Frames the MAC acknowledges: unicast data with a retry budget. */
+    bool
+    acknowledged(const net::Frame &frame) const
+    {
+        return macMaxRetries() > 0 && frame.type == net::Frame::Type::Data &&
+               frame.dest != net::Frame::broadcastAddr;
+    }
     void macStartTx(const net::Frame &frame);
     void macCsmaBegin();
     void macCcaDecide();
-    void macAirStart();
-    void macAirEnd();
     void macAckTimeout();
     void macAckReceived();
     void macRetryOrFail();
     void macFinish(bool success);
     void macSendAck();
-    void macAckAirEnd();
     bool mediumBusy() const { return curTick() < mediumBusyUntil; }
 
     // Beacon-mode (duty-cycled) path.
@@ -314,9 +347,9 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     sim::Tick guardTicks() const;
     bool inCap() const { return curTick() < capEndTick; }
     void macCapBegin();
+    void macReleaseParked();
     void scheduleBeacons();
     void beaconTx();
-    void beaconAirEnd();
     void beaconReceived(const net::Frame &frame);
     void beaconMissed();
     void capEnd();
@@ -326,40 +359,34 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     void queueIndirect(const net::Frame &frame);
     void indirectRequested(std::uint16_t src);
     void indirectTxSend();
-    void indirectAirEnd();
     void dataReqSend();
-    void dataReqAirEnd();
-    sim::Tick airTicks(const net::Frame &frame) const;
 
     net::Medium *channel;
     bool attachedToChannel = false;
     sim::Random random;
     bool rxEnabled = false;
-    bool txBusy = false;
+    Air onAir = Air::None;
     std::uint8_t txLen = 0;
     std::uint8_t rxLen = 0;
     bool rxReady = false;
     std::array<std::uint8_t, fifoBytes> txFifo{};
     std::array<std::uint8_t, fifoBytes> rxFifo{};
+    /** While macActive nothing else transmits: this is the MAC's frame. */
     net::Frame lastTx;
-    sim::MemberEventWrapper<RadioDevice> txDoneEvent;
+    sim::MemberEventWrapper<RadioDevice> airEndEvent;
 
-    // MAC transaction state.
+    // MAC transaction state. The ACK wait and the auto-ACK turnaround
+    // are their events' scheduled().
     std::uint8_t macCtrlReg = 0;     ///< persists across power gating
     bool macActive = false;          ///< a MAC TX transaction is running
-    bool awaitingAck = false;
-    net::Frame pendingTx;
     unsigned macRetries = 0;         ///< retransmissions used so far
     unsigned macBe = macMinBE;       ///< current backoff exponent
     unsigned macCcaBusyCount = 0;    ///< busy CCAs this attempt
     sim::Tick mediumBusyUntil = 0;   ///< carrier sense from frameStarted
-    bool ackTxPending = false;
     net::Frame ackTx;
     sim::MemberEventWrapper<RadioDevice> macCcaEvent;
-    sim::MemberEventWrapper<RadioDevice> macAirEndEvent;
     sim::MemberEventWrapper<RadioDevice> macAckTimeoutEvent;
     sim::MemberEventWrapper<RadioDevice> macAckTxEvent;
-    sim::MemberEventWrapper<RadioDevice> macAckAirEndEvent;
 
     // Beacon-mode state. The mode and superframe registers persist
     // across power gating like macCtrlReg (they are configuration);
@@ -390,20 +417,15 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
         unsigned beaconsLeft;
     };
     std::vector<PendingIndirect> pendingIndirect;
-    bool indirectTxQueued = false;
-    net::Frame indirectTx;
-    bool dataReqQueued = false;
-    net::Frame dataReq;
+    net::Frame indirectTx;             ///< sent when indirectTxEvent fires
+    net::Frame dataReq;                ///< sent when dataReqEvent fires
 
     sim::MemberEventWrapper<RadioDevice> beaconEvent;
-    sim::MemberEventWrapper<RadioDevice> beaconAirEndEvent;
     sim::MemberEventWrapper<RadioDevice> capEndEvent;
     sim::MemberEventWrapper<RadioDevice> guardWakeEvent;
     sim::MemberEventWrapper<RadioDevice> beaconMissEvent;
     sim::MemberEventWrapper<RadioDevice> indirectTxEvent;
-    sim::MemberEventWrapper<RadioDevice> indirectAirEndEvent;
     sim::MemberEventWrapper<RadioDevice> dataReqEvent;
-    sim::MemberEventWrapper<RadioDevice> dataReqAirEndEvent;
 
     sim::stats::Scalar statTx;
     sim::stats::Scalar statRx;
