@@ -2,9 +2,9 @@
  * @file
  * Measurement probes. Devices report named milestones (timer alarm
  * posted, TX command accepted, uC went back to sleep, ...) to the node's
- * ProbeRecorder, which keeps the last tick and a count per probe and
- * emits every milestone on the Probe or Mac telemetry channel. Ordered
- * histories come from that stream: a ProbeLog installed as the
+ * ProbeRecorder, which keeps a count per probe and emits every
+ * milestone on the Probe or Mac telemetry channel. Ticks come from that
+ * stream: a ProbeLog installed as the
  * simulation's telemetry sink keeps them, and benches and tests turn
  * pairs of its ticks into the cycle counts the paper reports in Table 4
  * and §6.1.3.
@@ -120,7 +120,6 @@ class ProbeRecorder : public sim::SimObject
         : sim::SimObject(simulation, name, parent),
           obs(simulation.telemetry())
     {
-        lastTicks.fill(sim::maxTick);
         counts.fill(0);
         if (obs)
             obsId = obs->registerComponent(this->name());
@@ -130,7 +129,6 @@ class ProbeRecorder : public sim::SimObject
     record(Probe probe)
     {
         auto idx = static_cast<unsigned>(probe);
-        lastTicks[idx] = curTick();
         ++counts[idx];
         if (obs) {
             auto channel = isMacProbe(probe)
@@ -161,12 +159,6 @@ class ProbeRecorder : public sim::SimObject
         }
     }
 
-    /** Last tick the probe fired, or maxTick if never. */
-    sim::Tick last(Probe probe) const
-    {
-        return lastTicks[static_cast<unsigned>(probe)];
-    }
-
     std::uint64_t count(Probe probe) const
     {
         return counts[static_cast<unsigned>(probe)];
@@ -174,7 +166,6 @@ class ProbeRecorder : public sim::SimObject
 
   private:
     static constexpr unsigned n = static_cast<unsigned>(Probe::NumProbes);
-    std::array<sim::Tick, n> lastTicks;
     std::array<std::uint64_t, n> counts;
     std::uint64_t sleepTransitions = 0;
 

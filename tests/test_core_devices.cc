@@ -352,14 +352,24 @@ TEST_F(DeviceTest, FilterInterruptModePostsPassFail)
 
 TEST_F(DeviceTest, FilterDecisionTakesThreeCycles)
 {
+    // Probe ticks come from a ProbeLog, installed before the node is
+    // built and removed after it is gone.
+    ProbeLog log;
+    node.reset();
+    simulation.setTelemetry(&log);
+    node = std::make_unique<SensorNode>(simulation, "node", cfg);
+
     wr(map::filterBase + map::filterCtrl, 0);
     wr(map::filterBase + map::filterThresh, 10);
     wr(map::filterBase + map::filterData, 20);
     sim::Tick start = simulation.curTick();
     advance(0.001);
-    const auto &probes = node->probes();
-    EXPECT_EQ(probes.last(Probe::FilterDecision) - start,
-              node->clock().cyclesToTicks(3));
+    const std::vector<sim::Tick> &decisions =
+        log.ticks(node->probes().name(), Probe::FilterDecision);
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_EQ(decisions[0] - start, node->clock().cyclesToTicks(3));
+    node.reset();
+    simulation.setTelemetry(nullptr);
 }
 
 // --------------------------------------------------------------------------

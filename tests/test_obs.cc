@@ -272,7 +272,7 @@ TEST(ProbeLog, LeavesTheNodeStatsUnchanged)
     EXPECT_EQ(runApp3Node(nullptr), runApp3Node(&log));
 }
 
-TEST(ProbeLog, HistoryMatchesRecorderCountsAndLastTicks)
+TEST(ProbeLog, HistoryMatchesRecorderCounts)
 {
     core::ProbeLog log;
     runApp3Node(&log, [&log](core::SensorNode &node) {
@@ -285,10 +285,6 @@ TEST(ProbeLog, HistoryMatchesRecorderCountsAndLastTicks)
                 log.ticks(probes.name(), probe);
             EXPECT_EQ(ticks.size(), probes.count(probe))
                 << core::probeName(probe);
-            if (!ticks.empty()) {
-                EXPECT_EQ(ticks.back(), probes.last(probe))
-                    << core::probeName(probe);
-            }
         }
     });
     EXPECT_TRUE(log.ticks("node.nosuch", core::Probe::TimerAlarm).empty());
