@@ -1,17 +1,22 @@
 #include "obs/trace_reader.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "sim/ini.hh"
 #include "sim/logging.hh"
 
 namespace ulp::obs {
 
 namespace {
+
+/** At most one shard per node, and a network holds at most 65,534. */
+constexpr std::uint64_t maxShards = 65'534;
 
 struct ShardMeta
 {
@@ -29,66 +34,93 @@ struct Meta
 };
 
 Meta
-readMeta(const std::string &dir)
+readMeta(const std::string &path)
 {
-    std::string path = dir + "/meta.ulpt";
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("ulptrace: cannot open '%s'", path.c_str());
+    sim::ini::Cursor at{path};
+    std::istringstream in(sim::readFile(path, "trace meta file"));
+    std::string line;
+    at.line = 1;
+    if (!std::getline(in, line) || line.rfind("ulptrace-meta ", 0) != 0)
+        at.fail("not a trace meta file");
 
     Meta meta;
-    std::string line;
-    if (!std::getline(in, line) || line.rfind("ulptrace-meta ", 0) != 0)
-        sim::fatal("ulptrace: '%s' is not a trace meta file", path.c_str());
-
     while (std::getline(in, line)) {
+        ++at.line;
         std::istringstream is(line);
-        std::string key;
-        is >> key;
+        std::vector<std::string> f;
+        for (std::string field; is >> field;)
+            f.push_back(field);
+        if (f.empty())
+            continue;
+        const std::string &key = f[0];
+        // A known key takes exactly @p n fields.
+        const auto fields = [&](std::size_t n) {
+            if (f.size() != n + 1) {
+                at.fail("'" + key + "' takes " + std::to_string(n) +
+                        " field(s), got " + std::to_string(f.size() - 1));
+            }
+        };
+        const auto number = [&](std::size_t i, std::uint64_t max) {
+            return sim::ini::parseUnsigned(at, key, f[i], max);
+        };
+        const auto shard = [&]() -> ShardMeta & {
+            const std::uint64_t s = number(1, maxShards);
+            if (s >= meta.perShard.size())
+                at.fail("'" + key + "' line for undeclared shard " + f[1]);
+            return meta.perShard[s];
+        };
         if (key == "shards") {
-            is >> meta.shards;
+            fields(1);
+            if (meta.shards != 0)
+                at.fail("'shards' declared twice");
+            meta.shards = static_cast<unsigned>(number(1, maxShards));
+            if (meta.shards == 0)
+                at.fail("'shards' must be at least 1");
             meta.perShard.resize(meta.shards);
         } else if (key == "ticks_per_second") {
-            is >> meta.ticksPerSecond;
+            fields(1);
+            meta.ticksPerSecond = number(1, UINT64_MAX);
         } else if (key == "channel_mask") {
-            is >> std::hex >> meta.channelMask >> std::dec;
+            fields(1);
+            meta.channelMask =
+                static_cast<std::uint32_t>(number(1, UINT32_MAX));
         } else if (key == "sample_period") {
-            is >> meta.samplePeriod;
+            fields(1);
+            meta.samplePeriod = number(1, UINT64_MAX);
         } else if (key == "dropped") {
-            unsigned shard = 0;
-            std::uint64_t count = 0;
-            is >> shard >> count;
-            if (shard >= meta.perShard.size())
-                sim::fatal("ulptrace: dropped line for unknown shard %u",
-                           shard);
-            meta.perShard[shard].dropped = count;
+            fields(2);
+            shard().dropped = number(2, UINT64_MAX);
         } else if (key == "component") {
-            unsigned shard = 0;
-            std::size_t id = 0;
-            std::string name;
-            is >> shard >> id >> name;
-            if (shard >= meta.perShard.size())
-                sim::fatal("ulptrace: component line for unknown shard %u",
-                           shard);
-            auto &names = meta.perShard[shard].components;
-            if (id != names.size())
-                sim::fatal("ulptrace: non-contiguous component id %zu", id);
-            names.push_back(name);
+            fields(3);
+            auto &names = shard().components;
+            if (number(2, UINT64_MAX) != names.size()) {
+                at.fail("component id " + f[2] + " is not the next one, " +
+                        std::to_string(names.size()));
+            }
+            names.push_back(f[3]);
         }
         // Unknown keys are skipped: newer writers stay readable.
     }
-    if (meta.shards == 0)
-        sim::fatal("ulptrace: '%s' declares no shards", path.c_str());
+    if (meta.shards == 0) {
+        at.line = 0;
+        at.fail("declares no shards");
+    }
     return meta;
 }
 
+/** The records of shard @p shard, each naming a component that
+ *  @p meta_path registers for it. */
 std::vector<Record>
-readShardFile(const std::string &dir, unsigned shard)
+readShardFile(const std::string &dir, const std::string &meta_path,
+              const Meta &meta, unsigned shard)
 {
     std::string path = dir + "/shard-" + std::to_string(shard) + ".ulpt";
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        sim::fatal("ulptrace: cannot open '%s'", path.c_str());
+    if (!in) {
+        sim::fatal("ulptrace: cannot open '%s', shard %u of the %u that "
+                   "'%s' declares", path.c_str(), shard, meta.shards,
+                   meta_path.c_str());
+    }
 
     ShardFileHeader header{};
     if (!in.read(reinterpret_cast<char *>(&header), sizeof(header)) ||
@@ -100,10 +132,17 @@ readShardFile(const std::string &dir, unsigned shard)
         sim::fatal("ulptrace: '%s' claims to be shard %u", path.c_str(),
                    header.shard);
 
+    const std::size_t components = meta.perShard[shard].components.size();
     std::vector<Record> records;
     Record r;
-    while (in.read(reinterpret_cast<char *>(&r), sizeof(r)))
+    while (in.read(reinterpret_cast<char *>(&r), sizeof(r))) {
+        if (r.component >= components) {
+            sim::fatal("ulptrace: '%s' record %zu names component %u, "
+                       "which '%s' does not register", path.c_str(),
+                       records.size(), r.component, meta_path.c_str());
+        }
         records.push_back(r);
+    }
     if (in.gcount() != 0)
         sim::fatal("ulptrace: '%s' ends mid-record", path.c_str());
     return records;
@@ -114,7 +153,8 @@ readShardFile(const std::string &dir, unsigned shard)
 MergedLog
 readTraceDir(const std::string &dir)
 {
-    Meta meta = readMeta(dir);
+    const std::string meta_path = dir + "/meta.ulpt";
+    Meta meta = readMeta(meta_path);
 
     MergedLog merged;
     merged.ticksPerSecond = meta.ticksPerSecond;
@@ -139,10 +179,7 @@ readTraceDir(const std::string &dir)
     // Concatenate (shard order), re-map ids, stable-sort.
     for (unsigned s = 0; s < meta.shards; ++s) {
         const auto &names = meta.perShard[s].components;
-        for (Record r : readShardFile(dir, s)) {
-            if (r.component >= names.size())
-                sim::fatal("ulptrace: shard %u record names unregistered "
-                           "component %u", s, r.component);
+        for (Record r : readShardFile(dir, meta_path, meta, s)) {
             r.component = canonical.at(names[r.component]);
             merged.records.push_back(r);
         }

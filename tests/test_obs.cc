@@ -16,15 +16,18 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/apps.hh"
 #include "core/network.hh"
 #include "core/probes.hh"
 #include "core/sensor_node.hh"
+#include "mutation.hh"
 #include "obs/event_log.hh"
 #include "obs/exporters.hh"
 #include "obs/trace_reader.hh"
+#include "sim/ini.hh"
 #include "sim/json.hh"
 #include "sim/telemetry.hh"
 
@@ -229,6 +232,67 @@ TEST(ObsEventLog, ParseChannelListRejectsUnknownNames)
     EXPECT_FALSE(obs::parseChannelList("power,bogus", &mask, &error));
     EXPECT_EQ(error, "bogus");
     EXPECT_FALSE(obs::parseChannelList("", &mask, &error));
+}
+
+// --------------------------------------------------------------------------
+// Hostile trace directories: every mutant of the meta file or of a shard
+// file loads and exports, or is refused by an error naming the file.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/** Read the trace directory holding @p file and export what loaded. */
+void
+loadAndExport(const std::string &file)
+{
+    const obs::MergedLog log =
+        obs::readTraceDir(std::filesystem::path(file).parent_path());
+    obs::exportVcd(log);
+    obs::exportChrome(log);
+    obs::summarize(log);
+}
+
+/** Trace a 2-node network on 2 shards into the test's own directory. */
+void
+writeSmallTrace(const test::TestDir &tmp)
+{
+    runTraced(2, 2, 0.002, tmp.dir.filename().string());
+}
+
+} // namespace
+
+TEST(TraceMutation, MetaFile)
+{
+    test::TestDir tmp;
+    writeSmallTrace(tmp);
+    const std::string meta = tmp.file("meta.ulpt");
+    test::mutate(meta, sim::readFile(meta, "meta"), "0 19\nx_.-",
+                 loadAndExport);
+}
+
+TEST(TraceMutation, ShardFile)
+{
+    test::TestDir tmp;
+    writeSmallTrace(tmp);
+    const std::string shard = tmp.file("shard-0.ulpt");
+    test::mutate(shard, sim::readFile(shard, "shard"),
+                 std::string_view("\x00\x01\x7f\x80\xff", 5), loadAndExport);
+}
+
+TEST(TraceMutation, ShardCountBeyondOnePerNodeFailsWithFileAndLine)
+{
+    test::TestDir tmp;
+    writeSmallTrace(tmp);
+    const std::string meta = tmp.file("meta.ulpt");
+    test::writeFile(meta, "ulptrace-meta 1\nshards 4000000000\n");
+    try {
+        obs::readTraceDir(tmp.dir);
+        FAIL() << "a shard count of 4000000000 loaded";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(meta + ":2: 'shards'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /**
