@@ -23,6 +23,8 @@
  *   (none)         the full table on stdout
  *   --smoke        one short gated run at 64 nodes (CI under sanitizers)
  *   --json[=PATH]  write the rows as a BENCH_resilience.json snapshot
+ *   --check[=PATH] re-run the committed 64-node rows: repair rounds,
+ *                  route updates and both flags must match exactly
  */
 
 #include <algorithm>
@@ -230,10 +232,10 @@ sweepPoint(unsigned nodes, double seconds, unsigned kills,
 /**
  * Churn-rate x repair-policy grid at 64 nodes, then the scale points:
  * larger meshes, triggered repair vs none; --smoke runs one short
- * point.
+ * point, and --check the 64-node block.
  */
 std::vector<bench::Row>
-runSweep(bool smoke)
+runSweep(bool smoke, bool check)
 {
     std::printf("%7s %6s %10s %7s %7s %7s %8s %7s %7s %7s\n", "nodes",
                 "kills", "policy", "steady", "postfix", "rounds",
@@ -244,6 +246,8 @@ runSweep(bool smoke)
     for (unsigned kills : {3u, 6u})
         for (const Policy &policy : policies)
             rows.push_back(sweepPoint(64, 8.0, kills, policy));
+    if (check)
+        return rows;
     rows.push_back(sweepPoint(256, 6.0, 6, policies[0]));
     rows.push_back(sweepPoint(256, 6.0, 6, policies[2]));
     rows.push_back(sweepPoint(1024, 4.0, 8, policies[2]));
@@ -256,8 +260,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Options options =
-        bench::parseOptions(argc, argv, "BENCH_resilience.json");
+        bench::parseOptions(argc, argv, "BENCH_resilience.json", true);
     sim::setQuiet(true); // keep the table clean of msgProc-busy warnings
-    return bench::run(options, "bench_resilience",
-                      [](bool smoke, bool) { return runSweep(smoke); });
+    return bench::run(options, "bench_resilience", runSweep);
 }
