@@ -53,7 +53,7 @@ readMeta(const std::string &path)
         if (f.empty())
             continue;
         const std::string &key = f[0];
-        // A known key takes exactly @p n fields.
+        // A known key takes exactly n fields after it.
         const auto fields = [&](std::size_t n) {
             if (f.size() != n + 1) {
                 at.fail("'" + key + "' takes " + std::to_string(n) +
@@ -94,7 +94,8 @@ readMeta(const std::string &path)
             fields(3);
             auto &names = shard().components;
             if (number(2, UINT64_MAX) != names.size()) {
-                at.fail("component id " + f[2] + " is not the next one, " +
+                at.fail("component id " + f[2] +
+                        " out of sequence, expected " +
                         std::to_string(names.size()));
             }
             names.push_back(f[3]);
