@@ -155,7 +155,7 @@ runNetwork(const scenario::Scenario &sc, std::string *stats)
     run.run();
     if (stats) {
         std::ostringstream os;
-        run.network.dumpStats(os);
+        run.dumpStats(os);
         *stats = os.str();
     }
     return run.network.counters();

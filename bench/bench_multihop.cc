@@ -80,7 +80,7 @@ run(const scenario::Scenario &sc)
     r.counters = scenarioRun.network.counters();
     r.totals = scenarioRun.totals();
     std::ostringstream os;
-    scenarioRun.network.dumpStats(os);
+    scenarioRun.dumpStats(os);
     r.stats = os.str();
     return r;
 }

@@ -151,7 +151,7 @@ run(const scenario::Scenario &sc)
     r.reportText = rep.str();
     r.totalEnergyJ = scenarioRun.totals().energyJoules;
     std::ostringstream os;
-    scenarioRun.network.dumpStats(os);
+    scenarioRun.dumpStats(os);
     r.stats = os.str();
     r.counters = scenarioRun.network.counters();
     return r;

@@ -74,6 +74,6 @@ main()
                 node.totalAverageWatts() * 1e6);
 
     std::printf("\nFull statistics tree:\n");
-    simulation.dumpStats(std::cout);
+    node.dumpStats(std::cout);
     return 0;
 }

@@ -29,11 +29,7 @@ Mica2Platform::Mica2Platform(sim::Simulation &simulation,
                    power::PowerModel{radioTx0dBmAmps * mica2SupplyVolts,
                                      radioRxAmps * mica2SupplyVolts,
                                      0.0},
-                   power::PowerState::Gated, "radioPower"),
-      statTx(this, "framesSent", "frames transmitted"),
-      statRx(this, "framesReceived", "frames received"),
-      statTimerFires(this, "timerFires", "hardware timer interrupts"),
-      statMissed(this, "framesMissed", "frames arriving with RX off")
+                   power::PowerState::Gated, "radioPower")
 {
     if (channel)
         channel->attach(this);
@@ -45,6 +41,17 @@ Mica2Platform::Mica2Platform(sim::Simulation &simulation,
     core.setMarkCallback([this](std::uint8_t id, std::uint64_t cycles) {
         marks[id].push_back(cycles);
     });
+}
+
+void
+Mica2Platform::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statTx, "framesSent", "frames transmitted");
+    v.scalar(statRx, "framesReceived", "frames received");
+    v.scalar(statTimerFires, "timerFires", "hardware timer interrupts");
+    v.scalar(statMissed, "framesMissed", "frames arriving with RX off");
+    core.visitStats(v);
 }
 
 Mica2Platform::~Mica2Platform()

@@ -52,6 +52,8 @@ class Mica2Platform : public sim::SimObject,
                   const Config &config, net::Channel *channel = nullptr);
     ~Mica2Platform() override;
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     // mcu::McuBus
     std::uint8_t read(std::uint16_t addr) override;
     void write(std::uint16_t addr, std::uint8_t value) override;

@@ -8,14 +8,20 @@ namespace ulp::core {
 DataBus::DataBus(sim::Simulation &simulation, const std::string &name,
                  sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
-      obs(simulation.telemetry()),
-      statReads(this, "reads", "read transactions"),
-      statWrites(this, "writes", "write transactions"),
-      statUnmapped(this, "unmapped", "accesses no slave claimed"),
-      statWedged(this, "wedged", "accesses to a wedged (stuck) slave")
+      obs(simulation.telemetry())
 {
     if (obs)
         obsId = obs->registerComponent(this->name());
+}
+
+void
+DataBus::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statReads, "reads", "read transactions");
+    v.scalar(statWrites, "writes", "write transactions");
+    v.scalar(statUnmapped, "unmapped", "accesses no slave claimed");
+    v.scalar(statWedged, "wedged", "accesses to a wedged (stuck) slave");
 }
 
 void

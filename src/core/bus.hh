@@ -61,6 +61,8 @@ class DataBus : public sim::SimObject
     DataBus(sim::Simulation &simulation, const std::string &name,
             sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /** Attach a slave; overlapping ranges are a configuration error. */
     void addSlave(BusSlave *slave);
 

@@ -15,12 +15,7 @@ Compressor::Compressor(sim::Simulation &simulation, const std::string &name,
     : SlaveDevice(simulation, name, parent, {comp::base, comp::size},
                   event_port, probes, clock, model, wakeup_ticks, true),
       timing(timing),
-      doneEvent([this] { finishEncode(); }, {this->name(), "encodeDone"}),
-      statBlocks(this, "blocksEncoded", "sample blocks encoded"),
-      statBytesIn(this, "bytesIn", "raw sample bytes staged"),
-      statBytesOut(this, "bytesOut", "encoded bytes produced"),
-      statOverflows(this, "overflows",
-                    "appends dropped because the input window was full")
+      doneEvent([this] { finishEncode(); }, {this->name(), "encodeDone"})
 {
 }
 
@@ -55,6 +50,17 @@ Compressor::encode(std::span<const std::uint8_t> samples)
                                                 nibbles[i + 1]));
     }
     return out;
+}
+
+void
+Compressor::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statBlocks, "blocksEncoded", "sample blocks encoded");
+    v.scalar(statBytesIn, "bytesIn", "raw sample bytes staged");
+    v.scalar(statBytesOut, "bytesOut", "encoded bytes produced");
+    v.scalar(statOverflows, "overflows",
+             "appends dropped because the input window was full");
 }
 
 std::vector<std::uint8_t>

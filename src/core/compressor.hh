@@ -63,6 +63,8 @@ class Compressor : public SlaveDevice
                const power::PowerModel &model, sim::Tick wakeup_ticks,
                const Timing &timing);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 

@@ -19,13 +19,7 @@ EventProcessor::EventProcessor(sim::Simulation &simulation,
       bus(bus), irqBus(irq_bus), powerCtrl(power_ctrl), probes(probes),
       clock(clock), _timing(timing),
       tracker(*this, model, power::PowerState::Idle),
-      advanceEvent(this, &EventProcessor::advance, {this->name(), "advance"}),
-      statIsrs(this, "isrs", "interrupt service routines executed"),
-      statInstructions(this, "instructions", "EP instructions executed"),
-      statBusyCycles(this, "busyCycles", "cycles spent out of READY"),
-      statBusWaits(this, "busWaits",
-                   "services stalled waiting for the data bus"),
-      statWakeups(this, "wakeups", "WAKEUP instructions executed")
+      advanceEvent(this, &EventProcessor::advance, {this->name(), "advance"})
 {
     irqBus.setSink(this);
     obs = simulation.telemetry();
@@ -37,6 +31,18 @@ EventProcessor::EventProcessor(sim::Simulation &simulation,
                         static_cast<std::uint16_t>(_state), 0);
         }
     }
+}
+
+void
+EventProcessor::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statIsrs, "isrs", "interrupt service routines executed");
+    v.scalar(statInstructions, "instructions", "EP instructions executed");
+    v.scalar(statBusyCycles, "busyCycles", "cycles spent out of READY");
+    v.scalar(statBusWaits, "busWaits",
+             "services stalled waiting for the data bus");
+    v.scalar(statWakeups, "wakeups", "WAKEUP instructions executed");
 }
 
 void

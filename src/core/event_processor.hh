@@ -59,6 +59,8 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
                    const power::PowerModel &model,
                    const Timing &timing);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /**
      * The node installs this: wake the microcontroller at a handler
      * address (the EP has already read the vector table).

@@ -16,14 +16,20 @@ enum : std::uint16_t { irqPost = 0, irqDeliver = 1, irqDrop = 2 };
 InterruptBus::InterruptBus(sim::Simulation &simulation,
                            const std::string &name, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
-      obs(simulation.telemetry()),
-      statPosted(this, "posted", "interrupt assertions accepted"),
-      statDropped(this, "dropped",
-                  "events lost because the code was already asserted"),
-      statTaken(this, "taken", "interrupts granted to the event processor")
+      obs(simulation.telemetry())
 {
     if (obs)
         obsId = obs->registerComponent(this->name());
+}
+
+void
+InterruptBus::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statPosted, "posted", "interrupt assertions accepted");
+    v.scalar(statDropped, "dropped",
+             "events lost because the code was already asserted");
+    v.scalar(statTaken, "taken", "interrupts granted to the event processor");
 }
 
 void

@@ -30,6 +30,8 @@ class InterruptBus : public sim::SimObject
     InterruptBus(sim::Simulation &simulation, const std::string &name,
                  sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /**
      * Assert @p irq. If the same code is already asserted the new event
      * is dropped (counted). Notifies the listener (the EP) that work is

@@ -25,17 +25,7 @@ MessageProcessor::MessageProcessor(sim::Simulation &simulation,
               finishProcessRx();
           activeCmd = 0;
           status &= static_cast<std::uint8_t>(~statusBusy);
-      }, {this->name(), "cmdDone"}),
-      statPrepared(this, "framesPrepared", "outgoing frames built"),
-      statRxProcessed(this, "rxProcessed", "received frames classified"),
-      statDuplicates(this, "duplicates", "CAM-matched duplicates dropped"),
-      statForwards(this, "forwards", "frames staged for forwarding"),
-      statLocal(this, "localDeliveries", "frames addressed to this node"),
-      statIrregular(this, "irregulars",
-                    "irregular messages referred to the uC"),
-      statMalformed(this, "malformed", "undecodable frames dropped"),
-      statOverheard(this, "overheard",
-                    "frames for another hop dropped by the routing CAM")
+      }, {this->name(), "cmdDone"})
 {
 }
 
@@ -71,6 +61,22 @@ MessageProcessor::busRead(map::Addr offset)
             return inBuf[offset - msgInBuf];
         return 0xFF;
     }
+}
+
+void
+MessageProcessor::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statPrepared, "framesPrepared", "outgoing frames built");
+    v.scalar(statRxProcessed, "rxProcessed", "received frames classified");
+    v.scalar(statDuplicates, "duplicates", "CAM-matched duplicates dropped");
+    v.scalar(statForwards, "forwards", "frames staged for forwarding");
+    v.scalar(statLocal, "localDeliveries", "frames addressed to this node");
+    v.scalar(statIrregular, "irregulars",
+             "irregular messages referred to the uC");
+    v.scalar(statMalformed, "malformed", "undecodable frames dropped");
+    v.scalar(statOverheard, "overheard",
+             "frames for another hop dropped by the routing CAM");
 }
 
 void

@@ -15,13 +15,20 @@ Microcontroller::Microcontroller(sim::Simulation &simulation,
            mcu::Mcu::Config{clock_hz, /*fetchCostPerByte=*/1,
                             map::mcuVectorBase},
            this),
-      tracker(*this, model, power::PowerState::Gated),
-      statWakeups(this, "wakeups", "times the EP woke this uC"),
-      statForcedResets(this, "forcedResets",
-                       "watchdog-forced resets of a hung core")
+      tracker(*this, model, power::PowerState::Gated)
 {
     core.onSleep([this] { wentToSleep(); });
     core.onHalt([this] { wentToSleep(); });
+}
+
+void
+Microcontroller::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statWakeups, "wakeups", "times the EP woke this uC");
+    v.scalar(statForcedResets, "forcedResets",
+             "watchdog-forced resets of a hung core");
+    core.visitStats(v);
 }
 
 sim::Tick

@@ -35,6 +35,8 @@ class Microcontroller : public sim::SimObject,
                     double clock_hz, const power::PowerModel &model,
                     std::uint16_t stack_top = map::mcuStackTop);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     // mcu::McuBus: every access is a system-bus transaction.
     std::uint8_t read(std::uint16_t addr) override
     {

@@ -10,6 +10,66 @@
 
 namespace ulp::core {
 
+namespace {
+
+/**
+ * Sums the statistics of every shard's medium by position. The first
+ * medium fixes the names; the shards' media keep the same domains in the
+ * same order, so a later one that lists other statistics panics.
+ */
+class ShardSum : public sim::stats::Visitor
+{
+  public:
+    void
+    add(const net::Channel &medium)
+    {
+        next = 0;
+        medium.visitStats(*this);
+        if (next != sums.size())
+            sim::panic("Network: the shards' media keep other statistics");
+        fixed = true;
+    }
+
+    /** Visit the sums under the first medium's names. */
+    void
+    visitSums(sim::stats::Visitor &v) const
+    {
+        for (const Sum &sum : sums) {
+            v.group(sum.prefix);
+            v.scalar(sum.total, sum.name, sum.desc);
+        }
+    }
+
+    void group(std::string_view p) override { prefix = p; }
+
+    void
+    scalar(const sim::stats::Scalar &stat, std::string_view name,
+           std::string_view desc) override
+    {
+        if (!fixed)
+            sums.push_back({prefix, name, desc, {}});
+        if (next == sums.size() || sums[next].prefix != prefix ||
+            sums[next].name != name)
+            sim::panic("Network: the shards' media keep other statistics");
+        sums[next++].total += stat.value();
+    }
+
+  private:
+    struct Sum
+    {
+        /** The first medium's text, which outlives the sum. */
+        std::string_view prefix, name, desc;
+        sim::stats::Scalar total;
+    };
+
+    std::vector<Sum> sums;
+    std::size_t next = 0;
+    bool fixed = false;      ///< the first medium has been added
+    std::string_view prefix; ///< of the statistics being visited
+};
+
+} // namespace
+
 Network::Network(const scenario::NetworkSpec &spec)
 {
     build(spec);
@@ -83,8 +143,8 @@ Network::build(const scenario::NetworkSpec &spec)
         }
 
         // Nodes are constructed in ascending global index within their
-        // shard and keep their global names, so the merged stat tree
-        // matches the sequential kernel's.
+        // shard and keep their global names, so their statistics print
+        // as the sequential kernel's do.
         shard.nodes.reserve(members[s].size());
         for (unsigned i : members[s]) {
             const scenario::NodeSpec &ns = spec.nodes[i];
@@ -208,10 +268,10 @@ Network::reviveNodeNow(unsigned node)
     if (n->alive())
         return;
     // A revived node must come back on the shard that built it: its
-    // events, stats group and transmit counters live in that shard's
-    // Simulation, and the partition (hence the sync topology) was
-    // derived from it. A mid-run reshard would silently corrupt all
-    // three, so treat any disagreement as fatal.
+    // events and transmit counters live in that shard's Simulation, and
+    // the partition (hence the sync topology) was derived from it. A
+    // mid-run reshard would silently corrupt all three, so treat any
+    // disagreement as fatal.
     const unsigned s = shardOfNode[node];
     if (&n->simulation() != shards[s].simulation.get())
         sim::panic("Network: node %u revived on a foreign shard", node);
@@ -307,17 +367,11 @@ Network::Counters
 Network::counters() const
 {
     Counters c;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const Shard &shard = shards[s];
-        // dumpStats folds every shard's channel stats into shard 0;
-        // after that, the other shards' copies would double-count.
-        const bool countChannel = !statsMerged || s == 0;
+    for (const Shard &shard : shards) {
         c.eventsProcessed += shard.simulation->eventq().numProcessed() -
                              shard.channel->auxiliaryEvents();
-        if (countChannel) {
-            c.framesDelivered += shard.channel->framesDelivered();
-            c.collisions += shard.channel->collisions();
-        }
+        c.framesDelivered += shard.channel->framesDelivered();
+        c.collisions += shard.channel->collisions();
         for (const auto &node : shard.nodes) {
             c.framesSent += node->radio().framesSent();
             c.epIsrs += node->ep().isrsExecuted();
@@ -333,20 +387,13 @@ Network::counters() const
 void
 Network::dumpStats(std::ostream &os)
 {
-    if (shards.size() == 1) {
-        shards[0].simulation->dumpStats(os);
-        return;
-    }
-    // Fold every shard's channel stats into shard 0's (once), then print
-    // in the sequential layout: channel first, nodes in index order.
-    if (!statsMerged) {
-        for (std::size_t s = 1; s < shards.size(); ++s)
-            shards[0].channel->mergeFrom(*shards[s].channel);
-        statsMerged = true;
-    }
-    shards[0].channel->printStats(os);
-    for (SensorNode *node : nodeByIndex)
-        node->printStats(os);
+    ShardSum channels;
+    for (const Shard &shard : shards)
+        channels.add(*shard.channel);
+    sim::stats::Printer printer(os);
+    channels.visitSums(printer);
+    for (const SensorNode *node : nodeByIndex)
+        node->visitStats(printer);
 }
 
 } // namespace ulp::core

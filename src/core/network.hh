@@ -15,8 +15,8 @@
  *
  * The two kernels are required to produce identical statistics for the
  * same configuration — `threads=1` *is* the regression oracle for
- * `threads=K` — so this class is also where the per-shard stat trees are
- * merged back into the exact report the sequential kernel prints.
+ * `threads=K` — so this class is also where the shards' statistics are
+ * summed back into the exact report the sequential kernel prints.
  *
  * The constructor takes a lowered scenario::NetworkSpec — the single
  * configuration path (the legacy per-node-lambda Config shim is gone;
@@ -155,9 +155,9 @@ class Network
     Counters counters() const;
 
     /**
-     * Print the full statistics tree in the sequential kernel's layout:
-     * merged channel stats first, then every node in global index order.
-     * Byte-identical across thread counts for oracle workloads.
+     * Print the statistics in the sequential kernel's layout: the media's
+     * counts summed over the shards, then every node in global index
+     * order. Byte-identical across thread counts for oracle workloads.
      */
     void dumpStats(std::ostream &os);
 
@@ -190,8 +190,7 @@ class Network
      *  read-only afterwards, so shard threads share it on revive/wake. */
     std::map<apps::AppShape, apps::AppImage> images;
     std::vector<std::unique_ptr<sim::EventFunctionWrapper>> lifecycleEvents;
-    sim::Tick ran = 0;        ///< total ticks simulated so far
-    bool statsMerged = false; ///< channel stats folded into shard 0
+    sim::Tick ran = 0; ///< total ticks simulated so far
 };
 
 } // namespace ulp::core

@@ -7,12 +7,18 @@ namespace ulp::core {
 PowerController::PowerController(sim::Simulation &simulation,
                                  const std::string &name,
                                  sim::SimObject *parent)
-    : sim::SimObject(simulation, name, parent),
-      statSwitchOns(this, "switchOns", "power enable assertions"),
-      statSwitchOffs(this, "switchOffs", "power enable deassertions"),
-      statRedundantOps(this, "redundantOps",
-                       "switch operations that were already in effect")
+    : sim::SimObject(simulation, name, parent)
 {
+}
+
+void
+PowerController::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statSwitchOns, "switchOns", "power enable assertions");
+    v.scalar(statSwitchOffs, "switchOffs", "power enable deassertions");
+    v.scalar(statRedundantOps, "redundantOps",
+             "switch operations that were already in effect");
 }
 
 void

@@ -40,6 +40,8 @@ class PowerController : public sim::SimObject
     PowerController(sim::Simulation &simulation, const std::string &name,
                     sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     void registerComponent(ComponentId id, PowerControllable *component);
 
     /**

@@ -45,55 +45,60 @@ RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
       indirectTxEvent(this, &RadioDevice::indirectTxSend,
                       {this->name(), "indirectTx"}),
       dataReqEvent(this, &RadioDevice::dataReqSend,
-                   {this->name(), "dataReq"}),
-      statTx(this, "framesSent", "frames transmitted"),
-      statRx(this, "framesReceived", "intact frames received"),
-      statCrcErrors(this, "crcErrors",
-                    "corrupted frames rejected by hardware CRC"),
-      statMissed(this, "framesMissed",
-                 "frames on the air while powered off / RX disabled"),
-      statTxMalformed(this, "txMalformed",
-                      "TX commands with an undecodable FIFO image"),
-      statRxOverruns(this, "rxOverruns",
-                     "frames lost because the RX FIFO was still full"),
-      statRetransmissions(this, "retransmissions",
-                          "MAC retransmissions after missing ACKs"),
-      statAckTimeouts(this, "ackTimeouts",
-                      "ACK wait windows that expired empty"),
-      statBackoffSlots(this, "backoffSlots",
-                       "CSMA-CA backoff slots waited"),
-      statCcaBusy(this, "ccaBusy",
-                  "clear-channel assessments that found the medium busy"),
-      statTxFailures(this, "txFailures",
-                     "MAC transactions abandoned after the retry budget"),
-      statAcksSent(this, "acksSent", "auto-acknowledgements transmitted"),
-      statAcksReceived(this, "acksReceived",
-                       "ACKs that completed a MAC transaction"),
-      statBeaconsSent(this, "beaconsSent",
-                      "superframe beacons transmitted (coordinator)"),
-      statBeaconsReceived(this, "beaconsReceived",
-                          "beacons heard and synced to (device)"),
-      statBeaconsMissed(this, "beaconsMissed",
-                        "expected beacons that never arrived"),
-      statMacSleeps(this, "macSleeps",
-                    "radio MAC sleeps between superframes"),
-      statDeferredTx(this, "deferredTx",
-                     "transmissions parked until the next CAP"),
-      statDataRequests(this, "dataRequests",
-                       "MAC data-request commands transmitted"),
-      statIndirectQueued(this, "indirectQueued",
-                         "frames queued for indirect delivery"),
-      statIndirectDelivered(this, "indirectDelivered",
-                            "indirect frames delivered on data request"),
-      statIndirectExpired(this, "indirectExpired",
-                          "indirect frames expired unclaimed"),
-      statIndirectDropped(this, "indirectDropped",
-                          "indirect frames dropped, transaction queue full")
+                   {this->name(), "dataReq"})
 {
     if (channel) {
         channel->attach(this);
         attachedToChannel = true;
     }
+}
+
+void
+RadioDevice::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statTx, "framesSent", "frames transmitted");
+    v.scalar(statRx, "framesReceived", "intact frames received");
+    v.scalar(statCrcErrors, "crcErrors",
+             "corrupted frames rejected by hardware CRC");
+    v.scalar(statMissed, "framesMissed",
+             "frames on the air while powered off / RX disabled");
+    v.scalar(statTxMalformed, "txMalformed",
+             "TX commands with an undecodable FIFO image");
+    v.scalar(statRxOverruns, "rxOverruns",
+             "frames lost because the RX FIFO was still full");
+    v.scalar(statRetransmissions, "retransmissions",
+             "MAC retransmissions after missing ACKs");
+    v.scalar(statAckTimeouts, "ackTimeouts",
+             "ACK wait windows that expired empty");
+    v.scalar(statBackoffSlots, "backoffSlots", "CSMA-CA backoff slots waited");
+    v.scalar(statCcaBusy, "ccaBusy",
+             "clear-channel assessments that found the medium busy");
+    v.scalar(statTxFailures, "txFailures",
+             "MAC transactions abandoned after the retry budget");
+    v.scalar(statAcksSent, "acksSent", "auto-acknowledgements transmitted");
+    v.scalar(statAcksReceived, "acksReceived",
+             "ACKs that completed a MAC transaction");
+    v.scalar(statBeaconsSent, "beaconsSent",
+             "superframe beacons transmitted (coordinator)");
+    v.scalar(statBeaconsReceived, "beaconsReceived",
+             "beacons heard and synced to (device)");
+    v.scalar(statBeaconsMissed, "beaconsMissed",
+             "expected beacons that never arrived");
+    v.scalar(statMacSleeps, "macSleeps",
+             "radio MAC sleeps between superframes");
+    v.scalar(statDeferredTx, "deferredTx",
+             "transmissions parked until the next CAP");
+    v.scalar(statDataRequests, "dataRequests",
+             "MAC data-request commands transmitted");
+    v.scalar(statIndirectQueued, "indirectQueued",
+             "frames queued for indirect delivery");
+    v.scalar(statIndirectDelivered, "indirectDelivered",
+             "indirect frames delivered on data request");
+    v.scalar(statIndirectExpired, "indirectExpired",
+             "indirect frames expired unclaimed");
+    v.scalar(statIndirectDropped, "indirectDropped",
+             "indirect frames dropped, transaction queue full");
 }
 
 RadioDevice::~RadioDevice()

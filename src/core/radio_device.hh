@@ -126,6 +126,8 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
 
     ~RadioDevice() override;
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 

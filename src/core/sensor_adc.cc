@@ -14,10 +14,7 @@ SensorAdc::SensorAdc(sim::Simulation &simulation, const std::string &name,
                   {map::sensorBase, map::sensorSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
       signal(std::move(signal)), noiseStddev(noise_stddev), random(seed),
-      doneEvent([this] { acquisitionDone(); }, {this->name(), "acqDone"}),
-      statSamples(this, "samples", "conversions performed"),
-      statAcquisitions(this, "acquisitions",
-                       "asynchronous acquisitions started")
+      doneEvent([this] { acquisitionDone(); }, {this->name(), "acqDone"})
 {
 }
 
@@ -31,6 +28,15 @@ SensorAdc::convert()
     ++statSamples;
     recordProbe(Probe::AdcSampled);
     return static_cast<std::uint8_t>(std::lround(value));
+}
+
+void
+SensorAdc::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statSamples, "samples", "conversions performed");
+    v.scalar(statAcquisitions, "acquisitions",
+             "asynchronous acquisitions started");
 }
 
 std::uint8_t

@@ -37,6 +37,8 @@ class SensorAdc : public SlaveDevice
               Signal signal, double noise_stddev = 0.0,
               std::uint64_t seed = 0x5e05);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 

@@ -148,6 +148,22 @@ SensorNode::SensorNode(sim::Simulation &simulation, const std::string &name,
 }
 
 void
+SensorNode::visitStats(sim::stats::Visitor &v) const
+{
+    // Construction order; the node itself counts nothing.
+    const sim::SimObject *parts[] = {
+        bus.get(), interruptBus.get(), eventFabric.get(),
+        powerController.get(), sram.get(), timerUnit.get(),
+        thresholdFilter.get(), messageProcessor.get(), compressorDev.get(),
+        radioDevice.get(), sensorAdc.get(), eventProcessor.get(),
+        microcontroller.get()};
+    for (const sim::SimObject *part : parts)
+        part->visitStats(v);
+    if (harvestSupply)
+        harvestSupply->visitStats(v);
+}
+
+void
 SensorNode::loadEpProgram(const EpProgram &program)
 {
     if (program.base + program.code.size() > sram->sizeBytes()) {

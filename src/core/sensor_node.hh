@@ -50,6 +50,9 @@ class SensorNode : public sim::SimObject
     SensorNode(sim::Simulation &simulation, const std::string &name,
                const NodeConfig &config, net::Medium *channel = nullptr);
 
+    /** Every component's statistics, in construction order. */
+    void visitStats(sim::stats::Visitor &v) const override;
+
     // --- program loading -------------------------------------------------
     /** Load EP ISR code and bind its .isr entries in the lookup table. */
     void loadEpProgram(const EpProgram &program);

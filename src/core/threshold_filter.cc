@@ -15,9 +15,7 @@ ThresholdFilter::ThresholdFilter(sim::Simulation &simulation,
                   {map::filterBase, map::filterSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
       compareCycles(compare_cycles),
-      decideEvent([this] { decide(); }, {this->name(), "decide"}),
-      statDecisions(this, "decisions", "comparisons performed"),
-      statPasses(this, "passes", "data that met the threshold")
+      decideEvent([this] { decide(); }, {this->name(), "decide"})
 {
 }
 
@@ -36,6 +34,14 @@ ThresholdFilter::busRead(map::Addr offset)
       default:
         return 0xFF;
     }
+}
+
+void
+ThresholdFilter::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statDecisions, "decisions", "comparisons performed");
+    v.scalar(statPasses, "passes", "data that met the threshold");
 }
 
 void

@@ -30,6 +30,8 @@ class ThresholdFilter : public SlaveDevice
                     const power::PowerModel &model, sim::Tick wakeup_ticks,
                     sim::Cycles compare_cycles = defaultCompareCycles);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 

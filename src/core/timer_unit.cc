@@ -18,13 +18,7 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                                     block_model.idleWatts,
                                     block_model.gatedWatts},
                   wakeup_ticks, true),
-      wdtEvent(this, &TimerUnit::wdtBark, {this->name(), "wdtBark"}),
-      statAlarms(this, "alarms", "alarm interrupts posted"),
-      statReconfigs(this, "reconfigs", "load/control register writes"),
-      statWatchdogBarks(this, "watchdogBarks",
-                        "watchdog expiries that forced a reset"),
-      statWatchdogKicks(this, "watchdogKicks",
-                        "watchdog kicks that restarted the countdown")
+      wdtEvent(this, &TimerUnit::wdtBark, {this->name(), "wdtBark"})
 {
     static constexpr sim::StaticText fireNames[numTimers] = {
         "fire0", "fire1", "fire2", "fire3"};
@@ -41,6 +35,18 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
             *this, power::PowerModel{delta, 0.0, 0.0},
             power::PowerState::Idle, "timer" + std::to_string(i));
     }
+}
+
+void
+TimerUnit::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statAlarms, "alarms", "alarm interrupts posted");
+    v.scalar(statReconfigs, "reconfigs", "load/control register writes");
+    v.scalar(statWatchdogBarks, "watchdogBarks",
+             "watchdog expiries that forced a reset");
+    v.scalar(statWatchdogKicks, "watchdogKicks",
+             "watchdog kicks that restarted the countdown");
 }
 
 bool

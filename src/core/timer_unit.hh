@@ -52,6 +52,8 @@ class TimerUnit : public SlaveDevice
               const power::PowerModel &block_model,
               sim::Tick wakeup_ticks);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 

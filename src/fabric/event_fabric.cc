@@ -80,16 +80,22 @@ EventFabric::EventFabric(sim::Simulation &simulation, const std::string &name,
       irqBus(irq_bus), probes(probes), clock(clock), timing(timing),
       tracker(*this, model, power::PowerState::Gated),
       idleEvent([this] { becomeIdle(); }, {this->name(), "idle"}),
-      obs(simulation.telemetry()),
-      statLinked(this, "linkedDelivered",
-                 "events serviced over a link without waking the EP"),
-      statSinkBusy(this, "sinkBusyDrops",
-                   "linked events dropped because the sink was busy"),
-      statFiltered(this, "thresholdFiltered",
-                   "below-threshold events retired at the comparator")
+      obs(simulation.telemetry())
 {
     if (obs)
         obsId = obs->registerComponent(this->name());
+}
+
+void
+EventFabric::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statLinked, "linkedDelivered",
+             "events serviced over a link without waking the EP");
+    v.scalar(statSinkBusy, "sinkBusyDrops",
+             "linked events dropped because the sink was busy");
+    v.scalar(statFiltered, "thresholdFiltered",
+             "below-threshold events retired at the comparator");
 }
 
 void

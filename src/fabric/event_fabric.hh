@@ -65,6 +65,8 @@ class EventFabric : public sim::SimObject, public EventSource
                 core::ProbeRecorder *probes, const sim::ClockDomain &clock,
                 const power::PowerModel &model, const Timing &timing);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /** Late binding: bus and power controller exist after the slaves. */
     void bind(core::DataBus &bus, core::PowerController &power);
 

@@ -133,15 +133,7 @@ parsePlan(const std::string &text)
 
 FaultInjector::FaultInjector(sim::Simulation &simulation,
                              const std::string &name, std::uint64_t seed)
-    : sim::SimObject(simulation, name), random(seed),
-      statChannelFaults(this, "channelFaults",
-                        "channel loss-model changes applied"),
-      statBitFlips(this, "bitFlips", "SRAM bit flips injected"),
-      statDeviceFaults(this, "deviceFaults",
-                       "wedge/unwedge/slowdown faults applied"),
-      statDroops(this, "droops", "supply droop spikes injected"),
-      statLifecycle(this, "lifecycleEvents",
-                    "node fail/revive lifecycle events applied")
+    : sim::SimObject(simulation, name), random(seed)
 {
 }
 
@@ -158,6 +150,20 @@ FaultInjector::run(const CampaignPlan &plan)
                                 sim::secondsToTicks(action.atSeconds));
         eventq().schedule(events.back().get(), at);
     }
+}
+
+void
+FaultInjector::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statChannelFaults, "channelFaults",
+             "channel loss-model changes applied");
+    v.scalar(statBitFlips, "bitFlips", "SRAM bit flips injected");
+    v.scalar(statDeviceFaults, "deviceFaults",
+             "wedge/unwedge/slowdown faults applied");
+    v.scalar(statDroops, "droops", "supply droop spikes injected");
+    v.scalar(statLifecycle, "lifecycleEvents",
+             "node fail/revive lifecycle events applied");
 }
 
 core::SlaveDevice *

@@ -87,6 +87,8 @@ class FaultInjector : public sim::SimObject
     FaultInjector(sim::Simulation &simulation, const std::string &name,
                   std::uint64_t seed = 0x5eed);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     // --- attachment points (any subset; an action against a missing
     // --- target is a plan error) ------------------------------------------
     void attachChannel(net::Channel *c) { channel = c; }

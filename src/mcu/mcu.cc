@@ -8,12 +8,18 @@ Mcu::Mcu(sim::Simulation &simulation, const std::string &name, McuBus &bus,
          const Config &config, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
       bus(bus), config(config), clockDomain(config.clockHz),
-      tickEvent(this, &Mcu::tick, {this->name(), "tick"}),
-      statInstructions(this, "instructions", "instructions retired"),
-      statIrqsTaken(this, "irqsTaken", "interrupts taken"),
-      statSleeps(this, "sleeps", "SLEEP instructions executed"),
-      statBadOpcodes(this, "badOpcodes", "undefined opcodes fetched")
+      tickEvent(this, &Mcu::tick, {this->name(), "tick"})
 {
+}
+
+void
+Mcu::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statInstructions, "instructions", "instructions retired");
+    v.scalar(statIrqsTaken, "irqsTaken", "interrupts taken");
+    v.scalar(statSleeps, "sleeps", "SLEEP instructions executed");
+    v.scalar(statBadOpcodes, "badOpcodes", "undefined opcodes fetched");
 }
 
 void

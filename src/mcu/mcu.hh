@@ -58,6 +58,8 @@ class Mcu : public sim::SimObject
     Mcu(sim::Simulation &simulation, const std::string &name, McuBus &bus,
         const Config &config, sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /** Reset architectural state and set the PC; does not start. */
     void reset(std::uint16_t pc);
 

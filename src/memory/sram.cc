@@ -9,15 +9,7 @@ Sram::Sram(sim::Simulation &simulation, const std::string &name,
     : sim::SimObject(simulation, name, parent),
       config(config),
       data(config.sizeBytes, 0),
-      epoch(simulation.curTick()),
-      statReads(this, "reads", "power-accounted read accesses"),
-      statWrites(this, "writes", "power-accounted write accesses"),
-      statGatedAccesses(this, "gatedAccesses",
-                        "accesses to a Vdd-gated bank (return garbage)"),
-      statNotReadyAccesses(this, "notReadyAccesses",
-                           "accesses inside the 950 ns bank wakeup window"),
-      statBankGatings(this, "bankGatings", "gateBank operations"),
-      statBitFlips(this, "bitFlips", "injected soft-error bit flips")
+      epoch(simulation.curTick())
 {
     if (config.sizeBytes == 0 || config.bankBytes == 0 ||
         config.sizeBytes % config.bankBytes != 0) {
@@ -27,6 +19,20 @@ Sram::Sram(sim::Simulation &simulation, const std::string &name,
     banks.resize(config.sizeBytes / config.bankBytes);
     for (Bank &bank : banks)
         bank.stintStart = epoch;
+}
+
+void
+Sram::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statReads, "reads", "power-accounted read accesses");
+    v.scalar(statWrites, "writes", "power-accounted write accesses");
+    v.scalar(statGatedAccesses, "gatedAccesses",
+             "accesses to a Vdd-gated bank (return garbage)");
+    v.scalar(statNotReadyAccesses, "notReadyAccesses",
+             "accesses inside the 950 ns bank wakeup window");
+    v.scalar(statBankGatings, "bankGatings", "gateBank operations");
+    v.scalar(statBitFlips, "bitFlips", "injected soft-error bit flips");
 }
 
 unsigned

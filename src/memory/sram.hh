@@ -38,6 +38,8 @@ class Sram : public sim::SimObject
     Sram(sim::Simulation &simulation, const std::string &name,
          const Config &config, sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /** Functional+power-accounted read at @p addr. */
     std::uint8_t read(std::uint16_t addr);
 

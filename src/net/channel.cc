@@ -25,21 +25,6 @@ countDomains(const std::vector<unsigned> &domain_of)
 
 } // namespace
 
-Channel::DomainStats::DomainStats(sim::stats::Group *parent, std::string name)
-    : sim::stats::Group(parent, std::move(name)),
-      framesSent(this, "framesSent", "frames put on the air"),
-      framesDelivered(this, "framesDelivered",
-                      "frame deliveries to receivers (intact)"),
-      framesLost(this, "framesLost",
-                 "per-receiver deliveries dropped by the loss model"),
-      framesCorrupted(this, "framesCorrupted",
-                      "per-receiver deliveries corrupted by collision"),
-      collisions(this, "collisions", "transmissions that overlapped another"),
-      geBadFrames(this, "geBadFrames",
-                  "frames delivered while the Gilbert-Elliott chain "
-                  "was in the Bad state")
-{}
-
 Channel::Channel(sim::Simulation &simulation, const std::string &name,
                  double bit_rate, std::uint64_t seed)
     : Channel(simulation, name, std::make_unique<FrameRelay>(1, bit_rate),
@@ -82,13 +67,29 @@ Channel::Channel(sim::Simulation &simulation, const std::string &name,
     txSeq.assign(nodes, 0);
     geBad.assign(nodes, 0);
 
-    // The medium itself is an unnamed stats group; its per-domain groups
-    // print as top-level "<name>.*" (one domain) or "<name>D.*".
-    setGroupName("");
     const unsigned domains = model ? 1 : countDomains(nodeDomain);
-    for (unsigned d = 0; d < domains; ++d) {
-        domainStats.push_back(std::make_unique<DomainStats>(
-            this, domains == 1 ? name : name + std::to_string(d)));
+    domainStats.resize(domains);
+    for (unsigned d = 0; d < domains; ++d)
+        domainStats[d].prefix = domains == 1 ? name : name + std::to_string(d);
+}
+
+void
+Channel::visitStats(sim::stats::Visitor &v) const
+{
+    for (const DomainStats &st : domainStats) {
+        v.group(st.prefix);
+        v.scalar(st.framesSent, "framesSent", "frames put on the air");
+        v.scalar(st.framesDelivered, "framesDelivered",
+                 "frame deliveries to receivers (intact)");
+        v.scalar(st.framesLost, "framesLost",
+                 "per-receiver deliveries dropped by the loss model");
+        v.scalar(st.framesCorrupted, "framesCorrupted",
+                 "per-receiver deliveries corrupted by collision");
+        v.scalar(st.collisions, "collisions",
+                 "transmissions that overlapped another");
+        v.scalar(st.geBadFrames, "geBadFrames",
+                 "frames delivered while the Gilbert-Elliott chain "
+                 "was in the Bad state");
     }
 }
 
@@ -178,8 +179,8 @@ std::uint64_t
 Channel::total(sim::stats::Scalar DomainStats::*stat) const
 {
     double n = 0;
-    for (const auto &st : domainStats)
-        n += ((*st).*stat).value();
+    for (const DomainStats &st : domainStats)
+        n += (st.*stat).value();
     return static_cast<std::uint64_t>(n);
 }
 
@@ -295,7 +296,7 @@ Channel::transmit(Transceiver *sender, const Frame &frame)
         deliveryPool.acquire(*this, std::move(record), /*local=*/true);
     scheduleDelivery(delivery, /*cross_shard=*/false);
 
-    ++domainStats[domainOf(src)]->framesSent;
+    ++domainStats[domainOf(src)].framesSent;
     senseFrameStart(delivery->rec);
     return delivery->rec.end;
 }
@@ -422,7 +423,7 @@ Channel::finalize(sim::Tick end)
             continue;
         delivery->counted = true;
         if (collidesAtStart(delivery->rec))
-            ++domainStats[domainOf(delivery->rec.srcNode)]->collisions;
+            ++domainStats[domainOf(delivery->rec.srcNode)].collisions;
     }
 }
 
@@ -437,7 +438,7 @@ Channel::deliver(Delivery &delivery)
         deliveries.erase(it);
 
     const FlightRecord &rec = delivery.rec;
-    DomainStats &st = *domainStats[domainOf(rec.srcNode)];
+    DomainStats &st = domainStats[domainOf(rec.srcNode)];
 
     if (delivery.local) {
         if (rec.geBad)

@@ -36,9 +36,10 @@
  * at the exact start tick: deterministic for a fixed K, approximate
  * across K, so K-invariant scenarios keep the CSMA MAC off.
  *
- * Statistics are kept per broadcast domain — one group named after the
- * medium, or <name>0, <name>1, ... — and merge across shards into the
- * K=1 report.
+ * Statistics are kept per broadcast domain and print under the
+ * medium's name, or <name>0, <name>1, ... with several domains. Every
+ * shard's medium keeps the same domains in the same order, so the
+ * network report sums them by position into the K=1 report.
  */
 
 #ifndef ULP_NET_CHANNEL_HH
@@ -96,6 +97,9 @@ class Channel : public sim::SimObject,
             std::vector<unsigned> domain_of, std::uint64_t seed);
 
     ~Channel() override;
+
+    /** This shard's counts, per domain under the domain's prefix. */
+    void visitStats(sim::stats::Visitor &v) const override;
 
     /**
      * Associate an attached transceiver with its global node index.
@@ -185,10 +189,10 @@ class Channel : public sim::SimObject,
             std::vector<unsigned> domain_of, std::uint64_t seed);
 
     /** The statistics of one broadcast domain. */
-    struct DomainStats : sim::stats::Group
+    struct DomainStats
     {
-        DomainStats(sim::stats::Group *parent, std::string name);
-
+        /** "<name>" with one domain, "<name>D" with several. */
+        std::string prefix;
         sim::stats::Scalar framesSent;
         sim::stats::Scalar framesDelivered;
         sim::stats::Scalar framesLost;
@@ -302,7 +306,7 @@ class Channel : public sim::SimObject,
     /** Per-source records drained but not yet applicable (start >= upTo). */
     std::vector<std::deque<FlightRecord>> staged;
 
-    std::vector<std::unique_ptr<DomainStats>> domainStats;
+    std::vector<DomainStats> domainStats;
 };
 
 } // namespace ulp::net

@@ -6,8 +6,7 @@ namespace ulp::power {
 
 EnergyTracker::EnergyTracker(sim::SimObject &owner, const PowerModel &model,
                              PowerState initial, const std::string &name)
-    : sim::stats::Group(&owner, name),
-      owner(owner), _model(model), _state(initial),
+    : owner(owner), _model(model), _state(initial),
       stintStart(owner.curTick()), epoch(owner.curTick()),
       obs(owner.simulation().telemetry())
 {

@@ -25,7 +25,7 @@ class TelemetrySink;
 
 namespace ulp::power {
 
-class EnergyTracker : public sim::stats::Group
+class EnergyTracker
 {
   public:
     /**
@@ -36,6 +36,10 @@ class EnergyTracker : public sim::stats::Group
     EnergyTracker(sim::SimObject &owner, const PowerModel &model,
                   PowerState initial = PowerState::Idle,
                   const std::string &name = "power");
+
+    /** The telemetry energy probe holds this tracker's address. */
+    EnergyTracker(const EnergyTracker &) = delete;
+    EnergyTracker &operator=(const EnergyTracker &) = delete;
 
     /** Change state; closes the current stint at the owner's curTick(). */
     void setState(PowerState state);

@@ -42,16 +42,22 @@ HarvestingSupply::HarvestingSupply(sim::Simulation &simulation,
     : sim::SimObject(simulation, name, parent),
       source(std::move(source)), _store(store), load(std::move(load)),
       interval(interval),
-      pollEvent([this] { poll(); }, {this->name(), "poll"}),
-      statHarvested(this, "harvestedJoules",
-                    "energy harvested into the store"),
-      statConsumed(this, "consumedJoules", "energy delivered to the node"),
-      statBrownOuts(this, "brownOuts",
-                    "transitions into an exhausted-store state"),
-      statBrownOutTicks(this, "brownOutTicks", "ticks spent browned out"),
-      statDroops(this, "droops", "injected supply droop spikes"),
-      statDroopJoules(this, "droopJoules", "energy lost to droop spikes")
+      pollEvent([this] { poll(); }, {this->name(), "poll"})
 {
+}
+
+void
+HarvestingSupply::visitStats(sim::stats::Visitor &v) const
+{
+    v.group(name());
+    v.scalar(statHarvested, "harvestedJoules",
+             "energy harvested into the store");
+    v.scalar(statConsumed, "consumedJoules", "energy delivered to the node");
+    v.scalar(statBrownOuts, "brownOuts",
+             "transitions into an exhausted-store state");
+    v.scalar(statBrownOutTicks, "brownOutTicks", "ticks spent browned out");
+    v.scalar(statDroops, "droops", "injected supply droop spikes");
+    v.scalar(statDroopJoules, "droopJoules", "energy lost to droop spikes");
 }
 
 void

@@ -107,6 +107,8 @@ class HarvestingSupply : public sim::SimObject
                      std::function<double()> load, sim::Tick interval,
                      sim::SimObject *parent = nullptr);
 
+    void visitStats(sim::stats::Visitor &v) const override;
+
     /** Begin polling (first poll one interval from now). */
     void start();
 

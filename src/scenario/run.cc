@@ -107,4 +107,12 @@ ScenarioRun::totals()
     return t;
 }
 
+void
+ScenarioRun::dumpStats(std::ostream &os)
+{
+    network.dumpStats(os);
+    if (injector)
+        injector->dumpStats(os);
+}
+
 } // namespace ulp::scenario

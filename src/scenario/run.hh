@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
 
 #include "core/network.hh"
 #include "fault/fault_injector.hh"
@@ -58,6 +59,9 @@ class ScenarioRun
     void run();
 
     RunTotals totals();
+
+    /** Print the network's statistics, then the fault injector's. */
+    void dumpStats(std::ostream &os);
 
     Lowered low;
     std::unique_ptr<obs::EventLog> log; ///< null without [trace] out

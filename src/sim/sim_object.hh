@@ -2,13 +2,15 @@
  * @file
  * Base class for all simulated hardware components. A SimObject has a
  * hierarchical name ("node0.ep"), belongs to a Simulation (whose event
- * queue it schedules on), and is a statistics group.
+ * queue it schedules on), and names its statistics when visited.
  */
 
 #ifndef ULP_SIM_SIM_OBJECT_HH
 #define ULP_SIM_SIM_OBJECT_HH
 
+#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "sim/event_queue.hh"
 #include "sim/simulation.hh"
@@ -17,25 +19,25 @@
 
 namespace ulp::sim {
 
-class SimObject : public stats::Group
+class SimObject
 {
   public:
     /**
      * @param simulation owning simulation context
      * @param name leaf name of this object
-     * @param parent parent object for naming/stats, or nullptr for a
-     *        top-level object (child of the simulation's stats root)
+     * @param parent parent object for naming, or nullptr for a top-level
+     *        object
      */
     SimObject(Simulation &simulation, const std::string &name,
               SimObject *parent = nullptr)
-        : stats::Group(parent ? static_cast<stats::Group *>(parent)
-                              : &simulation.rootStats(),
-                       name),
-          _simulation(simulation),
+        : _simulation(simulation),
           _name(parent ? parent->name() + "." + name : name)
     {}
 
-    ~SimObject() override = default;
+    virtual ~SimObject() = default;
+
+    SimObject(const SimObject &) = delete;
+    SimObject &operator=(const SimObject &) = delete;
 
     /** Fully qualified hierarchical name. */
     const std::string &name() const { return _name; }
@@ -49,6 +51,33 @@ class SimObject : public stats::Group
     scheduleRel(Event *event, Tick delta)
     {
         eventq().schedule(event, curTick() + delta);
+    }
+
+    /**
+     * Hand the visitor this object's statistics under its name, in
+     * declaration order, then visit its children's. An object without
+     * statistics visits nothing.
+     */
+    virtual void visitStats(stats::Visitor &) const {}
+
+    /** Print this object's statistics and its children's. */
+    void
+    dumpStats(std::ostream &os) const
+    {
+        stats::Printer printer(os);
+        visitStats(printer);
+    }
+
+    /**
+     * This object's own statistic called @p name (by content, not
+     * address), or nullptr; its children's do not match.
+     */
+    const stats::Scalar *
+    findStat(std::string_view name) const
+    {
+        stats::Finder finder(_name, name);
+        visitStats(finder);
+        return finder.found;
     }
 
   private:

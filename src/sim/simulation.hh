@@ -1,18 +1,16 @@
 /**
  * @file
- * Top-level simulation context: owns the event queue and the root of the
- * statistics tree. All SimObjects belonging to one simulated system (which
- * may contain many sensor nodes) share one Simulation.
+ * Top-level simulation context: owns the event queue. All SimObjects
+ * belonging to one simulated system (which may contain many sensor
+ * nodes) share one Simulation.
  */
 
 #ifndef ULP_SIM_SIMULATION_HH
 #define ULP_SIM_SIMULATION_HH
 
 #include <cstdint>
-#include <ostream>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace ulp::sim {
@@ -31,8 +29,6 @@ class Simulation
     const EventQueue &eventq() const { return _eventq; }
 
     Tick curTick() const { return _eventq.curTick(); }
-
-    stats::Group &rootStats() { return _rootStats; }
 
     /**
      * Telemetry sink for components built on this simulation, or null
@@ -70,16 +66,8 @@ class Simulation
         return processed;
     }
 
-    /** Print every statistic in the tree. */
-    void
-    dumpStats(std::ostream &os) const
-    {
-        _rootStats.printStats(os);
-    }
-
   private:
     EventQueue _eventq;
-    stats::Group _rootStats;
     TelemetrySink *_telemetry = nullptr;
 };
 

@@ -48,8 +48,8 @@ ticksToSeconds(Tick ticks)
  * A pointer to text that lives for the whole program: a string literal
  * or a constexpr character array. The constructor is consteval, so a
  * run-time string (a temporary's c_str() included) does not convert and
- * cannot leave the holder dangling. Statistic and event names use it to
- * share one copy of their text across every node.
+ * cannot leave the holder dangling. Event names use it to share one
+ * copy of their text across every node.
  */
 class StaticText
 {

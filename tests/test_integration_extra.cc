@@ -235,7 +235,7 @@ TEST(Stats, TreeContainsEveryComponent)
     simulation.runForSeconds(1.0);
 
     std::ostringstream os;
-    simulation.dumpStats(os);
+    node.dumpStats(os);
     std::string dump = os.str();
     for (const char *needle :
          {"node.bus.reads", "node.irqBus.posted", "node.ep.isrs",

@@ -125,7 +125,7 @@ runChurn(const Scenario &sc)
     ChurnRun out;
     out.report = *run.resilience;
     std::ostringstream stats;
-    run.network.dumpStats(stats);
+    run.dumpStats(stats);
     out.stats = stats.str();
     std::ostringstream report;
     scenario::printResilienceReport(report, out.report);

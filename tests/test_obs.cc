@@ -326,7 +326,7 @@ runApp3Node(core::ProbeLog *log,
     if (inspect)
         inspect(node);
     std::ostringstream os;
-    simulation.dumpStats(os);
+    node.dumpStats(os);
     return os.str();
 }
 

@@ -11,7 +11,7 @@
  *
  * Also covers the kernel-level machinery the parallel mode leans on:
  * the (origin tick, sequence) event ordering key, scheduleCrossShard
- * placement, the SPSC flight mailbox, and stats tree merging.
+ * placement and the SPSC flight mailbox.
  */
 
 #include <gtest/gtest.h>
@@ -253,7 +253,7 @@ scenarioStats(scenario::Scenario sc, unsigned threads)
     scenario::ScenarioRun run(sc);
     run.run();
     std::ostringstream os;
-    run.network.dumpStats(os);
+    run.dumpStats(os);
     return os.str();
 }
 
@@ -570,33 +570,6 @@ TEST(FrameRelay, LookaheadIsMinimalFrameAirtime)
     // Smallest frame: 11 bytes of header+FCS at 250 kbit/s = 352 us.
     EXPECT_EQ(relay.lookahead(), sim::secondsToTicks(11 * 8.0 / 250'000.0));
     EXPECT_EQ(relay.lookahead(), 352'000u);
-}
-
-// --------------------------------------------------------------------------
-// Stats merging.
-// --------------------------------------------------------------------------
-
-TEST(StatsMerge, ScalarsAndDistributionsFold)
-{
-    sim::stats::Group a, b;
-    sim::stats::Scalar sa(&a, "frames", "d");
-    sim::stats::Scalar sb(&b, "frames", "d");
-    sim::stats::Distribution da(&a, "lat", "d");
-    sim::stats::Distribution db(&b, "lat", "d");
-
-    sa += 3;
-    sb += 4;
-    da.sample(1.0);
-    da.sample(3.0);
-    db.sample(5.0);
-
-    a.mergeFrom(b);
-    EXPECT_DOUBLE_EQ(sa.value(), 7.0);
-    EXPECT_EQ(da.count(), 3u);
-    EXPECT_DOUBLE_EQ(da.max(), 5.0);
-    EXPECT_DOUBLE_EQ(da.mean(), 3.0);
-    // The source is untouched.
-    EXPECT_DOUBLE_EQ(sb.value(), 4.0);
 }
 
 } // namespace

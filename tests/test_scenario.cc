@@ -11,8 +11,9 @@
  *  - lowering conventions: addresses, seeds, stagger, BFS route trees
  *  - end-to-end multi-hop: a 3-node relay chain delivers distant
  *    packets to the sink through the routing CAM
- *  - the K = 1/2/4 oracle on a 64-node spatial multi-hop network:
- *    identical counters and a byte-identical merged stats tree
+ *  - the K = 1/2/4 oracle on a 64-node spatial multi-hop network,
+ *    plain and under SRAM bit flips: identical counters and a
+ *    byte-identical statistics dump, fault injector included
  *  - the scenario runner: setup diagnostics, and [sleep], [fault],
  *    [lifecycle] and [trace] all wired into one in-process run
  */
@@ -96,6 +97,17 @@ gridScenario(unsigned count, unsigned threads, double seconds)
     return sc;
 }
 
+/** A fresh, empty directory under the test temp dir. */
+std::filesystem::path
+freshDir(const std::string &leaf)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / leaf;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
 core::Network::Counters
 runScenario(const Scenario &sc, std::string *stats = nullptr)
 {
@@ -103,7 +115,7 @@ runScenario(const Scenario &sc, std::string *stats = nullptr)
     run.run();
     if (stats) {
         std::ostringstream os;
-        run.network.dumpStats(os);
+        run.dumpStats(os);
         *stats = os.str();
     }
     return run.network.counters();
@@ -642,18 +654,36 @@ TEST(ScenarioMultihop, ThreadCountOracle)
 {
     // The acceptance oracle: a 64-node spatial multi-hop grid at
     // K = 1, 2, 4 shards — identical headline counters and a
-    // byte-identical merged statistics tree.
-    std::string s1, s2, s4;
-    core::Network::Counters k1 = runScenario(gridScenario(64, 1, 0.4), &s1);
-    core::Network::Counters k2 = runScenario(gridScenario(64, 2, 0.4), &s2);
-    core::Network::Counters k4 = runScenario(gridScenario(64, 4, 0.4), &s4);
+    // byte-identical statistics dump. The grid runs plain and under a
+    // fault plan of SRAM bit flips, whose injector lives on its target
+    // node's shard and prints after the nodes at every K.
+    const std::string plan =
+        (freshDir("oracle-flips") / "flips.plan").string();
+    std::ofstream(plan) << "0.1  sram-flip         0x0100 3\n"
+                           "0.2  sram-random-flip  4\n";
+    Scenario flips = gridScenario(64, 1, 0.4);
+    flips.fault.emplace();
+    flips.fault->campaign = plan;
+    flips.fault->node = 45;
 
-    EXPECT_GT(k1.framesSent, 0u);
-    EXPECT_GT(k1.framesDelivered, 0u);
-    EXPECT_EQ(k1, k2);
-    EXPECT_EQ(k1, k4);
-    EXPECT_EQ(s1, s2);
-    EXPECT_EQ(s1, s4);
+    for (Scenario sc : {gridScenario(64, 1, 0.4), flips}) {
+        SCOPED_TRACE(sc.fault ? "SRAM flips" : "plain");
+        std::string s1, s2, s4;
+        core::Network::Counters k1 = runScenario(sc, &s1);
+        sc.threads = 2;
+        core::Network::Counters k2 = runScenario(sc, &s2);
+        sc.threads = 4;
+        core::Network::Counters k4 = runScenario(sc, &s4);
+
+        EXPECT_GT(k1.framesSent, 0u);
+        EXPECT_GT(k1.framesDelivered, 0u);
+        EXPECT_EQ(k1, k2);
+        EXPECT_EQ(k1, k4);
+        EXPECT_EQ(s1, s2);
+        EXPECT_EQ(s1, s4);
+        EXPECT_EQ(s1.find("fault.bitFlips") != std::string::npos,
+                  sc.fault.has_value());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -671,17 +701,6 @@ expectRunError(const Scenario &sc, const std::string &what)
         EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
             << "diagnostic was: " << e.what();
     }
-}
-
-/** A fresh, empty directory under the test temp dir. */
-std::filesystem::path
-freshDir(const std::string &leaf)
-{
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / leaf;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 TEST(ScenarioRunner, RadioLossNeedsTheOneShardBroadcastMedium)

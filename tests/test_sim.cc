@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 
@@ -215,154 +215,95 @@ INSTANTIATE_TEST_SUITE_P(Frequencies, ClockEdgeProperty,
 // Statistics
 // --------------------------------------------------------------------------
 
+// A statistic is only its value; its owner names it when visited.
+static_assert(sizeof(stats::Scalar) == sizeof(double));
+
 TEST(Stats, ScalarAccumulates)
 {
-    stats::Group group(nullptr, "g");
-    stats::Scalar counter(&group, "counter", "a counter");
+    stats::Scalar counter;
     ++counter;
     counter += 4.0;
     EXPECT_DOUBLE_EQ(counter.value(), 5.0);
-    counter.reset();
+    counter = 0;
     EXPECT_DOUBLE_EQ(counter.value(), 0.0);
 }
 
-TEST(Stats, FormulaEvaluatesLazily)
-{
-    stats::Group group(nullptr, "g");
-    stats::Scalar a(&group, "a", "");
-    stats::Formula ratio(&group, "ratio", "", [&] { return a.value() / 2; });
-    a += 10.0;
-    EXPECT_DOUBLE_EQ(ratio.value(), 5.0);
-    a += 10.0;
-    EXPECT_DOUBLE_EQ(ratio.value(), 10.0);
-}
+namespace {
 
-TEST(Stats, DistributionMoments)
+/** A child object with one counter. */
+class Part : public SimObject
 {
-    stats::Group group(nullptr, "g");
-    stats::Distribution dist(&group, "d", "");
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        dist.sample(v);
-    EXPECT_EQ(dist.count(), 8u);
-    EXPECT_DOUBLE_EQ(dist.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(dist.min(), 2.0);
-    EXPECT_DOUBLE_EQ(dist.max(), 9.0);
-    EXPECT_NEAR(dist.stddev(), 2.138, 1e-3);
-}
+  public:
+    using SimObject::SimObject;
 
-TEST(Stats, GroupTreePrintsHierarchicalNames)
+    void
+    visitStats(stats::Visitor &v) const override
+    {
+        v.group(name());
+        v.scalar(frames, "frames", "frames handled");
+    }
+
+    stats::Scalar frames;
+};
+
+/** An object with a counter of its own and a child. */
+class Device : public SimObject
 {
-    stats::Group root(nullptr, "root");
-    stats::Group child(&root, "child");
-    stats::Scalar leaf(&child, "leaf", "desc");
-    leaf += 3.0;
+  public:
+    Device(Simulation &simulation, const std::string &name)
+        : SimObject(simulation, name), part(simulation, "part", this)
+    {}
 
+    void
+    visitStats(stats::Visitor &v) const override
+    {
+        v.group(name());
+        v.scalar(resets, "resets", "times reset");
+        part.visitStats(v);
+    }
+
+    stats::Scalar resets;
+    Part part;
+};
+
+} // namespace
+
+TEST(Stats, PrintsAnObjectThenItsChild)
+{
+    Simulation simulation;
+    Device device(simulation, "node3");
+    device.resets += 2;
+    device.part.frames = 1234567;
     std::ostringstream os;
-    root.printStats(os);
-    EXPECT_NE(os.str().find("root.child.leaf"), std::string::npos);
-    EXPECT_NE(os.str().find("desc"), std::string::npos);
+    device.dumpStats(os);
+    // An empty prefix prints the bare name.
+    stats::Printer printer(os);
+    printer.group("");
+    device.resets = 0.5;
+    printer.scalar(device.resets, "resets", "times reset");
 
-    root.resetStats();
-    EXPECT_DOUBLE_EQ(leaf.value(), 0.0);
+    // The name padded to 44 columns, the value (printf's %.6g) to 16.
+    EXPECT_EQ(os.str(), "node3.resets                                "
+                        "                2  # times reset\n"
+                        "node3.part.frames                           "
+                        "      1.23457e+06  # frames handled\n"
+                        "resets                                      "
+                        "              0.5  # times reset\n");
 }
 
-TEST(Stats, FindStatByName)
+TEST(Stats, FindStatComparesNamesByContent)
 {
-    stats::Group group(nullptr, "g");
-    stats::Scalar a(&group, "alpha", "");
-    EXPECT_EQ(group.findStat("alpha"), &a);
-    EXPECT_EQ(group.findStat("beta"), nullptr);
-}
-
-// A statistic keeps a pointer to its text, so only text that lives for
-// the whole program may name it.
-static_assert(std::is_constructible_v<stats::Scalar, stats::Group *,
-                                      const char (&)[5], const char (&)[5]>);
-static_assert(!std::is_constructible_v<stats::Scalar, stats::Group *,
-                                       std::string, std::string>);
-static_assert(!std::is_constructible_v<stats::Scalar, stats::Group *,
-                                       const std::string &,
-                                       const std::string &>);
-
-TEST(Stats, NamesMatchByContentNotAddress)
-{
-    // Equal names in distinct arrays: a lookup or merge that compared
-    // pointers would find nothing. Shard trees built from one binary
-    // share their literals, so the K-thread oracles cannot tell.
-    static constexpr char framesA[] = "frames";
-    static constexpr char framesB[] = "frames";
-    static constexpr char latencyA[] = "latency";
-    static constexpr char latencyB[] = "latency";
-    static constexpr char desc[] = "d";
-    ASSERT_NE(static_cast<const void *>(framesA),
-              static_cast<const void *>(framesB));
-
-    stats::Group a(nullptr, "shard");
-    stats::Group aRadio(&a, "radio");
-    stats::Scalar aFrames(&aRadio, framesA, desc);
-    stats::Distribution aLatency(&aRadio, latencyA, desc);
-    stats::Group b(nullptr, "shard");
-    stats::Group bRadio(&b, "radio");
-    stats::Scalar bFrames(&bRadio, framesB, desc);
-    stats::Distribution bLatency(&bRadio, latencyB, desc);
-
-    EXPECT_EQ(bRadio.findStat(framesA), &bFrames);
-    EXPECT_EQ(aRadio.findStat(latencyB), &aLatency);
-    EXPECT_EQ(a.findChild(std::string("radio")), &aRadio);
-
-    aFrames += 2.0;
-    bFrames += 3.0;
-    aLatency.sample(1.0);
-    bLatency.sample(5.0);
-    a.mergeFrom(b);
-    EXPECT_DOUBLE_EQ(aFrames.value(), 5.0);
-    EXPECT_EQ(aLatency.count(), 2u);
-    EXPECT_DOUBLE_EQ(aLatency.max(), 5.0);
-}
-
-TEST(Stats, DestroyedGroupsUnlinkAndKeepOrder)
-{
-    stats::Group root(nullptr, "root");
-    auto first = std::make_unique<stats::Group>(&root, "first");
-    auto middle = std::make_unique<stats::Group>(&root, "middle");
-    auto last = std::make_unique<stats::Group>(&root, "last");
-    stats::Scalar s1(first.get(), "s", "");
-    stats::Scalar s2(middle.get(), "s", "");
-    stats::Scalar s3(last.get(), "s", "");
-
-    auto listed = [&root] {
-        std::ostringstream os;
-        root.printStats(os);
-        std::string names;
-        std::istringstream lines(os.str());
-        for (std::string line; std::getline(lines, line);)
-            names += line.substr(0, line.find(' ')) + ";";
-        return names;
-    };
-    EXPECT_EQ(listed(), "root.first.s;root.middle.s;root.last.s;");
-
-    middle.reset();
-    EXPECT_EQ(listed(), "root.first.s;root.last.s;");
-    last.reset();
-    EXPECT_EQ(listed(), "root.first.s;");
-
-    // The tail moved back to the first group: a new sibling follows it.
-    stats::Group fourth(&root, "fourth");
-    stats::Scalar s4(&fourth, "s", "");
-    EXPECT_EQ(listed(), "root.first.s;root.fourth.s;");
-    EXPECT_EQ(root.findChild("middle"), nullptr);
-}
-
-TEST(Stats, DestroyedParentOrphansItsChildren)
-{
-    auto parent = std::make_unique<stats::Group>(nullptr, "parent");
-    stats::Group child(parent.get(), "child");
-    stats::Scalar leaf(&child, "leaf", "");
-    parent.reset();
-    // The child must not unlink from the destroyed parent later.
-    std::ostringstream os;
-    child.printStats(os);
-    EXPECT_NE(os.str().find("child.leaf"), std::string::npos);
+    // Names built at run time: a lookup that compared pointers with the
+    // owner's literals would find nothing.
+    const std::string resets = "resets";
+    const std::string frames = "frames";
+    Simulation simulation;
+    Device device(simulation, "node3");
+    EXPECT_EQ(device.findStat(resets), &device.resets);
+    EXPECT_EQ(device.part.findStat(frames), &device.part.frames);
+    // Only the object's own statistics match, not its children's.
+    EXPECT_EQ(device.findStat(frames), nullptr);
+    EXPECT_EQ(device.part.findStat(resets), nullptr);
 }
 
 // --------------------------------------------------------------------------

@@ -114,7 +114,7 @@ runWithSleep(const Scenario &sc, std::string *stats = nullptr)
     run.run();
     if (stats) {
         std::ostringstream os;
-        run.network.dumpStats(os);
+        run.dumpStats(os);
         *stats = os.str();
     }
     return run.network.counters();

@@ -324,7 +324,7 @@ printReport(scenario::ScenarioRun &run, bool stats, bool power)
     }
     if (stats) {
         std::printf("\n");
-        network.dumpStats(std::cout);
+        run.dumpStats(std::cout);
     }
     return 0;
 }
@@ -609,7 +609,7 @@ runMica2(const Options &opt)
     }
     if (opt.stats) {
         std::printf("\n");
-        simulation.dumpStats(std::cout);
+        mica.dumpStats(std::cout);
     }
     return 0;
 }
