@@ -18,11 +18,12 @@
  * threads are flagged oversubscribed — throughput there measures
  * queuing, not speedup, and is reported for correctness only.
  *
- *   bench_campaign [--smoke] [--json[=PATH]]
+ *   bench_campaign [--smoke] [--json[=PATH]] [--check[=PATH]]
  *
  * The flags are the shared bench harness's (bench_util.hh): --json
  * writes the BENCH_campaign.json snapshot, --smoke shrinks the ensemble
- * for CI.
+ * for CI, and --check re-runs the full ensemble against the snapshot:
+ * runs_ok and stats_identical must equal the committed values.
  */
 
 #include <chrono>
@@ -229,7 +230,7 @@ main(int argc, char **argv)
         return campaign::workerMain(argc, argv);
 
     const bench::Options options =
-        bench::parseOptions(argc, argv, "BENCH_campaign.json");
+        bench::parseOptions(argc, argv, "BENCH_campaign.json", true);
     sim::setQuiet(true); // the in-process rows would chatter otherwise
     return bench::run(options, "bench_campaign",
                       [](bool smoke, bool) { return measure(smoke); });
