@@ -10,6 +10,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -291,19 +292,35 @@ TEST(Stats, PrintsAnObjectThenItsChild)
                         "              0.5  # times reset\n");
 }
 
-TEST(Stats, FindStatComparesNamesByContent)
+TEST(Stats, FindStatByName)
 {
-    // Names built at run time: a lookup that compared pointers with the
-    // owner's literals would find nothing.
+    Simulation simulation;
+    Device device(simulation, "node3");
+    EXPECT_EQ(device.findStat("resets"), &device.resets);
+    EXPECT_EQ(device.part.findStat("frames"), &device.part.frames);
+    EXPECT_EQ(device.findStat("beta"), nullptr);
+    // Only the object's own statistics match, not its children's.
+    EXPECT_EQ(device.findStat("frames"), nullptr);
+    EXPECT_EQ(device.part.findStat("resets"), nullptr);
+}
+
+TEST(Stats, NamesMatchByContentNotAddress)
+{
+    // Equal names at other addresses than the owner's literals: a
+    // lookup that compared pointers would find nothing.
+    static constexpr char framesA[] = "frames";
+    static constexpr char framesB[] = "frames";
+    ASSERT_NE(static_cast<const void *>(framesA),
+              static_cast<const void *>(framesB));
     const std::string resets = "resets";
-    const std::string frames = "frames";
     Simulation simulation;
     Device device(simulation, "node3");
     EXPECT_EQ(device.findStat(resets), &device.resets);
-    EXPECT_EQ(device.part.findStat(frames), &device.part.frames);
-    // Only the object's own statistics match, not its children's.
-    EXPECT_EQ(device.findStat(frames), nullptr);
-    EXPECT_EQ(device.part.findStat(resets), nullptr);
+    EXPECT_EQ(device.part.findStat(framesA), &device.part.frames);
+    EXPECT_EQ(device.part.findStat(framesB), &device.part.frames);
+    // A view that is not NUL-terminated matches by its length.
+    EXPECT_EQ(device.findStat(std::string_view("resets2", 6)),
+              &device.resets);
 }
 
 // --------------------------------------------------------------------------
