@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Golden behaviour corpus: one FNV-1a digest per scenario run.
+"""Golden behaviour corpus: one FNV-1a digest per scenario or program run.
 
-    python3 tests/golden/check_golden.py --ulpsim build/tools/ulpsim
     python3 tests/golden/check_golden.py --ulpsim build/tools/ulpsim \\
-        --update-golden
+        --build-dir build
+    python3 tests/golden/check_golden.py --ulpsim build/tools/ulpsim \\
+        --build-dir build --update-golden
 
 Runs `ulpsim run <ini> --threads=1 --stats` for every scenario file in
 examples/ (campaign specs are skipped: they are not single runs) and for
 the small scenarios kept next to this script, hashes each run's standard
 output with 64-bit FNV-1a, and compares the hash with the committed
-tests/golden/<name>.digest. Any mismatch, missing digest or failed run
-makes the exit code 1. --update-golden rewrites the digest files instead.
+tests/golden/<name>.digest. It also runs each program in PROGRAMS
+(the example programs and the paper benches that assemble applications,
+found under --build-dir) without arguments and hashes its standard
+output into tests/golden/program_<name>.digest. Any mismatch, missing
+digest or failed run makes the exit code 1. --update-golden rewrites
+the digest files instead.
 
 Each scenario is also run through `ulpsim print-scenario`, the
 canonical text campaign workers re-parse. Printing that text again must
@@ -38,6 +43,24 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 CAPS = {"battery_life.ini": 40}
 
 TRACE_TOKEN = "<trace-dir>"
+
+# Programs whose standard output is digested, relative to the build
+# directory: every example program, and every paper bench that builds
+# node programs through the assemblers.
+PROGRAMS = [
+    "examples/quickstart",
+    "examples/volcano_monitor",
+    "examples/gdi_habitat",
+    "examples/multihop_reconfig",
+    "examples/energy_harvesting",
+    "examples/fault_campaign",
+    "bench/bench_table4_cycles",
+    "bench/bench_snap_comparison",
+    "bench/bench_table5_power",
+    "bench/bench_ablation_no_ep",
+    "bench/bench_ablation_no_gating",
+    "bench/bench_ablation_compression",
+]
 
 
 def fnv1a64(data):
@@ -89,6 +112,15 @@ def run(ulpsim, path, scratch):
     return fnv1a64(out)
 
 
+def run_program(path):
+    proc = subprocess.run([path], cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        return None
+    return fnv1a64(proc.stdout)
+
+
 def print_scenario(ulpsim, path):
     proc = subprocess.run([ulpsim, "print-scenario", path], cwd=ROOT,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -117,13 +149,39 @@ def check_printed(ulpsim, path, scratch, digest):
     return None
 
 
+def check(name, rel, digest, update):
+    """Compare `digest` of `rel` with tests/golden/<name>.digest, or
+    write it there when `update`; True when it matches or was written."""
+    digest_file = os.path.join(HERE, name + ".digest")
+    if update:
+        with open(digest_file, "w") as f:
+            f.write(digest + "\n")
+        print(f"wrote {rel}: {digest}")
+        return True
+    try:
+        with open(digest_file) as f:
+            want = f.read().strip()
+    except FileNotFoundError:
+        print(f"FAIL  {rel}: no {os.path.basename(digest_file)} "
+              f"(run with --update-golden)")
+        return False
+    if digest == want:
+        print(f"ok    {rel}: {digest}")
+        return True
+    print(f"FAIL  {rel}: {digest} != golden {want}")
+    return False
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ulpsim", required=True, help="path to ulpsim")
+    ap.add_argument("--build-dir", required=True,
+                    help="build directory holding the PROGRAMS")
     ap.add_argument("--update-golden", action="store_true",
                     help="rewrite the .digest files from this build")
     args = ap.parse_args()
     ulpsim = os.path.abspath(args.ulpsim)
+    build_dir = os.path.abspath(args.build_dir)
 
     bad = 0
     with tempfile.TemporaryDirectory(prefix="ulp-golden-") as scratch:
@@ -139,25 +197,17 @@ def main():
                 print(f"FAIL  {rel}: {problem}")
                 bad += 1
                 continue
-            digest_file = os.path.join(HERE, name + ".digest")
-            if args.update_golden:
-                with open(digest_file, "w") as f:
-                    f.write(digest + "\n")
-                print(f"wrote {rel}: {digest}")
-                continue
-            try:
-                with open(digest_file) as f:
-                    want = f.read().strip()
-            except FileNotFoundError:
-                print(f"FAIL  {rel}: no {os.path.basename(digest_file)} "
-                      f"(run with --update-golden)")
+            if not check(name, rel, digest, args.update_golden):
                 bad += 1
-                continue
-            if digest == want:
-                print(f"ok    {rel}: {digest}")
-            else:
-                print(f"FAIL  {rel}: {digest} != golden {want}")
-                bad += 1
+    for rel in PROGRAMS:
+        digest = run_program(os.path.join(build_dir, rel))
+        if digest is None:
+            print(f"FAIL  {rel}: the program failed")
+            bad += 1
+            continue
+        name = "program_" + os.path.basename(rel)
+        if not check(name, rel, digest, args.update_golden):
+            bad += 1
     return 1 if bad else 0
 
 
