@@ -1,18 +1,18 @@
 /**
  * @file
- * Assembler for event-processor ISR programs.
+ * Assembler for event-processor ISR programs: a back end of the shared
+ * front end (mcu/asm_source.hh, which describes the syntax, expressions
+ * and .org/.equ/label rules). Its own parts:
  *
- * Two-pass, line-oriented ( ';' comments). Directives:
- *
- *   .org ADDR           place subsequent code at ADDR
- *   .equ NAME, VALUE    define a symbol
  *   .isr IRQNAME, LABEL bind an interrupt code to an ISR entry point
  *                       (the node loader writes it into the lookup table)
  *
- * Instructions are the eight of Table 2; operands are expressions over
- * numeric literals, labels, and symbols, with + and -. The default symbol
- * set (epDefaultSymbols) names every component id and memory-mapped
- * register so that ISRs read like the paper's Figure 5.
+ * Instructions are the eight of Table 2. Addresses are 16-bit words;
+ * component ids, WRITEI immediates and TRANSFER lengths fit the 5-bit
+ * operand field, WAKEUP vectors 0..7. Code starts at map::epIsrBase
+ * unless one .org (a program has at most one) places it. The default
+ * symbol set (epDefaultSymbols) names every component id and
+ * memory-mapped register so that ISRs read like the paper's Figure 5.
  */
 
 #ifndef ULP_CORE_EP_ASSEMBLER_HH
@@ -44,13 +44,12 @@ struct EpProgram
 const std::map<std::string, std::uint16_t> &epDefaultSymbols();
 
 /**
- * Assemble @p source; extra symbols in @p extra shadow nothing and extend
- * the defaults. fatal() with a line number on any error, including a
- * duplicate .equ or label and an address operand wider than 16 bits.
+ * Assemble @p source against epDefaultSymbols(). fatal() with the line
+ * number on any error (mcu/asm_source.hh lists the rules every source
+ * obeys), including an operand that does not fit its field and a second
+ * .org.
  */
-EpProgram
-epAssemble(const std::string &source,
-           const std::map<std::string, std::uint16_t> &extra = {});
+EpProgram epAssemble(const std::string &source);
 
 } // namespace ulp::core
 

@@ -1,10 +1,9 @@
 #include "mcu/assembler.hh"
 
-#include <algorithm>
 #include <cctype>
-#include <set>
-#include <sstream>
+#include <charconv>
 
+#include "mcu/asm_source.hh"
 #include "sim/logging.hh"
 
 namespace ulp::mcu {
@@ -35,563 +34,229 @@ Image::hasSymbol(const std::string &name) const
 
 namespace {
 
-struct Asm
-{
-    const std::map<std::string, std::uint16_t> *predefined;
-    const std::vector<std::string> *params = nullptr;
-    std::map<std::string, std::uint32_t> symbols;
-    int lineNo = 0;
-
-    /** Pass 1: .equ symbols whose value read a forward reference, so
-     *  their pass-1 value is provisional. */
-    std::set<std::string> forwardEqus;
-    /** First forward (or provisional) symbol the current pass-1
-     *  evaluation read; empty when the value is final. */
-    mutable std::string forwardRef;
-
-    /** Pass 2: the chunk being emitted and the parameter bytes so far. */
-    std::uint32_t chunkIndex = 0;
-    std::vector<ParamSite> sites;
-
-    [[noreturn]] void
-    error(const std::string &message) const
-    {
-        sim::fatal("asm line %d: %s", lineNo, message.c_str());
-    }
-
-    static std::string
-    trim(const std::string &s)
-    {
-        std::size_t b = s.find_first_not_of(" \t\r");
-        if (b == std::string::npos)
-            return "";
-        std::size_t e = s.find_last_not_of(" \t\r");
-        return s.substr(b, e - b + 1);
-    }
-
-    static std::string
-    lower(std::string s)
-    {
-        std::transform(s.begin(), s.end(), s.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        return s;
-    }
-
-    bool
-    lookupSymbol(const std::string &name, std::uint32_t &out) const
-    {
-        auto it = symbols.find(name);
-        if (it != symbols.end()) {
-            out = it->second;
-            return true;
-        }
-        if (predefined) {
-            auto pit = predefined->find(name);
-            if (pit != predefined->end()) {
-                out = pit->second;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Index of @p name in the parameter list, or -1. */
-    int
-    paramIndex(const std::string &name) const
-    {
-        if (params) {
-            for (std::size_t i = 0; i < params->size(); ++i) {
-                if ((*params)[i] == name)
-                    return static_cast<int>(i);
-            }
-        }
-        return -1;
-    }
-
-    /**
-     * Evaluate an expression. In pass 1 (final == false) undefined symbols
-     * evaluate to 0; pass 2 requires every symbol to resolve.
-     */
-    std::uint32_t
-    evalExpr(const std::string &expr, bool final) const
-    {
-        std::string s = trim(expr);
-        if (s.empty())
-            error("empty expression");
-
-        // Split on top-level + and - (not inside parentheses, not a
-        // leading sign).
-        int depth = 0;
-        for (std::size_t i = s.size(); i-- > 1;) {
-            char c = s[i];
-            if (c == ')')
-                ++depth;
-            else if (c == '(')
-                --depth;
-            else if (depth == 0 && (c == '+' || c == '-')) {
-                std::uint32_t lhs = evalExpr(s.substr(0, i), final);
-                std::uint32_t rhs = evalExpr(s.substr(i + 1), final);
-                return c == '+' ? lhs + rhs : lhs - rhs;
-            }
-        }
-
-        return evalTerm(s, final);
-    }
-
-    std::uint32_t
-    evalTerm(const std::string &term, bool final) const
-    {
-        std::string s = trim(term);
-        std::string low = lower(s);
-
-        if (low.size() > 4 && (low.rfind("lo(", 0) == 0) && s.back() == ')')
-            return evalExpr(s.substr(3, s.size() - 4), final) & 0xFF;
-        if (low.size() > 4 && (low.rfind("hi(", 0) == 0) && s.back() == ')')
-            return (evalExpr(s.substr(3, s.size() - 4), final) >> 8) & 0xFF;
-        if (s.front() == '(' && s.back() == ')')
-            return evalExpr(s.substr(1, s.size() - 2), final);
-
-        if (s.size() == 3 && s.front() == '\'' && s.back() == '\'')
-            return static_cast<std::uint8_t>(s[1]);
-
-        if (std::isdigit(static_cast<unsigned char>(s[0]))) {
-            const bool hex = low.rfind("0x", 0) == 0;
-            const std::string digits = hex ? s.substr(2) : s;
-            std::size_t used = 0;
-            unsigned long long v = 0;
-            try {
-                v = std::stoull(digits, &used, hex ? 16 : 10);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (digits.empty() || used != digits.size() ||
-                !std::isxdigit(static_cast<unsigned char>(digits[0])))
-                error("bad numeric literal '" + s + "'");
-            if (v > 0xFFFFFFFFull)
-                error("numeric literal '" + s + "' does not fit in 32 bits");
-            return static_cast<std::uint32_t>(v);
-        }
-
-        if (paramIndex(s) >= 0)
-            error("parameter '" + s + "' may only be a bare byte operand");
-        std::uint32_t value;
-        if (lookupSymbol(s, value)) {
-            if (!final && forwardRef.empty() && forwardEqus.count(s))
-                forwardRef = s;
-            return value;
-        }
-        if (!final) {
-            if (forwardRef.empty())
-                forwardRef = s;
-            return 0;
-        }
-        error("undefined symbol '" + s + "'");
-    }
-
-    int
-    parseReg(const std::string &token) const
-    {
-        std::string s = lower(trim(token));
-        if (s.size() >= 2 && s[0] == 'r') {
-            int n = -1;
-            try {
-                n = std::stoi(s.substr(1));
-            } catch (const std::exception &) {
-                n = -1;
-            }
-            if (n >= 0 && n <= 15)
-                return n;
-        }
-        error("expected register r0..r15, got '" + token + "'");
-    }
-
-    int
-    parsePair(const std::string &token) const
-    {
-        std::string s = lower(trim(token));
-        if (s.size() >= 2 && s[0] == 'p') {
-            int n = -1;
-            try {
-                n = std::stoi(s.substr(1));
-            } catch (const std::exception &) {
-                n = -1;
-            }
-            if (n >= 0 && n <= 7)
-                return n;
-        }
-        error("expected pointer pair p0..p7, got '" + token + "'");
-    }
-
-    std::uint8_t
-    byteValue(const std::string &expr, bool final) const
-    {
-        std::uint32_t v = evalExpr(expr, final);
-        if (final && v > 0xFF)
-            error("value " + std::to_string(v) + " does not fit in a byte");
-        return static_cast<std::uint8_t>(v & 0xFF);
-    }
-
-    std::uint16_t
-    wordValue(const std::string &expr, bool final) const
-    {
-        std::uint32_t v = evalExpr(expr, final);
-        if (final && v > 0xFFFF)
-            error("value " + std::to_string(v) + " does not fit in a word");
-        return static_cast<std::uint16_t>(v & 0xFFFF);
-    }
-
-    /** Emit a byte operand, noting where it lands if it is a parameter. */
-    void
-    emitByte(const std::string &expr, std::vector<std::uint8_t> &out)
-    {
-        const std::string name = trim(expr);
-        const int param = paramIndex(name);
-        if (param < 0) {
-            out.push_back(byteValue(expr, true));
-            return;
-        }
-        std::uint32_t v;
-        if (!lookupSymbol(name, v))
-            error("undefined parameter '" + name + "'");
-        if (v > 0xFF)
-            error("parameter '" + name + "' does not fit in a byte");
-        sites.push_back({chunkIndex, static_cast<std::uint32_t>(out.size()),
-                         static_cast<std::uint32_t>(param)});
-        out.push_back(static_cast<std::uint8_t>(v));
-    }
-};
-
-struct Statement
-{
-    int lineNo;
-    std::string label;
-    std::string mnemonic; // empty for pure labels; starts with '.' for dirs
-    std::vector<std::string> operands;
-};
+using Statement = AsmSource::Statement;
 
 /**
- * Pass-1 value of a .org or .space operand. It places every later label,
- * so it must not read a symbol defined further down (pass 1 would read
- * it as 0 and misplace them all).
+ * The N of operand @p token spelled @p prefix N (in either case): decimal
+ * digits and nothing else, at most @p max.
  */
-std::uint32_t
-placementValue(const Statement &st, Asm &ctx, const char *directive)
+unsigned
+indexOperand(const AsmSource &src, const std::string &token, char prefix,
+             unsigned max, const char *expected)
 {
-    if (st.operands.size() != 1)
-        ctx.error(std::string(directive) + " needs one operand");
-    ctx.forwardRef.clear();
-    std::uint32_t v = ctx.evalExpr(st.operands[0], false);
-    if (!ctx.forwardRef.empty()) {
-        ctx.error(std::string(directive) + " operand reads '" +
-                  ctx.forwardRef + "', which is not known before this line");
+    if (token.size() >= 2 &&
+        std::tolower(static_cast<unsigned char>(token[0])) == prefix) {
+        const char *last = token.data() + token.size();
+        unsigned n = 0;
+        const auto [end, ec] = std::from_chars(token.data() + 1, last, n);
+        if (ec == std::errc{} && end == last && n <= max)
+            return n;
     }
-    return v;
+    src.fail(std::string("expected ") + expected + ", got '" + token + "'");
 }
 
-std::vector<Statement>
-parse(const std::string &source, Asm &ctx)
-{
-    std::vector<Statement> statements;
-    std::istringstream in(source);
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        ctx.lineNo = line_no;
-
-        std::size_t semi = line.find(';');
-        if (semi != std::string::npos)
-            line = line.substr(0, semi);
-        line = Asm::trim(line);
-        if (line.empty())
-            continue;
-
-        Statement st;
-        st.lineNo = line_no;
-
-        // Optional leading label. Avoid treating "lo(x):" style or
-        // operands as labels: a label must be the first token and be
-        // followed by ':'.
-        std::size_t colon = line.find(':');
-        if (colon != std::string::npos) {
-            std::string head = Asm::trim(line.substr(0, colon));
-            bool ident = !head.empty();
-            for (char c : head) {
-                if (!(std::isalnum(static_cast<unsigned char>(c)) ||
-                      c == '_'))
-                    ident = false;
-            }
-            if (ident) {
-                st.label = head;
-                line = Asm::trim(line.substr(colon + 1));
-            }
-        }
-
-        if (!line.empty()) {
-            std::size_t sp = line.find_first_of(" \t");
-            st.mnemonic = (sp == std::string::npos)
-                              ? line
-                              : line.substr(0, sp);
-            std::string rest =
-                (sp == std::string::npos) ? "" : Asm::trim(line.substr(sp));
-            // Split operands on top-level commas.
-            int depth = 0;
-            std::string cur;
-            for (char c : rest) {
-                if (c == '(')
-                    ++depth;
-                else if (c == ')')
-                    --depth;
-                if (c == ',' && depth == 0) {
-                    st.operands.push_back(Asm::trim(cur));
-                    cur.clear();
-                } else {
-                    cur += c;
-                }
-            }
-            if (!Asm::trim(cur).empty())
-                st.operands.push_back(Asm::trim(cur));
-        }
-
-        if (!st.label.empty() || !st.mnemonic.empty())
-            statements.push_back(std::move(st));
-    }
-    return statements;
-}
-
+/** The number of operands an instruction of format @p f takes. */
 std::size_t
-statementSize(const Statement &st, Asm &ctx)
+operandCount(Format f)
 {
-    if (st.mnemonic.empty())
+    switch (f) {
+      case Format::None:
         return 0;
-    std::string m = Asm::lower(st.mnemonic);
-    if (m == ".org" || m == ".equ")
-        return 0;
-    if (m == ".byte")
-        return st.operands.size();
-    if (m == ".word")
-        return st.operands.size() * 2;
-    if (m == ".space")
-        return placementValue(st, ctx, ".space");
+      case Format::Rd:
+      case Format::Pair:
+      case Format::Addr:
+      case Format::Imm:
+        return 1;
+      default:
+        return 2;
+    }
+}
+
+const InstrInfo &
+instruction(const AsmSource &src, const Statement &st)
+{
     const InstrInfo *info = instrInfoByMnemonic(st.mnemonic);
     if (!info)
-        ctx.error("unknown mnemonic '" + st.mnemonic + "'");
-    return info->lengthBytes;
+        src.fail("unknown mnemonic '" + st.mnemonic + "'");
+    return *info;
 }
 
-void
-encode(const Statement &st, const InstrInfo &info, Asm &ctx,
-       std::vector<std::uint8_t> &out)
+/** The µC back end: its directives and instruction formats. */
+struct Encoder
 {
-    auto need = [&](std::size_t n) {
-        if (st.operands.size() != n) {
-            ctx.error(std::string(info.mnemonic) + " expects " +
-                      std::to_string(n) + " operand(s), got " +
-                      std::to_string(st.operands.size()));
-        }
-    };
+    AsmSource &src;
+    ParamImage out;
+    ImageChunk chunk;
 
-    out.push_back(static_cast<std::uint8_t>(info.opcode));
-    switch (info.format) {
-      case Format::None:
-        need(0);
-        break;
-      case Format::Rd: {
-        need(1);
-        int rd = ctx.parseReg(st.operands[0]);
-        out.push_back(static_cast<std::uint8_t>(rd << 4));
-        break;
-      }
-      case Format::RdRs: {
-        need(2);
-        int rd = ctx.parseReg(st.operands[0]);
-        int rs = ctx.parseReg(st.operands[1]);
-        out.push_back(static_cast<std::uint8_t>((rd << 4) | rs));
-        break;
-      }
-      case Format::RdImm: {
-        need(2);
-        int rd = ctx.parseReg(st.operands[0]);
-        out.push_back(static_cast<std::uint8_t>(rd << 4));
-        ctx.emitByte(st.operands[1], out);
-        break;
-      }
-      case Format::RdAddr: {
-        need(2);
-        int rd = ctx.parseReg(st.operands[0]);
-        std::uint16_t addr = ctx.wordValue(st.operands[1], true);
-        out.push_back(static_cast<std::uint8_t>(rd << 4));
-        out.push_back(static_cast<std::uint8_t>(addr >> 8));
-        out.push_back(static_cast<std::uint8_t>(addr & 0xFF));
-        break;
-      }
-      case Format::AddrRs: {
-        need(2);
-        std::uint16_t addr = ctx.wordValue(st.operands[0], true);
-        int rs = ctx.parseReg(st.operands[1]);
-        out.push_back(static_cast<std::uint8_t>(rs << 4));
-        out.push_back(static_cast<std::uint8_t>(addr >> 8));
-        out.push_back(static_cast<std::uint8_t>(addr & 0xFF));
-        break;
-      }
-      case Format::RdPair: {
-        need(2);
-        int rd = ctx.parseReg(st.operands[0]);
-        int pn = ctx.parsePair(st.operands[1]);
-        out.push_back(static_cast<std::uint8_t>((rd << 4) | pn));
-        break;
-      }
-      case Format::PairRs: {
-        need(2);
-        int pn = ctx.parsePair(st.operands[0]);
-        int rs = ctx.parseReg(st.operands[1]);
-        out.push_back(static_cast<std::uint8_t>((pn << 4) | rs));
-        break;
-      }
-      case Format::PairAddr: {
-        need(2);
-        int pn = ctx.parsePair(st.operands[0]);
-        std::uint16_t addr = ctx.wordValue(st.operands[1], true);
-        out.push_back(static_cast<std::uint8_t>(pn << 4));
-        out.push_back(static_cast<std::uint8_t>(addr >> 8));
-        out.push_back(static_cast<std::uint8_t>(addr & 0xFF));
-        break;
-      }
-      case Format::Pair: {
-        need(1);
-        int pn = ctx.parsePair(st.operands[0]);
-        out.push_back(static_cast<std::uint8_t>(pn << 4));
-        break;
-      }
-      case Format::Addr: {
-        need(1);
-        std::uint16_t addr = ctx.wordValue(st.operands[0], true);
-        out.push_back(static_cast<std::uint8_t>(addr >> 8));
-        out.push_back(static_cast<std::uint8_t>(addr & 0xFF));
-        break;
-      }
-      case Format::Imm: {
-        need(1);
-        ctx.emitByte(st.operands[0], out);
-        break;
-      }
+    unsigned
+    reg(const std::string &op) const
+    {
+        return indexOperand(src, op, 'r', 15, "register r0..r15");
     }
-}
+
+    unsigned
+    pair(const std::string &op) const
+    {
+        return indexOperand(src, op, 'p', 7, "pointer pair p0..p7");
+    }
+
+    std::uint32_t
+    length(const Statement &st) const
+    {
+        if (st.is(".byte"))
+            return st.operands.size();
+        if (st.is(".word"))
+            return st.operands.size() * 2;
+        if (st.is(".space")) {
+            if (st.operands.size() != 1)
+                src.fail(".space needs one operand");
+            return src.value(st.operands[0]);
+        }
+        return instruction(src, st).lengthBytes;
+    }
+
+    /** A byte operand, noting where it lands if it is a parameter. */
+    void
+    byte(const std::string &expr)
+    {
+        const int param = src.param(expr);
+        if (param < 0) {
+            chunk.bytes.push_back(src.byte(expr));
+            return;
+        }
+        const std::optional<std::uint32_t> v = src.lookup(expr);
+        if (!v)
+            src.fail("undefined parameter '" + expr + "'");
+        if (*v > 0xFF)
+            src.fail("parameter '" + expr + "' does not fit in a byte");
+        out.sites.push_back(
+            {static_cast<std::uint32_t>(out.image.chunks.size()),
+             static_cast<std::uint32_t>(chunk.bytes.size()),
+             static_cast<std::uint32_t>(param)});
+        chunk.bytes.push_back(static_cast<std::uint8_t>(*v));
+    }
+
+    void
+    word(std::uint16_t v)
+    {
+        chunk.bytes.push_back(static_cast<std::uint8_t>(v >> 8));
+        chunk.bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
+    }
+
+    void
+    flush()
+    {
+        if (!chunk.bytes.empty())
+            out.image.chunks.push_back(std::move(chunk));
+        chunk = ImageChunk{};
+    }
+
+    void
+    emit(const Statement &st)
+    {
+        if (st.is(".org")) {
+            flush();
+            chunk.base =
+                static_cast<std::uint16_t>(src.value(st.operands[0]));
+        } else if (st.is(".byte")) {
+            for (const std::string &op : st.operands)
+                byte(op);
+        } else if (st.is(".word")) {
+            for (const std::string &op : st.operands)
+                word(src.word(op));
+        } else if (st.is(".space")) {
+            chunk.bytes.insert(chunk.bytes.end(), src.value(st.operands[0]),
+                               0);
+        } else {
+            encode(st, instruction(src, st));
+        }
+    }
+
+    void
+    encode(const Statement &st, const InstrInfo &info)
+    {
+        const std::vector<std::string> &ops = st.operands;
+        if (ops.size() != operandCount(info.format)) {
+            src.fail(std::string(info.mnemonic) + " expects " +
+                     std::to_string(operandCount(info.format)) +
+                     " operand(s), got " + std::to_string(ops.size()));
+        }
+
+        chunk.bytes.push_back(static_cast<std::uint8_t>(info.opcode));
+        auto pack = [&](unsigned hi, unsigned lo = 0) {
+            chunk.bytes.push_back(static_cast<std::uint8_t>(hi << 4 | lo));
+        };
+        switch (info.format) {
+          case Format::None:
+            break;
+          case Format::Rd:
+            pack(reg(ops[0]));
+            break;
+          case Format::RdRs: {
+            const unsigned rd = reg(ops[0]);
+            pack(rd, reg(ops[1]));
+            break;
+          }
+          case Format::RdImm:
+            pack(reg(ops[0]));
+            byte(ops[1]);
+            break;
+          case Format::RdAddr: {
+            const unsigned rd = reg(ops[0]);
+            const std::uint16_t addr = src.word(ops[1]);
+            pack(rd);
+            word(addr);
+            break;
+          }
+          case Format::AddrRs: {
+            const std::uint16_t addr = src.word(ops[0]);
+            pack(reg(ops[1]));
+            word(addr);
+            break;
+          }
+          case Format::RdPair: {
+            const unsigned rd = reg(ops[0]);
+            pack(rd, pair(ops[1]));
+            break;
+          }
+          case Format::PairRs: {
+            const unsigned pn = pair(ops[0]);
+            pack(pn, reg(ops[1]));
+            break;
+          }
+          case Format::PairAddr: {
+            const unsigned pn = pair(ops[0]);
+            const std::uint16_t addr = src.word(ops[1]);
+            pack(pn);
+            word(addr);
+            break;
+          }
+          case Format::Pair:
+            pack(pair(ops[0]));
+            break;
+          case Format::Addr:
+            word(src.word(ops[0]));
+            break;
+          case Format::Imm:
+            byte(ops[0]);
+            break;
+        }
+    }
+};
 
 ParamImage
 assembleImpl(const std::string &source,
              const std::map<std::string, std::uint16_t> &predefined,
-             const std::vector<std::string> *params)
+             std::vector<std::string> params)
 {
-    Asm ctx;
-    ctx.predefined = &predefined;
-    ctx.params = params;
-
-    std::vector<Statement> statements = parse(source, ctx);
-
-    // Pass 1: assign label addresses and .equ symbols.
-    std::uint32_t loc = 0;
-    for (const Statement &st : statements) {
-        ctx.lineNo = st.lineNo;
-        if (!st.label.empty()) {
-            if (ctx.symbols.count(st.label) ||
-                predefined.count(st.label)) {
-                ctx.error("duplicate symbol '" + st.label + "'");
-            }
-            if (ctx.paramIndex(st.label) >= 0)
-                ctx.error("parameter '" + st.label + "' must be an .equ");
-            ctx.symbols[st.label] = loc;
-        }
-        if (st.mnemonic.empty())
-            continue;
-        std::string m = Asm::lower(st.mnemonic);
-        if (m == ".org") {
-            loc = placementValue(st, ctx, ".org");
-        } else if (m == ".equ") {
-            if (st.operands.size() != 2)
-                ctx.error(".equ needs NAME, VALUE");
-            const std::string &name = st.operands[0];
-            if (ctx.symbols.count(name) || predefined.count(name))
-                ctx.error("duplicate symbol '" + name + "'");
-            ctx.forwardRef.clear();
-            ctx.symbols[name] = ctx.evalExpr(st.operands[1], false);
-            if (!ctx.forwardRef.empty())
-                ctx.forwardEqus.insert(name);
-        } else {
-            loc += statementSize(st, ctx);
-        }
-        if (loc > 0x10000)
-            ctx.error("location counter beyond 64 KiB");
-    }
-
-    // Pass 2: emit.
-    ParamImage out;
-    Image &image = out.image;
-    ImageChunk chunk;
-    loc = 0;
-    chunk.base = 0;
-    auto flush = [&]() {
-        if (!chunk.bytes.empty()) {
-            image.chunks.push_back(std::move(chunk));
-            chunk = ImageChunk{};
-        }
-    };
-
-    for (const Statement &st : statements) {
-        ctx.lineNo = st.lineNo;
-        ctx.chunkIndex = static_cast<std::uint32_t>(image.chunks.size());
-        if (st.mnemonic.empty())
-            continue;
-        std::string m = Asm::lower(st.mnemonic);
-        if (m == ".org") {
-            flush();
-            loc = ctx.evalExpr(st.operands[0], true);
-            chunk.base = static_cast<std::uint16_t>(loc);
-            continue;
-        }
-        if (m == ".equ") {
-            // Re-evaluate with full symbol table so forward references in
-            // .equ values resolve.
-            ctx.symbols[st.operands[0]] =
-                ctx.evalExpr(st.operands[1], true);
-            continue;
-        }
-        if (m == ".byte") {
-            for (const std::string &op : st.operands)
-                ctx.emitByte(op, chunk.bytes);
-            loc += st.operands.size();
-            continue;
-        }
-        if (m == ".word") {
-            for (const std::string &op : st.operands) {
-                std::uint16_t v = ctx.wordValue(op, true);
-                chunk.bytes.push_back(static_cast<std::uint8_t>(v >> 8));
-                chunk.bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
-            }
-            loc += st.operands.size() * 2;
-            continue;
-        }
-        if (m == ".space") {
-            std::uint32_t n = ctx.evalExpr(st.operands[0], true);
-            chunk.bytes.insert(chunk.bytes.end(), n, 0);
-            loc += n;
-            continue;
-        }
-        const InstrInfo *info = instrInfoByMnemonic(st.mnemonic);
-        if (!info)
-            ctx.error("unknown mnemonic '" + st.mnemonic + "'");
-        encode(st, *info, ctx, chunk.bytes);
-        loc += info->lengthBytes;
-    }
-    flush();
-
-    for (const auto &[name, value] : ctx.symbols) {
-        if (value > 0xFFFF)
-            continue; // wide .equ constants are fine internally
-        image.symbols[name] = static_cast<std::uint16_t>(value);
-    }
-    out.sites = std::move(ctx.sites);
-    return out;
+    AsmSource src("asm", source, predefined, std::move(params));
+    Encoder enc{src, {}, {}};
+    src.assemble(
+        0, [&](const Statement &st) { return enc.length(st); },
+        [&](const Statement &st) { enc.emit(st); });
+    enc.flush();
+    enc.out.image.symbols = src.symbols();
+    return std::move(enc.out);
 }
 
 } // namespace
@@ -600,7 +265,7 @@ Image
 assemble(const std::string &source,
          const std::map<std::string, std::uint16_t> &predefined)
 {
-    return assembleImpl(source, predefined, nullptr).image;
+    return assembleImpl(source, predefined, {}).image;
 }
 
 ParamImage
@@ -608,7 +273,7 @@ assembleWithParams(const std::string &source,
                    const std::map<std::string, std::uint16_t> &predefined,
                    const std::vector<std::string> &params)
 {
-    return assembleImpl(source, predefined, &params);
+    return assembleImpl(source, predefined, params);
 }
 
 std::string

@@ -1,20 +1,15 @@
 /**
  * @file
- * Two-pass assembler for the U8 ISA.
+ * Two-pass assembler for the U8 ISA: a back end of the shared front end
+ * (mcu/asm_source.hh, which describes the syntax, expressions and
+ * .org/.equ/label rules). Its own parts:
  *
- * Syntax (one statement per line; ';' starts a comment):
- *
- *   .org  ADDR            set the location counter
- *   .equ  NAME, VALUE     define a symbol
  *   .byte V1, V2, ...     emit raw bytes
  *   .word V1, V2, ...     emit 16-bit big-endian words
- *   .space N              emit N zero bytes
- *   label:                define a label at the location counter
- *   MNEMONIC operands     one instruction
+ *   .space N              emit N zero bytes (N may not read a later symbol)
  *
- * Operands: r0..r15 (registers), p0..p7 (pointer pairs), numeric literals
- * (decimal, 0x hex, 'c' character), symbols/labels, and lo(EXPR)/hi(EXPR)
- * byte selectors. Simple EXPR+EXPR / EXPR-EXPR arithmetic is supported.
+ * Register operands are r0..r15 and pointer pairs p0..p7: the letter and
+ * decimal digits, nothing else. Each .org starts a new image chunk.
  *
  * The paper's applications were "mapped to the simulator by hand" in
  * assembly for both the event processor and the microcontroller (§6.1.1);
@@ -65,7 +60,8 @@ struct Image
  * Assemble @p source. Errors (unknown mnemonics, bad operands, duplicate
  * or undefined symbols, range overflows, .org/.space operands that
  * depend on a symbol defined further down) raise fatal() with the line
- * number.
+ * number. Image::symbols holds the labels and the .equ symbols that fit
+ * in 16 bits.
  *
  * @param predefined symbols visible to the source before any .equ, used
  *        to inject platform memory maps.

@@ -146,6 +146,7 @@ TEST(EpAssembler, WideOperandsAreFatalNotTruncated)
     EXPECT_THROW(epAssemble(".isr Timer0, 0x10000\n"), sim::FatalError);
     EXPECT_THROW(epAssemble("SWITCHON 4294967296\n"), sim::FatalError);
     EXPECT_THROW(epAssemble("READ 12abc\n"), sim::FatalError);
+    EXPECT_THROW(epAssemble(".org 0x12345\n"), sim::FatalError);
     try {
         epAssemble("TERMINATE\nREAD 0x12345\n");
         FAIL() << "expected fatal";
@@ -163,6 +164,10 @@ TEST(EpAssembler, DuplicateEquIsFatal)
                  sim::FatalError);
     EXPECT_THROW(epAssemble(".equ a, 2\na:\nTERMINATE\n"),
                  sim::FatalError);
+    // A default symbol is no more redefinable than a source one.
+    EXPECT_THROW(epAssemble(".equ RADIO_CTRL, 0x10\nREAD RADIO_CTRL\n"),
+                 sim::FatalError);
+    EXPECT_THROW(epAssemble("RADIO_CTRL:\nTERMINATE\n"), sim::FatalError);
 }
 
 TEST(EpAssembler, OrgForwardReferenceIsFatal)
@@ -197,6 +202,17 @@ TEST(EpAssembler, SymbolArithmeticAndEqu)
     EXPECT_EQ(instr->addrA, 0x1236);
     EXPECT_EQ(program.symbol("entry"), map::epIsrBase);
     EXPECT_THROW(program.symbol("nope"), sim::FatalError);
+
+    // The evaluator the µC assembler uses: byte selectors, parentheses
+    // and characters. A wide .equ stays out of the 16-bit symbol table.
+    program = epAssemble(".equ WIDE, 0x12345\n"
+                         "WRITEI MSG_CTRL, lo(0x101)\n"
+                         "WRITEI MSG_CTRL, hi(0x0300) + ('b' - 'a')\n");
+    EXPECT_EQ(EpInstruction::decode(program.code)->operand5, 1u);
+    EXPECT_EQ(EpInstruction::decode(std::span(program.code).subspan(3))
+                  ->operand5,
+              4u);
+    EXPECT_THROW(program.symbol("WIDE"), sim::FatalError);
 }
 
 // --------------------------------------------------------------------------

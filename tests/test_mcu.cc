@@ -150,6 +150,12 @@ TEST(Assembler, ErrorsCarryLineNumbers)
     EXPECT_THROW(assemble("LDI r0, 300\n"), sim::FatalError);
     EXPECT_THROW(assemble("JMP nowhere\n"), sim::FatalError);
     EXPECT_THROW(assemble("a:\na:\nNOP\n"), sim::FatalError);
+    // A register or pair is its letter and digits, nothing more: each of
+    // these used to assemble as r1 or p1.
+    EXPECT_THROW(assemble("LDI r1x, 3\n"), sim::FatalError);
+    EXPECT_THROW(assemble("LDI r+1, 3\n"), sim::FatalError);
+    EXPECT_THROW(assemble("LDI r 1, 3\n"), sim::FatalError);
+    EXPECT_THROW(assemble("LDX r0, p1junk\n"), sim::FatalError);
     try {
         assemble("NOP\nNOP\nBAD\n");
         FAIL() << "expected fatal";
