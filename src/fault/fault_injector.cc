@@ -1,7 +1,8 @@
 #include "fault/fault_injector.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -10,122 +11,146 @@ namespace ulp::fault {
 
 namespace {
 
-double
-parseNumber(const std::string &token, unsigned line_no)
+using Kind = Action::Kind;
+
+/** What a numeric argument is, and so which values it may take. */
+enum class Arg { Probability, Duration, Factor, Joules, Address, Bit, Count };
+
+/** One action word: its kind, whether a device name follows it, and
+ *  the numeric arguments after that (into Action::a, b, c, d). */
+struct Syntax
 {
-    // strtod handles "0x.." hex (addresses) as well as decimals.
-    const char *begin = token.c_str();
-    char *end = nullptr;
-    double value = std::strtod(begin, &end);
-    if (end == begin || *end != '\0')
-        sim::fatal("campaign plan line %u: bad number '%s'", line_no,
-                   token.c_str());
-    return value;
+    const char *word;
+    Kind kind;
+    bool target;
+    std::vector<Arg> args;
+};
+
+const std::vector<Syntax> &
+syntax()
+{
+    using A = Arg;
+    static const std::vector<Syntax> table = {
+        {"channel-ge", Kind::ChannelGe, false,
+         {A::Probability, A::Probability, A::Probability, A::Probability}},
+        {"channel-ge-off", Kind::ChannelGeOff, false, {}},
+        {"channel-loss", Kind::ChannelLoss, false, {A::Probability}},
+        {"sram-flip", Kind::SramFlip, false, {A::Address, A::Bit}},
+        {"sram-random-flip", Kind::SramRandomFlip, false, {A::Count}},
+        {"wedge", Kind::Wedge, true, {A::Duration}},
+        {"unwedge", Kind::Unwedge, true, {}},
+        {"slowdown", Kind::Slowdown, true, {A::Factor}},
+        {"droop", Kind::Droop, false, {A::Joules}},
+        {"node-fail", Kind::NodeFail, false, {}},
+        {"node-revive", Kind::NodeRevive, false, {}},
+    };
+    return table;
 }
 
-Action::Kind
-parseKind(const std::string &word, unsigned line_no)
+const char *
+word(Kind kind)
 {
-    if (word == "channel-ge")
-        return Action::Kind::ChannelGe;
-    if (word == "channel-ge-off")
-        return Action::Kind::ChannelGeOff;
-    if (word == "channel-loss")
-        return Action::Kind::ChannelLoss;
-    if (word == "sram-flip")
-        return Action::Kind::SramFlip;
-    if (word == "sram-random-flip")
-        return Action::Kind::SramRandomFlip;
-    if (word == "wedge")
-        return Action::Kind::Wedge;
-    if (word == "unwedge")
-        return Action::Kind::Unwedge;
-    if (word == "slowdown")
-        return Action::Kind::Slowdown;
-    if (word == "droop")
-        return Action::Kind::Droop;
-    if (word == "node-fail")
-        return Action::Kind::NodeFail;
-    if (word == "node-revive")
-        return Action::Kind::NodeRevive;
-    sim::fatal("campaign plan line %u: unknown action '%s'", line_no,
-               word.c_str());
-    return Action::Kind::ChannelLoss; // unreachable
-}
-
-bool
-takesTarget(Action::Kind kind)
-{
-    return kind == Action::Kind::Wedge || kind == Action::Kind::Unwedge ||
-           kind == Action::Kind::Slowdown;
-}
-
-unsigned
-numericArgs(Action::Kind kind)
-{
-    switch (kind) {
-      case Action::Kind::ChannelGe: return 4;
-      case Action::Kind::ChannelGeOff: return 0;
-      case Action::Kind::ChannelLoss: return 1;
-      case Action::Kind::SramFlip: return 2;
-      case Action::Kind::SramRandomFlip: return 1;
-      case Action::Kind::Wedge: return 1;
-      case Action::Kind::Unwedge: return 0;
-      case Action::Kind::Slowdown: return 1;
-      case Action::Kind::Droop: return 1;
-      case Action::Kind::NodeFail: return 0;
-      case Action::Kind::NodeRevive: return 0;
+    for (const Syntax &s : syntax()) {
+        if (s.kind == kind)
+            return s.word;
     }
-    return 0;
+    return "?";
+}
+
+/** Seconds @p text at @p from seconds or later, fatal unless that end
+ *  is a tick: finite, not negative, before sim::maxTick. */
+double
+seconds(const sim::ini::Cursor &at, const std::string &what,
+        const std::string &text, double from = 0.0)
+{
+    const double v = sim::ini::parseDouble(at, what, text);
+    if (v < 0.0)
+        at.fail("negative " + what + " " + text);
+    // The end converts to a tick only below 2^64 ns.
+    if ((from + v) * static_cast<double>(sim::ticksPerSecond) + 0.5 >=
+        0x1p64)
+        at.fail(what + " " + text + " lies past the last simulated tick");
+    return v;
+}
+
+double
+argument(const sim::ini::Cursor &at, Arg arg, const std::string &text,
+         double time)
+{
+    auto real = [&](const char *what, double lo, double hi) {
+        const double v = sim::ini::parseDouble(at, what, text);
+        if (v < lo || v > hi) {
+            at.fail(sim::csprintf("%s %s is outside [%g, %g]", what,
+                                  text.c_str(), lo, hi));
+        }
+        return v;
+    };
+    switch (arg) {
+      case Arg::Probability:
+        return real("probability", 0.0, 1.0);
+      case Arg::Duration:
+        return seconds(at, "duration", text, time);
+      case Arg::Factor:
+        return real("slowdown factor", 1.0, 1e6);
+      case Arg::Joules:
+        return real("droop", 0.0, HUGE_VAL);
+      case Arg::Address:
+        return sim::ini::parseUnsigned(at, "address", text, UINT32_MAX);
+      case Arg::Bit:
+        return sim::ini::parseUnsigned(at, "bit", text, UINT32_MAX);
+      case Arg::Count:
+        return sim::ini::parseUnsigned(at, "count", text, UINT32_MAX);
+    }
+    return 0.0;
 }
 
 } // namespace
 
 CampaignPlan
-parsePlan(const std::string &text)
+parsePlan(const std::string &text, const std::string &file)
 {
     CampaignPlan plan;
+    plan.file = file;
+    sim::ini::Cursor at{file, 0};
     std::istringstream lines(text);
     std::string line;
-    unsigned line_no = 0;
     while (std::getline(lines, line)) {
-        ++line_no;
-        auto cut = line.find_first_of("#;");
-        if (cut != std::string::npos)
-            line.erase(cut);
-
-        std::istringstream fields(line);
-        std::vector<std::string> tokens;
-        std::string token;
-        while (fields >> token)
-            tokens.push_back(token);
+        ++at.line;
+        std::istringstream fields(line.substr(0, line.find_first_of("#;")));
+        const std::vector<std::string> tokens{
+            std::istream_iterator<std::string>(fields), {}};
         if (tokens.empty())
             continue;
 
         Action action;
-        action.atSeconds = parseNumber(tokens[0], line_no);
-        if (action.atSeconds < 0.0)
-            sim::fatal("campaign plan line %u: negative time", line_no);
+        action.line = at.line;
+        action.atSeconds = seconds(at, "time", tokens[0]);
         if (tokens.size() < 2)
-            sim::fatal("campaign plan line %u: missing action", line_no);
-        action.kind = parseKind(tokens[1], line_no);
+            at.fail("missing action");
+        const auto &table = syntax();
+        const auto it = std::find_if(
+            table.begin(), table.end(),
+            [&](const Syntax &s) { return tokens[1] == s.word; });
+        if (it == table.end())
+            at.fail("unknown action '" + tokens[1] + "'");
+        action.kind = it->kind;
 
         std::size_t next = 2;
-        if (takesTarget(action.kind)) {
+        if (it->target) {
             if (tokens.size() <= next)
-                sim::fatal("campaign plan line %u: missing target device",
-                           line_no);
+                at.fail("missing target device");
             action.target = tokens[next++];
         }
-        unsigned wanted = numericArgs(action.kind);
-        if (tokens.size() != next + wanted) {
-            sim::fatal("campaign plan line %u: expected %u argument(s) for "
-                       "'%s', got %zu", line_no, wanted, tokens[1].c_str(),
-                       tokens.size() - next);
+        if (tokens.size() != next + it->args.size()) {
+            at.fail(sim::csprintf("expected %zu argument(s) for '%s', got %zu",
+                                  it->args.size(), it->word,
+                                  tokens.size() - next));
         }
         double *slots[] = {&action.a, &action.b, &action.c, &action.d};
-        for (unsigned i = 0; i < wanted; ++i)
-            *slots[i] = parseNumber(tokens[next + i], line_no);
+        for (std::size_t i = 0; i < it->args.size(); ++i) {
+            *slots[i] = argument(at, it->args[i], tokens[next + i],
+                                 action.atSeconds);
+        }
         plan.actions.push_back(std::move(action));
     }
     return plan;
@@ -140,6 +165,8 @@ FaultInjector::FaultInjector(sim::Simulation &simulation,
 void
 FaultInjector::run(const CampaignPlan &plan)
 {
+    for (const Action &action : plan.actions)
+        check(sim::ini::Cursor{plan.file, action.line}, action);
     for (const Action &action : plan.actions) {
         scheduled.push_back(std::make_unique<Action>(action));
         Action *stable = scheduled.back().get();
@@ -149,6 +176,61 @@ FaultInjector::run(const CampaignPlan &plan)
         sim::Tick at = std::max(curTick(),
                                 sim::secondsToTicks(action.atSeconds));
         eventq().schedule(events.back().get(), at);
+    }
+}
+
+void
+FaultInjector::check(const sim::ini::Cursor &at, const Action &action) const
+{
+    const std::string act = std::string("'") + word(action.kind) + "'";
+    switch (action.kind) {
+      case Kind::ChannelGe:
+      case Kind::ChannelGeOff:
+      case Kind::ChannelLoss:
+        if (!channel) {
+            at.fail(act + " needs a channel (threads = 1 and the broadcast "
+                          "model)");
+        }
+        break;
+      case Kind::SramFlip:
+      case Kind::SramRandomFlip: {
+        if (!sram)
+            at.fail(act + " needs an SRAM");
+        const std::uint32_t bytes = sram->sizeBytes();
+        if (action.kind == Kind::SramRandomFlip) {
+            if (action.a > 8.0 * bytes) {
+                at.fail(sim::csprintf("%.0f flips exceed the SRAM's %u bits",
+                                      action.a, 8 * bytes));
+            }
+        } else if (action.a >= bytes) {
+            at.fail(sim::csprintf("address %#x lies outside the %u-byte SRAM",
+                                  static_cast<unsigned>(action.a), bytes));
+        } else if (action.b > 7) {
+            at.fail(sim::csprintf("bit %.0f is not in 0..7", action.b));
+        }
+        break;
+      }
+      case Kind::Wedge:
+      case Kind::Unwedge:
+      case Kind::Slowdown:
+        if (!devices.count(action.target)) {
+            std::string known;
+            for (const auto &[name, device] : devices)
+                known += (known.empty() ? "" : ", ") + name;
+            at.fail(act + " names unknown device '" + action.target +
+                    "' (attached: " + (known.empty() ? "none" : known) +
+                    ")");
+        }
+        break;
+      case Kind::Droop:
+        if (!supply)
+            at.fail(act + " needs a supply (a node with a battery)");
+        break;
+      case Kind::NodeFail:
+      case Kind::NodeRevive:
+        if (!lifecycle)
+            at.fail(act + " needs a node lifecycle hook");
+        break;
     }
 }
 
@@ -166,53 +248,28 @@ FaultInjector::visitStats(sim::stats::Visitor &v) const
              "node fail/revive lifecycle events applied");
 }
 
-core::SlaveDevice *
-FaultInjector::device(const Action &action)
-{
-    auto it = devices.find(action.target);
-    if (it == devices.end())
-        sim::fatal("%s: campaign targets unattached device '%s'",
-                   name().c_str(), action.target.c_str());
-    return it->second;
-}
-
 void
 FaultInjector::apply(const Action &action)
 {
     switch (action.kind) {
-      case Action::Kind::ChannelGe:
-        if (!channel)
-            sim::fatal("%s: channel action without an attached channel",
-                       name().c_str());
+      case Kind::ChannelGe:
         channel->setGilbertElliott({action.a, action.b, action.c, action.d});
         ++statChannelFaults;
         break;
-      case Action::Kind::ChannelGeOff:
-        if (!channel)
-            sim::fatal("%s: channel action without an attached channel",
-                       name().c_str());
+      case Kind::ChannelGeOff:
         channel->clearGilbertElliott();
         ++statChannelFaults;
         break;
-      case Action::Kind::ChannelLoss:
-        if (!channel)
-            sim::fatal("%s: channel action without an attached channel",
-                       name().c_str());
+      case Kind::ChannelLoss:
         channel->setLossProbability(action.a);
         ++statChannelFaults;
         break;
-      case Action::Kind::SramFlip:
-        if (!sram)
-            sim::fatal("%s: SRAM action without an attached SRAM",
-                       name().c_str());
+      case Kind::SramFlip:
         if (sram->flipBit(static_cast<std::uint16_t>(action.a),
                           static_cast<unsigned>(action.b)))
             ++statBitFlips;
         break;
-      case Action::Kind::SramRandomFlip: {
-        if (!sram)
-            sim::fatal("%s: SRAM action without an attached SRAM",
-                       name().c_str());
+      case Kind::SramRandomFlip: {
         auto flips = static_cast<unsigned>(action.a);
         for (unsigned i = 0; i < flips; ++i) {
             auto addr = static_cast<std::uint16_t>(
@@ -223,33 +280,27 @@ FaultInjector::apply(const Action &action)
         }
         break;
       }
-      case Action::Kind::Wedge:
-        device(action)->injectWedge(action.a > 0.0
-                                        ? sim::secondsToTicks(action.a)
-                                        : 0);
+      case Kind::Wedge:
+        devices.at(action.target)
+            ->injectWedge(action.a > 0.0 ? sim::secondsToTicks(action.a)
+                                         : 0);
         ++statDeviceFaults;
         break;
-      case Action::Kind::Unwedge:
-        device(action)->clearWedge();
+      case Kind::Unwedge:
+        devices.at(action.target)->clearWedge();
         ++statDeviceFaults;
         break;
-      case Action::Kind::Slowdown:
-        device(action)->setFaultSlowdown(action.a);
+      case Kind::Slowdown:
+        devices.at(action.target)->setFaultSlowdown(action.a);
         ++statDeviceFaults;
         break;
-      case Action::Kind::Droop:
-        if (!supply)
-            sim::fatal("%s: droop action without an attached supply",
-                       name().c_str());
+      case Kind::Droop:
         supply->injectDroop(action.a);
         ++statDroops;
         break;
-      case Action::Kind::NodeFail:
-      case Action::Kind::NodeRevive:
-        if (!lifecycle)
-            sim::fatal("%s: lifecycle action without an attached hook",
-                       name().c_str());
-        lifecycle(action.kind == Action::Kind::NodeRevive);
+      case Kind::NodeFail:
+      case Kind::NodeRevive:
+        lifecycle(action.kind == Kind::NodeRevive);
         ++statLifecycle;
         break;
     }

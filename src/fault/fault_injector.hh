@@ -31,6 +31,18 @@
  * node-fail / node-revive act on the node the injector's lifecycle hook
  * is attached to (attachLifecycle), making node death a first-class
  * fault kind alongside the component-level ones.
+ *
+ * A plan is checked when it loads, and every diagnostic is a
+ * sim::FatalError "file:line: message". parsePlan refuses times and
+ * durations that are not finite, are negative or lie past the last
+ * tick, probabilities outside [0, 1], slowdown factors outside
+ * [1, 1e6], negative droops, and addresses, bits and counts that are
+ * not unsigned integers. run() then refuses, before it schedules
+ * anything, an action whose target is not attached: an SRAM address
+ * outside the attached SRAM, a bit outside 0..7, more flips than the
+ * SRAM has bits, an unknown device (the message lists the attached
+ * ones), a channel action without a channel, a node action without a
+ * lifecycle hook, and a droop without a supply.
  */
 
 #ifndef ULP_FAULT_FAULT_INJECTOR_HH
@@ -46,6 +58,7 @@
 #include "memory/sram.hh"
 #include "net/channel.hh"
 #include "power/harvest.hh"
+#include "sim/ini.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
 
@@ -71,15 +84,18 @@ struct Action
     Kind kind = Kind::ChannelLoss;
     std::string target; ///< device name for Wedge/Unwedge/Slowdown
     double a = 0.0, b = 0.0, c = 0.0, d = 0.0;
+    unsigned line = 0; ///< plan line, for diagnostics; 0 = built in code
 };
 
 struct CampaignPlan
 {
+    std::string file = "campaign plan"; ///< names the plan in diagnostics
     std::vector<Action> actions;
 };
 
-/** Parse the text plan format above. sim::fatal on malformed input. */
-CampaignPlan parsePlan(const std::string &text);
+/** Parse the text plan format above; @p file names it in diagnostics. */
+CampaignPlan parsePlan(const std::string &text,
+                       const std::string &file = "campaign plan");
 
 class FaultInjector : public sim::SimObject
 {
@@ -89,8 +105,8 @@ class FaultInjector : public sim::SimObject
 
     void visitStats(sim::stats::Visitor &v) const override;
 
-    // --- attachment points (any subset; an action against a missing
-    // --- target is a plan error) ------------------------------------------
+    // --- attachment points (any subset; run() refuses an action against
+    // --- a missing target) -------------------------------------------------
     void attachChannel(net::Channel *c) { channel = c; }
     void attachSram(memory::Sram *s) { sram = s; }
     void attachSupply(power::HarvestingSupply *s) { supply = s; }
@@ -107,11 +123,17 @@ class FaultInjector : public sim::SimObject
         lifecycle = std::move(hook);
     }
 
-    /** Schedule every action of @p plan (times are absolute seconds). */
+    /** Check every action of @p plan against the attachments, then
+     *  schedule them all (times are absolute seconds). */
     void run(const CampaignPlan &plan);
 
-    /** Parse and schedule a text plan. */
-    void runText(const std::string &plan_text) { run(parsePlan(plan_text)); }
+    /** Parse and run a text plan; @p file names it in diagnostics. */
+    void
+    runText(const std::string &plan_text,
+            const std::string &file = "campaign plan")
+    {
+        run(parsePlan(plan_text, file));
+    }
 
     std::uint64_t injectedChannelFaults() const
     {
@@ -135,8 +157,9 @@ class FaultInjector : public sim::SimObject
     }
 
   private:
+    /** Fatal at @p at unless @p action's target is attached. */
+    void check(const sim::ini::Cursor &at, const Action &action) const;
     void apply(const Action &action);
-    core::SlaveDevice *device(const Action &action);
 
     net::Channel *channel = nullptr;
     memory::Sram *sram = nullptr;

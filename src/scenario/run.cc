@@ -55,7 +55,8 @@ ScenarioRun::ScenarioRun(const Scenario &scenario)
     }
 
     // The fault campaign attaches to one node's fabric (and, when
-    // available, the broadcast channel), on that node's shard.
+    // available, the broadcast channel and the node's battery), on that
+    // node's shard.
     if (sc.fault) {
         const unsigned target = sc.fault->node;
         core::SensorNode &node = network.node(target);
@@ -67,6 +68,8 @@ ScenarioRun::ScenarioRun(const Scenario &scenario)
         injector->attachDevice("compressor", &node.compressor());
         if (net::Channel *ch = network.broadcastChannel())
             injector->attachChannel(ch);
+        if (power::HarvestingSupply *supply = node.supply())
+            injector->attachSupply(supply);
         // node-fail / node-revive plan actions act on the target node.
         injector->attachLifecycle([this, target](bool up) {
             if (up)
@@ -74,7 +77,8 @@ ScenarioRun::ScenarioRun(const Scenario &scenario)
             else
                 network.powerOffNodeNow(target);
         });
-        injector->runText(sim::readFile(sc.fault->campaign, "fault plan"));
+        injector->runText(sim::readFile(sc.fault->campaign, "fault plan"),
+                          sc.fault->campaign);
     }
 }
 

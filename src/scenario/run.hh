@@ -44,7 +44,9 @@ struct RunTotals
  *
  * Construction throws sim::FatalError on a scenario the lowering
  * rejects, on [radio] loss without the one-shard broadcast medium, and
- * on an unreadable or malformed fault plan.
+ * on an unreadable or malformed fault plan or one whose actions the
+ * target node cannot take (a channel action at threads > 1, a droop
+ * without a battery), naming the plan file and line.
  */
 class ScenarioRun
 {

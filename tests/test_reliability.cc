@@ -476,6 +476,22 @@ TEST(FaultInjector, RejectsMalformedPlans)
     EXPECT_THROW(fault::parsePlan("0.0 wedge"), sim::FatalError);
     EXPECT_THROW(fault::parsePlan("oops channel-loss 0.1"),
                  sim::FatalError);
+    // Values no action can mean are refused at load, naming the plan and
+    // its line: each of these used to run, or to die mid-run.
+    for (const char *bad :
+         {"inf channel-loss 0.1", "nan sram-flip 0x10 1",
+          "1e30 sram-flip 0x10 1", "0.0 channel-loss 7",
+          "0.0 sram-random-flip -1", "0.1 channel-ge 2 0.3 0 0.9",
+          "0.1 slowdown msgProc 0.5", "0.1 droop -1"}) {
+        try {
+            fault::parsePlan(std::string("# hostile\n") + bad, "bad.plan");
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad.plan:2: "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FaultInjector, CampaignActionsLandOnSchedule)
@@ -527,8 +543,31 @@ TEST(FaultInjector, UnattachedTargetIsFatal)
 {
     sim::Simulation simulation;
     fault::FaultInjector injector(simulation, "injector");
-    injector.runText("0.0 droop 0.001"); // no supply attached
-    EXPECT_THROW(simulation.runForSeconds(0.1), sim::FatalError);
+    // No supply attached: refused at load, before anything is scheduled.
+    EXPECT_THROW(injector.runText("0.0 droop 0.001"), sim::FatalError);
+
+    // Targets the attachments do not have, each named with its line.
+    NodeConfig cfg;
+    cfg.sensorSignal = [](sim::Tick) { return 0; };
+    SensorNode node(simulation, "node", cfg);
+    injector.attachSram(&node.memory());
+    injector.attachDevice("msgProc", &node.msgProc());
+    for (const char *bad :
+         {"0.0 sram-flip 0x10410 3", "0.0 sram-flip 0x0900 1",
+          "0.0 sram-flip 0x0410 9", "0.0 sram-random-flip 16385",
+          "0.1 wedge radio 0.5", "0.1 channel-loss 0.1", "0.1 node-fail"}) {
+        try {
+            injector.runText(std::string("0.0 sram-flip 0x0410 1\n") + bad,
+                             "bad.plan");
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad.plan:2: "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    simulation.runForSeconds(0.1);
+    EXPECT_EQ(injector.injectedBitFlips(), 0u);
 }
 
 TEST(FaultInjector, BitFlipCorruptsStoredData)

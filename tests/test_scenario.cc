@@ -527,6 +527,51 @@ TEST(ScenarioMutation, EveryKeyScenario)
         });
 }
 
+TEST(FaultPlanMutation, EveryAction)
+{
+    // Every action of the plan format against a 2-node broadcast network
+    // whose target node has a battery, so each one has what it acts on.
+    const std::string plan = "# t   action       args\n"
+                             "0.001 channel-ge   0.05 0.3 0 0.9\n"
+                             "0.002 channel-ge-off\n"
+                             "0.002 channel-loss 0.1\n"
+                             "0.001 sram-flip    0x0410 3\n"
+                             "0.001 sram-random-flip 4\n"
+                             "0.001 wedge    msgProc 0.001\n"
+                             "0.002 unwedge  msgProc\n"
+                             "0.002 slowdown compressor 2.0\n"
+                             "0.001 droop    0.001\n"
+                             "0.002 node-fail\n"
+                             "0.003 node-revive\n";
+    test::TestDir tmp;
+    Scenario sc;
+    sc.seconds = 0.004;
+    sc.nodes.count = 2;
+    sc.nodes.app = "app1";
+    sc.fault.emplace();
+    sc.fault->campaign = tmp.file("mutant.plan");
+    sc.lifecycle.emplace();
+    sc.lifecycle->battery = 1.0;
+    sim::setQuiet(true);
+    test::writeFile(sc.fault->campaign, plan);
+    {
+        scenario::ScenarioRun run(sc);
+        run.run();
+        const fault::FaultInjector &injector = *run.injector;
+        EXPECT_EQ(injector.injectedChannelFaults(), 3u);
+        EXPECT_GE(injector.injectedBitFlips(), 1u);
+        EXPECT_EQ(injector.injectedDeviceFaults(), 3u);
+        EXPECT_EQ(injector.injectedDroops(), 1u);
+        EXPECT_EQ(injector.injectedLifecycleEvents(), 2u);
+    }
+    test::mutate(sc.fault->campaign, plan, "019.-ex# \n",
+                 [&](const std::string &) {
+                     scenario::ScenarioRun run(sc);
+                     run.run();
+                 });
+    sim::setQuiet(false);
+}
+
 // ---------------------------------------------------------------------------
 // Lowering.
 // ---------------------------------------------------------------------------
