@@ -142,10 +142,10 @@ irqByName(const mcu::AsmSource &src, const std::string &name)
 EpOpcode
 opcode(const mcu::AsmSource &src, const Statement &st)
 {
-    const auto opcode = epOpcodeByMnemonic(st.mnemonic);
-    if (!opcode)
+    const std::optional<EpOpcode> op = epOpcodeByMnemonic(st.mnemonic);
+    if (!op)
         src.fail("unknown mnemonic '" + st.mnemonic + "'");
-    return *opcode;
+    return *op;
 }
 
 EpInstruction

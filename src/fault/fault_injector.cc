@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -57,8 +56,8 @@ word(Kind kind)
     return "?";
 }
 
-/** Seconds @p text at @p from seconds or later, fatal unless that end
- *  is a tick: finite, not negative, before sim::maxTick. */
+/** The seconds in @p text, fatal unless they are finite and not
+ *  negative and, counted from @p from, end before the last tick. */
 double
 seconds(const sim::ini::Cursor &at, const std::string &what,
         const std::string &text, double from = 0.0)
@@ -117,8 +116,9 @@ parsePlan(const std::string &text, const std::string &file)
     while (std::getline(lines, line)) {
         ++at.line;
         std::istringstream fields(line.substr(0, line.find_first_of("#;")));
-        const std::vector<std::string> tokens{
-            std::istream_iterator<std::string>(fields), {}};
+        std::vector<std::string> tokens;
+        for (std::string token; fields >> token;)
+            tokens.push_back(token);
         if (tokens.empty())
             continue;
 

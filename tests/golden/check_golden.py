@@ -113,8 +113,12 @@ def run(ulpsim, path, scratch):
 
 
 def run_program(path):
-    proc = subprocess.run([path], cwd=ROOT, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE)
+    try:
+        proc = subprocess.run([path], cwd=ROOT, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+    except OSError as e:
+        sys.stderr.write(f"{e}\n")
+        return None
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
         return None
