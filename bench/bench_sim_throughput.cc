@@ -172,8 +172,20 @@ drawTick(Lcg &lcg, sim::Tick now, sim::Tick edge)
  */
 struct QueueHarness
 {
+    /** A pool event: running it records its index. */
+    struct PoolEvent : sim::Event
+    {
+        PoolEvent(QueueHarness &harness, std::size_t index)
+            : harness(harness), index(index)
+        {}
+        void process() override { harness.lastRan = index; }
+
+        QueueHarness &harness;
+        std::size_t index;
+    };
+
     sim::EventQueue queue;
-    std::vector<std::unique_ptr<sim::EventFunctionWrapper>> pool;
+    std::vector<std::unique_ptr<PoolEvent>> pool;
     std::size_t lastRan = 0;
     sim::Tick edge;
     Lcg lcg;
@@ -181,8 +193,7 @@ struct QueueHarness
     QueueHarness(std::size_t depth, sim::Tick edge) : edge(edge)
     {
         for (std::size_t i = 0; i < depth; ++i) {
-            pool.push_back(std::make_unique<sim::EventFunctionWrapper>(
-                [this, i] { lastRan = i; }, sim::EventName("ev")));
+            pool.push_back(std::make_unique<PoolEvent>(*this, i));
             queue.schedule(pool.back().get(), drawTick(lcg, 0, edge));
         }
     }

@@ -18,9 +18,6 @@ Mica2Platform::Mica2Platform(sim::Simulation &simulation,
                             map::vectorBase},
            this),
       random(config.seed),
-      timerEvent([this] { timerFire(); }, {this->name(), "timer"}),
-      adcEvent([this] { adcDone(); }, {this->name(), "adc"}),
-      txDoneEvent([this] { txDone(); }, {this->name(), "txDone"}),
       cpuTracker(*this,
                  power::PowerModel{cpuActiveWatts, cpuPowerSaveWatts,
                                    cpuPowerDownAmps * mica2SupplyVolts},

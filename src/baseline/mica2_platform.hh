@@ -118,13 +118,13 @@ class Mica2Platform : public sim::SimObject,
     // Timer peripheral.
     std::uint16_t timerLoad = 0;
     std::uint8_t timerCtrlReg = 0;
-    sim::EventFunctionWrapper timerEvent;
+    sim::MemberEvent<&Mica2Platform::timerFire> timerEvent{this, "timer"};
 
     // ADC peripheral.
     bool adcBusy = false;
     bool adcDoneFlag = false;
     std::uint8_t adcValue = 0;
-    sim::EventFunctionWrapper adcEvent;
+    sim::MemberEvent<&Mica2Platform::adcDone> adcEvent{this, "adc"};
 
     // Radio peripheral.
     bool txBusy = false;
@@ -133,7 +133,7 @@ class Mica2Platform : public sim::SimObject,
     std::uint8_t txLen = 0, rxLen = 0;
     std::array<std::uint8_t, 32> txBuf{}, rxBuf{};
     net::Frame lastTx;
-    sim::EventFunctionWrapper txDoneEvent;
+    sim::MemberEvent<&Mica2Platform::txDone> txDoneEvent{this, "txDone"};
 
     std::uint8_t ledReg = 0;
 

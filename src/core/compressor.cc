@@ -14,8 +14,7 @@ Compressor::Compressor(sim::Simulation &simulation, const std::string &name,
                        sim::Tick wakeup_ticks, const Timing &timing)
     : SlaveDevice(simulation, name, parent, {comp::base, comp::size},
                   event_port, probes, clock, model, wakeup_ticks, true),
-      timing(timing),
-      doneEvent([this] { finishEncode(); }, {this->name(), "encodeDone"})
+      timing(timing)
 {
 }
 

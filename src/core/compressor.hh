@@ -104,7 +104,7 @@ class Compressor : public SlaveDevice
     bool done = false;
     std::array<std::uint8_t, bufferBytes> input{};
     std::array<std::uint8_t, bufferBytes> output{};
-    sim::EventFunctionWrapper doneEvent;
+    sim::MemberEvent<&Compressor::finishEncode> doneEvent{this, "encodeDone"};
 
     sim::stats::Scalar statBlocks;
     sim::stats::Scalar statBytesIn;

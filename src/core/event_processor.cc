@@ -18,8 +18,7 @@ EventProcessor::EventProcessor(sim::Simulation &simulation,
     : sim::SimObject(simulation, name, parent),
       bus(bus), irqBus(irq_bus), powerCtrl(power_ctrl), probes(probes),
       clock(clock), _timing(timing),
-      tracker(*this, model, power::PowerState::Idle),
-      advanceEvent(this, &EventProcessor::advance, {this->name(), "advance"})
+      tracker(*this, model, power::PowerState::Idle)
 {
     irqBus.setSink(this);
     obs = simulation.telemetry();

@@ -136,7 +136,7 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
     std::uint16_t wakeupHandler = 0;
 
     power::EnergyTracker tracker;
-    sim::MemberEventWrapper<EventProcessor> advanceEvent;
+    sim::MemberEvent<&EventProcessor::advance> advanceEvent{this, "advance"};
 
     sim::TelemetrySink *obs = nullptr;
     std::uint32_t obsId = 0;

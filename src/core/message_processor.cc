@@ -17,15 +17,7 @@ MessageProcessor::MessageProcessor(sim::Simulation &simulation,
                                    const Timing &timing)
     : SlaveDevice(simulation, name, parent, {map::msgBase, map::msgSize},
                   event_port, probes, clock, model, wakeup_ticks, true),
-      timing(timing),
-      doneEvent([this] {
-          if (activeCmd == cmdPrepare)
-              finishPrepare();
-          else if (activeCmd == cmdProcessRx)
-              finishProcessRx();
-          activeCmd = 0;
-          status &= static_cast<std::uint8_t>(~statusBusy);
-      }, {this->name(), "cmdDone"})
+      timing(timing)
 {
 }
 
@@ -170,6 +162,17 @@ MessageProcessor::startCommand(std::uint8_t cmd)
     status |= statusBusy;
     beActiveFor(cost);
     eventq().reschedule(&doneEvent, curTick() + cyclesToTicks(cost));
+}
+
+void
+MessageProcessor::commandDone()
+{
+    if (activeCmd == cmdPrepare)
+        finishPrepare();
+    else if (activeCmd == cmdProcessRx)
+        finishProcessRx();
+    activeCmd = 0;
+    status &= static_cast<std::uint8_t>(~statusBusy);
 }
 
 void

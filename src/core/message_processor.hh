@@ -172,6 +172,8 @@ class MessageProcessor : public SlaveDevice
 
   private:
     void startCommand(std::uint8_t cmd);
+    /** The active command's end: finish it and clear BUSY. */
+    void commandDone();
     void finishPrepare();
     void finishProcessRx();
     bool camLookupInsert(std::uint16_t src, std::uint8_t seq);
@@ -209,7 +211,8 @@ class MessageProcessor : public SlaveDevice
     /** Per-origin local-delivery counts (observability, not hardware). */
     std::map<std::uint16_t, std::uint64_t> localBySource;
 
-    sim::EventFunctionWrapper doneEvent;
+    sim::MemberEvent<&MessageProcessor::commandDone> doneEvent{this,
+                                                              "cmdDone"};
     std::uint8_t activeCmd = 0;
 
     sim::stats::Scalar statPrepared;

@@ -344,23 +344,21 @@ Network::applyNodePlatformConfig(unsigned node)
 void
 Network::scheduleNodePowerOff(unsigned node, sim::Tick when)
 {
-    auto event = std::make_unique<sim::EventFunctionWrapper>(
-        [this, node] { powerOffNodeNow(node); },
-        sim::EventName(this->node(node).name(), "lifecycle.fail"));
-    shards[shardOfNode[node]].simulation->eventq().schedule(event.get(),
-                                                            when);
-    lifecycleEvents.push_back(std::move(event));
+    scheduleLifecycle(node, when, false);
 }
 
 void
 Network::scheduleNodeRevive(unsigned node, sim::Tick when)
 {
-    auto event = std::make_unique<sim::EventFunctionWrapper>(
-        [this, node] { reviveNodeNow(node); },
-        sim::EventName(this->node(node).name(), "lifecycle.revive"));
-    shards[shardOfNode[node]].simulation->eventq().schedule(event.get(),
-                                                            when);
-    lifecycleEvents.push_back(std::move(event));
+    scheduleLifecycle(node, when, true);
+}
+
+void
+Network::scheduleLifecycle(unsigned node, sim::Tick when, bool revive)
+{
+    lifecycle.push_back(std::make_unique<LifecycleEntry>(this, node, revive));
+    shards[shardOfNode[node]].simulation->eventq().schedule(
+        &lifecycle.back()->event, when);
 }
 
 Network::Counters

@@ -169,7 +169,33 @@ class Network
         std::vector<std::unique_ptr<SensorNode>> nodes;
     };
 
+    /** A pre-scheduled power-off or revive of one node; its event reads
+     *  "node3.lifecycle.fail" or "node3.lifecycle.revive". */
+    struct LifecycleEntry
+    {
+        const std::string &name() const { return network->node(node).name(); }
+        void
+        apply()
+        {
+            if (revive)
+                network->reviveNodeNow(node);
+            else
+                network->powerOffNodeNow(node);
+        }
+
+        Network *network;
+        unsigned node;
+        bool revive;
+        sim::MemberEvent<&LifecycleEntry::apply> event{
+            this, revive ? sim::StaticText("lifecycle.revive")
+                         : sim::StaticText("lifecycle.fail")};
+    };
+
     void build(const scenario::NetworkSpec &spec);
+
+    /** Schedule @p node's revive (or power-off) at @p when on the
+     *  node's own shard queue. */
+    void scheduleLifecycle(unsigned node, sim::Tick when, bool revive);
 
     /** Install the node's application (its shape's image stamped with
      *  its parameter bytes) and boot it. */
@@ -189,7 +215,7 @@ class Network
     /** One assembled application per distinct shape. Filled by build(),
      *  read-only afterwards, so shard threads share it on revive/wake. */
     std::map<apps::AppShape, apps::AppImage> images;
-    std::vector<std::unique_ptr<sim::EventFunctionWrapper>> lifecycleEvents;
+    std::vector<std::unique_ptr<LifecycleEntry>> lifecycle;
     sim::Tick ran = 0; ///< total ticks simulated so far
 };
 

@@ -1,6 +1,7 @@
 #include "core/radio_device.hh"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "sim/logging.hh"
 
@@ -28,24 +29,7 @@ RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
     : SlaveDevice(simulation, name, parent,
                   {map::radioBase, map::radioSize}, event_port, probes, clock,
                   model, wakeup_ticks, true),
-      channel(channel), random(seed),
-      airEndEvent(this, &RadioDevice::airEnd, {this->name(), "airEnd"}),
-      macCcaEvent(this, &RadioDevice::macCcaDecide,
-                  {this->name(), "macCca"}),
-      macAckTimeoutEvent(this, &RadioDevice::macAckTimeout,
-                         {this->name(), "macAckWait"}),
-      macAckTxEvent(this, &RadioDevice::macSendAck,
-                    {this->name(), "macAckTx"}),
-      beaconEvent(this, &RadioDevice::beaconTx, {this->name(), "beacon"}),
-      capEndEvent(this, &RadioDevice::capEnd, {this->name(), "capEnd"}),
-      guardWakeEvent(this, &RadioDevice::macGuardWake,
-                     {this->name(), "guardWake"}),
-      beaconMissEvent(this, &RadioDevice::beaconMissed,
-                      {this->name(), "beaconMiss"}),
-      indirectTxEvent(this, &RadioDevice::indirectTxSend,
-                      {this->name(), "indirectTx"}),
-      dataReqEvent(this, &RadioDevice::dataReqSend,
-                   {this->name(), "dataReq"})
+      channel(channel), random(seed)
 {
     if (channel) {
         channel->attach(this);
@@ -554,7 +538,8 @@ RadioDevice::beaconReceived(const net::Frame &frame)
         syncedBo = beaconOrderReg;
         syncedSo = sfOrderReg;
     }
-    for (sim::Event *ev : {&guardWakeEvent, &beaconMissEvent}) {
+    for (sim::Event *ev : std::initializer_list<sim::Event *>{
+             &guardWakeEvent, &beaconMissEvent}) {
         if (ev->scheduled())
             eventq().deschedule(ev);
     }
@@ -863,10 +848,10 @@ RadioDevice::onPowerOn()
 void
 RadioDevice::onPowerOff()
 {
-    for (sim::Event *ev :
-         {&airEndEvent, &macCcaEvent, &macAckTimeoutEvent, &macAckTxEvent,
-          &beaconEvent, &capEndEvent, &guardWakeEvent, &beaconMissEvent,
-          &indirectTxEvent, &dataReqEvent}) {
+    for (sim::Event *ev : std::initializer_list<sim::Event *>{
+             &airEndEvent, &macCcaEvent, &macAckTimeoutEvent, &macAckTxEvent,
+             &beaconEvent, &capEndEvent, &guardWakeEvent, &beaconMissEvent,
+             &indirectTxEvent, &dataReqEvent}) {
         if (ev->scheduled())
             eventq().deschedule(ev);
     }

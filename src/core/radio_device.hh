@@ -375,7 +375,7 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     std::array<std::uint8_t, fifoBytes> rxFifo{};
     /** While macActive nothing else transmits: this is the MAC's frame. */
     net::Frame lastTx;
-    sim::MemberEventWrapper<RadioDevice> airEndEvent;
+    sim::MemberEvent<&RadioDevice::airEnd> airEndEvent{this, "airEnd"};
 
     // MAC transaction state. The ACK wait and the auto-ACK turnaround
     // are their events' scheduled().
@@ -386,9 +386,11 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     unsigned macCcaBusyCount = 0;    ///< busy CCAs this attempt
     sim::Tick mediumBusyUntil = 0;   ///< carrier sense from frameStarted
     net::Frame ackTx;
-    sim::MemberEventWrapper<RadioDevice> macCcaEvent;
-    sim::MemberEventWrapper<RadioDevice> macAckTimeoutEvent;
-    sim::MemberEventWrapper<RadioDevice> macAckTxEvent;
+    sim::MemberEvent<&RadioDevice::macCcaDecide> macCcaEvent{this, "macCca"};
+    sim::MemberEvent<&RadioDevice::macAckTimeout> macAckTimeoutEvent{
+        this, "macAckWait"};
+    sim::MemberEvent<&RadioDevice::macSendAck> macAckTxEvent{this,
+                                                             "macAckTx"};
 
     // Beacon-mode state. The mode and superframe registers persist
     // across power gating like macCtrlReg (they are configuration);
@@ -422,12 +424,15 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     net::Frame indirectTx;             ///< sent when indirectTxEvent fires
     net::Frame dataReq;                ///< sent when dataReqEvent fires
 
-    sim::MemberEventWrapper<RadioDevice> beaconEvent;
-    sim::MemberEventWrapper<RadioDevice> capEndEvent;
-    sim::MemberEventWrapper<RadioDevice> guardWakeEvent;
-    sim::MemberEventWrapper<RadioDevice> beaconMissEvent;
-    sim::MemberEventWrapper<RadioDevice> indirectTxEvent;
-    sim::MemberEventWrapper<RadioDevice> dataReqEvent;
+    sim::MemberEvent<&RadioDevice::beaconTx> beaconEvent{this, "beacon"};
+    sim::MemberEvent<&RadioDevice::capEnd> capEndEvent{this, "capEnd"};
+    sim::MemberEvent<&RadioDevice::macGuardWake> guardWakeEvent{this,
+                                                                "guardWake"};
+    sim::MemberEvent<&RadioDevice::beaconMissed> beaconMissEvent{
+        this, "beaconMiss"};
+    sim::MemberEvent<&RadioDevice::indirectTxSend> indirectTxEvent{
+        this, "indirectTx"};
+    sim::MemberEvent<&RadioDevice::dataReqSend> dataReqEvent{this, "dataReq"};
 
     sim::stats::Scalar statTx;
     sim::stats::Scalar statRx;

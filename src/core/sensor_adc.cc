@@ -13,8 +13,7 @@ SensorAdc::SensorAdc(sim::Simulation &simulation, const std::string &name,
     : SlaveDevice(simulation, name, parent,
                   {map::sensorBase, map::sensorSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
-      signal(std::move(signal)), noiseStddev(noise_stddev), random(seed),
-      doneEvent([this] { acquisitionDone(); }, {this->name(), "acqDone"})
+      signal(std::move(signal)), noiseStddev(noise_stddev), random(seed)
 {
 }
 

@@ -62,7 +62,7 @@ class SensorAdc : public SlaveDevice
     std::uint8_t held = 0;
     bool busy = false;
     bool done = false;
-    sim::EventFunctionWrapper doneEvent;
+    sim::MemberEvent<&SensorAdc::acquisitionDone> doneEvent{this, "acqDone"};
 
     sim::stats::Scalar statSamples;
     sim::stats::Scalar statAcquisitions;

@@ -17,8 +17,7 @@ SlaveDevice::SlaveDevice(sim::Simulation &simulation, const std::string &name,
               initially_powered ? power::PowerState::Idle
                                 : power::PowerState::Gated),
       range(range), port(event_port), probes(probes),
-      wakeupTicks(wakeup_ticks), _powered(initially_powered),
-      idleEvent([this] { becomeIdle(); }, {this->name(), "idle"})
+      wakeupTicks(wakeup_ticks), _powered(initially_powered)
 {
 }
 

@@ -148,7 +148,7 @@ class SlaveDevice : public sim::SimObject,
     sim::Tick wakeupTicks;
     bool _powered;
     sim::Tick activeUntil = 0;
-    sim::EventFunctionWrapper idleEvent;
+    sim::MemberEvent<&SlaveDevice::becomeIdle> idleEvent{this, "idle"};
     bool wedgedLatched = false;
     sim::Tick wedgedUntil = 0;
     double slowdownFactor = 1.0;

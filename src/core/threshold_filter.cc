@@ -14,8 +14,7 @@ ThresholdFilter::ThresholdFilter(sim::Simulation &simulation,
     : SlaveDevice(simulation, name, parent,
                   {map::filterBase, map::filterSize}, event_port, probes,
                   clock, model, wakeup_ticks, true),
-      compareCycles(compare_cycles),
-      decideEvent([this] { decide(); }, {this->name(), "decide"})
+      compareCycles(compare_cycles)
 {
 }
 

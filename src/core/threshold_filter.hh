@@ -56,7 +56,7 @@ class ThresholdFilter : public SlaveDevice
     std::uint8_t result = 0;
     std::uint8_t ctrl = ctrlIrqMode;
     sim::Cycles compareCycles;
-    sim::EventFunctionWrapper decideEvent;
+    sim::MemberEvent<&ThresholdFilter::decide> decideEvent{this, "decide"};
 
     sim::stats::Scalar statDecisions;
     sim::stats::Scalar statPasses;

@@ -4,6 +4,18 @@
 
 namespace ulp::core {
 
+namespace {
+
+constexpr sim::StaticText fireNames[TimerUnit::numTimers] = {
+    "fire0", "fire1", "fire2", "fire3"};
+
+} // namespace
+
+TimerUnit::Timer::Timer(TimerUnit *unit, unsigned index)
+    : unit(unit), index(index), fireEvent(this, fireNames[index])
+{
+}
+
 TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                      sim::SimObject *parent, fabric::EventSource &event_port,
                      ProbeRecorder *probes, const sim::ClockDomain &clock,
@@ -18,19 +30,11 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                                     block_model.idleWatts,
                                     block_model.gatedWatts},
                   wakeup_ticks, true),
-      wdtEvent(this, &TimerUnit::wdtBark, {this->name(), "wdtBark"})
+      timers{{{this, 0}, {this, 1}, {this, 2}, {this, 3}}}
 {
-    static constexpr sim::StaticText fireNames[numTimers] = {
-        "fire0", "fire1", "fire2", "fire3"};
     double delta = (block_model.activeWatts - block_model.idleWatts) /
                    numTimers;
     for (unsigned i = 0; i < numTimers; ++i) {
-        timers[i].unit = this;
-        timers[i].index = i;
-        timers[i].fireEvent =
-            std::make_unique<sim::MemberEventWrapper<Timer>>(
-                &timers[i], &Timer::fired,
-                sim::EventName(this->name(), fireNames[i]));
         timers[i].tracker = std::make_unique<power::EnergyTracker>(
             *this, power::PowerModel{delta, 0.0, 0.0},
             power::PowerState::Idle, "timer" + std::to_string(i));
@@ -74,7 +78,7 @@ std::uint16_t
 TimerUnit::timerCount(unsigned idx) const
 {
     const Timer &timer = timers.at(idx);
-    if (timer.fireEvent->scheduled()) {
+    if (timer.fireEvent.scheduled()) {
         sim::Tick remaining = timer.fireAt - curTick();
         return static_cast<std::uint16_t>(clock.ticksToCycles(remaining));
     }
@@ -180,15 +184,15 @@ TimerUnit::startCountdown(unsigned idx)
     if (timer.count == 0)
         timer.count = 1; // zero-load timers fire after one cycle
     timer.fireAt = curTick() + clock.cyclesToTicks(timer.count);
-    eventq().reschedule(timer.fireEvent.get(), timer.fireAt);
+    eventq().reschedule(&timer.fireEvent, timer.fireAt);
 }
 
 void
 TimerUnit::stopCountdown(unsigned idx)
 {
     Timer &timer = timers[idx];
-    if (timer.fireEvent->scheduled())
-        eventq().deschedule(timer.fireEvent.get());
+    if (timer.fireEvent.scheduled())
+        eventq().deschedule(&timer.fireEvent);
 }
 
 void
@@ -230,7 +234,7 @@ TimerUnit::freeze()
     _frozen = true;
     for (unsigned i = 0; i < numTimers; ++i) {
         Timer &timer = timers[i];
-        if (timer.fireEvent->scheduled()) {
+        if (timer.fireEvent.scheduled()) {
             timer.count = timerCount(i);
             stopCountdown(i);
         }

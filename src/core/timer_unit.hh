@@ -103,6 +103,12 @@ class TimerUnit : public SlaveDevice
   private:
     struct Timer
     {
+        Timer(TimerUnit *unit, unsigned index);
+
+        /** The unit's name, so the fire event reads "...timers.fire0". */
+        const std::string &name() const { return unit->name(); }
+        void fired() { unit->fire(index); }
+
         std::uint8_t ctrl = 0;
         std::uint16_t load = 0;
         std::uint16_t count = 0;
@@ -110,12 +116,10 @@ class TimerUnit : public SlaveDevice
          *  two-transaction 16-bit read cannot straddle a decrement. */
         std::uint8_t countLatchLo = 0;
         sim::Tick fireAt = sim::maxTick;
-        TimerUnit *unit = nullptr;
-        unsigned index = 0;
-        std::unique_ptr<sim::MemberEventWrapper<Timer>> fireEvent;
+        TimerUnit *unit;
+        unsigned index;
+        sim::MemberEvent<&Timer::fired> fireEvent;
         std::unique_ptr<power::EnergyTracker> tracker;
-
-        void fired() { unit->fire(index); }
     };
 
     void writeCtrl(unsigned idx, std::uint8_t value);
@@ -138,7 +142,7 @@ class TimerUnit : public SlaveDevice
     std::uint8_t wdtCtrlReg = 0;
     std::uint16_t wdtLoad = 0;
     std::function<void()> wdtResetHook;
-    sim::MemberEventWrapper<TimerUnit> wdtEvent;
+    sim::MemberEvent<&TimerUnit::wdtBark> wdtEvent{this, "wdtBark"};
 
     sim::stats::Scalar statAlarms;
     sim::stats::Scalar statReconfigs;

@@ -79,7 +79,6 @@ EventFabric::EventFabric(sim::Simulation &simulation, const std::string &name,
     : sim::SimObject(simulation, name, parent),
       irqBus(irq_bus), probes(probes), clock(clock), timing(timing),
       tracker(*this, model, power::PowerState::Gated),
-      idleEvent([this] { becomeIdle(); }, {this->name(), "idle"}),
       obs(simulation.telemetry())
 {
     if (obs)

@@ -142,7 +142,7 @@ class EventFabric : public sim::SimObject, public EventSource
     std::uint8_t threshold = 0;
 
     sim::Tick activeUntil = 0;
-    sim::EventFunctionWrapper idleEvent;
+    sim::MemberEvent<&EventFabric::becomeIdle> idleEvent{this, "idle"};
 
     sim::TelemetrySink *obs = nullptr;
     std::uint32_t obsId = 0;

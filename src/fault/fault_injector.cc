@@ -168,14 +168,11 @@ FaultInjector::run(const CampaignPlan &plan)
     for (const Action &action : plan.actions)
         check(sim::ini::Cursor{plan.file, action.line}, action);
     for (const Action &action : plan.actions) {
-        scheduled.push_back(std::make_unique<Action>(action));
-        Action *stable = scheduled.back().get();
-        events.push_back(std::make_unique<sim::EventFunctionWrapper>(
-            [this, stable] { apply(*stable); },
-            sim::EventName(name(), "action")));
+        Scheduled &record =
+            *scheduled.emplace_back(std::make_unique<Scheduled>(this, action));
         sim::Tick at = std::max(curTick(),
                                 sim::secondsToTicks(action.atSeconds));
-        eventq().schedule(events.back().get(), at);
+        eventq().schedule(&record.event, at);
     }
 }
 

@@ -157,6 +157,18 @@ class FaultInjector : public sim::SimObject
     }
 
   private:
+    /** A scheduled action: its own copy and the event that applies it,
+     *  named after the injector ("fault.action"). */
+    struct Scheduled
+    {
+        const std::string &name() const { return injector->name(); }
+        void apply() { injector->apply(action); }
+
+        FaultInjector *injector;
+        Action action;
+        sim::MemberEvent<&Scheduled::apply> event{this, "action"};
+    };
+
     /** Fatal at @p at unless @p action's target is attached. */
     void check(const sim::ini::Cursor &at, const Action &action) const;
     void apply(const Action &action);
@@ -168,9 +180,7 @@ class FaultInjector : public sim::SimObject
     std::map<std::string, core::SlaveDevice *> devices;
 
     sim::Random random;
-    /** Scheduled actions own their event + a stable Action copy. */
-    std::vector<std::unique_ptr<sim::EventFunctionWrapper>> events;
-    std::vector<std::unique_ptr<Action>> scheduled;
+    std::vector<std::unique_ptr<Scheduled>> scheduled;
 
     sim::stats::Scalar statChannelFaults;
     sim::stats::Scalar statBitFlips;

@@ -7,8 +7,7 @@ namespace ulp::mcu {
 Mcu::Mcu(sim::Simulation &simulation, const std::string &name, McuBus &bus,
          const Config &config, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
-      bus(bus), config(config), clockDomain(config.clockHz),
-      tickEvent(this, &Mcu::tick, {this->name(), "tick"})
+      bus(bus), config(config), clockDomain(config.clockHz)
 {
 }
 

@@ -140,7 +140,7 @@ class Mcu : public sim::SimObject
     std::function<void()> haltCb;
     MarkCallback markCb;
 
-    sim::MemberEventWrapper<Mcu> tickEvent;
+    sim::MemberEvent<&Mcu::tick> tickEvent{this, "tick"};
 
     sim::stats::Scalar statInstructions;
     sim::stats::Scalar statIrqsTaken;

@@ -177,47 +177,43 @@ EventLog::attachSampler(unsigned shard, sim::Simulation &simulation)
     if (!log.wants(sim::TelemetryChannel::Energy))
         return;
     log.simulation = &simulation;
-    const sim::Tick period = config.energySamplePeriod;
-    auto *raw = new sim::EventFunctionWrapper(
-        [&log, period] {
-            const sim::Tick now = log.simulation->curTick();
-            for (ShardLog::EnergyProbe &probe : log.energyProbes) {
-                // Emit only when the tracker's accrual *rate* changed
-                // since the last sample. Cumulative energy is piecewise
-                // linear (leakage accrues even when idle, so the value
-                // itself never sits still); while the per-period delta
-                // repeats, the intermediate records are recoverable by
-                // interpolation and every derived power window is
-                // unchanged. When the slope does change, the linear run
-                // is first closed with one boundary record so the new
-                // slope stays one period wide instead of smearing over
-                // the gap.
-                const double joules = probe.joules();
-                const double delta = joules - probe.lastJoules;
-                if (probe.lastJoules >= 0.0 && delta == probe.lastDelta) {
-                    probe.lastJoules = joules;
-                    probe.skipped = true;
-                    continue;
-                }
-                if (probe.skipped) {
-                    log.record(now - period, probe.component,
-                               sim::TelemetryChannel::Energy, 0, 0,
-                               std::bit_cast<std::uint64_t>(
-                                   probe.lastJoules));
-                    probe.skipped = false;
-                }
-                probe.lastJoules = joules;
-                probe.lastDelta = delta;
-                log.record(now, probe.component,
-                           sim::TelemetryChannel::Energy, 0, 0,
-                           std::bit_cast<std::uint64_t>(joules));
-            }
-            log.simulation->eventq().schedule(log.samplerEvent.get(),
-                                              now + period);
-        },
-        "obs.energySampler", sim::Event::maxPriority);
-    log.samplerEvent.reset(raw);
-    simulation.eventq().schedule(raw, simulation.curTick() + period);
+    log.samplePeriod = config.energySamplePeriod;
+    simulation.eventq().schedule(&log.samplerEvent,
+                                 simulation.curTick() + log.samplePeriod);
+}
+
+void
+ShardLog::sample()
+{
+    const sim::Tick now = simulation->curTick();
+    for (EnergyProbe &probe : energyProbes) {
+        // Emit only when the tracker's accrual *rate* changed since the
+        // last sample. Cumulative energy is piecewise linear (leakage
+        // accrues even when idle, so the value itself never sits still);
+        // while the per-period delta repeats, the intermediate records
+        // are recoverable by interpolation and every derived power
+        // window is unchanged. When the slope does change, the linear run
+        // is first closed with one boundary record so the new slope stays
+        // one period wide instead of smearing over the gap.
+        const double joules = probe.joules();
+        const double delta = joules - probe.lastJoules;
+        if (probe.lastJoules >= 0.0 && delta == probe.lastDelta) {
+            probe.lastJoules = joules;
+            probe.skipped = true;
+            continue;
+        }
+        if (probe.skipped) {
+            record(now - samplePeriod, probe.component,
+                   sim::TelemetryChannel::Energy, 0, 0,
+                   std::bit_cast<std::uint64_t>(probe.lastJoules));
+            probe.skipped = false;
+        }
+        probe.lastJoules = joules;
+        probe.lastDelta = delta;
+        record(now, probe.component, sim::TelemetryChannel::Energy, 0, 0,
+               std::bit_cast<std::uint64_t>(joules));
+    }
+    simulation->eventq().schedule(&samplerEvent, now + samplePeriod);
 }
 
 void
@@ -250,12 +246,8 @@ EventLog::finish()
 
     // Stop sampling first (needs live simulations), then flushing.
     for (auto &shard : shards) {
-        if (shard->samplerEvent) {
-            if (shard->samplerEvent->scheduled())
-                shard->simulation->eventq().deschedule(
-                    shard->samplerEvent.get());
-            shard->samplerEvent.reset();
-        }
+        if (shard->samplerEvent.scheduled())
+            shard->simulation->eventq().deschedule(&shard->samplerEvent);
     }
     stopFlag.store(true, std::memory_order_release);
     if (flusher.joinable())

@@ -171,9 +171,15 @@ class ShardLog : public sim::TelemetrySink
     };
     std::vector<EnergyProbe> energyProbes;
 
+    /** Record every energy probe whose rate changed, then schedule the
+     *  next sample one period on. */
+    void sample();
+
     /** Sampler machinery, owned here, scheduled by EventLog. */
     sim::Simulation *simulation = nullptr;
-    std::unique_ptr<sim::Event> samplerEvent;
+    sim::Tick samplePeriod = 0;
+    sim::MemberEvent<&ShardLog::sample> samplerEvent{
+        this, "obs.energySampler", sim::Event::maxPriority};
 
     alignas(64) std::atomic<std::size_t> _head{0};
     alignas(64) std::atomic<std::size_t> _tail{0};

@@ -41,8 +41,7 @@ HarvestingSupply::HarvestingSupply(sim::Simulation &simulation,
                                    sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
       source(std::move(source)), _store(store), load(std::move(load)),
-      interval(interval),
-      pollEvent([this] { poll(); }, {this->name(), "poll"})
+      interval(interval)
 {
 }
 

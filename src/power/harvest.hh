@@ -164,7 +164,7 @@ class HarvestingSupply : public sim::SimObject
     double recoverFraction = 0.0;
     std::function<void()> brownOutCb;
     std::function<void()> recoverCb;
-    sim::EventFunctionWrapper pollEvent;
+    sim::MemberEvent<&HarvestingSupply::poll> pollEvent{this, "poll"};
 
     sim::stats::Scalar statHarvested;
     sim::stats::Scalar statConsumed;

@@ -53,7 +53,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,8 +64,7 @@ class EventQueue;
 
 /**
  * An occurrence scheduled at a simulated tick. Subclasses implement
- * process(); use MemberEventWrapper for the common bound-member case or
- * EventFunctionWrapper for arbitrary callables.
+ * process(); model code binds a member function with MemberEvent.
  */
 class Event
 {
@@ -125,74 +123,45 @@ class Event
 };
 
 /**
- * An event's diagnostic name, composed only when a diagnostic asks for it:
- * the name of the object that owns the event and a static suffix
- * ("node3.radio" and "txDone" read "node3.radio.txDone"), or a static
- * name alone. It holds two pointers and no string of its own; the owner's
- * name must outlive the event, as a SimObject's name outlives the events
- * among its members.
+ * The one kind of event the model schedules: it calls member function
+ * @p Fn of the object that owns it, as in
+ * `sim::MemberEvent<&RadioDevice::airEnd> airEndEvent{this, "airEnd"}`.
+ * The function is part of the type, so the event holds only its object
+ * and a static name suffix, and process() is one direct call with no
+ * heap block and no type erasure. An object that is not a SimObject (a
+ * record inside one) forwards name() to the object it belongs to.
  */
-class EventName
+template <auto Fn>
+class MemberEvent;
+
+template <typename T, void (T::*Fn)()>
+class MemberEvent<Fn> : public Event
 {
   public:
-    consteval EventName(const char *name) : _what(name) {}
-    EventName(const std::string &owner, StaticText what)
-        : _owner(&owner), _what(what.c_str())
+    MemberEvent(T *object, StaticText suffix,
+                Priority priority = defaultPriority)
+        : Event(priority), object(object), suffix(suffix)
     {}
-    EventName(std::string &&, StaticText) = delete;
 
+    void process() override { (object->*Fn)(); }
+
+    /**
+     * The owner's name and the suffix ("node3.radio" and "airEnd" read
+     * "node3.radio.airEnd"), composed only when a diagnostic asks; the
+     * suffix alone when the owner has no name().
+     */
     std::string
-    str() const
+    description() const override
     {
-        return _owner ? *_owner + "." + _what : std::string(_what);
+        if constexpr (requires { object->name(); })
+            return object->name() + "." + suffix.c_str();
+        else
+            return suffix.c_str();
     }
 
   private:
-    const std::string *_owner = nullptr;
-    const char *_what;
-};
-
-/** An Event that invokes a bound callable (std::function; allocates). */
-class EventFunctionWrapper : public Event
-{
-  public:
-    EventFunctionWrapper(std::function<void()> callback, EventName name,
-                         Priority priority = defaultPriority)
-        : Event(priority), callback(std::move(callback)), _name(name)
-    {}
-
-    void process() override { callback(); }
-    std::string description() const override { return _name.str(); }
-
-  private:
-    std::function<void()> callback;
-    EventName _name;
-};
-
-/**
- * An Event bound to a member function of @p T without std::function:
- * no heap allocation, no type erasure — one indirect call through a
- * member pointer. The wrapper for the per-cycle events of clocked
- * components (CPU tick, EP advance, timer fire, radio MAC phases).
- */
-template <typename T>
-class MemberEventWrapper : public Event
-{
-  public:
-    using MemberFn = void (T::*)();
-
-    MemberEventWrapper(T *object, MemberFn fn, EventName name,
-                       Priority priority = defaultPriority)
-        : Event(priority), object(object), fn(fn), _name(name)
-    {}
-
-    void process() override { (object->*fn)(); }
-    std::string description() const override { return _name.str(); }
-
-  private:
     T *object;
-    MemberFn fn;
-    EventName _name;
+    StaticText suffix;
 };
 
 /**

@@ -13,30 +13,25 @@ SleepController::SleepController(core::Network &net) : network(net)
         const NodeSleep &cfg = spec.nodes[i].sleep;
         if (cfg.policy == Policy::None)
             continue;
-        auto st = std::make_unique<NodeState>();
-        st->index = i;
-        st->policy = cfg.policy;
-        st->periodTicks = sim::secondsToTicks(cfg.schedule.periodSeconds);
-        st->onTicks = sim::secondsToTicks(cfg.schedule.onSeconds);
-        if (st->periodTicks == 0 || st->onTicks == 0 ||
-            st->onTicks >= st->periodTicks) {
+        const sim::Tick period =
+            sim::secondsToTicks(cfg.schedule.periodSeconds);
+        const sim::Tick on = sim::secondsToTicks(cfg.schedule.onSeconds);
+        if (period == 0 || on == 0 || on >= period) {
             // Degenerate schedule (always awake / never awake): the
             // scenario validator rejects these; specs built by hand just
             // get the always-awake behaviour.
             continue;
         }
-        NodeState *state = st.get();
-        st->event = std::make_unique<sim::EventFunctionWrapper>(
-            [this, state] { tick(*state); },
-            sim::EventName(network.node(i).name(), "sleep"));
+        states.push_back(
+            std::make_unique<NodeState>(this, i, cfg.policy, period, on));
+        NodeState *state = states.back().get();
         if (cfg.policy == Policy::Light) {
             network.node(i).radio().setRxWakeHook(
                 [this, state] { frameWake(*state); });
         }
         // First transition: the schedule starts awake, so the first
         // boundary is the end of on-window zero.
-        queueOf(*state).schedule(state->event.get(), state->onTicks);
-        states.push_back(std::move(st));
+        queueOf(*state).schedule(&state->event, on);
     }
 }
 
@@ -84,7 +79,7 @@ SleepController::tick(NodeState &st)
         }
         next = (k + 1) * st.periodTicks;
     }
-    queueOf(st).reschedule(st.event.get(), next);
+    queueOf(st).reschedule(&st.event, next);
 }
 
 void
@@ -103,7 +98,7 @@ SleepController::frameWake(NodeState &st)
     const sim::Tick next = phase < st.onTicks
                                ? k * st.periodTicks + st.onTicks
                                : (k + 1) * st.periodTicks + st.onTicks;
-    queueOf(st).reschedule(st.event.get(), next);
+    queueOf(st).reschedule(&st.event, next);
 }
 
 } // namespace ulp::sleep

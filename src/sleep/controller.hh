@@ -52,13 +52,23 @@ class SleepController
     std::uint64_t frameWakes() const { return frameWakes_; }
 
   private:
+    /** One driven node: its schedule and the event that walks it. */
     struct NodeState
     {
-        unsigned index = 0;
-        Policy policy = Policy::None;
-        sim::Tick periodTicks = 0;
-        sim::Tick onTicks = 0;
-        std::unique_ptr<sim::EventFunctionWrapper> event;
+        /** The node's name, so the event reads "node3.sleep". */
+        const std::string &
+        name() const
+        {
+            return controller->network.node(index).name();
+        }
+        void tick() { controller->tick(*this); }
+
+        SleepController *controller;
+        unsigned index;
+        Policy policy;
+        sim::Tick periodTicks;
+        sim::Tick onTicks;
+        sim::MemberEvent<&NodeState::tick> event{this, "sleep"};
     };
 
     void tick(NodeState &st);

@@ -85,14 +85,16 @@ constexpr unsigned gridNodes = 256;
  * spec no longer held an optional prebuilt application (296 B), and,
  * for bytes, once the event queue stopped reserving a slot per expected
  * event (47 B), once the radio sent every frame through one air-end
- * event and the probe recorder dropped its last-tick array (792 B), and
+ * event and the probe recorder dropped its last-tick array (792 B),
  * once a statistic became only its value, named by its owner when
- * visited, with no stats tree linking the components (4,993 B). It
+ * visited, with no stats tree linking the components (4,993 B), and
+ * once every event became a member event bound at compile time, with
+ * the timer unit's fire events inline (792 B, 4 allocations). It
  * includes each node's share of the network-wide state: the spatial
  * model, the event queue and the shared application images.
  */
-constexpr double allocsPerNodeBudget = 42.54;
-constexpr double liveBytesPerNodeBudget = 13'627;
+constexpr double allocsPerNodeBudget = 38.60;
+constexpr double liveBytesPerNodeBudget = 12'835;
 constexpr double budgetSlack = 1.02;
 
 const char *const gridScenario = R"([scenario]

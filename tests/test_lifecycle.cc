@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/network.hh"
+#include "function_event.hh"
 #include "net/channel.hh"
 #include "net/medium.hh"
 #include "net/relay.hh"
@@ -165,7 +166,7 @@ TEST(MidflightDeath, BroadcastTransmitterDetachCompletesFrame)
     ASSERT_GT(end, simulation.curTick());
 
     // The transmitter dies halfway through its own frame.
-    sim::EventFunctionWrapper kill([&] { channel.detach(&tx); }, "kill");
+    test::FunctionEvent kill([&] { channel.detach(&tx); }, "kill");
     simulation.eventq().schedule(&kill, (simulation.curTick() + end) / 2);
     simulation.runForSeconds(0.01);
 
@@ -184,7 +185,7 @@ TEST(MidflightDeath, BroadcastReceiverDetachMissesFrame)
     channel.attach(&witness);
 
     sim::Tick end = channel.transmit(&tx, dataFrame());
-    sim::EventFunctionWrapper kill([&] { channel.detach(&rx); }, "kill");
+    test::FunctionEvent kill([&] { channel.detach(&rx); }, "kill");
     simulation.eventq().schedule(&kill, (simulation.curTick() + end) / 2);
     simulation.runForSeconds(0.01);
 
@@ -209,7 +210,7 @@ TEST(MidflightDeath, SpatialTransmitterDetachCompletesFrame)
     medium.bind(&rx, 1);
 
     sim::Tick end = medium.transmit(&tx, dataFrame());
-    sim::EventFunctionWrapper kill([&] { medium.detach(&tx); }, "kill");
+    test::FunctionEvent kill([&] { medium.detach(&tx); }, "kill");
     simulation.eventq().schedule(&kill, (simulation.curTick() + end) / 2);
     simulation.runForSeconds(0.01);
 
@@ -235,7 +236,7 @@ TEST(MidflightDeath, SpatialReceiverDetachMissesFrame)
     medium.bind(&witness, 2);
 
     sim::Tick end = medium.transmit(&tx, dataFrame());
-    sim::EventFunctionWrapper kill([&] { medium.detach(&rx); }, "kill");
+    test::FunctionEvent kill([&] { medium.detach(&rx); }, "kill");
     simulation.eventq().schedule(&kill, (simulation.curTick() + end) / 2);
     simulation.runForSeconds(0.01);
 

@@ -27,6 +27,7 @@
 #include "core/apps.hh"
 #include "core/network.hh"
 #include "core/sensor_node.hh"
+#include "function_event.hh"
 #include "net/channel.hh"
 #include "net/pool.hh"
 #include "net/relay.hh"
@@ -346,7 +347,7 @@ TEST(ParallelScheduler, SeveredPairsRunTheHorizonInOneEpoch)
     // barrier rounds.
     sim::EventQueue q0, q1;
     int ran = 0;
-    sim::EventFunctionWrapper ev([&] { ++ran; }, "ev");
+    test::FunctionEvent ev([&] { ++ran; }, "ev");
     q0.schedule(&ev, 1000);
 
     sim::ParallelScheduler sched(100);
@@ -466,20 +467,20 @@ TEST(EventQueueCrossShard, OriginTickOrdersSameTickEvents)
     std::vector<int> order;
 
     // Local event scheduled "now" (origin 0) at tick 100.
-    sim::EventFunctionWrapper local([&] { order.push_back(1); }, "local");
+    test::FunctionEvent local([&] { order.push_back(1); }, "local");
     queue.schedule(&local, 100);
 
     // A relayed event carrying an *earlier* origin must run first even
     // though it was inserted later; one carrying the same origin ties
     // after the local event (later sequence number).
-    sim::EventFunctionWrapper early([&] { order.push_back(0); }, "early");
+    test::FunctionEvent early([&] { order.push_back(0); }, "early");
     queue.scheduleCrossShard(&early, 100, 0);
-    sim::EventFunctionWrapper tied([&] { order.push_back(2); }, "tied");
+    test::FunctionEvent tied([&] { order.push_back(2); }, "tied");
     queue.scheduleCrossShard(&tied, 100, 0);
 
     // With a *later* origin than a subsequently scheduled local event,
     // the relayed event runs after it. (Origin ticks dominate sequence.)
-    sim::EventFunctionWrapper late([&] { order.push_back(4); }, "late");
+    test::FunctionEvent late([&] { order.push_back(4); }, "late");
     queue.scheduleCrossShard(&late, 100, 50);
 
     queue.runUntil(100);
@@ -491,7 +492,7 @@ TEST(EventQueueCrossShard, OriginTickOrdersSameTickEvents)
 TEST(EventQueueCrossShard, RejectsOriginAfterEventTick)
 {
     sim::EventQueue queue;
-    sim::EventFunctionWrapper ev([] {}, "ev");
+    test::FunctionEvent ev([] {}, "ev");
     EXPECT_THROW(queue.scheduleCrossShard(&ev, 10, 20), sim::PanicError);
 }
 
@@ -503,9 +504,9 @@ TEST(EventQueueCrossShard, DescheduleRescheduleAcrossEpochKeepsFifo)
     sim::EventQueue queue;
     std::vector<char> order;
 
-    sim::EventFunctionWrapper a([&] { order.push_back('a'); }, "a");
-    sim::EventFunctionWrapper b([&] { order.push_back('b'); }, "b");
-    sim::EventFunctionWrapper tick([&] {}, "tick");
+    test::FunctionEvent a([&] { order.push_back('a'); }, "a");
+    test::FunctionEvent b([&] { order.push_back('b'); }, "b");
+    test::FunctionEvent tick([&] {}, "tick");
 
     queue.schedule(&a, 1'000'000);
     queue.schedule(&b, 1'000'000);
@@ -522,8 +523,8 @@ TEST(EventQueueCrossShard, DescheduleRescheduleAcrossEpochKeepsFifo)
 
     // reschedule() must behave exactly like deschedule()+schedule().
     order.clear();
-    sim::EventFunctionWrapper c([&] { order.push_back('c'); }, "c");
-    sim::EventFunctionWrapper d([&] { order.push_back('d'); }, "d");
+    test::FunctionEvent c([&] { order.push_back('c'); }, "c");
+    test::FunctionEvent d([&] { order.push_back('d'); }, "d");
     queue.schedule(&c, 3'000'000);
     queue.schedule(&d, 3'000'000);
     queue.runUntil(2'500'000);

@@ -37,8 +37,7 @@ struct AckSink : sim::SimObject, net::Transceiver
     AckSink(sim::Simulation &simulation, const std::string &name,
             net::Channel &channel, std::uint16_t address, bool acking)
         : sim::SimObject(simulation, name), channel(channel),
-          address(address), acking(acking),
-          ackEvent([this] { sendAck(); }, {this->name(), "ackEvent"})
+          address(address), acking(acking)
     {
         channel.attach(this);
     }
@@ -70,7 +69,7 @@ struct AckSink : sim::SimObject, net::Transceiver
     std::uint16_t address;
     bool acking;
     net::Frame pendingAck;
-    sim::EventFunctionWrapper ackEvent;
+    sim::MemberEvent<&AckSink::sendAck> ackEvent{this, "ackEvent"};
     /** Unique (src, seq) pairs delivered intact. */
     std::set<std::pair<std::uint16_t, std::uint8_t>> delivered;
 };

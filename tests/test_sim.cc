@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "function_event.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -23,6 +24,7 @@
 #include "sim/stats.hh"
 
 using namespace ulp::sim;
+using ulp::test::FunctionEvent;
 
 // --------------------------------------------------------------------------
 // EventQueue
@@ -32,9 +34,9 @@ TEST(EventQueue, ProcessesInTimeOrder)
 {
     EventQueue queue;
     std::vector<int> order;
-    EventFunctionWrapper a([&] { order.push_back(1); }, "a");
-    EventFunctionWrapper b([&] { order.push_back(2); }, "b");
-    EventFunctionWrapper c([&] { order.push_back(3); }, "c");
+    FunctionEvent a([&] { order.push_back(1); }, "a");
+    FunctionEvent b([&] { order.push_back(2); }, "b");
+    FunctionEvent c([&] { order.push_back(3); }, "c");
 
     queue.schedule(&c, 300);
     queue.schedule(&a, 100);
@@ -50,9 +52,9 @@ TEST(EventQueue, SameTickUsesPriorityThenFifo)
 {
     EventQueue queue;
     std::vector<int> order;
-    EventFunctionWrapper first([&] { order.push_back(1); }, "first");
-    EventFunctionWrapper second([&] { order.push_back(2); }, "second");
-    EventFunctionWrapper urgent([&] { order.push_back(0); }, "urgent",
+    FunctionEvent first([&] { order.push_back(1); }, "first");
+    FunctionEvent second([&] { order.push_back(2); }, "second");
+    FunctionEvent urgent([&] { order.push_back(0); }, "urgent",
                                 Event::interruptPriority);
 
     queue.schedule(&first, 50);
@@ -67,7 +69,7 @@ TEST(EventQueue, DescheduleRemovesEvent)
 {
     EventQueue queue;
     bool ran = false;
-    EventFunctionWrapper event([&] { ran = true; }, "e");
+    FunctionEvent event([&] { ran = true; }, "e");
     queue.schedule(&event, 10);
     EXPECT_TRUE(event.scheduled());
     queue.deschedule(&event);
@@ -80,7 +82,7 @@ TEST(EventQueue, RescheduleMovesEvent)
 {
     EventQueue queue;
     int runs = 0;
-    EventFunctionWrapper event([&] { ++runs; }, "e");
+    FunctionEvent event([&] { ++runs; }, "e");
     queue.schedule(&event, 10);
     queue.reschedule(&event, 500);
     queue.runUntil(100);
@@ -92,7 +94,7 @@ TEST(EventQueue, RescheduleMovesEvent)
 TEST(EventQueue, SchedulingIntoThePastPanics)
 {
     EventQueue queue;
-    EventFunctionWrapper event([] {}, "e");
+    FunctionEvent event([] {}, "e");
     queue.runUntil(100);
     EXPECT_THROW(queue.schedule(&event, 50), PanicError);
 }
@@ -100,7 +102,7 @@ TEST(EventQueue, SchedulingIntoThePastPanics)
 TEST(EventQueue, DoubleSchedulePanics)
 {
     EventQueue queue;
-    EventFunctionWrapper event([] {}, "e");
+    FunctionEvent event([] {}, "e");
     queue.schedule(&event, 10);
     EXPECT_THROW(queue.schedule(&event, 20), PanicError);
 }
@@ -109,8 +111,8 @@ TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue queue;
     int chain = 0;
-    EventFunctionWrapper second([&] { chain = 2; }, "second");
-    EventFunctionWrapper first(
+    FunctionEvent second([&] { chain = 2; }, "second");
+    FunctionEvent first(
         [&] {
             chain = 1;
             queue.schedule(&second, queue.curTick() + 5);
@@ -127,18 +129,39 @@ TEST(EventQueue, DestructorDeschedules)
 {
     EventQueue queue;
     {
-        EventFunctionWrapper event([] {}, "scoped");
+        FunctionEvent event([] {}, "scoped");
         queue.schedule(&event, 10);
     }
     EXPECT_TRUE(queue.empty());
     queue.runUntil(100); // must not touch the dead event
 }
 
+namespace {
+
+/** A device that owns a member event. */
+struct Radio : SimObject
+{
+    using SimObject::SimObject;
+    void txDone() {}
+};
+
+/** An event owner without a name(). */
+struct Nameless
+{
+    void fire() {}
+};
+
+} // namespace
+
+// A member event holds its owner and a static suffix, and nothing else.
+static_assert(sizeof(MemberEvent<&Radio::txDone>) == 72);
+
 TEST(EventQueue, PanicNamesTheEventOnDemand)
 {
     EventQueue queue;
-    const std::string owner = "node3.radio";
-    EventFunctionWrapper event([] {}, EventName(owner, "txDone"));
+    Simulation simulation;
+    Radio owner(simulation, "node3.radio");
+    MemberEvent<&Radio::txDone> event(&owner, "txDone");
     EXPECT_EQ(event.description(), "node3.radio.txDone");
     queue.schedule(&event, 10);
     try {
@@ -149,17 +172,18 @@ TEST(EventQueue, PanicNamesTheEventOnDemand)
                   std::string::npos)
             << e.what();
     }
-    EventFunctionWrapper plain([] {}, "plain");
+    Nameless nameless;
+    MemberEvent<&Nameless::fire> plain(&nameless, "plain");
     EXPECT_EQ(plain.description(), "plain");
-    static_assert(!std::is_constructible_v<EventName, std::string,
-                                           StaticText>);
+    static_assert(!std::is_constructible_v<MemberEvent<&Radio::txDone>,
+                                           Radio *, std::string>);
 }
 
 TEST(EventQueue, NextTickReportsHead)
 {
     EventQueue queue;
     EXPECT_EQ(queue.nextTick(), maxTick);
-    EventFunctionWrapper event([] {}, "e");
+    FunctionEvent event([] {}, "e");
     queue.schedule(&event, 42);
     EXPECT_EQ(queue.nextTick(), 42u);
 }
@@ -440,7 +464,7 @@ TEST(Simulation, RunHelpers)
 {
     Simulation simulation;
     int runs = 0;
-    EventFunctionWrapper event([&] { ++runs; }, "e");
+    FunctionEvent event([&] { ++runs; }, "e");
     simulation.eventq().schedule(&event, secondsToTicks(0.5));
     simulation.runForSeconds(0.25);
     EXPECT_EQ(runs, 0);
