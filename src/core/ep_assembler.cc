@@ -225,9 +225,12 @@ epAssemble(const std::string &source)
         },
         [&](const Statement &st) {
             if (st.is(".org")) {
-                // ISR code is placed as one contiguous block.
+                // ISR code is placed as one contiguous block, from the
+                // .org: code above it would load away from its labels.
                 if (placed)
                     src.fail("EP programs support a single .org");
+                if (!program.code.empty())
+                    src.fail(".org must come before the first instruction");
                 placed = true;
                 program.base =
                     static_cast<std::uint16_t>(src.value(st.operands[0]));

@@ -10,7 +10,8 @@
  * Instructions are the eight of Table 2. Addresses are 16-bit words;
  * component ids, WRITEI immediates and TRANSFER lengths fit the 5-bit
  * operand field, WAKEUP vectors 0..7. Code starts at map::epIsrBase
- * unless one .org (a program has at most one) places it. The default
+ * unless one .org, above the first instruction, places it (a program
+ * has at most one). The default
  * symbol set (epDefaultSymbols) names every component id and
  * memory-mapped register so that ISRs read like the paper's Figure 5.
  */
@@ -46,8 +47,8 @@ const std::map<std::string, std::uint16_t> &epDefaultSymbols();
 /**
  * Assemble @p source against epDefaultSymbols(). fatal() with the line
  * number on any error (mcu/asm_source.hh lists the rules every source
- * obeys), including an operand that does not fit its field and a second
- * .org.
+ * obeys), including an operand that does not fit its field, a second
+ * .org and an .org below an instruction.
  */
 EpProgram epAssemble(const std::string &source);
 

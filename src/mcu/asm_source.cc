@@ -119,7 +119,7 @@ AsmSource::assemble(std::uint32_t origin, const Length &length,
     for (const Statement &st : statements) {
         line = st.line;
         if (st.is(".equ"))
-            table[st.operands[0]].value = value(st.operands[1]);
+            table[st.operands[0]] = {value(st.operands[1]), false};
         else if (!st.mnemonic.empty())
             emit(st);
     }
@@ -164,8 +164,16 @@ AsmSource::term(const std::string &s) const
         fail("parameter '" + s + "' may only be a bare byte operand");
 
     if (const auto it = table.find(s); it != table.end()) {
-        if (!final && it->second.provisional && forward.empty())
-            forward = s;
+        if (it->second.provisional) {
+            // Pass 2 re-evaluates each .equ on its own line; until then a
+            // provisional symbol holds pass 1's guess.
+            if (final) {
+                fail("reads '" + s + "' before its .equ, which reads a "
+                     "later symbol");
+            }
+            if (forward.empty())
+                forward = s;
+        }
         return it->second.value;
     }
     if (const auto it = predefined.find(s); it != predefined.end())

@@ -29,7 +29,8 @@
  *    every later label), nor an .equ that does;
  *  - the location counter stays within 64 KiB;
  *  - pass 2 re-evaluates each .equ with the whole table, so an .equ may
- *    read a later label.
+ *    read a later label; but nothing may read such an .equ above its
+ *    line, where it still holds pass 1's guess.
  *
  * Every diagnostic is a sim::FatalError "<what> line N: message".
  */
@@ -113,7 +114,9 @@ class AsmSource
     struct Symbol
     {
         std::uint32_t value = 0;
-        bool provisional = false; ///< pass 1 read a symbol defined later
+        /** Pass 1 read a symbol defined later, and pass 2 has not yet
+         *  re-evaluated it. */
+        bool provisional = false;
     };
 
     std::uint32_t term(const std::string &s) const;

@@ -189,6 +189,16 @@ TEST(EpAssembler, OrgForwardReferenceIsFatal)
         ".equ BASE, 0x0400\n.org BASE+2\nentry: TERMINATE\n");
     EXPECT_EQ(program.base, 0x0402);
     EXPECT_EQ(program.symbol("entry"), 0x0402u);
+    // Code above the .org used to load at the .org while its labels
+    // stayed put, so this Timer0 ISR ran TERMINATE.
+    try {
+        epAssemble("a: TERMINATE\n.org 0x0400\nb: WAKEUP 1\n"
+                   ".isr Timer0, b\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    }
 }
 
 TEST(EpAssembler, SymbolArithmeticAndEqu)
@@ -213,6 +223,19 @@ TEST(EpAssembler, SymbolArithmeticAndEqu)
                   ->operand5,
               4u);
     EXPECT_THROW(program.symbol("WIDE"), sim::FatalError);
+
+    // A reads B above B's own line, where B still holds pass 1's guess.
+    try {
+        epAssemble(".equ A, B\n.equ B, C\nREAD A\nC: TERMINATE\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("'B'"), std::string::npos) << what;
+    }
+    program = epAssemble(".equ B, C\n.equ A, B\nREAD A\nC: TERMINATE\n");
+    EXPECT_EQ(EpInstruction::decode(program.code)->addrA,
+              program.symbol("C"));
 }
 
 // --------------------------------------------------------------------------

@@ -133,6 +133,21 @@ TEST(Assembler, DirectivesAndExpressions)
     EXPECT_EQ(image.symbol("label"), 0x0010 + 3 + 4 + 3);
     EXPECT_EQ(b[10 + 2], 0x08);  // lo()
     EXPECT_EQ(b[13 + 2], 0x10);  // hi()
+
+    // Pass 2 re-evaluates each .equ on its own line: A above B used to
+    // read B's pass-1 guess and assemble LDI r0, 0 while B = C = 0x13.
+    try {
+        assemble(".equ A, B\n.equ B, C\n.org 0x10\nLDI r0, lo(A)\n"
+                 "C: NOP\n");
+        FAIL() << "expected fatal";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("'B'"), std::string::npos) << what;
+    }
+    image = assemble(".equ B, C\n.equ A, B\n.org 0x10\nLDI r0, lo(A)\n"
+                     "C: NOP\n");
+    EXPECT_EQ(image.chunks[0].bytes[2], 0x13);
 }
 
 TEST(Assembler, PredefinedSymbols)
