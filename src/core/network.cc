@@ -7,6 +7,7 @@
 #include "core/partition.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "sim/telemetry.hh"
 
 namespace ulp::core {
 
@@ -368,6 +369,8 @@ Network::counters() const
     for (const Shard &shard : shards) {
         c.eventsProcessed += shard.simulation->eventq().numProcessed() -
                              shard.channel->auxiliaryEvents();
+        if (const sim::TelemetrySink *sink = shard.simulation->telemetry())
+            c.eventsProcessed -= sink->auxiliaryEvents();
         c.framesDelivered += shard.channel->framesDelivered();
         c.collisions += shard.channel->collisions();
         for (const auto &node : shard.nodes) {

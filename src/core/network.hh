@@ -51,8 +51,9 @@ class Network
     /** The headline counters both kernels must agree on. */
     struct Counters
     {
-        /** Logical events: the parallel kernel's auxiliary cross-shard
-         *  delivery copies are subtracted out. */
+        /** Model events: the parallel kernel's auxiliary cross-shard
+         *  delivery copies and the trace samplers' firings are
+         *  subtracted out. */
         std::uint64_t eventsProcessed = 0;
         std::uint64_t framesSent = 0;
         std::uint64_t framesDelivered = 0;

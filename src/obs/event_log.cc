@@ -185,6 +185,7 @@ EventLog::attachSampler(unsigned shard, sim::Simulation &simulation)
 void
 ShardLog::sample()
 {
+    ++samples;
     const sim::Tick now = simulation->curTick();
     for (EnergyProbe &probe : energyProbes) {
         // Emit only when the tracker's accrual *rate* changed since the

@@ -127,6 +127,7 @@ class ShardLog : public sim::TelemetrySink
     void record(sim::Tick tick, std::uint32_t component,
                 sim::TelemetryChannel channel, std::uint8_t a,
                 std::uint16_t b, std::uint64_t payload) override;
+    std::uint64_t auxiliaryEvents() const override { return samples; }
 
     // --- consumer side ----------------------------------------------------
     /** Pop every visible record into @p out; returns records written. */
@@ -178,6 +179,7 @@ class ShardLog : public sim::TelemetrySink
     /** Sampler machinery, owned here, scheduled by EventLog. */
     sim::Simulation *simulation = nullptr;
     sim::Tick samplePeriod = 0;
+    std::uint64_t samples = 0; ///< sampler firings
     sim::MemberEvent<&ShardLog::sample> samplerEvent{
         this, "obs.energySampler", sim::Event::maxPriority};
 

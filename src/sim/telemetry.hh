@@ -130,6 +130,12 @@ class TelemetrySink
                         TelemetryChannel channel, std::uint8_t a,
                         std::uint16_t b, std::uint64_t payload) = 0;
 
+    /**
+     * Kernel events the sink itself ran on its shard's queue (a periodic
+     * sampler's firings): the simulator's work, not the model's.
+     */
+    virtual std::uint64_t auxiliaryEvents() const { return 0; }
+
     /** Is @p channel enabled? Checked by instrumentation at setup. */
     bool
     wants(TelemetryChannel channel) const

@@ -63,11 +63,13 @@ freshDir(const std::string &leaf)
     return dir.string();
 }
 
-/** Run the oracle network with tracing and return the trace directory. */
+/** Run the oracle network with tracing and return the trace directory;
+ *  the network's counters go to @p counters when it is given. */
 std::string
 runTraced(unsigned nodes, unsigned threads, double seconds,
           const std::string &leaf,
-          std::uint32_t mask = sim::allTelemetryChannels)
+          std::uint32_t mask = sim::allTelemetryChannels,
+          core::Network::Counters *counters = nullptr)
 {
     obs::EventLogConfig ecfg;
     ecfg.dir = freshDir(leaf);
@@ -83,10 +85,30 @@ runTraced(unsigned nodes, unsigned threads, double seconds,
     log.finish();
     EXPECT_GT(log.totalRecorded(), 0u);
     EXPECT_EQ(log.totalDropped(), 0u);
+    if (counters)
+        *counters = network.counters();
     return ecfg.dir;
 }
 
 } // namespace
+
+TEST(ObsDeterminism, TracingAddsNoModelEvents)
+{
+    // Each shard's energy sampler fires every period; those firings are
+    // the simulator's work, so a traced run counts the untraced run's
+    // events at every thread count.
+    for (unsigned threads : {1u, 2u, 4u}) {
+        core::Network untraced(oracleSpec(8, threads));
+        untraced.runForSeconds(0.05);
+        core::Network::Counters traced;
+        runTraced(8, threads, 0.05,
+                  "obs_events_k" + std::to_string(threads),
+                  sim::allTelemetryChannels, &traced);
+        EXPECT_EQ(traced.eventsProcessed,
+                  untraced.counters().eventsProcessed)
+            << "threads=" << threads;
+    }
+}
 
 TEST(ObsDeterminism, MergedLogByteIdenticalAcrossThreadCounts)
 {
