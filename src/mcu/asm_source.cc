@@ -163,21 +163,8 @@ AsmSource::term(const std::string &s) const
     if (param(s) >= 0)
         fail("parameter '" + s + "' may only be a bare byte operand");
 
-    if (const auto it = table.find(s); it != table.end()) {
-        if (it->second.provisional) {
-            // Pass 2 re-evaluates each .equ on its own line; until then a
-            // provisional symbol holds pass 1's guess.
-            if (final) {
-                fail("reads '" + s + "' before its .equ, which reads a "
-                     "later symbol");
-            }
-            if (forward.empty())
-                forward = s;
-        }
-        return it->second.value;
-    }
-    if (const auto it = predefined.find(s); it != predefined.end())
-        return it->second;
+    if (const std::optional<std::uint32_t> v = lookup(s))
+        return *v;
     if (final)
         fail("undefined symbol '" + s + "'");
     if (forward.empty())
@@ -229,8 +216,19 @@ AsmSource::param(const std::string &name) const
 std::optional<std::uint32_t>
 AsmSource::lookup(const std::string &name) const
 {
-    if (const auto it = table.find(name); it != table.end())
+    if (const auto it = table.find(name); it != table.end()) {
+        if (it->second.provisional) {
+            // Pass 2 re-evaluates each .equ on its own line; until then a
+            // provisional symbol holds pass 1's guess.
+            if (final) {
+                fail("reads '" + name + "' before its .equ, which reads a "
+                     "later symbol");
+            }
+            if (forward.empty())
+                forward = name;
+        }
         return it->second.value;
+    }
     if (const auto it = predefined.find(name); it != predefined.end())
         return it->second;
     return std::nullopt;

@@ -101,7 +101,9 @@ class AsmSource
     /** The index of @p name among the parameters, or -1. */
     int param(const std::string &name) const;
 
-    /** The value of symbol @p name, from the source or predefined. */
+    /** The value of symbol @p name, from the source or predefined. As in
+     *  value(), pass 2 may not read an .equ above its line while that
+     *  .equ still holds pass 1's guess for a later symbol. */
     std::optional<std::uint32_t> lookup(const std::string &name) const;
 
     /** Throw "<what> line N: @p message" for the current statement. */

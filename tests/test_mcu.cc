@@ -247,6 +247,12 @@ TEST(Assembler, ParameterMisuseIsFatal)
     }
     EXPECT_THROW(assembleWithParams("P: NOP\n", {}, {"P"}),
                  sim::FatalError);
+    // Read above its .equ, P still held pass 1's guess for the later
+    // label: this assembled LDI r0, 0 while P = lbl = 0x13.
+    EXPECT_THROW(assembleWithParams(
+                     ".org 0x10\nLDI r0, P\n.equ P, lbl\nlbl: NOP\n", {},
+                     {"P"}),
+                 sim::FatalError);
 }
 
 TEST(Assembler, MultipleOrgChunks)
