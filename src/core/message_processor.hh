@@ -211,8 +211,8 @@ class MessageProcessor : public SlaveDevice
     /** Per-origin local-delivery counts (observability, not hardware). */
     std::map<std::uint16_t, std::uint64_t> localBySource;
 
-    sim::MemberEvent<&MessageProcessor::commandDone> doneEvent{this,
-                                                              "cmdDone"};
+    sim::MemberEvent<&MessageProcessor::commandDone> doneEvent{
+        this, "cmdDone"};
     std::uint8_t activeCmd = 0;
 
     sim::stats::Scalar statPrepared;

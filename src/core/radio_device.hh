@@ -389,8 +389,8 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     sim::MemberEvent<&RadioDevice::macCcaDecide> macCcaEvent{this, "macCca"};
     sim::MemberEvent<&RadioDevice::macAckTimeout> macAckTimeoutEvent{
         this, "macAckWait"};
-    sim::MemberEvent<&RadioDevice::macSendAck> macAckTxEvent{this,
-                                                             "macAckTx"};
+    sim::MemberEvent<&RadioDevice::macSendAck> macAckTxEvent{
+        this, "macAckTx"};
 
     // Beacon-mode state. The mode and superframe registers persist
     // across power gating like macCtrlReg (they are configuration);
@@ -426,8 +426,8 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
 
     sim::MemberEvent<&RadioDevice::beaconTx> beaconEvent{this, "beacon"};
     sim::MemberEvent<&RadioDevice::capEnd> capEndEvent{this, "capEnd"};
-    sim::MemberEvent<&RadioDevice::macGuardWake> guardWakeEvent{this,
-                                                                "guardWake"};
+    sim::MemberEvent<&RadioDevice::macGuardWake> guardWakeEvent{
+        this, "guardWake"};
     sim::MemberEvent<&RadioDevice::beaconMissed> beaconMissEvent{
         this, "beaconMiss"};
     sim::MemberEvent<&RadioDevice::indirectTxSend> indirectTxEvent{

@@ -153,9 +153,6 @@ struct Nameless
 
 } // namespace
 
-// A member event holds its owner and a static suffix, and nothing else.
-static_assert(sizeof(MemberEvent<&Radio::txDone>) == 72);
-
 TEST(EventQueue, PanicNamesTheEventOnDemand)
 {
     EventQueue queue;
@@ -242,6 +239,8 @@ INSTANTIATE_TEST_SUITE_P(Frequencies, ClockEdgeProperty,
 
 // A statistic is only its value; its owner names it when visited.
 static_assert(sizeof(stats::Scalar) == sizeof(double));
+// A member event adds only its owner and a static suffix to the Event.
+static_assert(sizeof(MemberEvent<&Radio::txDone>) == 72);
 
 TEST(Stats, ScalarAccumulates)
 {
