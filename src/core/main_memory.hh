@@ -40,8 +40,6 @@ class MainMemory : public BusSlave
         sram.write(offset, value);
     }
 
-    memory::Sram &backing() { return sram; }
-
   private:
     memory::Sram &sram;
 };

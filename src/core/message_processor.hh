@@ -155,7 +155,6 @@ class MessageProcessor : public SlaveDevice
      *  FIFO eviction when the CAM is full, like the duplicate CAM. */
     void preloadRoute(std::uint16_t origin, std::uint16_t next_hop);
     void clearRoutes() { routes.clear(); }
-    std::size_t routeCount() const { return routes.size(); }
     /** Exact-origin match first, else the wildcard entry if present. */
     std::optional<std::uint16_t> lookupRoute(std::uint16_t origin) const;
 

@@ -79,9 +79,6 @@ class Microcontroller : public sim::SimObject,
         lastResetReason = reason;
     }
 
-    mcu::Mcu &mcuCore() { return core; }
-    const mcu::Mcu &mcuCore() const { return core; }
-
     const power::EnergyTracker &energyTracker() const { return tracker; }
     double averagePowerWatts() const
     {

@@ -76,11 +76,4 @@ PowerController::isOn(ComponentId id) const
     return component(id, "isOn query")->powered();
 }
 
-bool
-PowerController::isRegistered(ComponentId id) const
-{
-    auto idx = static_cast<unsigned>(id);
-    return idx < numComponentIds && components[idx] != nullptr;
-}
-
 } // namespace ulp::core

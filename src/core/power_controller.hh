@@ -55,7 +55,6 @@ class PowerController : public sim::SimObject
     void switchOff(ComponentId id);
 
     bool isOn(ComponentId id) const;
-    bool isRegistered(ComponentId id) const;
 
     /**
      * Ablation hook: when set, SWITCHOFF requests are ignored and every

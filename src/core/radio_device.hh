@@ -209,8 +209,6 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
     {
         return macModeReg == macModeBeaconCoord;
     }
-    /** The radio MAC is asleep between superframes (tracker Gated). */
-    bool macSleeping() const { return macAsleep; }
     /** A device has heard a beacon and tracks the superframe grid. */
     bool beaconSynced() const { return _beaconSynced; }
     std::uint16_t macAddress() const { return macAddr; }
@@ -234,7 +232,6 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
      * either; it is a property of the crystal, not the MAC).
      */
     void setBeaconDriftPpm(double ppm) { driftPpm = ppm < 0 ? 0.0 : ppm; }
-    double beaconDriftPpm() const { return driftPpm; }
 
     /**
      * Called whenever an intact frame is surfaced to the masters

@@ -42,8 +42,6 @@ class SensorAdc : public SlaveDevice
     std::uint8_t busRead(map::Addr offset) override;
     void busWrite(map::Addr offset, std::uint8_t value) override;
 
-    void setSignal(Signal s) { signal = std::move(s); }
-
     std::uint64_t samples() const
     {
         return static_cast<std::uint64_t>(statSamples.value());

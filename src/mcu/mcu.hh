@@ -86,11 +86,9 @@ class Mcu : public sim::SimObject
 
     // --- architectural state access (tests, loaders) ---
     std::uint8_t reg(unsigned idx) const { return regs.at(idx); }
-    void setReg(unsigned idx, std::uint8_t v) { regs.at(idx) = v; }
     std::uint16_t pairValue(unsigned pair) const;
     void setPair(unsigned pair, std::uint16_t v);
     std::uint16_t pc() const { return _pc; }
-    void setPc(std::uint16_t pc) { _pc = pc; }
     std::uint16_t sp() const { return _sp; }
     void setSp(std::uint16_t sp) { _sp = sp; }
     bool flagZ() const { return fZ; }

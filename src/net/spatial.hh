@@ -149,12 +149,6 @@ class SpatialModel
     unsigned domainOf(unsigned node) const { return domain[node]; }
     unsigned numDomains() const { return domains; }
 
-    bool
-    sameDomain(unsigned a, unsigned b) const
-    {
-        return domain[a] == domain[b];
-    }
-
     /**
      * Deterministic per-link delivery draw for the @p tx_seq -th
      * transmission of @p src: true when the frame survives the link's

@@ -119,7 +119,6 @@ class ResilienceManager
     ResilienceReport run();
 
   private:
-    std::vector<unsigned> aliveSet() const;
     /** Usable links between alive nodes (mirrors the lowerer's rules). */
     std::vector<std::vector<unsigned>> aliveLinks(
         const std::vector<bool> &alive) const;

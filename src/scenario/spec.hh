@@ -116,12 +116,6 @@ struct NodeSpec
         routes.push_back({origin, next_hop});
         return *this;
     }
-    NodeSpec &
-    withLink(fabric::Source source, fabric::Sink sink)
-    {
-        links.push_back({source, sink});
-        return *this;
-    }
 };
 
 /** The whole lowered network. */

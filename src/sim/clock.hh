@@ -20,8 +20,7 @@ class ClockDomain
   public:
     /** @param frequency_hz clock frequency in hertz. */
     explicit ClockDomain(double frequency_hz)
-        : _period(secondsToTicks(1.0 / frequency_hz)),
-          _frequencyHz(frequency_hz)
+        : _period(secondsToTicks(1.0 / frequency_hz))
     {
         if (frequency_hz <= 0.0)
             fatal("clock frequency must be positive (got %f)", frequency_hz);
@@ -32,9 +31,6 @@ class ClockDomain
 
     /** Clock period in ticks. */
     Tick period() const { return _period; }
-
-    /** Configured frequency in Hz. */
-    double frequencyHz() const { return _frequencyHz; }
 
     /** Duration of @p cycles cycles in ticks. */
     Tick cyclesToTicks(Cycles cycles) const { return cycles * _period; }
@@ -62,7 +58,6 @@ class ClockDomain
 
   private:
     Tick _period;
-    double _frequencyHz;
 };
 
 } // namespace ulp::sim

@@ -56,16 +56,6 @@ class Simulation
         return runFor(secondsToTicks(seconds));
     }
 
-    /** Drain the event queue completely (only safe for finite workloads). */
-    std::uint64_t
-    runAll()
-    {
-        std::uint64_t processed = 0;
-        while (_eventq.runOne())
-            ++processed;
-        return processed;
-    }
-
   private:
     EventQueue _eventq;
     TelemetrySink *_telemetry = nullptr;

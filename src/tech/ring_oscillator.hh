@@ -46,7 +46,6 @@ class RingOscillator
     double stageLoadFarads() const;
 
     const DeviceModel &deviceModel() const { return device; }
-    int numStages() const { return stages; }
 
   private:
     DeviceModel device;
