@@ -42,7 +42,7 @@ main()
          "Terminate the ISR and wake the microcontroller at an ISR address"},
     };
 
-    core::EventProcessor::Timing t;
+    const core::EventProcessor::Timing &t = core::EventProcessor::timing;
 
     bench::banner("Table 2: Event processor instruction set");
     std::printf("%-10s %-12s %-8s %s\n", "Instr", "Size", "Cycles",

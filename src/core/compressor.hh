@@ -57,11 +57,12 @@ class Compressor : public SlaveDevice
         sim::Cycles encodePerSample = 2;
     };
 
+    /** The encoder's cycle costs. */
+    static const Timing timing;
+
     Compressor(sim::Simulation &simulation, const std::string &name,
                sim::SimObject *parent, fabric::EventSource &event_port,
-               ProbeRecorder *probes, const sim::ClockDomain &clock,
-               const power::PowerModel &model, sim::Tick wakeup_ticks,
-               const Timing &timing);
+               ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -96,7 +97,6 @@ class Compressor : public SlaveDevice
     void startEncode();
     void finishEncode();
 
-    Timing timing;
     std::uint8_t stagedLen = 0;
     std::uint8_t encodedLen = 0;
     std::uint8_t batchSize = 0;
@@ -111,6 +111,10 @@ class Compressor : public SlaveDevice
     sim::stats::Scalar statBytesOut;
     sim::stats::Scalar statOverflows;
 };
+
+// Defined outside the class: Timing's default member initializers
+// cannot be used before the enclosing class is complete.
+inline constexpr Compressor::Timing Compressor::timing{};
 
 } // namespace ulp::core
 

@@ -1,6 +1,7 @@
 #include "core/event_processor.hh"
 
 #include "core/memory_map.hh"
+#include "core/power_library.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
 
@@ -11,14 +12,12 @@ EventProcessor::EventProcessor(sim::Simulation &simulation,
                                sim::SimObject *parent, DataBus &bus,
                                InterruptBus &irq_bus,
                                PowerController &power_ctrl,
-                               ProbeRecorder *probes,
-                               const sim::ClockDomain &clock,
-                               const power::PowerModel &model,
-                               const Timing &timing)
+                               ProbeRecorder &probes,
+                               const sim::ClockDomain &clock)
     : sim::SimObject(simulation, name, parent),
       bus(bus), irqBus(irq_bus), powerCtrl(power_ctrl), probes(probes),
-      clock(clock), _timing(timing),
-      tracker(*this, model, power::PowerState::Idle)
+      clock(clock),
+      tracker(*this, table5::eventProcessor, power::PowerState::Idle)
 {
     irqBus.setSink(this);
     obs = simulation.telemetry();
@@ -101,8 +100,7 @@ EventProcessor::beginService()
     servicing = *irq;
     tracker.setState(power::PowerState::Active);
     ++statIsrs;
-    if (probes)
-        probes->record(Probe::EpIsrStart);
+    probes.record(Probe::EpIsrStart);
 
     // LOOKUP: the table entry's two bytes come over the data bus.
     std::uint16_t entry = static_cast<std::uint16_t>(
@@ -113,19 +111,18 @@ EventProcessor::beginService()
         sim::warn("%s: no ISR bound for %s; event ignored", name().c_str(),
                   irqName(servicing));
         enterReady();
-        consume(_timing.lookup);
+        consume(timing.lookup);
         return;
     }
     setFsmState(State::Fetch);
-    consume(_timing.lookup);
+    consume(timing.lookup);
 }
 
 void
 EventProcessor::enterReady()
 {
     setFsmState(State::Ready);
-    if (probes)
-        probes->record(Probe::EpIsrEnd);
+    probes.record(Probe::EpIsrEnd);
     servicing = Irq::None;
 }
 
@@ -178,7 +175,7 @@ EventProcessor::advance()
                        name().c_str(), pc);
         current = *decoded;
         setFsmState(State::Execute);
-        consume(_timing.fetchPerWord * words);
+        consume(timing.fetchPerWord * words);
         return;
       }
 
@@ -192,7 +189,7 @@ EventProcessor::advance()
 sim::Cycles
 EventProcessor::executeCurrent()
 {
-    const Timing &t = _timing;
+    const Timing &t = timing;
     sim::Cycles cycles = 0;
     sim::Tick extra = 0;
     bool terminating = false;

@@ -52,12 +52,13 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
         sim::Cycles transferPerByte = 2; ///< one read + one write per byte
     };
 
+    /** The EP's calibrated cycle costs. */
+    static const Timing timing;
+
     EventProcessor(sim::Simulation &simulation, const std::string &name,
                    sim::SimObject *parent, DataBus &bus,
                    InterruptBus &irq_bus, PowerController &power_ctrl,
-                   ProbeRecorder *probes, const sim::ClockDomain &clock,
-                   const power::PowerModel &model,
-                   const Timing &timing);
+                   ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -106,8 +107,6 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
     }
     double utilization() const { return tracker.utilization(); }
 
-    const Timing &timing() const { return _timing; }
-
   private:
     void wakeup();            ///< new-work check behind eventPosted()
     void advance();           ///< one state-machine step
@@ -122,9 +121,8 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
     DataBus &bus;
     InterruptBus &irqBus;
     PowerController &powerCtrl;
-    ProbeRecorder *probes;
+    ProbeRecorder &probes;
     const sim::ClockDomain &clock;
-    Timing _timing;
     std::function<void(std::uint16_t)> wakeMcu;
 
     State _state = State::Ready;
@@ -147,6 +145,10 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
     sim::stats::Scalar statBusWaits;
     sim::stats::Scalar statWakeups;
 };
+
+// Defined outside the class: Timing's default member initializers
+// cannot be used before the enclosing class is complete.
+inline constexpr EventProcessor::Timing EventProcessor::timing{};
 
 } // namespace ulp::core
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/power_library.hh"
 #include "sim/logging.hh"
 
 namespace ulp::core {
@@ -10,14 +11,10 @@ MessageProcessor::MessageProcessor(sim::Simulation &simulation,
                                    const std::string &name,
                                    sim::SimObject *parent,
                                    fabric::EventSource &event_port,
-                                   ProbeRecorder *probes,
-                                   const sim::ClockDomain &clock,
-                                   const power::PowerModel &model,
-                                   sim::Tick wakeup_ticks,
-                                   const Timing &timing)
+                                   ProbeRecorder &probes,
+                                   const sim::ClockDomain &clock)
     : SlaveDevice(simulation, name, parent, {map::msgBase, map::msgSize},
-                  event_port, probes, clock, model, wakeup_ticks, true),
-      timing(timing)
+                  event_port, probes, clock, table5::messageProcessor, true)
 {
 }
 

@@ -92,11 +92,12 @@ class MessageProcessor : public SlaveDevice
         sim::Cycles rxPerByte = 3;
     };
 
+    /** The calibrated command costs. */
+    static const Timing timing;
+
     MessageProcessor(sim::Simulation &simulation, const std::string &name,
                      sim::SimObject *parent, fabric::EventSource &event_port,
-                     ProbeRecorder *probes, const sim::ClockDomain &clock,
-                     const power::PowerModel &model, sim::Tick wakeup_ticks,
-                     const Timing &timing);
+                     ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -181,8 +182,6 @@ class MessageProcessor : public SlaveDevice
         return static_cast<std::uint16_t>((srcHi << 8) | srcLo);
     }
 
-    Timing timing;
-
     // Configuration registers.
     std::uint8_t seq = 0;
     std::uint8_t srcHi = 0, srcLo = 0;
@@ -223,6 +222,10 @@ class MessageProcessor : public SlaveDevice
     sim::stats::Scalar statMalformed;
     sim::stats::Scalar statOverheard;
 };
+
+// Defined outside the class: Timing's default member initializers
+// cannot be used before the enclosing class is complete.
+inline constexpr MessageProcessor::Timing MessageProcessor::timing{};
 
 } // namespace ulp::core
 

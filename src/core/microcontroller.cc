@@ -1,21 +1,21 @@
 #include "core/microcontroller.hh"
 
+#include "core/power_library.hh"
+
 namespace ulp::core {
 
 Microcontroller::Microcontroller(sim::Simulation &simulation,
                                  const std::string &name,
                                  sim::SimObject *parent, DataBus &bus,
-                                 EventProcessor &ep, ProbeRecorder *probes,
-                                 double clock_hz,
-                                 const power::PowerModel &model,
-                                 std::uint16_t stack_top)
+                                 EventProcessor &ep, ProbeRecorder &probes,
+                                 double clock_hz)
     : sim::SimObject(simulation, name, parent),
-      bus(bus), ep(ep), probes(probes), stackTop(stack_top),
+      bus(bus), ep(ep), probes(probes),
       core(simulation, "core", *this,
            mcu::Mcu::Config{clock_hz, /*fetchCostPerByte=*/1,
                             map::mcuVectorBase},
            this),
-      tracker(*this, model, power::PowerState::Gated)
+      tracker(*this, table5::microcontroller, power::PowerState::Gated)
 {
     core.onSleep([this] { wentToSleep(); });
     core.onHalt([this] { wentToSleep(); });
@@ -54,12 +54,11 @@ Microcontroller::wake(std::uint16_t handler)
     _powered = true;
     tracker.setState(power::PowerState::Active);
     bus.setMcuHoldsBus(true);
-    if (probes)
-        probes->record(Probe::McuWoken);
+    probes.record(Probe::McuWoken);
     // Power gating lost all state: each wakeup starts from a clean core
     // with a fresh stack; the EP-supplied handler is the continuation.
     core.reset(handler);
-    core.setSp(stackTop);
+    core.setSp(map::mcuStackTop);
     core.wakeAt(handler);
 }
 
@@ -76,8 +75,7 @@ Microcontroller::forceReset()
         return;
     ++statForcedResets;
     lastResetReason = mcu::ResetReason::Watchdog;
-    if (probes)
-        probes->record(Probe::McuForcedReset);
+    probes.record(Probe::McuForcedReset);
     core.stopClock();
     bus.setMcuHoldsBus(false);
     powerOff();
@@ -87,8 +85,7 @@ Microcontroller::forceReset()
 void
 Microcontroller::wentToSleep()
 {
-    if (probes)
-        probes->record(Probe::McuSlept);
+    probes.record(Probe::McuSlept);
     bus.setMcuHoldsBus(false);
     powerOff();
     ep.busReleased();

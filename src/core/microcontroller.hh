@@ -31,9 +31,8 @@ class Microcontroller : public sim::SimObject,
   public:
     Microcontroller(sim::Simulation &simulation, const std::string &name,
                     sim::SimObject *parent, DataBus &bus,
-                    EventProcessor &ep, ProbeRecorder *probes,
-                    double clock_hz, const power::PowerModel &model,
-                    std::uint16_t stack_top = map::mcuStackTop);
+                    EventProcessor &ep, ProbeRecorder &probes,
+                    double clock_hz);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -101,8 +100,7 @@ class Microcontroller : public sim::SimObject,
 
     DataBus &bus;
     EventProcessor &ep;
-    ProbeRecorder *probes;
-    std::uint16_t stackTop;
+    ProbeRecorder &probes;
     bool _powered = false;
     mcu::ResetReason lastResetReason = mcu::ResetReason::PowerOn;
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * Configuration for a SensorNode. Defaults reproduce the paper's
- * operating point: 100 kHz system clock, 1.2 V Table 5 power models, a
- * 2 KiB banked SRAM, and the calibrated microarchitectural timings.
+ * Configuration for a SensorNode: only what differs from node to node or
+ * from one study to the next. Defaults reproduce the paper's operating
+ * point (100 kHz system clock, radio power excluded). The calibrated
+ * cycle costs and the Table 5 power models belong to the hardware, so
+ * each device holds its own as a constant of its class.
  */
 
 #ifndef ULP_CORE_NODE_CONFIG_HH
@@ -11,10 +13,8 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/event_processor.hh"
-#include "core/message_processor.hh"
 #include "core/power_library.hh"
-#include "memory/sram.hh"
+#include "sim/types.hh"
 
 namespace ulp::core {
 
@@ -32,26 +32,9 @@ struct NodeConfig
     /** Deterministic seed for sensor noise. */
     std::uint64_t seed = 1;
 
-    /** Wakeup ack latency for slave accelerators (sub-cycle, like the
-     *  SRAM's 950 ns bank wake). */
-    sim::Tick slaveWakeupTicks = 950;
-
-    memory::Sram::Config sram{};
-
-    EventProcessor::Timing epTiming{};
-    MessageProcessor::Timing msgTiming{};
-    sim::Cycles filterCompareCycles = 3;
-
-    power::PowerModel epPower = table5::eventProcessor;
-    power::PowerModel timerPower = table5::timerBlock;
-    power::PowerModel msgPower = table5::messageProcessor;
-    power::PowerModel filterPower = table5::thresholdFilter;
-    power::PowerModel compressorPower = table5::compressor;
-    power::PowerModel mcuPower = table5::microcontroller;
-    power::PowerModel fabricPower = table5::eventFabric;
-    /** Radio/sensor power excluded by default, as in the paper (§6.2.1). */
+    /** Radio power, excluded by default as in the paper (§6.2.1); the
+     *  Figure 6b study sets a CC2420-class model. */
     power::PowerModel radioPower = table5::excluded;
-    power::PowerModel sensorPower = table5::excluded;
 
     /** Physical signal sampled by the ADC (value 0..255 over time). */
     std::function<std::uint8_t(sim::Tick)> sensorSignal;

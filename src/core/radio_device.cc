@@ -21,14 +21,13 @@ airTicks(std::size_t bytes)
 
 RadioDevice::RadioDevice(sim::Simulation &simulation, const std::string &name,
                          sim::SimObject *parent, fabric::EventSource &event_port,
-                         ProbeRecorder *probes,
+                         ProbeRecorder &probes,
                          const sim::ClockDomain &clock,
-                         const power::PowerModel &model,
-                         sim::Tick wakeup_ticks, net::Medium *channel,
+                         const power::PowerModel &model, net::Medium *channel,
                          std::uint64_t seed)
     : SlaveDevice(simulation, name, parent,
                   {map::radioBase, map::radioSize}, event_port, probes, clock,
-                  model, wakeup_ticks, true),
+                  model, true),
       channel(channel), random(seed)
 {
     if (channel) {

@@ -120,9 +120,9 @@ class RadioDevice : public SlaveDevice, public net::Transceiver
 
     RadioDevice(sim::Simulation &simulation, const std::string &name,
                 sim::SimObject *parent, fabric::EventSource &event_port,
-                ProbeRecorder *probes, const sim::ClockDomain &clock,
-                const power::PowerModel &model, sim::Tick wakeup_ticks,
-                net::Medium *channel, std::uint64_t seed = 0x5eed);
+                ProbeRecorder &probes, const sim::ClockDomain &clock,
+                const power::PowerModel &model, net::Medium *channel,
+                std::uint64_t seed = 0x5eed);
 
     ~RadioDevice() override;
 

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/power_library.hh"
+
 namespace ulp::core {
 
 SensorAdc::SensorAdc(sim::Simulation &simulation, const std::string &name,
                      sim::SimObject *parent, fabric::EventSource &event_port,
-                     ProbeRecorder *probes, const sim::ClockDomain &clock,
-                     const power::PowerModel &model, sim::Tick wakeup_ticks,
+                     ProbeRecorder &probes, const sim::ClockDomain &clock,
                      Signal signal, double noise_stddev, std::uint64_t seed)
     : SlaveDevice(simulation, name, parent,
                   {map::sensorBase, map::sensorSize}, event_port, probes,
-                  clock, model, wakeup_ticks, true),
+                  clock, table5::excluded, true),
       signal(std::move(signal)), noiseStddev(noise_stddev), random(seed)
 {
 }

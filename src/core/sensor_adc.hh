@@ -32,8 +32,7 @@ class SensorAdc : public SlaveDevice
 
     SensorAdc(sim::Simulation &simulation, const std::string &name,
               sim::SimObject *parent, fabric::EventSource &event_port,
-              ProbeRecorder *probes, const sim::ClockDomain &clock,
-              const power::PowerModel &model, sim::Tick wakeup_ticks,
+              ProbeRecorder &probes, const sim::ClockDomain &clock,
               Signal signal, double noise_stddev = 0.0,
               std::uint64_t seed = 0x5e05);
 

@@ -17,14 +17,14 @@ SensorNode::SensorNode(sim::Simulation &simulation, const std::string &name,
     // The fabric is every slave's event port: linked events it services
     // itself, the rest fall through to the interrupt bus -> EP path.
     eventFabric = std::make_unique<fabric::EventFabric>(
-        simulation, "fabric", this, *interruptBus, probeRecorder.get(),
-        clockDomain, cfg.fabricPower, fabric::EventFabric::Timing{});
+        simulation, "fabric", this, *interruptBus, *probeRecorder,
+        clockDomain);
     powerController =
         std::make_unique<PowerController>(simulation, "powerCtrl", this);
     powerController->setGatingDisabled(cfg.gatingDisabled);
 
     // Main memory: align the per-access active window to one system cycle.
-    memory::Sram::Config sram_cfg = cfg.sram;
+    memory::Sram::Config sram_cfg;
     sram_cfg.accessTicks = clockDomain.period();
     sram = std::make_unique<memory::Sram>(simulation, "sram", sram_cfg,
                                           this);
@@ -42,31 +42,29 @@ SensorNode::SensorNode(sim::Simulation &simulation, const std::string &name,
     }
 
     timerUnit = std::make_unique<TimerUnit>(
-        simulation, "timers", this, *eventFabric, probeRecorder.get(),
-        clockDomain, cfg.timerPower, cfg.slaveWakeupTicks);
+        simulation, "timers", this, *eventFabric, *probeRecorder,
+        clockDomain);
     bus->addSlave(timerUnit.get());
     powerController->registerComponent(ComponentId::Timers,
                                        timerUnit.get());
 
     thresholdFilter = std::make_unique<ThresholdFilter>(
-        simulation, "filter", this, *eventFabric, probeRecorder.get(),
-        clockDomain, cfg.filterPower, cfg.slaveWakeupTicks,
-        cfg.filterCompareCycles);
+        simulation, "filter", this, *eventFabric, *probeRecorder,
+        clockDomain);
     bus->addSlave(thresholdFilter.get());
     powerController->registerComponent(ComponentId::Filter,
                                        thresholdFilter.get());
 
     messageProcessor = std::make_unique<MessageProcessor>(
-        simulation, "msgProc", this, *eventFabric, probeRecorder.get(),
-        clockDomain, cfg.msgPower, cfg.slaveWakeupTicks, cfg.msgTiming);
+        simulation, "msgProc", this, *eventFabric, *probeRecorder,
+        clockDomain);
     bus->addSlave(messageProcessor.get());
     powerController->registerComponent(ComponentId::MsgProc,
                                        messageProcessor.get());
 
     compressorDev = std::make_unique<Compressor>(
-        simulation, "compressor", this, *eventFabric,
-        probeRecorder.get(), clockDomain, cfg.compressorPower,
-        cfg.slaveWakeupTicks, Compressor::Timing{});
+        simulation, "compressor", this, *eventFabric, *probeRecorder,
+        clockDomain);
     bus->addSlave(compressorDev.get());
     powerController->registerComponent(ComponentId::Compressor,
                                        compressorDev.get());
@@ -74,28 +72,27 @@ SensorNode::SensorNode(sim::Simulation &simulation, const std::string &name,
     // Decorrelate the MAC backoff streams of nodes sharing one config
     // seed: two nodes drawing identical backoffs would collide forever.
     radioDevice = std::make_unique<RadioDevice>(
-        simulation, "radio", this, *eventFabric, probeRecorder.get(),
-        clockDomain, cfg.radioPower, cfg.slaveWakeupTicks, channel,
+        simulation, "radio", this, *eventFabric, *probeRecorder,
+        clockDomain, cfg.radioPower, channel,
         cfg.seed + 0x9e3779b97f4a7c15ull * (cfg.address + 1));
     bus->addSlave(radioDevice.get());
     powerController->registerComponent(ComponentId::Radio,
                                        radioDevice.get());
 
     sensorAdc = std::make_unique<SensorAdc>(
-        simulation, "sensor", this, *eventFabric, probeRecorder.get(),
-        clockDomain, cfg.sensorPower, cfg.slaveWakeupTicks,
-        cfg.sensorSignal, cfg.sensorNoiseStddev, cfg.seed);
+        simulation, "sensor", this, *eventFabric, *probeRecorder,
+        clockDomain, cfg.sensorSignal, cfg.sensorNoiseStddev, cfg.seed);
     bus->addSlave(sensorAdc.get());
     powerController->registerComponent(ComponentId::Sensor,
                                        sensorAdc.get());
 
     eventProcessor = std::make_unique<EventProcessor>(
         simulation, "ep", this, *bus, *interruptBus, *powerController,
-        probeRecorder.get(), clockDomain, cfg.epPower, cfg.epTiming);
+        *probeRecorder, clockDomain);
 
     microcontroller = std::make_unique<Microcontroller>(
-        simulation, "uC", this, *bus, *eventProcessor,
-        probeRecorder.get(), cfg.clockHz, cfg.mcuPower);
+        simulation, "uC", this, *bus, *eventProcessor, *probeRecorder,
+        cfg.clockHz);
     powerController->registerComponent(ComponentId::Microcontroller,
                                        microcontroller.get());
     eventProcessor->setWakeMcu(

@@ -7,17 +7,17 @@ namespace ulp::core {
 SlaveDevice::SlaveDevice(sim::Simulation &simulation, const std::string &name,
                          sim::SimObject *parent, AddrRange range,
                          fabric::EventSource &event_port,
-                         ProbeRecorder *probes,
+                         ProbeRecorder &probes,
                          const sim::ClockDomain &clock,
                          const power::PowerModel &model,
-                         sim::Tick wakeup_ticks, bool initially_powered)
+                         bool initially_powered)
     : sim::SimObject(simulation, name, parent),
       clock(clock),
       tracker(*this, model,
               initially_powered ? power::PowerState::Idle
                                 : power::PowerState::Gated),
       range(range), port(event_port), probes(probes),
-      wakeupTicks(wakeup_ticks), _powered(initially_powered)
+      _powered(initially_powered)
 {
 }
 

@@ -25,12 +25,15 @@ class SlaveDevice : public sim::SimObject,
                     public PowerControllable
 {
   public:
+    /** Wakeup ack latency of every slave accelerator (sub-cycle, like
+     *  the SRAM's 950 ns bank wake). */
+    static constexpr sim::Tick wakeupTicks = 950;
+
     SlaveDevice(sim::Simulation &simulation, const std::string &name,
                 sim::SimObject *parent, AddrRange range,
-                fabric::EventSource &event_port, ProbeRecorder *probes,
+                fabric::EventSource &event_port, ProbeRecorder &probes,
                 const sim::ClockDomain &clock,
-                const power::PowerModel &model, sim::Tick wakeup_ticks,
-                bool initially_powered);
+                const power::PowerModel &model, bool initially_powered);
 
     // BusSlave
     AddrRange addrRange() const override { return range; }
@@ -52,9 +55,6 @@ class SlaveDevice : public sim::SimObject,
     virtual double utilization() const { return tracker.utilization(); }
 
     const power::EnergyTracker &energyTracker() const { return tracker; }
-
-    /** Replace the power model (ablations). */
-    void setPowerModel(const power::PowerModel &m) { tracker.setModel(m); }
 
     // --- fault injection ---------------------------------------------------
 
@@ -101,8 +101,7 @@ class SlaveDevice : public sim::SimObject,
     void
     recordSleepState(sim::SleepCode now, sim::SleepCode was)
     {
-        if (probes)
-            probes->recordSleepState(now, was);
+        probes.recordSleepState(now, was);
     }
 
     /** Raise a plain event on this device's request line. */
@@ -121,8 +120,7 @@ class SlaveDevice : public sim::SimObject,
     void
     recordProbe(Probe probe)
     {
-        if (probes)
-            probes->record(probe);
+        probes.record(probe);
     }
 
     /**
@@ -144,8 +142,7 @@ class SlaveDevice : public sim::SimObject,
 
     AddrRange range;
     fabric::EventSource &port;
-    ProbeRecorder *probes;
-    sim::Tick wakeupTicks;
+    ProbeRecorder &probes;
     bool _powered;
     sim::Tick activeUntil = 0;
     sim::MemberEvent<&SlaveDevice::becomeIdle> idleEvent{this, "idle"};

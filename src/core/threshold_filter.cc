@@ -1,20 +1,18 @@
 #include "core/threshold_filter.hh"
 
+#include "core/power_library.hh"
+
 namespace ulp::core {
 
 ThresholdFilter::ThresholdFilter(sim::Simulation &simulation,
                                  const std::string &name,
                                  sim::SimObject *parent,
                                  fabric::EventSource &event_port,
-                                 ProbeRecorder *probes,
-                                 const sim::ClockDomain &clock,
-                                 const power::PowerModel &model,
-                                 sim::Tick wakeup_ticks,
-                                 sim::Cycles compare_cycles)
+                                 ProbeRecorder &probes,
+                                 const sim::ClockDomain &clock)
     : SlaveDevice(simulation, name, parent,
                   {map::filterBase, map::filterSize}, event_port, probes,
-                  clock, model, wakeup_ticks, true),
-      compareCycles(compare_cycles)
+                  clock, table5::thresholdFilter, true)
 {
 }
 

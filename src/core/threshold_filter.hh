@@ -22,13 +22,11 @@ class ThresholdFilter : public SlaveDevice
     static constexpr std::uint8_t ctrlIrqMode = 0x1;
 
     /** Paper anchor: the filter is active 3 of the 127 send-path cycles. */
-    static constexpr sim::Cycles defaultCompareCycles = 3;
+    static constexpr sim::Cycles compareCycles = 3;
 
     ThresholdFilter(sim::Simulation &simulation, const std::string &name,
                     sim::SimObject *parent, fabric::EventSource &event_port,
-                    ProbeRecorder *probes, const sim::ClockDomain &clock,
-                    const power::PowerModel &model, sim::Tick wakeup_ticks,
-                    sim::Cycles compare_cycles = defaultCompareCycles);
+                    ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -55,7 +53,6 @@ class ThresholdFilter : public SlaveDevice
     std::uint8_t datum = 0;
     std::uint8_t result = 0;
     std::uint8_t ctrl = ctrlIrqMode;
-    sim::Cycles compareCycles;
     sim::MemberEvent<&ThresholdFilter::decide> decideEvent{this, "decide"};
 
     sim::stats::Scalar statDecisions;

@@ -1,5 +1,6 @@
 #include "core/timer_unit.hh"
 
+#include "core/power_library.hh"
 #include "sim/logging.hh"
 
 namespace ulp::core {
@@ -18,22 +19,21 @@ TimerUnit::Timer::Timer(TimerUnit *unit, unsigned index)
 
 TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                      sim::SimObject *parent, fabric::EventSource &event_port,
-                     ProbeRecorder *probes, const sim::ClockDomain &clock,
-                     const power::PowerModel &block_model,
-                     sim::Tick wakeup_ticks)
+                     ProbeRecorder &probes, const sim::ClockDomain &clock)
     : SlaveDevice(simulation, name, parent,
                   {map::timerBase, map::timerSize}, event_port, probes, clock,
                   // The block tracker accounts the idle/gated baseline;
                   // running timers add their active-power share via the
                   // per-timer trackers below.
-                  power::PowerModel{block_model.idleWatts,
-                                    block_model.idleWatts,
-                                    block_model.gatedWatts},
-                  wakeup_ticks, true),
+                  power::PowerModel{table5::timerBlock.idleWatts,
+                                    table5::timerBlock.idleWatts,
+                                    table5::timerBlock.gatedWatts},
+                  true),
       timers{{{this, 0}, {this, 1}, {this, 2}, {this, 3}}}
 {
-    double delta = (block_model.activeWatts - block_model.idleWatts) /
-                   numTimers;
+    double delta =
+        (table5::timerBlock.activeWatts - table5::timerBlock.idleWatts) /
+        numTimers;
     for (unsigned i = 0; i < numTimers; ++i) {
         timers[i].tracker = std::make_unique<power::EnergyTracker>(
             *this, power::PowerModel{delta, 0.0, 0.0},

@@ -48,9 +48,7 @@ class TimerUnit : public SlaveDevice
 
     TimerUnit(sim::Simulation &simulation, const std::string &name,
               sim::SimObject *parent, fabric::EventSource &event_port,
-              ProbeRecorder *probes, const sim::ClockDomain &clock,
-              const power::PowerModel &block_model,
-              sim::Tick wakeup_ticks);
+              ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 

@@ -2,6 +2,7 @@
 
 #include "core/memory_map.hh"
 #include "core/message_processor.hh"
+#include "core/power_library.hh"
 #include "core/radio_device.hh"
 #include "core/timer_unit.hh"
 #include "sim/logging.hh"
@@ -73,12 +74,11 @@ linkName(const Link &link)
 
 EventFabric::EventFabric(sim::Simulation &simulation, const std::string &name,
                          sim::SimObject *parent, core::InterruptBus &irq_bus,
-                         core::ProbeRecorder *probes,
-                         const sim::ClockDomain &clock,
-                         const power::PowerModel &model, const Timing &timing)
+                         core::ProbeRecorder &probes,
+                         const sim::ClockDomain &clock)
     : sim::SimObject(simulation, name, parent),
-      irqBus(irq_bus), probes(probes), clock(clock), timing(timing),
-      tracker(*this, model, power::PowerState::Gated),
+      irqBus(irq_bus), probes(probes), clock(clock),
+      tracker(*this, core::table5::eventFabric, power::PowerState::Gated),
       obs(simulation.telemetry())
 {
     if (obs)
@@ -258,8 +258,7 @@ EventFabric::deliver(const Event &event, const Route &route)
       }
 
       case Sink::ProbeLatch:
-        if (probes)
-            probes->record(Probe::FabricLatch);
+        probes.record(Probe::FabricLatch);
         break;
 
       case Sink::McuWake: {

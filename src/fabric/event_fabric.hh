@@ -60,10 +60,12 @@ class EventFabric : public sim::SimObject, public EventSource
         sim::Cycles wake = 3;            ///< µC vector fetch + handoff
     };
 
+    /** The sink actions' cycle costs. */
+    static const Timing timing;
+
     EventFabric(sim::Simulation &simulation, const std::string &name,
                 sim::SimObject *parent, core::InterruptBus &irq_bus,
-                core::ProbeRecorder *probes, const sim::ClockDomain &clock,
-                const power::PowerModel &model, const Timing &timing);
+                core::ProbeRecorder &probes, const sim::ClockDomain &clock);
 
     void visitStats(sim::stats::Visitor &v) const override;
 
@@ -128,9 +130,8 @@ class EventFabric : public sim::SimObject, public EventSource
     void recordFabric(const Event &event, Sink sink, std::uint8_t kind);
 
     core::InterruptBus &irqBus;
-    core::ProbeRecorder *probes;
+    core::ProbeRecorder &probes;
     const sim::ClockDomain &clock;
-    Timing timing;
     power::EnergyTracker tracker;
 
     core::DataBus *bus = nullptr;
@@ -151,6 +152,10 @@ class EventFabric : public sim::SimObject, public EventSource
     sim::stats::Scalar statSinkBusy;
     sim::stats::Scalar statFiltered;
 };
+
+// Defined outside the class: Timing's default member initializers
+// cannot be used before the enclosing class is complete.
+inline constexpr EventFabric::Timing EventFabric::timing{};
 
 } // namespace ulp::fabric
 

@@ -172,7 +172,7 @@ TEST_F(DeviceTest, SwitchOnAcksAfterWakeupLatency)
     EXPECT_FALSE(pc.isOn(ComponentId::Sensor));
 
     sim::Tick ready = pc.switchOn(ComponentId::Sensor);
-    EXPECT_EQ(ready, simulation.curTick() + cfg.slaveWakeupTicks);
+    EXPECT_EQ(ready, simulation.curTick() + SlaveDevice::wakeupTicks);
     EXPECT_TRUE(pc.isOn(ComponentId::Sensor));
 
     // Already-on components ack immediately.
