@@ -10,10 +10,22 @@ namespace {
 constexpr sim::StaticText fireNames[TimerUnit::numTimers] = {
     "fire0", "fire1", "fire2", "fire3"};
 
+/** The block tracker accounts the idle/gated baseline; running timers
+ *  add their share of the active draw through their own trackers. */
+constexpr power::PowerModel blockModel{table5::timerBlock.idleWatts,
+                                       table5::timerBlock.idleWatts,
+                                       table5::timerBlock.gatedWatts};
+constexpr power::PowerModel timerModel{
+    (table5::timerBlock.activeWatts - table5::timerBlock.idleWatts) /
+        TimerUnit::numTimers,
+    0.0, 0.0};
+
 } // namespace
 
 TimerUnit::Timer::Timer(TimerUnit *unit, unsigned index)
-    : unit(unit), index(index), fireEvent(this, fireNames[index])
+    : unit(unit), index(index), fireEvent(this, fireNames[index]),
+      tracker(*unit, timerModel, power::PowerState::Idle,
+              "timer" + std::to_string(index))
 {
 }
 
@@ -22,23 +34,9 @@ TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
                      ProbeRecorder &probes, const sim::ClockDomain &clock)
     : SlaveDevice(simulation, name, parent,
                   {map::timerBase, map::timerSize}, event_port, probes, clock,
-                  // The block tracker accounts the idle/gated baseline;
-                  // running timers add their active-power share via the
-                  // per-timer trackers below.
-                  power::PowerModel{table5::timerBlock.idleWatts,
-                                    table5::timerBlock.idleWatts,
-                                    table5::timerBlock.gatedWatts},
-                  true),
+                  blockModel, true),
       timers{{{this, 0}, {this, 1}, {this, 2}, {this, 3}}}
 {
-    double delta =
-        (table5::timerBlock.activeWatts - table5::timerBlock.idleWatts) /
-        numTimers;
-    for (unsigned i = 0; i < numTimers; ++i) {
-        timers[i].tracker = std::make_unique<power::EnergyTracker>(
-            *this, power::PowerModel{delta, 0.0, 0.0},
-            power::PowerState::Idle, "timer" + std::to_string(i));
-    }
 }
 
 void
@@ -164,16 +162,16 @@ TimerUnit::writeCtrl(unsigned idx, std::uint8_t value)
         // A free-running timer toggles its counter every cycle (active
         // power); a chained timer only decrements when its predecessor
         // completes, so it is quiescent almost always.
-        timer.tracker->setState((timer.ctrl & ctrlChain)
-                                    ? power::PowerState::Idle
-                                    : power::PowerState::Active);
+        timer.tracker.setState((timer.ctrl & ctrlChain)
+                                   ? power::PowerState::Idle
+                                   : power::PowerState::Active);
         if (!(timer.ctrl & ctrlChain))
             startCountdown(idx);
     } else if (was_running && !now_running) {
         // Pause: remember the remaining count.
         timer.count = timerCount(idx);
         stopCountdown(idx);
-        timer.tracker->setState(power::PowerState::Idle);
+        timer.tracker.setState(power::PowerState::Idle);
     }
 }
 
@@ -212,7 +210,7 @@ TimerUnit::fire(unsigned idx)
             startCountdown(idx);
     } else {
         timer.ctrl &= static_cast<std::uint8_t>(~ctrlEnable);
-        timer.tracker->setState(power::PowerState::Idle);
+        timer.tracker.setState(power::PowerState::Idle);
     }
 }
 
@@ -238,7 +236,7 @@ TimerUnit::freeze()
             timer.count = timerCount(i);
             stopCountdown(i);
         }
-        timer.tracker->setState(power::PowerState::Gated);
+        timer.tracker.setState(power::PowerState::Gated);
     }
     wdtStop();
     tracker.setState(power::PowerState::Gated);
@@ -254,12 +252,12 @@ TimerUnit::thaw()
     for (unsigned i = 0; i < numTimers; ++i) {
         Timer &timer = timers[i];
         if (!running(timer)) {
-            timer.tracker->setState(power::PowerState::Idle);
+            timer.tracker.setState(power::PowerState::Idle);
             continue;
         }
-        timer.tracker->setState((timer.ctrl & ctrlChain)
-                                    ? power::PowerState::Idle
-                                    : power::PowerState::Active);
+        timer.tracker.setState((timer.ctrl & ctrlChain)
+                                   ? power::PowerState::Idle
+                                   : power::PowerState::Active);
         if (!(timer.ctrl & ctrlChain))
             startCountdown(i);
     }
@@ -350,7 +348,7 @@ void
 TimerUnit::onPowerOn()
 {
     for (Timer &timer : timers)
-        timer.tracker->setState(power::PowerState::Idle);
+        timer.tracker.setState(power::PowerState::Idle);
 }
 
 void
@@ -362,7 +360,7 @@ TimerUnit::onPowerOff()
         timers[i].ctrl = 0;
         timers[i].load = 0;
         timers[i].count = 0;
-        timers[i].tracker->setState(power::PowerState::Gated);
+        timers[i].tracker.setState(power::PowerState::Gated);
     }
     wdtStop();
     wdtCtrlReg = 0;
@@ -374,7 +372,7 @@ TimerUnit::averagePowerWatts() const
 {
     double watts = tracker.averagePowerWatts();
     for (const Timer &timer : timers)
-        watts += timer.tracker->averagePowerWatts();
+        watts += timer.tracker.averagePowerWatts();
     return watts;
 }
 
@@ -383,7 +381,7 @@ TimerUnit::energyJoules() const
 {
     double joules = tracker.energyJoules();
     for (const Timer &timer : timers)
-        joules += timer.tracker->energyJoules();
+        joules += timer.tracker.energyJoules();
     return joules;
 }
 

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 
 #include "core/slave_device.hh"
 
@@ -117,7 +116,8 @@ class TimerUnit : public SlaveDevice
         TimerUnit *unit;
         unsigned index;
         sim::MemberEvent<&Timer::fired> fireEvent;
-        std::unique_ptr<power::EnergyTracker> tracker;
+        /** This timer's share of the block's active draw. */
+        power::EnergyTracker tracker;
     };
 
     void writeCtrl(unsigned idx, std::uint8_t value);
