@@ -142,11 +142,11 @@ EpInstruction::toString() const
         return sim::csprintf("WAKEUP %u", vector);
       case EpOpcode::READ:
       case EpOpcode::WRITE:
-        return sim::csprintf("%s %#06x", epMnemonic(opcode), addrA);
+        return sim::csprintf("%s 0x%04x", epMnemonic(opcode), addrA);
       case EpOpcode::WRITEI:
-        return sim::csprintf("WRITEI %#06x, %u", addrA, operand5);
+        return sim::csprintf("WRITEI 0x%04x, %u", addrA, operand5);
       case EpOpcode::TRANSFER:
-        return sim::csprintf("TRANSFER %#06x, %#06x, %u", addrA, addrB,
+        return sim::csprintf("TRANSFER 0x%04x, 0x%04x, %u", addrA, addrB,
                              transferLength());
     }
     return "?";

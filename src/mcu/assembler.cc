@@ -283,7 +283,7 @@ disassemble(const std::uint8_t *bytes, std::size_t available)
         return "<empty>";
     const InstrInfo *info = instrInfo(static_cast<Opcode>(bytes[0]));
     if (!info)
-        return sim::csprintf("<bad opcode %#04x>", bytes[0]);
+        return sim::csprintf("<bad opcode 0x%02x>", bytes[0]);
     if (available < info->lengthBytes)
         return sim::csprintf("<truncated %s>", info->mnemonic);
 
@@ -301,27 +301,27 @@ disassemble(const std::uint8_t *bytes, std::size_t available)
       case Format::RdRs:
         return sim::csprintf("%s r%d, r%d", info->mnemonic, rd(), rs());
       case Format::RdImm:
-        return sim::csprintf("%s r%d, %#04x", info->mnemonic, rd(),
+        return sim::csprintf("%s r%d, 0x%02x", info->mnemonic, rd(),
                              bytes[2]);
       case Format::RdAddr:
-        return sim::csprintf("%s r%d, %#06x", info->mnemonic, rd(),
+        return sim::csprintf("%s r%d, 0x%04x", info->mnemonic, rd(),
                              addr_at(2));
       case Format::AddrRs:
-        return sim::csprintf("%s %#06x, r%d", info->mnemonic, addr_at(2),
+        return sim::csprintf("%s 0x%04x, r%d", info->mnemonic, addr_at(2),
                              rd());
       case Format::RdPair:
         return sim::csprintf("%s r%d, p%d", info->mnemonic, rd(), rs());
       case Format::PairRs:
         return sim::csprintf("%s p%d, r%d", info->mnemonic, rd(), rs());
       case Format::PairAddr:
-        return sim::csprintf("%s p%d, %#06x", info->mnemonic, rd(),
+        return sim::csprintf("%s p%d, 0x%04x", info->mnemonic, rd(),
                              addr_at(2));
       case Format::Pair:
         return sim::csprintf("%s p%d", info->mnemonic, rd());
       case Format::Addr:
-        return sim::csprintf("%s %#06x", info->mnemonic, addr_at(1));
+        return sim::csprintf("%s 0x%04x", info->mnemonic, addr_at(1));
       case Format::Imm:
-        return sim::csprintf("%s %#04x", info->mnemonic, bytes[1]);
+        return sim::csprintf("%s 0x%02x", info->mnemonic, bytes[1]);
     }
     return "<unreachable>";
 }

@@ -67,6 +67,34 @@ TEST_P(EpIsaRoundTrip, EncodeDecodeIdentity)
       default:
         break;
     }
+
+    // The disassembly reassembles to the same bytes, a zero address
+    // too. Only SWITCHON, SWITCHOFF, WRITEI and TRANSFER print the
+    // 5-bit operand.
+    EpInstruction shown = instr;
+    switch (shown.opcode) {
+      case EpOpcode::READ:
+      case EpOpcode::WRITE:
+      case EpOpcode::TERMINATE:
+      case EpOpcode::WAKEUP:
+        shown.operand5 = 0;
+        break;
+      default:
+        break;
+    }
+    EXPECT_EQ(epAssemble(shown.toString()).code, shown.encode())
+        << shown.toString();
+    shown.addrA = 0;
+    shown.addrB = 0;
+    EXPECT_EQ(epAssemble(shown.toString()).code, shown.encode())
+        << shown.toString();
+    const char *const zeroText[] = {
+        "SWITCHON 21",       "SWITCHOFF 21",
+        "READ 0x0000",       "WRITE 0x0000",
+        "WRITEI 0x0000, 21", "TRANSFER 0x0000, 0x0000, 21",
+        "TERMINATE",         "WAKEUP 3"};
+    EXPECT_EQ(shown.toString(), zeroText[GetParam()]);
+
     // Truncated input must not decode.
     bytes.pop_back();
     if (!bytes.empty()) {

@@ -268,11 +268,14 @@ TEST(Assembler, MultipleOrgChunks)
 TEST(Disassembler, RoundTripsAllInstructions)
 {
     // Assemble a program, then disassemble every instruction and
-    // re-assemble the disassembly: the bytes must match.
+    // re-assemble the disassembly: the bytes must match. Zero operands
+    // print in hex like any other.
     const char *source =
         ".org 0\n"
         "ADD r1, r2\nSUBI r3, 0x10\nLSR r4\nCALL 0x0123\nJZ 0x0456\n"
-        "INCP p5\nRETI\nSLEEP\nICALL p2\nIJMP p3\nXORI r7, 0x0f\n";
+        "INCP p5\nRETI\nSLEEP\nICALL p2\nIJMP p3\nXORI r7, 0x0f\n"
+        "LDI r0, 0\nJMP 0\nSTS 0x0000, r1\nLDS r2, 0\nLDP p1, 0\n"
+        "MARK 0\n";
     Image image = assemble(source);
     const auto &bytes = image.chunks[0].bytes;
 
@@ -289,6 +292,13 @@ TEST(Disassembler, RoundTripsAllInstructions)
     }
     Image again = assemble(rebuilt);
     EXPECT_EQ(again.chunks[0].bytes, bytes);
+    EXPECT_EQ(rebuilt,
+              ".org 0\n"
+              "ADD r1, r2\nSUBI r3, 0x10\nLSR r4\nCALL 0x0123\n"
+              "JZ 0x0456\nINCP p5\nRETI\nSLEEP\nICALL p2\nIJMP p3\n"
+              "XORI r7, 0x0f\nLDI r0, 0x00\nJMP 0x0000\n"
+              "STS 0x0000, r1\nLDS r2, 0x0000\nLDP p1, 0x0000\n"
+              "MARK 0x00\n");
 }
 
 // --------------------------------------------------------------------------
