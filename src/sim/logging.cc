@@ -1,12 +1,28 @@
 #include "sim/logging.hh"
 
 #include <cstdio>
-#include <vector>
+
+#include "sim/event_queue.hh"
 
 namespace ulp::sim {
 
 namespace {
+
 bool quietMode = false;
+
+/** The innermost hold on this thread; null prints at once. */
+thread_local MessageHold *activeHold = nullptr;
+
+void
+emit(const char *prefix, const std::string &msg)
+{
+    std::string line = prefix + msg + "\n";
+    if (activeHold)
+        activeHold->add(std::move(line));
+    else
+        std::fputs(line.c_str(), stderr);
+}
+
 } // namespace
 
 std::string
@@ -62,7 +78,7 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    emit("warn: ", msg);
 }
 
 void
@@ -74,13 +90,31 @@ inform(const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
+    emit("info: ", msg);
 }
 
 void
 setQuiet(bool quiet)
 {
     quietMode = quiet;
+}
+
+MessageHold::MessageHold(const EventQueue &queue,
+                         std::vector<HeldMessage> &held)
+    : queue(queue), held(held), outer(activeHold)
+{
+    activeHold = this;
+}
+
+MessageHold::~MessageHold()
+{
+    activeHold = outer;
+}
+
+void
+MessageHold::add(std::string line)
+{
+    held.push_back({queue.curTick(), std::move(line)});
 }
 
 } // namespace ulp::sim

@@ -11,6 +11,10 @@
  * Unlike gem5, panic() and fatal() throw (PanicError / FatalError) rather
  * than abort()/exit(1) so that unit tests can assert on them; main()
  * wrappers catch SimError and exit non-zero.
+ *
+ * warn() and inform() print at once, except on a thread that holds its
+ * messages (MessageHold): a shard worker of a parallel run does, so the
+ * scheduler can print every shard's lines in simulated-time order.
  */
 
 #ifndef ULP_SIM_LOGGING_HH
@@ -19,8 +23,13 @@
 #include <cstdarg>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "sim/types.hh"
 
 namespace ulp::sim {
+
+class EventQueue;
 
 /** Base class for simulation-terminating errors. */
 class SimError : public std::runtime_error
@@ -66,6 +75,36 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Globally silence warn()/inform() (used by benches for clean tables). */
 void setQuiet(bool quiet);
+
+/** A warn()/inform() line held back, with the tick it was raised at. */
+struct HeldMessage
+{
+    Tick tick;
+    std::string line; ///< the whole line, prefix and newline included
+};
+
+/**
+ * While alive, warn() and inform() on the constructing thread append
+ * their line to @p held, stamped with @p queue's current tick, instead
+ * of printing it. Holds nest; the innermost one collects.
+ */
+class MessageHold
+{
+  public:
+    MessageHold(const EventQueue &queue, std::vector<HeldMessage> &held);
+    ~MessageHold();
+
+    MessageHold(const MessageHold &) = delete;
+    MessageHold &operator=(const MessageHold &) = delete;
+
+    /** Hold @p line, stamped with the queue's current tick. */
+    void add(std::string line);
+
+  private:
+    const EventQueue &queue;
+    std::vector<HeldMessage> &held;
+    MessageHold *outer;
+};
 
 } // namespace ulp::sim
 

@@ -1,6 +1,7 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -67,6 +68,27 @@ ParallelScheduler::resolveTopology()
 }
 
 namespace {
+
+/**
+ * Print the lines the shard workers held, in (tick, shard) order: the
+ * order of simulated time, whatever order the threads ran in. A shard's
+ * lines keep the order it raised them in.
+ */
+void
+printHeld(const std::vector<std::vector<HeldMessage>> &held)
+{
+    std::vector<const HeldMessage *> order;
+    for (const std::vector<HeldMessage> &shard : held) {
+        for (const HeldMessage &msg : shard)
+            order.push_back(&msg);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const HeldMessage *a, const HeldMessage *b) {
+                         return a->tick < b->tick;
+                     });
+    for (const HeldMessage *msg : order)
+        std::fputs(msg->line.c_str(), stderr);
+}
 
 /** Short spin before parking: epoch targets are usually satisfied within
  *  a few hundred loads when the shards are balanced. */
@@ -183,9 +205,12 @@ ParallelScheduler::run(Tick end)
 
     // A worker that dies (uncaught exception) would leave its safe tick
     // frozen and hang every peer; release the others first, then rethrow
-    // on the caller's thread.
+    // on the caller's thread. Each worker holds its warnings until all
+    // have joined, so stderr does not depend on thread timing.
     std::vector<std::exception_ptr> errors(shards.size());
+    std::vector<std::vector<HeldMessage>> held(shards.size());
     auto body = [&](std::size_t idx) {
+        MessageHold hold(*shards[idx].queue, held[idx]);
         try {
             runShard(idx, end);
         } catch (...) {
@@ -202,6 +227,7 @@ ParallelScheduler::run(Tick end)
     body(0);
     for (std::thread &w : workers)
         w.join();
+    printHeld(held);
 
     for (std::exception_ptr &err : errors) {
         if (err)

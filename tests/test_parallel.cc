@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,6 +36,7 @@
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "scenario/spec.hh"
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 
@@ -359,6 +361,46 @@ TEST(ParallelScheduler, SeveredPairsRunTheHorizonInOneEpoch)
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(q0.curTick(), 1'000'000'000'000ull);
     EXPECT_EQ(q1.curTick(), 1'000'000'000'000ull);
+}
+
+TEST(ParallelScheduler, WarningsPrintInTickThenShardOrder)
+{
+    // Two severed shards run with no barrier between them, so their
+    // workers warn in whatever order the threads happen to run. The
+    // scheduler holds each worker's lines and prints them after the
+    // join in (tick, shard) order; tick 30 is shared, and shard 1's two
+    // lines at 30 keep the order they were raised in.
+    sim::EventQueue q0, q1;
+    std::vector<std::unique_ptr<test::FunctionEvent>> events;
+    auto warnAt = [&](sim::EventQueue &q, sim::Tick when,
+                      const char *text) {
+        events.push_back(std::make_unique<test::FunctionEvent>(
+            [text] { sim::warn("%s", text); }, "warn"));
+        q.schedule(events.back().get(), when);
+    };
+    warnAt(q1, 20, "shard1 at 20");
+    warnAt(q0, 10, "shard0 at 10");
+    warnAt(q1, 30, "shard1 at 30, first");
+    warnAt(q1, 30, "shard1 at 30, second");
+    warnAt(q0, 30, "shard0 at 30");
+    warnAt(q1, 40, "shard1 at 40");
+    warnAt(q0, 50, "shard0 at 50");
+
+    sim::ParallelScheduler sched(100);
+    sched.addShard(q0, nullptr);
+    sched.addShard(q1, nullptr);
+    sched.setPairLookahead(0, 1, sim::maxTick);
+    sched.setPairLookahead(1, 0, sim::maxTick);
+    testing::internal::CaptureStderr();
+    sched.run(1000);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: shard0 at 10\n"
+              "warn: shard1 at 20\n"
+              "warn: shard0 at 30\n"
+              "warn: shard1 at 30, first\n"
+              "warn: shard1 at 30, second\n"
+              "warn: shard1 at 40\n"
+              "warn: shard0 at 50\n");
 }
 
 // --------------------------------------------------------------------------
