@@ -37,7 +37,8 @@ class EventProcessor : public sim::SimObject, public fabric::EventSink
   public:
     enum class State { Ready, WaitBus, Lookup, Fetch, Execute };
 
-    /** Cycle costs of the EP microarchitecture (tunable; see DESIGN.md). */
+    /** Cycle costs of the EP microarchitecture, calibrated against
+     *  Table 4 (see DESIGN.md, "Calibration targets"). */
     struct Timing
     {
         sim::Cycles lookup = 3;        ///< 2 table bytes + dispatch

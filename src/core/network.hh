@@ -1,9 +1,9 @@
 /**
  * @file
- * N sensor nodes on a shared radio medium, runnable on either simulation
- * kernel: the single-threaded kernel (one Simulation) or the sharded
- * parallel kernel (K Simulations coupled by a net::FrameRelay under
- * sim::ParallelScheduler).
+ * N sensor nodes on a shared radio medium, split over K shards: K
+ * Simulations, one per worker thread, coupled by a net::FrameRelay
+ * under sim::ParallelScheduler. K = 1 is one Simulation run on the
+ * calling thread.
  *
  * Every shard owns one net::Channel, the one radio medium, coupled to
  * its peers through a net::FrameRelay at every thread count (the K=1
@@ -13,10 +13,10 @@
  *  - spatial (NetworkSpec::spatial set): log-distance path loss over the
  *    node positions.
  *
- * The two kernels are required to produce identical statistics for the
- * same configuration — `threads=1` *is* the regression oracle for
+ * Every thread count is required to produce identical statistics for
+ * the same configuration — `threads=1` *is* the regression oracle for
  * `threads=K` — so this class is also where the shards' statistics are
- * summed back into the exact report the sequential kernel prints.
+ * summed back into the exact report a single shard prints.
  *
  * The constructor takes a lowered scenario::NetworkSpec — the single
  * configuration path (the legacy per-node-lambda Config shim is gone;
@@ -48,12 +48,12 @@ namespace ulp::core {
 class Network
 {
   public:
-    /** The headline counters both kernels must agree on. */
+    /** The headline counters every thread count must agree on. */
     struct Counters
     {
-        /** Model events: the parallel kernel's auxiliary cross-shard
-         *  delivery copies and the trace samplers' firings are
-         *  subtracted out. */
+        /** Model events: the relay's auxiliary cross-shard delivery
+         *  copies and the trace samplers' firings are subtracted
+         *  out. */
         std::uint64_t eventsProcessed = 0;
         std::uint64_t framesSent = 0;
         std::uint64_t framesDelivered = 0;
@@ -156,9 +156,9 @@ class Network
     Counters counters() const;
 
     /**
-     * Print the statistics in the sequential kernel's layout: the media's
-     * counts summed over the shards, then every node in global index
-     * order. Byte-identical across thread counts for oracle workloads.
+     * Print the statistics as one shard would: the media's counts
+     * summed over the shards, then every node in global index order.
+     * Byte-identical across thread counts for oracle workloads.
      */
     void dumpStats(std::ostream &os);
 

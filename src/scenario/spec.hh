@@ -5,7 +5,7 @@
  * is gone). A NodeSpec is one node, fully resolved: its hardware
  * configuration, its application (by scenario name and parameters),
  * its position, and its routing-CAM preload. A NetworkSpec is
- * the whole network plus the kernel/channel parameters.
+ * the whole network plus the shard and channel parameters.
  *
  * Everything here is plain data with a small fluent builder — no
  * lambdas, no deferred resolution — so a spec can be compared, printed,
@@ -123,10 +123,12 @@ struct NetworkSpec
 {
     std::vector<NodeSpec> nodes;
 
-    /** Simulation shards (worker threads). 1 = sequential kernel. */
+    /** Simulation shards, one worker thread each; 1 runs on the
+     *  calling thread. */
     unsigned threads = 1;
 
-    /** Seed for the sequential broadcast channel's loss RNG. */
+    /** Seeds every shard's broadcast-domain loss draws (a spatial
+     *  topology seeds its draws from SpatialConfig::linkSeed). */
     std::uint64_t channelSeed = 1;
 
     double bitRate = net::Channel::defaultBitRate;
