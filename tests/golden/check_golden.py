@@ -7,10 +7,11 @@
         --build-dir build --update-golden
 
 Runs `ulpsim run <ini> --threads=1 --stats` for every scenario file in
-examples/ (campaign specs are skipped: they are not single runs) and for
-the small scenarios kept next to this script, hashes each run's standard
-output with 64-bit FNV-1a, and compares the hash with the committed
-tests/golden/<name>.digest. It also runs each program in PROGRAMS
+examples/ (campaign specs are skipped: they are not single runs), for
+the small scenarios kept next to this script and for three of the
+benchmark workloads (WORKLOADS, read from benchmark/workloads/), hashes
+each run's standard output with 64-bit FNV-1a, and compares the hash
+with the committed tests/golden/<name>.digest. It also runs each program in PROGRAMS
 (the example programs and the paper benches that assemble applications,
 found under --build-dir) without arguments and hashes its standard
 output into tests/golden/program_<name>.digest. Any mismatch, missing
@@ -23,8 +24,11 @@ give the same bytes, and a run of it must hash to the same digest.
 
 Scenarios with a [trace] section write their trace to a temporary
 directory; its path is replaced by a fixed token before hashing. The
-horizons of the longer examples are capped (CAPS) so the whole corpus
-runs in well under a minute in an unoptimised build. Run from any
+horizons of the longer examples and of the workloads are capped (CAPS)
+so the whole corpus runs in well under a minute in an unoptimised
+build. mesh16k_build stays out: its --stats output is about 118 MB,
+and this pure-Python FNV-1a hashes about 5.7 MB/s, so it would add about
+20 s per pass, twice over with the print-scenario run. Run from any
 directory: the scenarios are resolved against the repository root.
 """
 
@@ -40,7 +44,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
 # Simulated-seconds caps, by scenario file name.
-CAPS = {"battery_life.ini": 40}
+CAPS = {
+    "battery_life.ini": 40,
+    "grid1k_steady.ini": 0.5,
+    "bcast256_fabric.ini": 2,
+    "beacon256_traced.ini": 2,
+}
+
+# Benchmark workloads in the corpus, digested as workload_<name>.
+WORKLOADS = ["grid1k_steady", "bcast256_fabric", "beacon256_traced"]
 
 TRACE_TOKEN = "<trace-dir>"
 
@@ -77,13 +89,17 @@ def is_campaign(path):
 
 
 def corpus():
-    """(digest name, scenario path) pairs, examples first."""
+    """(digest name, scenario path) pairs: examples, the scenarios kept
+    here, then the benchmark workloads."""
     entries = []
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.ini"))):
         if not is_campaign(path):
             entries.append(("examples_" + os.path.basename(path)[:-4], path))
     for path in sorted(glob.glob(os.path.join(HERE, "*.ini"))):
         entries.append((os.path.basename(path)[:-4], path))
+    for name in WORKLOADS:
+        entries.append(("workload_" + name, os.path.join(
+            ROOT, "benchmark", "workloads", name + ".ini")))
     return entries
 
 
