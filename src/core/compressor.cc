@@ -10,7 +10,7 @@ namespace ulp::core {
 Compressor::Compressor(sim::Simulation &simulation, const std::string &name,
                        sim::SimObject *parent, fabric::EventSource &event_port,
                        ProbeRecorder &probes, const sim::ClockDomain &clock)
-    : SlaveDevice(simulation, name, parent, {comp::base, comp::size},
+    : SlaveDevice(simulation, name, parent, {map::compBase, map::compSize},
                   event_port, probes, clock, table5::compressor, true)
 {
 }
@@ -101,17 +101,17 @@ std::uint8_t
 Compressor::busRead(map::Addr offset)
 {
     switch (offset) {
-      case comp::ctrl: return 0;
-      case comp::status:
+      case map::compCtrl: return 0;
+      case map::compStatus:
         return static_cast<std::uint8_t>((busy ? 1 : 0) | (done ? 2 : 0));
-      case comp::inLen: return stagedLen;
-      case comp::outLen: return encodedLen;
-      case comp::batch: return batchSize;
+      case map::compInLen: return stagedLen;
+      case map::compOutLen: return encodedLen;
+      case map::compBatch: return batchSize;
       default:
-        if (offset >= comp::inBuf && offset < comp::inBuf + bufferBytes)
-            return input[offset - comp::inBuf];
-        if (offset >= comp::outBuf && offset < comp::outBuf + bufferBytes)
-            return output[offset - comp::outBuf];
+        if (offset >= map::compInBuf && offset < map::compInBuf + bufferBytes)
+            return input[offset - map::compInBuf];
+        if (offset >= map::compOutBuf && offset < map::compOutBuf + bufferBytes)
+            return output[offset - map::compOutBuf];
         return 0xFF;
     }
 }
@@ -120,17 +120,17 @@ void
 Compressor::busWrite(map::Addr offset, std::uint8_t value)
 {
     switch (offset) {
-      case comp::ctrl:
+      case map::compCtrl:
         if (value == 1)
             startEncode();
         return;
-      case comp::inLen:
+      case map::compInLen:
         stagedLen = std::min<std::uint8_t>(value, bufferBytes);
         return;
-      case comp::batch:
+      case map::compBatch:
         batchSize = std::min<std::uint8_t>(value, bufferBytes);
         return;
-      case comp::append:
+      case map::compAppend:
         if (busy || stagedLen >= bufferBytes) {
             ++statOverflows;
             return;
@@ -142,8 +142,8 @@ Compressor::busWrite(map::Addr offset, std::uint8_t value)
             startEncode();
         return;
       default:
-        if (offset >= comp::inBuf && offset < comp::inBuf + bufferBytes) {
-            input[offset - comp::inBuf] = value;
+        if (offset >= map::compInBuf && offset < map::compInBuf + bufferBytes) {
+            input[offset - map::compInBuf] = value;
             return;
         }
         return;

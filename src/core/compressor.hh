@@ -31,21 +31,6 @@
 
 namespace ulp::core {
 
-namespace comp {
-/** Register offsets within the compressor's window. */
-constexpr map::Addr ctrl = 0x0;    ///< write 1: encode the staged block
-constexpr map::Addr status = 0x1;  ///< bit0 busy, bit1 done
-constexpr map::Addr inLen = 0x2;   ///< staged sample count
-constexpr map::Addr outLen = 0x3;  ///< encoded length (read after done)
-constexpr map::Addr batch = 0x4;   ///< auto-encode threshold (0 = manual)
-constexpr map::Addr append = 0x5;  ///< write: stage one sample
-constexpr map::Addr inBuf = 0x10;  ///< staged samples (32 B)
-constexpr map::Addr outBuf = 0x30; ///< encoded output (32 B)
-
-constexpr map::Addr base = 0x1700;
-constexpr map::Addr size = 0x0080;
-} // namespace comp
-
 class Compressor : public SlaveDevice
 {
   public:

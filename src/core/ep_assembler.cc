@@ -106,14 +106,14 @@ epDefaultSymbols()
          static_cast<std::uint16_t>(radioBase + radioRxFifo)},
 
         // Compressor (future-work accelerator).
-        {"COMP_CTRL", 0x1700},
-        {"COMP_STATUS", 0x1701},
-        {"COMP_INLEN", 0x1702},
-        {"COMP_OUTLEN", 0x1703},
-        {"COMP_BATCH", 0x1704},
-        {"COMP_APPEND", 0x1705},
-        {"COMP_INBUF", 0x1710},
-        {"COMP_OUTBUF", 0x1730},
+        {"COMP_CTRL", static_cast<std::uint16_t>(compBase + compCtrl)},
+        {"COMP_STATUS", static_cast<std::uint16_t>(compBase + compStatus)},
+        {"COMP_INLEN", static_cast<std::uint16_t>(compBase + compInLen)},
+        {"COMP_OUTLEN", static_cast<std::uint16_t>(compBase + compOutLen)},
+        {"COMP_BATCH", static_cast<std::uint16_t>(compBase + compBatch)},
+        {"COMP_APPEND", static_cast<std::uint16_t>(compBase + compAppend)},
+        {"COMP_INBUF", static_cast<std::uint16_t>(compBase + compInBuf)},
+        {"COMP_OUTBUF", static_cast<std::uint16_t>(compBase + compOutBuf)},
 
         // Sensor/ADC.
         {"SENSOR_CTRL", static_cast<std::uint16_t>(sensorBase + sensorCtrl)},

@@ -116,9 +116,17 @@ constexpr Addr sensorCtrl = 0x0;    ///< write 1: start acquisition (async)
 constexpr Addr sensorData = 0x1;    ///< sample-and-hold value (read samples)
 constexpr Addr sensorStatus = 0x2;  ///< bit0: acquisition done
 
-// --- Power controller status (read-only observation for the uC) -------------
-constexpr Addr powerBase = 0x1600;
-constexpr Addr powerSize = 0x0020;
+// --- Sample compressor (paper §7 future-work accelerator) -------------------
+constexpr Addr compBase = 0x1700;
+constexpr Addr compSize = 0x0080;
+constexpr Addr compCtrl = 0x00;     ///< write 1: encode the staged block
+constexpr Addr compStatus = 0x01;   ///< bit0 busy, bit1 done
+constexpr Addr compInLen = 0x02;    ///< staged sample count
+constexpr Addr compOutLen = 0x03;   ///< encoded length (read after done)
+constexpr Addr compBatch = 0x04;    ///< auto-encode threshold (0 = manual)
+constexpr Addr compAppend = 0x05;   ///< write: stage one sample
+constexpr Addr compInBuf = 0x10;    ///< staged samples (32 B)
+constexpr Addr compOutBuf = 0x30;   ///< encoded output (32 B)
 
 } // namespace ulp::core::map
 

@@ -130,31 +130,31 @@ struct CompressorDevice : ::testing::Test
 TEST_F(CompressorDevice, AppendCountsAndEncodesOnCommand)
 {
     for (std::uint8_t v : {100, 101, 103, 102})
-        wr(comp::base + comp::append, v);
-    EXPECT_EQ(rd(comp::base + comp::inLen), 4);
+        wr(map::compBase + map::compAppend, v);
+    EXPECT_EQ(rd(map::compBase + map::compInLen), 4);
 
-    wr(comp::base + comp::ctrl, 1);
+    wr(map::compBase + map::compCtrl, 1);
     advance(0.01);
     EXPECT_EQ(node->compressor().blocksEncoded(), 1u);
-    EXPECT_EQ(rd(comp::base + comp::status) & 0x2, 0x2); // done
+    EXPECT_EQ(rd(map::compBase + map::compStatus) & 0x2, 0x2); // done
 
-    std::uint8_t out_len = rd(comp::base + comp::outLen);
+    std::uint8_t out_len = rd(map::compBase + map::compOutLen);
     std::vector<std::uint8_t> encoded;
     for (unsigned i = 0; i < out_len; ++i)
         encoded.push_back(
-            rd(static_cast<map::Addr>(comp::base + comp::outBuf + i)));
+            rd(static_cast<map::Addr>(map::compBase + map::compOutBuf + i)));
     EXPECT_EQ(Compressor::decode(encoded),
               (std::vector<std::uint8_t>{100, 101, 103, 102}));
-    EXPECT_EQ(rd(comp::base + comp::inLen), 0); // consumed
+    EXPECT_EQ(rd(map::compBase + map::compInLen), 0); // consumed
 }
 
 TEST_F(CompressorDevice, BatchTriggersAutomaticEncode)
 {
-    wr(comp::base + comp::batch, 3);
-    wr(comp::base + comp::append, 10);
-    wr(comp::base + comp::append, 11);
+    wr(map::compBase + map::compBatch, 3);
+    wr(map::compBase + map::compAppend, 10);
+    wr(map::compBase + map::compAppend, 11);
     EXPECT_EQ(node->compressor().blocksEncoded(), 0u);
-    wr(comp::base + comp::append, 12);
+    wr(map::compBase + map::compAppend, 12);
     advance(0.01);
     EXPECT_EQ(node->compressor().blocksEncoded(), 1u);
 }
@@ -162,8 +162,8 @@ TEST_F(CompressorDevice, BatchTriggersAutomaticEncode)
 TEST_F(CompressorDevice, OverflowIsCountedNotFatal)
 {
     for (unsigned i = 0; i < 40; ++i)
-        wr(comp::base + comp::append, static_cast<std::uint8_t>(i));
-    EXPECT_EQ(rd(comp::base + comp::inLen), 32);
+        wr(map::compBase + map::compAppend, static_cast<std::uint8_t>(i));
+    EXPECT_EQ(rd(map::compBase + map::compInLen), 32);
     EXPECT_GE(static_cast<std::uint64_t>(
                   static_cast<const sim::stats::Scalar *>(
                       node->compressor().findStat("overflows"))
@@ -173,11 +173,11 @@ TEST_F(CompressorDevice, OverflowIsCountedNotFatal)
 
 TEST_F(CompressorDevice, PowerGatingClearsState)
 {
-    wr(comp::base + comp::append, 1);
+    wr(map::compBase + map::compAppend, 1);
     node->powerCtrl().switchOff(ComponentId::Compressor);
     node->powerCtrl().switchOn(ComponentId::Compressor);
     advance(0.001);
-    EXPECT_EQ(rd(comp::base + comp::inLen), 0);
+    EXPECT_EQ(rd(map::compBase + map::compInLen), 0);
 }
 
 // --------------------------------------------------------------------------

@@ -68,13 +68,35 @@ TEST_F(DeviceTest, BusRoutesToSlavesByAddress)
 
 TEST_F(DeviceTest, UnmappedAccessReturnsFloatingBus)
 {
-    EXPECT_EQ(rd(0x9000), 0xFF);
-    wr(0x9000, 1); // swallowed
-    EXPECT_GE(static_cast<std::uint64_t>(
-                  static_cast<const sim::stats::Scalar *>(
-                      bus().findStat("unmapped"))
-                      ->value()),
-              2u);
+    auto unmapped = [&] {
+        return static_cast<std::uint64_t>(
+            static_cast<const sim::stats::Scalar *>(
+                bus().findStat("unmapped"))
+                ->value());
+    };
+    const std::uint64_t before = unmapped();
+    const map::Addr addrs[] = {
+        0x9000,
+        // Inside a mapped page, past its window.
+        map::timerBase + map::timerSize,
+        map::filterBase + map::filterSize,
+        map::sensorBase + map::sensorSize,
+        // Pages between windows.
+        0x1300,
+        0x1600,
+        0xFFFF,
+    };
+    for (map::Addr addr : addrs) {
+        EXPECT_EQ(rd(addr), 0xFF) << std::hex << addr;
+        wr(addr, 0x5A); // swallowed
+        EXPECT_EQ(rd(addr), 0xFF) << std::hex << addr;
+    }
+    EXPECT_EQ(unmapped() - before, 3 * std::size(addrs));
+
+    // The last bytes of the SRAM and timer windows are mapped.
+    rd(map::sramBase + map::sramSize - 1);
+    rd(map::timerBase + map::timerSize - 1);
+    EXPECT_EQ(unmapped() - before, 3 * std::size(addrs));
 }
 
 TEST_F(DeviceTest, McuHoldsBusBlocksEp)
@@ -100,12 +122,14 @@ TEST(DataBusStandalone, OverlappingSlavesAreFatal)
         void busWrite(map::Addr, std::uint8_t) override {}
     };
 
-    FakeSlave a({0x1000, 0x100});
-    FakeSlave b({0x1080, 0x100}); // overlaps a
-    FakeSlave c({0x1100, 0x100}); // adjacent: fine
+    FakeSlave a({map::timerBase, map::timerSize});
+    FakeSlave b({0x1020, 0x10});                   // overlaps a
+    FakeSlave c({map::timerBase, map::timerSize}); // a's window again
+    FakeSlave d({map::filterBase, map::filterSize}); // adjacent: fine
     bus.addSlave(&a);
     EXPECT_THROW(bus.addSlave(&b), sim::FatalError);
-    bus.addSlave(&c);
+    EXPECT_THROW(bus.addSlave(&c), sim::FatalError);
+    bus.addSlave(&d);
 }
 
 // --------------------------------------------------------------------------

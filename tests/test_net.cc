@@ -4,11 +4,14 @@
  * round-trips (property-swept over payload sizes), corruption detection
  * (any flipped byte must fail the FCS), and the broadcast medium's
  * delivery, loss, and collision models — including that loss draws are
- * binomial and independent of attach order and transmit interleaving.
+ * binomial and independent of attach order and transmit interleaving —
+ * and the spatial model's adjacency rows against its closed-form
+ * propagation law.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -395,4 +398,143 @@ TEST(PacketSink, DeduplicatesAndCounts)
     EXPECT_EQ(sink.uniqueDeliveries(), 2u);
     EXPECT_EQ(sink.duplicates(), 1u);
     EXPECT_EQ(sink.deliveriesFrom(1), 2u);
+}
+
+// --------------------------------------------------------------------------
+// Spatial model adjacency
+// --------------------------------------------------------------------------
+
+namespace {
+
+struct AdjacencyCounts
+{
+    unsigned neighborPairs = 0;
+    unsigned interfererPairs = 0;
+};
+
+/**
+ * For every ordered pair a != b, the CSR rows and interferes() must say
+ * exactly what the log-distance law says: b is an interferer of a iff
+ * rxPower(a, b) >= sensitivity - interferenceMarginDb, and a neighbor
+ * iff rxPower(a, b) >= sensitivity. Rows must be strictly ascending.
+ */
+AdjacencyCounts
+expectAdjacencyIsClosedForm(const SpatialModel &model)
+{
+    const SpatialConfig &cfg = model.config();
+    const double interference_floor =
+        cfg.sensitivityDbm - cfg.interferenceMarginDb;
+    AdjacencyCounts counts;
+    for (unsigned a = 0; a < model.numNodes(); ++a) {
+        const auto ints = model.interferers(a);
+        const auto neighs = model.neighbors(a);
+        EXPECT_TRUE(std::adjacent_find(ints.begin(), ints.end(),
+                                       std::greater_equal<>()) ==
+                    ints.end())
+            << "interferers(" << a << ") not strictly ascending";
+        EXPECT_TRUE(std::adjacent_find(neighs.begin(), neighs.end(),
+                                       std::greater_equal<>()) ==
+                    neighs.end())
+            << "neighbors(" << a << ") not strictly ascending";
+        EXPECT_FALSE(model.interferes(a, a)) << a;
+        for (unsigned b = 0; b < model.numNodes(); ++b) {
+            if (a == b)
+                continue;
+            const double rx = model.rxPowerDbm(a, b);
+            const bool interferes = rx >= interference_floor;
+            const bool decodes = rx >= cfg.sensitivityDbm;
+            EXPECT_EQ(std::binary_search(ints.begin(), ints.end(), b),
+                      interferes)
+                << a << " -> " << b << " at " << rx << " dBm";
+            EXPECT_EQ(std::binary_search(neighs.begin(), neighs.end(), b),
+                      decodes)
+                << a << " -> " << b << " at " << rx << " dBm";
+            EXPECT_EQ(model.interferes(a, b), interferes)
+                << a << " -> " << b << " at " << rx << " dBm";
+            counts.interfererPairs += interferes;
+            counts.neighborPairs += decodes;
+        }
+    }
+    return counts;
+}
+
+} // namespace
+
+TEST(SpatialModelAdjacency, UniformLayoutsMatchTheClosedForm)
+{
+    SpatialConfig cfg;
+    cfg.pathLossExponent = 2.8;
+    cfg.sensitivityDbm = -90.0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        std::vector<Position> pos;
+        for (unsigned i = 0; i < 300; ++i) {
+            pos.push_back({counterDraw(seed, i, 0) * 800.0 - 100.0,
+                           counterDraw(seed, i, 1) * 800.0 - 100.0});
+        }
+        SpatialModel model(cfg, pos);
+        AdjacencyCounts counts = expectAdjacencyIsClosedForm(model);
+        // Some pairs decode, and some only interfere.
+        EXPECT_GT(counts.neighborPairs, 0u) << seed;
+        EXPECT_GT(counts.interfererPairs, counts.neighborPairs) << seed;
+    }
+}
+
+TEST(SpatialModelAdjacency, PairsAtExactlyTheRangesMatchTheClosedForm)
+{
+    SpatialConfig cfg;
+    cfg.sensitivityDbm = -80.0;
+    // A placeholder layout, only to ask the model its ranges.
+    SpatialModel probe(cfg, {{0.0, 0.0}});
+    const double decode = probe.maxRangeMeters(cfg.sensitivityDbm);
+    const double reach = probe.interferenceRangeMeters();
+    ASSERT_GT(reach, decode);
+
+    // Pairs exactly one decode range or one interference reach apart, on
+    // both sides of the origin, so the grid scan's cells straddle zero.
+    const double start = -2.0 * reach;
+    std::vector<Position> pos;
+    for (int i = 0; i < 5; ++i) {
+        for (int j = 0; j < 3; ++j) {
+            pos.push_back({start + i * reach + j * decode, 0.0});
+            pos.push_back({0.0, start + i * decode + j * reach});
+        }
+    }
+    SpatialModel model(cfg, pos);
+    AdjacencyCounts counts = expectAdjacencyIsClosedForm(model);
+    EXPECT_GT(counts.neighborPairs, 0u);
+    EXPECT_GT(counts.interfererPairs, counts.neighborPairs);
+}
+
+TEST(SpatialModelAdjacency, CoLocatedAndSubMeterPairsMatchTheClosedForm)
+{
+    SpatialConfig cfg;
+    cfg.sensitivityDbm = -60.0; // about 10 m of decode range
+    const std::vector<Position> pos = {
+        {5.0, 5.0}, {5.0, 5.0},         // co-located
+        {5.3, 5.4}, {5.9, 5.0},         // under 1 m from the first two
+        {-0.2, -0.7}, {0.0, 0.0},       // a sub-meter pair at the origin
+        {9.0, 9.0}, {9.0, 9.0}, {9.5, 9.0},
+        {40.0, 40.0},                   // out of everyone's reach
+    };
+    SpatialModel model(cfg, pos);
+    AdjacencyCounts counts = expectAdjacencyIsClosedForm(model);
+    EXPECT_TRUE(model.interferes(0, 1));
+    EXPECT_TRUE(model.interferes(1, 0));
+    EXPECT_TRUE(model.interferers(9).empty());
+    EXPECT_GT(counts.neighborPairs, 0u);
+}
+
+TEST(SpatialModelAdjacency, NoPairInteractsWhenTheReachIsZero)
+{
+    SpatialConfig cfg;
+    cfg.txPowerDbm = -100.0; // below every threshold even at 1 m
+    const std::vector<Position> pos = {
+        {0.0, 0.0}, {0.0, 0.0}, {0.5, 0.0}, {3.0, 4.0}, {100.0, 0.0},
+    };
+    SpatialModel model(cfg, pos);
+    ASSERT_EQ(model.interferenceRangeMeters(), 0.0);
+    AdjacencyCounts counts = expectAdjacencyIsClosedForm(model);
+    EXPECT_EQ(counts.interfererPairs, 0u);
+    EXPECT_EQ(counts.neighborPairs, 0u);
+    EXPECT_EQ(model.numDomains(), model.numNodes());
 }
