@@ -39,59 +39,65 @@ DataBus::setMcuHoldsBus(bool holds)
 void
 DataBus::addSlave(BusSlave *slave)
 {
-    AddrRange range = slave->addrRange();
-    for (BusSlave *existing : slaves) {
-        AddrRange other = existing->addrRange();
-        bool overlap = range.base < other.base + other.size &&
-                       other.base < range.base + range.size;
-        if (overlap) {
-            sim::fatal("bus slave range [%#x,+%u) overlaps [%#x,+%u)",
-                       range.base, range.size, other.base, other.size);
+    const AddrRange range = slave->addrRange();
+    for (std::size_t w = 0; w < map::windows.size(); ++w) {
+        if (map::windows[w] != range)
+            continue;
+        if (slaves[w]) {
+            sim::fatal("bus slave range [%#x,+%u) is already taken",
+                       range.base, range.size);
         }
+        slaves[w] = slave;
+        return;
     }
-    slaves.push_back(slave);
+    sim::fatal("bus slave range [%#x,+%u) is not a memory-map window",
+               range.base, range.size);
 }
 
 BusSlave *
-DataBus::findSlave(map::Addr addr) const
+DataBus::decode(map::Addr addr, map::Addr &offset) const
 {
-    for (BusSlave *slave : slaves) {
-        if (slave->addrRange().contains(addr))
-            return slave;
-    }
-    return nullptr;
+    const std::uint8_t w = map::pageWindow[addr >> 8];
+    if (w == map::noWindow)
+        return nullptr;
+    offset = static_cast<map::Addr>(addr - map::windows[w].base);
+    if (offset >= map::windows[w].size)
+        return nullptr;
+    return slaves[w];
 }
 
 std::uint8_t
 DataBus::read(map::Addr addr)
 {
     ++statReads;
-    BusSlave *slave = findSlave(addr);
+    map::Addr offset;
+    BusSlave *slave = decode(addr, offset);
     if (!slave) {
         ++statUnmapped;
         return 0xFF;
     }
-    if (slave->busWedged()) {
+    if (slave->wedgedAt(curTick())) {
         ++statWedged;
         return 0xFF;
     }
-    return slave->busRead(addr - slave->addrRange().base);
+    return slave->busRead(offset);
 }
 
 void
 DataBus::write(map::Addr addr, std::uint8_t value)
 {
     ++statWrites;
-    BusSlave *slave = findSlave(addr);
+    map::Addr offset;
+    BusSlave *slave = decode(addr, offset);
     if (!slave) {
         ++statUnmapped;
         return;
     }
-    if (slave->busWedged()) {
+    if (slave->wedgedAt(curTick())) {
         ++statWedged;
         return;
     }
-    slave->busWrite(addr - slave->addrRange().base, value);
+    slave->busWrite(offset, value);
 }
 
 } // namespace ulp::core

@@ -6,32 +6,27 @@
  * masters; the "bus arbiter, which is currently just a mux" grants the
  * bus to the microcontroller whenever it is awake — the EP must sit in
  * WAIT_BUS until the uC goes back to sleep (Figure 2).
+ *
+ * Each slave answers one window of the fixed memory map
+ * (core/memory_map.hh). An access finds its window in the map's page
+ * table, which every node shares, and its slave in the bus's one
+ * pointer per window.
  */
 
 #ifndef ULP_CORE_BUS_HH
 #define ULP_CORE_BUS_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/memory_map.hh"
 #include "sim/sim_object.hh"
 
 namespace ulp::core {
 
-struct AddrRange
-{
-    map::Addr base = 0;
-    std::uint32_t size = 0;
-
-    bool
-    contains(map::Addr addr) const
-    {
-        return addr >= base && static_cast<std::uint32_t>(addr) <
-                                   static_cast<std::uint32_t>(base) + size;
-    }
-};
+/** A slave's address range: one of the memory map's windows. */
+using AddrRange = map::Window;
 
 /** A memory-mapped slave on the data bus. */
 class BusSlave
@@ -50,7 +45,17 @@ class BusSlave
      * idle-high reads (0xFF -- which has every busy bit set, so polling
      * masters observe "stuck busy") and drops writes.
      */
-    virtual bool busWedged() const { return false; }
+    bool
+    wedgedAt(sim::Tick now) const
+    {
+        return wedgedLatched || now < wedgedUntil;
+    }
+
+  protected:
+    /** Wedged until cleared (a latched fault). */
+    bool wedgedLatched = false;
+    /** Wedged before this tick (a fault with a duration). */
+    sim::Tick wedgedUntil = 0;
 };
 
 class DataBus : public sim::SimObject
@@ -63,7 +68,10 @@ class DataBus : public sim::SimObject
 
     void visitStats(sim::stats::Visitor &v) const override;
 
-    /** Attach a slave; overlapping ranges are a configuration error. */
+    /**
+     * Attach a slave. Its range must be one of map::windows and that
+     * window must be free; anything else is a configuration error.
+     */
     void addSlave(BusSlave *slave);
 
     /** One read bus transaction (one cycle on the wire). */
@@ -93,9 +101,12 @@ class DataBus : public sim::SimObject
     }
 
   private:
-    BusSlave *findSlave(map::Addr addr) const;
+    /** The slave whose window holds @p addr, with @p offset set to
+     *  addr minus the window's base; null when no slave answers. */
+    BusSlave *decode(map::Addr addr, map::Addr &offset) const;
 
-    std::vector<BusSlave *> slaves;
+    /** The slave on each of map::windows, or null. */
+    std::array<BusSlave *, map::windows.size()> slaves{};
     bool mcuHoldsBus = false;
 
     sim::TelemetrySink *obs = nullptr;

@@ -26,8 +26,7 @@ class MainMemory : public BusSlave
 
     AddrRange addrRange() const override
     {
-        return {map::sramBase,
-                static_cast<std::uint32_t>(sram.sizeBytes())};
+        return {map::sramBase, sram.sizeBytes()};
     }
 
     std::uint8_t busRead(map::Addr offset) override

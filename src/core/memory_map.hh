@@ -9,6 +9,8 @@
 #ifndef ULP_CORE_MEMORY_MAP_HH
 #define ULP_CORE_MEMORY_MAP_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace ulp::core::map {
@@ -127,6 +129,55 @@ constexpr Addr compBatch = 0x04;    ///< auto-encode threshold (0 = manual)
 constexpr Addr compAppend = 0x05;   ///< write: stage one sample
 constexpr Addr compInBuf = 0x10;    ///< staged samples (32 B)
 constexpr Addr compOutBuf = 0x30;   ///< encoded output (32 B)
+
+// --- Bus decode -------------------------------------------------------------
+
+/** One slave's window on the data bus: [base, base + size). */
+struct Window
+{
+    Addr base = 0;
+    std::uint32_t size = 0;
+
+    bool operator==(const Window &) const = default;
+};
+
+/**
+ * The windows the data bus decodes, one slave each, in address order.
+ * Every other address is unmapped (0x1300 and 0x1600 among them): reads
+ * float to 0xFF and writes are dropped.
+ */
+constexpr std::array<Window, 7> windows{{
+    {sramBase, sramSize},
+    {timerBase, timerSize},
+    {filterBase, filterSize},
+    {msgBase, msgSize},
+    {radioBase, radioSize},
+    {sensorBase, sensorSize},
+    {compBase, compSize},
+}};
+
+/** pageWindow entry of a page no window touches. */
+constexpr std::uint8_t noWindow = 0xFF;
+
+/**
+ * Page (address >> 8) -> index into windows, or noWindow. Built at
+ * compile time; a page two windows touch is not a constant expression,
+ * so such a map does not compile.
+ */
+constexpr std::array<std::uint8_t, 256> pageWindow = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(noWindow);
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+        const Window &win = windows[w];
+        const std::uint32_t last = (win.base + win.size - 1) >> 8;
+        for (std::uint32_t page = win.base >> 8; page <= last; ++page) {
+            if (table[page] != noWindow)
+                throw "two bus windows share a page";
+            table[page] = static_cast<std::uint8_t>(w);
+        }
+    }
+    return table;
+}();
 
 } // namespace ulp::core::map
 

@@ -67,10 +67,7 @@ class SlaveDevice : public sim::SimObject,
 
     void clearWedge();
 
-    bool busWedged() const override
-    {
-        return wedgedLatched || curTick() < wedgedUntil;
-    }
+    bool busWedged() const { return wedgedAt(curTick()); }
 
     /**
      * Slow the device's internal command processing by @p factor >= 1
@@ -146,8 +143,6 @@ class SlaveDevice : public sim::SimObject,
     bool _powered;
     sim::Tick activeUntil = 0;
     sim::MemberEvent<&SlaveDevice::becomeIdle> idleEvent{this, "idle"};
-    bool wedgedLatched = false;
-    sim::Tick wedgedUntil = 0;
     double slowdownFactor = 1.0;
 };
 

@@ -4,12 +4,31 @@
 
 namespace ulp::memory {
 
+namespace {
+
+/**
+ * One access keeps one bank plus the global decode/precharge control
+ * active for accessTicks on top of the bank's idle draw.
+ */
+double
+accessEventJoules(const Sram::Config &config)
+{
+    double extra = config.power.effectiveBankActiveWatts(
+                       config.intelligentPrecharge) -
+                   config.power.bankIdleWatts +
+                   config.power.globalActiveOverheadWatts;
+    return extra * sim::ticksToSeconds(config.accessTicks);
+}
+
+} // namespace
+
 Sram::Sram(sim::Simulation &simulation, const std::string &name,
            const Config &config, sim::SimObject *parent)
     : sim::SimObject(simulation, name, parent),
       config(config),
       data(config.sizeBytes, 0),
-      epoch(simulation.curTick())
+      epoch(simulation.curTick()),
+      joulesPerAccess(accessEventJoules(config))
 {
     if (config.sizeBytes == 0 || config.bankBytes == 0 ||
         config.sizeBytes % config.bankBytes != 0) {
@@ -95,7 +114,7 @@ Sram::read(std::uint16_t addr)
     unsigned bank_idx = bankOf(addr);
     if (!checkAccessible(bank_idx))
         return 0xFF;
-    accessJoules += accessEventJoules();
+    accessJoules += joulesPerAccess;
     return cell(addr);
 }
 
@@ -109,7 +128,7 @@ Sram::write(std::uint16_t addr, std::uint8_t value)
     unsigned bank_idx = bankOf(addr);
     if (!checkAccessible(bank_idx))
         return;
-    accessJoules += accessEventJoules();
+    accessJoules += joulesPerAccess;
     cell(addr) = value;
 }
 
@@ -208,18 +227,6 @@ Sram::bankReady(unsigned bank_idx) const
 {
     const Bank &bank = banks.at(bank_idx);
     return !bank.gated && curTick() >= bank.readyAt;
-}
-
-double
-Sram::accessEventJoules() const
-{
-    // One access keeps one bank plus the global decode/precharge control
-    // active for accessTicks on top of the bank's idle draw.
-    double extra = config.power.effectiveBankActiveWatts(
-                       config.intelligentPrecharge) -
-                   config.power.bankIdleWatts +
-                   config.power.globalActiveOverheadWatts;
-    return extra * sim::ticksToSeconds(config.accessTicks);
 }
 
 double

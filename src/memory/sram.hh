@@ -121,7 +121,6 @@ class Sram : public sim::SimObject
     };
 
     void closeStint(Bank &bank);
-    double accessEventJoules() const;
     std::uint8_t &cell(std::uint16_t addr);
     const std::uint8_t &cell(std::uint16_t addr) const;
     bool checkAccessible(unsigned bank);
@@ -130,6 +129,8 @@ class Sram : public sim::SimObject
     std::vector<std::uint8_t> data;
     std::vector<Bank> banks;
     sim::Tick epoch;
+    /** Energy of one access on top of the bank's idle draw. */
+    double joulesPerAccess;
     double accessJoules = 0.0;
 
     sim::stats::Scalar statReads;

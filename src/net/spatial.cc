@@ -70,11 +70,11 @@ SpatialModel::SpatialModel(const SpatialConfig &config,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> int_edges;
     auto scan_pair = [&](unsigned a, unsigned b) {
-        if (interferes(a, b)) {
+        if (inInterferenceReach(a, b)) {
             unsigned ra = find(a), rb = find(b);
             if (ra != rb)
                 parent[std::max(ra, rb)] = std::min(ra, rb);
-            // interferes() is symmetric (shared config): record both
+            // The predicate is symmetric (shared config): record both
             // directions for the carrier-sense adjacency.
             int_edges.emplace_back(a, b);
             int_edges.emplace_back(b, a);
@@ -200,7 +200,7 @@ SpatialModel::deliveryProb(unsigned a, unsigned b) const
 }
 
 bool
-SpatialModel::interferes(unsigned a, unsigned b) const
+SpatialModel::inInterferenceReach(unsigned a, unsigned b) const
 {
     if (a == b)
         return false;

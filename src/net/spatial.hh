@@ -39,12 +39,15 @@
  * (neighbor lists, domains) is identical to the exhaustive pair scan.
  * Neighbor lists live in one flat CSR array (offsets + data), not
  * per-node vectors, so iterating a delivery's receiver set at 10k-100k
- * nodes walks contiguous memory.
+ * nodes walks contiguous memory. At run time interferes() is a binary
+ * search of its row: the geometry is fixed, so no query recomputes a
+ * distance or a logarithm.
  */
 
 #ifndef ULP_NET_SPATIAL_HH
 #define ULP_NET_SPATIAL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -124,8 +127,14 @@ class SpatialModel
     double deliveryProb(unsigned a, unsigned b) const;
 
     /** a's transmissions corrupt concurrent receptions at b (and b's
-     *  carrier sense detects them). Symmetric by construction. */
-    bool interferes(unsigned a, unsigned b) const;
+     *  carrier sense detects them). Symmetric by construction. Looked
+     *  up in interferers(a), which the constructor fills. */
+    bool
+    interferes(unsigned a, unsigned b) const
+    {
+        const auto row = interferers(a);
+        return std::binary_search(row.begin(), row.end(), b);
+    }
 
     /**
      * Maximum distance (meters) at which received power can still reach
@@ -174,6 +183,10 @@ class SpatialModel
     }
 
   private:
+    /** The closed form behind interferers(): rxPower(a, b) >=
+     *  sensitivity - interferenceMarginDb, for a != b. */
+    bool inInterferenceReach(unsigned a, unsigned b) const;
+
     SpatialConfig cfg;
     std::vector<Position> pos;
     std::vector<unsigned> domain;

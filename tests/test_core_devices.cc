@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/apps.hh"
 #include "core/sensor_node.hh"
 #include "net/frame.hh"
@@ -130,6 +132,65 @@ TEST(DataBusStandalone, OverlappingSlavesAreFatal)
     EXPECT_THROW(bus.addSlave(&b), sim::FatalError);
     EXPECT_THROW(bus.addSlave(&c), sim::FatalError);
     bus.addSlave(&d);
+}
+
+TEST(DataBusStandalone, EveryAddressDecodesAsALinearScanWould)
+{
+    sim::Simulation simulation;
+    DataBus bus(simulation, "bus");
+
+    struct RecordingSlave : BusSlave
+    {
+        AddrRange range;
+        map::Addr lastOffset = 0;
+        unsigned accesses = 0;
+        explicit RecordingSlave(AddrRange r) : range(r) {}
+        AddrRange addrRange() const override { return range; }
+        std::uint8_t
+        busRead(map::Addr offset) override
+        {
+            lastOffset = offset;
+            ++accesses;
+            return 0;
+        }
+        void busWrite(map::Addr, std::uint8_t) override {}
+    };
+
+    std::vector<RecordingSlave> slaves(map::windows.begin(),
+                                       map::windows.end());
+    for (RecordingSlave &slave : slaves)
+        bus.addSlave(&slave);
+
+    // Oracle: scan the windows for the one holding the address.
+    unsigned unmapped = 0;
+    for (std::uint32_t addr = 0; addr <= 0xFFFF; ++addr) {
+        RecordingSlave *owner = nullptr;
+        for (RecordingSlave &slave : slaves) {
+            if (addr >= slave.range.base &&
+                addr < slave.range.base + slave.range.size)
+                owner = &slave;
+        }
+        const std::uint8_t value = bus.read(static_cast<map::Addr>(addr));
+        if (!owner) {
+            ++unmapped;
+            EXPECT_EQ(value, 0xFF) << std::hex << addr;
+            continue;
+        }
+        EXPECT_EQ(value, 0) << std::hex << addr;
+        EXPECT_EQ(static_cast<std::uint32_t>(owner->lastOffset),
+                  addr - owner->range.base)
+            << std::hex << addr;
+    }
+    unsigned mapped = 0;
+    for (std::size_t w = 0; w < slaves.size(); ++w) {
+        EXPECT_EQ(slaves[w].accesses, map::windows[w].size) << w;
+        mapped += slaves[w].accesses;
+    }
+    EXPECT_EQ(mapped + unmapped, 0x10000u);
+    EXPECT_EQ(static_cast<const sim::stats::Scalar *>(
+                  bus.findStat("unmapped"))
+                  ->value(),
+              unmapped);
 }
 
 // --------------------------------------------------------------------------
