@@ -53,6 +53,27 @@ struct DeviceTest : ::testing::Test
     }
 };
 
+/** A bus slave with no device behind it: reads 0 and records them. */
+struct FakeSlave : BusSlave
+{
+    AddrRange range;
+    map::Addr lastOffset = 0;
+    unsigned reads = 0;
+
+    explicit FakeSlave(AddrRange r) : range(r) {}
+    AddrRange addrRange() const override { return range; }
+
+    std::uint8_t
+    busRead(map::Addr offset) override
+    {
+        lastOffset = offset;
+        ++reads;
+        return 0;
+    }
+
+    void busWrite(map::Addr, std::uint8_t) override {}
+};
+
 } // namespace
 
 // --------------------------------------------------------------------------
@@ -115,18 +136,9 @@ TEST(DataBusStandalone, OverlappingSlavesAreFatal)
     sim::Simulation simulation;
     DataBus bus(simulation, "bus");
 
-    struct FakeSlave : BusSlave
-    {
-        AddrRange range;
-        explicit FakeSlave(AddrRange r) : range(r) {}
-        AddrRange addrRange() const override { return range; }
-        std::uint8_t busRead(map::Addr) override { return 0; }
-        void busWrite(map::Addr, std::uint8_t) override {}
-    };
-
     FakeSlave a({map::timerBase, map::timerSize});
-    FakeSlave b({0x1020, 0x10});                   // overlaps a
-    FakeSlave c({map::timerBase, map::timerSize}); // a's window again
+    FakeSlave b({0x1020, 0x10});                     // overlaps a
+    FakeSlave c({map::timerBase, map::timerSize});   // a's window again
     FakeSlave d({map::filterBase, map::filterSize}); // adjacent: fine
     bus.addSlave(&a);
     EXPECT_THROW(bus.addSlave(&b), sim::FatalError);
@@ -139,33 +151,15 @@ TEST(DataBusStandalone, EveryAddressDecodesAsALinearScanWould)
     sim::Simulation simulation;
     DataBus bus(simulation, "bus");
 
-    struct RecordingSlave : BusSlave
-    {
-        AddrRange range;
-        map::Addr lastOffset = 0;
-        unsigned accesses = 0;
-        explicit RecordingSlave(AddrRange r) : range(r) {}
-        AddrRange addrRange() const override { return range; }
-        std::uint8_t
-        busRead(map::Addr offset) override
-        {
-            lastOffset = offset;
-            ++accesses;
-            return 0;
-        }
-        void busWrite(map::Addr, std::uint8_t) override {}
-    };
-
-    std::vector<RecordingSlave> slaves(map::windows.begin(),
-                                       map::windows.end());
-    for (RecordingSlave &slave : slaves)
+    std::vector<FakeSlave> slaves(map::windows.begin(), map::windows.end());
+    for (FakeSlave &slave : slaves)
         bus.addSlave(&slave);
 
     // Oracle: scan the windows for the one holding the address.
     unsigned unmapped = 0;
     for (std::uint32_t addr = 0; addr <= 0xFFFF; ++addr) {
-        RecordingSlave *owner = nullptr;
-        for (RecordingSlave &slave : slaves) {
+        FakeSlave *owner = nullptr;
+        for (FakeSlave &slave : slaves) {
             if (addr >= slave.range.base &&
                 addr < slave.range.base + slave.range.size)
                 owner = &slave;
@@ -183,8 +177,8 @@ TEST(DataBusStandalone, EveryAddressDecodesAsALinearScanWould)
     }
     unsigned mapped = 0;
     for (std::size_t w = 0; w < slaves.size(); ++w) {
-        EXPECT_EQ(slaves[w].accesses, map::windows[w].size) << w;
-        mapped += slaves[w].accesses;
+        EXPECT_EQ(slaves[w].reads, map::windows[w].size) << w;
+        mapped += slaves[w].reads;
     }
     EXPECT_EQ(mapped + unmapped, 0x10000u);
     EXPECT_EQ(static_cast<const sim::stats::Scalar *>(
