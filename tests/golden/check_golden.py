@@ -11,10 +11,10 @@ examples/ (campaign specs are skipped: they are not single runs), for
 the small scenarios kept next to this script and for three of the
 benchmark workloads (WORKLOADS, read from benchmark/workloads/), hashes
 each run's standard output with 64-bit FNV-1a, and compares the hash
-with the committed tests/golden/<name>.digest. It also runs each program in PROGRAMS
-(the example programs and the paper benches that assemble applications,
-found under --build-dir) without arguments and hashes its standard
-output into tests/golden/program_<name>.digest. Any mismatch, missing
+with the committed tests/golden/<name>.digest. It also runs each
+program in PROGRAMS (the example programs and the paper benches that
+assemble applications, found under --build-dir) without arguments and
+hashes its standard output into tests/golden/program_<name>.digest. Any mismatch, missing
 digest or failed run makes the exit code 1. --update-golden rewrites
 the digest files instead.
 
@@ -27,13 +27,15 @@ directory; its path is replaced by a fixed token before hashing. The
 trace recorder drops records when its flusher thread falls behind, which
 a loaded host decides, so the `trace records` line is hashed with the
 dropped records counted as recorded: their sum, the records the model
-offered, is the same on every host. The
-horizons of the longer examples and of the workloads are capped (CAPS)
-so the whole corpus runs in well under a minute in an unoptimised
-build. mesh16k_build stays out: its --stats output is about 118 MB,
-and this pure-Python FNV-1a hashes about 5.7 MB/s, so it would add about
-20 s per pass, twice over with the print-scenario run. Run from any
-directory: the scenarios are resolved against the repository root.
+offered, is the same on every host.
+
+The horizons of the longer examples and of the workloads are capped
+(CAPS) so the whole corpus runs in well under a minute in an
+unoptimised build. mesh16k_build stays out: its --stats output is about
+118 MB, and this pure-Python FNV-1a hashes about 5.7 MB/s, so it would
+add about 20 s per pass, twice over with the print-scenario run. Run
+from any directory: the scenarios are resolved against the repository
+root.
 """
 
 import argparse
