@@ -39,7 +39,7 @@ DataBus::setMcuHoldsBus(bool holds)
 void
 DataBus::addSlave(BusSlave *slave)
 {
-    const AddrRange range = slave->addrRange();
+    const map::Window range = slave->addrRange();
     for (std::size_t w = 0; w < map::windows.size(); ++w) {
         if (map::windows[w] != range)
             continue;

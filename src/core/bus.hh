@@ -25,16 +25,14 @@
 
 namespace ulp::core {
 
-/** A slave's address range: one of the memory map's windows. */
-using AddrRange = map::Window;
-
 /** A memory-mapped slave on the data bus. */
 class BusSlave
 {
   public:
     virtual ~BusSlave() = default;
 
-    virtual AddrRange addrRange() const = 0;
+    /** The memory-map window the slave answers. */
+    virtual map::Window addrRange() const = 0;
 
     /** @param offset address minus the slave's base. */
     virtual std::uint8_t busRead(map::Addr offset) = 0;

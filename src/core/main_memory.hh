@@ -24,7 +24,7 @@ class MainMemory : public BusSlave
   public:
     explicit MainMemory(memory::Sram &sram) : sram(sram) {}
 
-    AddrRange addrRange() const override
+    map::Window addrRange() const override
     {
         return {map::sramBase, sram.sizeBytes()};
     }

@@ -5,7 +5,7 @@
 namespace ulp::core {
 
 SlaveDevice::SlaveDevice(sim::Simulation &simulation, const std::string &name,
-                         sim::SimObject *parent, AddrRange range,
+                         sim::SimObject *parent, map::Window range,
                          fabric::EventSource &event_port,
                          ProbeRecorder &probes,
                          const sim::ClockDomain &clock,

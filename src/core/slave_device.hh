@@ -30,13 +30,13 @@ class SlaveDevice : public sim::SimObject,
     static constexpr sim::Tick wakeupTicks = 950;
 
     SlaveDevice(sim::Simulation &simulation, const std::string &name,
-                sim::SimObject *parent, AddrRange range,
+                sim::SimObject *parent, map::Window range,
                 fabric::EventSource &event_port, ProbeRecorder &probes,
                 const sim::ClockDomain &clock,
                 const power::PowerModel &model, bool initially_powered);
 
     // BusSlave
-    AddrRange addrRange() const override { return range; }
+    map::Window addrRange() const override { return range; }
 
     // PowerControllable
     sim::Tick powerOn() override;
@@ -137,7 +137,7 @@ class SlaveDevice : public sim::SimObject,
   private:
     void becomeIdle();
 
-    AddrRange range;
+    map::Window range;
     fabric::EventSource &port;
     ProbeRecorder &probes;
     bool _powered;

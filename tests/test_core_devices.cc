@@ -56,12 +56,12 @@ struct DeviceTest : ::testing::Test
 /** A bus slave with no device behind it: reads 0 and records them. */
 struct FakeSlave : BusSlave
 {
-    AddrRange range;
+    map::Window range;
     map::Addr lastOffset = 0;
     unsigned reads = 0;
 
-    explicit FakeSlave(AddrRange r) : range(r) {}
-    AddrRange addrRange() const override { return range; }
+    explicit FakeSlave(map::Window r) : range(r) {}
+    map::Window addrRange() const override { return range; }
 
     std::uint8_t
     busRead(map::Addr offset) override
