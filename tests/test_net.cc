@@ -13,16 +13,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <ostream>
 #include <set>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "function_event.hh"
 #include "net/channel.hh"
 #include "sim/logging.hh"
 #include "net/frame.hh"
 #include "net/packet_sink.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
+#include "sim/stats.hh"
 
 using namespace ulp;
 using namespace ulp::net;
@@ -537,4 +544,327 @@ TEST(SpatialModelAdjacency, NoPairInteractsWhenTheReachIsZero)
     EXPECT_EQ(counts.interfererPairs, 0u);
     EXPECT_EQ(counts.neighborPairs, 0u);
     EXPECT_EQ(model.numDomains(), model.numNodes());
+}
+
+// --------------------------------------------------------------------------
+// The medium's verdicts against their interval definition
+// --------------------------------------------------------------------------
+
+namespace {
+
+/** A reception as its receiver saw it. */
+struct Arrival
+{
+    sim::Tick tick = 0;
+    unsigned src = 0;
+    unsigned count = 0;
+    bool corrupted = false;
+
+    auto operator<=>(const Arrival &) const = default;
+};
+
+/** A transmission as its sender made it; count is its srcTxSeq. */
+struct Sent
+{
+    sim::Tick start = 0;
+    sim::Tick end = 0;
+    unsigned src = 0;
+    unsigned count = 0;
+};
+
+/** A medium's statistics, summed over its domains. */
+struct MediumCounts
+{
+    double sent = 0;
+    double delivered = 0;
+    double lost = 0;
+    double corrupted = 0;
+    double collisions = 0;
+
+    bool operator==(const MediumCounts &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const MediumCounts &c)
+{
+    return os << "sent " << c.sent << " delivered " << c.delivered
+              << " lost " << c.lost << " corrupted " << c.corrupted
+              << " collisions " << c.collisions;
+}
+
+struct CountVisitor : sim::stats::Visitor
+{
+    MediumCounts counts;
+
+    void group(std::string_view) override {}
+
+    void
+    scalar(const sim::stats::Scalar &stat, std::string_view name,
+           std::string_view) override
+    {
+        if (name == "framesSent")
+            counts.sent += stat.value();
+        else if (name == "framesDelivered")
+            counts.delivered += stat.value();
+        else if (name == "framesLost")
+            counts.lost += stat.value();
+        else if (name == "framesCorrupted")
+            counts.corrupted += stat.value();
+        else if (name == "collisions")
+            counts.collisions += stat.value();
+    }
+};
+
+struct ScriptedNode : Transceiver
+{
+    std::function<void(const Frame &, bool)> onFrame;
+
+    void
+    frameArrived(const Frame &frame, bool corrupted) override
+    {
+        onFrame(frame, corrupted);
+    }
+};
+
+/** What a scripted run put on the air, and what each node received. */
+struct ScriptOutcome
+{
+    std::vector<Sent> sent;
+    std::vector<std::vector<Arrival>> got; ///< per node, in arrival order
+    unsigned answers = 0;  ///< sent from inside frameArrived
+    unsigned detached = 0; ///< leaves the medium at detachTick
+    sim::Tick detachTick = 0;
+    MediumCounts counts;
+};
+
+/** One byte of airtime at 250 kbit/s: the grid of every scripted start. */
+constexpr sim::Tick byteTicks = 32'000;
+
+/**
+ * Run @p nodes scripted transceivers, bound to indices 0..nodes-1, on a
+ * one-shard Channel built from @p channel_args. Each node sends 16
+ * frames of 5 to 40 payload bytes at ticks drawn on the one-byte
+ * airtime grid, so flights overlap, touch end to start and share start
+ * ticks. A payload carries its sender and the sender's transmit count.
+ * Every fifth node answers every fourth intact first-hand frame from
+ * inside frameArrived, at the delivery tick, and one node detaches
+ * halfway, off the grid.
+ */
+template <typename... ChannelArgs>
+ScriptOutcome
+runScript(unsigned nodes, std::uint64_t seed, ChannelArgs &&...channel_args)
+{
+    constexpr unsigned framesPerNode = 16;
+    constexpr sim::Tick span = 25'000 * byteTicks; // 0.8 s
+
+    sim::Simulation simulation;
+    FrameRelay relay(1);
+    Channel channel(simulation, "ch", relay, 0,
+                    std::forward<ChannelArgs>(channel_args)...);
+
+    ScriptOutcome out;
+    out.got.resize(nodes);
+    out.detached = nodes / 2;
+    out.detachTick = span / 2 + 1;
+
+    sim::Random rng(seed);
+    std::vector<unsigned> count(nodes, 0);
+    std::vector<ScriptedNode> node(nodes);
+
+    auto send = [&](unsigned src, bool answer) {
+        Frame frame;
+        frame.payload.resize(rng.uniformInt(5, 40));
+        frame.payload[0] = static_cast<std::uint8_t>(src);
+        frame.payload[1] = static_cast<std::uint8_t>(src >> 8);
+        frame.payload[2] = static_cast<std::uint8_t>(count[src]);
+        frame.payload[3] = static_cast<std::uint8_t>(count[src] >> 8);
+        frame.payload[4] = answer;
+        const sim::Tick start = simulation.curTick();
+        const sim::Tick end = channel.transmit(&node[src], frame);
+        out.sent.push_back({start, end, src, count[src]++});
+    };
+
+    for (unsigned i = 0; i < nodes; ++i) {
+        node[i].onFrame = [&, i](const Frame &frame, bool corrupted) {
+            const auto &p = frame.payload;
+            const unsigned src = p[0] | p[1] << 8;
+            const unsigned seq = p[2] | p[3] << 8;
+            out.got[i].push_back({simulation.curTick(), src, seq, corrupted});
+            if (i % 5 == 0 && !corrupted && !p[4] && seq % 4 == 0) {
+                ++out.answers;
+                send(i, true);
+            }
+        };
+        channel.attach(&node[i]);
+        channel.bind(&node[i], i);
+    }
+
+    std::vector<std::unique_ptr<test::FunctionEvent>> sends;
+    for (unsigned i = 0; i < nodes; ++i) {
+        for (unsigned k = 0; k < framesPerNode; ++k) {
+            sends.push_back(std::make_unique<test::FunctionEvent>(
+                [&send, i] { send(i, false); }, "send"));
+            simulation.eventq().schedule(
+                sends.back().get(),
+                rng.uniformInt(1, span / byteTicks) * byteTicks);
+        }
+    }
+    test::FunctionEvent leave(
+        [&] { channel.detach(&node[out.detached]); }, "leave");
+    simulation.eventq().schedule(&leave, out.detachTick);
+
+    simulation.runUntil(span + sim::secondsToTicks(0.1));
+
+    CountVisitor visitor;
+    channel.visitStats(visitor);
+    out.counts = visitor.counts;
+    return out;
+}
+
+/**
+ * Check every receiver's arrivals and the medium's counts against the
+ * definition in net/channel.hh, applied to the flights the run actually
+ * made. A flight f reaches r in receivers(f.src) while r is attached;
+ * it is corrupted at r iff another flight strictly overlaps it whose
+ * transmitter is r or interferes(that transmitter, r); otherwise
+ * delivers(f.src, r, f.count) decides delivered vs lost. f is a
+ * collision iff a flight its transmitter can hear was on the air when
+ * it started, same-start ties broken by (src, count).
+ */
+template <typename Receivers, typename Interferes, typename Delivers>
+void
+expectVerdictsFollowTheDefinition(const ScriptOutcome &out,
+                                  Receivers &&receivers,
+                                  Interferes &&interferes,
+                                  Delivers &&delivers)
+{
+    MediumCounts want;
+    want.sent = static_cast<double>(out.sent.size());
+    std::vector<std::vector<Arrival>> expected(out.got.size());
+    // How often the hard cases came up, so the run is known to test them.
+    unsigned half_duplex_only = 0, same_start = 0, touching = 0;
+
+    for (const Sent &f : out.sent) {
+        bool collided = false;
+        for (const Sent &g : out.sent) {
+            if (&g == &f)
+                continue;
+            same_start += g.start == f.start;
+            touching += g.end == f.start;
+            if (interferes(g.src, f.src) &&
+                ((g.start < f.start && f.start < g.end) ||
+                 (g.start == f.start &&
+                  std::tie(g.src, g.count) < std::tie(f.src, f.count)))) {
+                collided = true;
+            }
+        }
+        want.collisions += collided;
+
+        for (unsigned r : receivers(f.src)) {
+            if (r == out.detached && f.end > out.detachTick)
+                continue;
+            bool by_self = false, by_other = false;
+            for (const Sent &g : out.sent) {
+                if (&g == &f || !(g.start < f.end && f.start < g.end))
+                    continue;
+                if (g.src == r)
+                    by_self = true;
+                else if (interferes(g.src, r))
+                    by_other = true;
+            }
+            const bool corrupted = by_self || by_other;
+            half_duplex_only += by_self && !by_other;
+            if (!corrupted && !delivers(f.src, r, f.count)) {
+                ++want.lost;
+                continue;
+            }
+            ++(corrupted ? want.corrupted : want.delivered);
+            expected[r].push_back({f.end, f.src, f.count, corrupted});
+        }
+    }
+
+    for (std::size_t r = 0; r < out.got.size(); ++r) {
+        std::vector<Arrival> got = out.got[r];
+        std::sort(got.begin(), got.end());
+        std::sort(expected[r].begin(), expected[r].end());
+        EXPECT_EQ(got, expected[r]) << "receiver " << r;
+    }
+    EXPECT_EQ(out.counts, want);
+
+    EXPECT_GT(out.answers, 0u);
+    EXPECT_GT(half_duplex_only, 0u);
+    EXPECT_GT(same_start, 0u);
+    EXPECT_GT(touching, 0u);
+    EXPECT_GT(want.delivered, 0.0);
+    EXPECT_GT(want.corrupted, 0.0);
+    EXPECT_GT(want.collisions, 0.0);
+}
+
+/** Check a spatial medium over @p positions against the definition. */
+void
+expectSpatialVerdictsFollowTheDefinition(std::vector<Position> positions,
+                                         std::uint64_t seed)
+{
+    SpatialConfig cfg;
+    cfg.pathLossExponent = 2.8;
+    cfg.sensitivityDbm = -90.0; // about 61 m to decode, 100 m to interfere
+    cfg.linkSeed = seed;
+    const unsigned nodes = static_cast<unsigned>(positions.size());
+    const SpatialModel model(cfg, std::move(positions));
+    const ScriptOutcome out = runScript(nodes, seed, model);
+    expectVerdictsFollowTheDefinition(
+        out, [&](unsigned src) { return model.neighbors(src); },
+        [&](unsigned a, unsigned b) { return model.interferes(a, b); },
+        [&](unsigned src, unsigned dst, unsigned seq) {
+            return model.linkDelivers(src, dst, seq);
+        });
+    EXPECT_GT(out.counts.lost, 0.0); // some links fade at the cell edge
+}
+
+} // namespace
+
+TEST(ChannelVerdicts, UniformLayoutsFollowTheIntervalDefinition)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(seed);
+        std::vector<Position> pos;
+        for (unsigned i = 0; i < 60; ++i) {
+            pos.push_back({counterDraw(seed, i, 0) * 300.0,
+                           counterDraw(seed, i, 1) * 300.0});
+        }
+        expectSpatialVerdictsFollowTheDefinition(std::move(pos), seed);
+    }
+}
+
+TEST(ChannelVerdicts, GridFollowsTheIntervalDefinition)
+{
+    std::vector<Position> pos;
+    for (unsigned i = 0; i < 64; ++i)
+        pos.push_back({40.0 * (i % 8), 40.0 * (i / 8)});
+    expectSpatialVerdictsFollowTheDefinition(std::move(pos), 9);
+}
+
+TEST(ChannelVerdicts, TwoBroadcastDomainsFollowTheIntervalDefinition)
+{
+    constexpr unsigned nodes = 40;
+    std::vector<unsigned> domain_of(nodes);
+    for (unsigned i = 0; i < nodes; ++i)
+        domain_of[i] = i % 2;
+    const ScriptOutcome out = runScript(nodes, 4, domain_of, 5);
+    // Every member of a domain hears and interferes with every other.
+    expectVerdictsFollowTheDefinition(
+        out,
+        [&](unsigned src) {
+            std::vector<unsigned> members;
+            for (unsigned r = 0; r < nodes; ++r) {
+                if (r != src && domain_of[r] == domain_of[src])
+                    members.push_back(r);
+            }
+            return members;
+        },
+        [&](unsigned a, unsigned b) {
+            return a != b && domain_of[a] == domain_of[b];
+        },
+        [](unsigned, unsigned, unsigned) { return true; });
+    EXPECT_EQ(out.counts.lost, 0.0);
 }
