@@ -66,6 +66,8 @@ Channel::Channel(sim::Simulation &simulation, const std::string &name,
     byNode.assign(nodes, nullptr);
     txSeq.assign(nodes, 0);
     geBad.assign(nodes, 0);
+    if (model)
+        heard.assign(nodes, 0);
 
     const unsigned domains = model ? 1 : countDomains(nodeDomain);
     domainStats.resize(domains);
@@ -376,35 +378,37 @@ Channel::applyInbound(sim::Tick up_to)
 }
 
 bool
-Channel::collidesAtStart(const FlightRecord &rec) const
+Channel::collidesAtStart(const FlightRecord &rec,
+                         std::span<const Flight> flights) const
 {
     // Charged at transmit time when another flight the transmitter can
     // hear is already on the air. Same-start groups are broken by the
     // canonical (srcNode, srcTxSeq) order — order-independent either way.
-    for (const Flight &g : window) {
-        if (g.sameAs(rec) || !interferes(g.srcNode, rec.srcNode))
-            continue;
-        if (g.start < rec.start && g.end > rec.start)
+    // rec itself fails both time tests, which run before the lookup.
+    for (const Flight &g : flights) {
+        const bool earlier =
+            g.start < rec.start
+                ? g.end > rec.start
+                : g.start == rec.start &&
+                      std::tie(g.srcNode, g.srcTxSeq) <
+                          std::tie(rec.srcNode, rec.srcTxSeq);
+        if (earlier && interferes(g.srcNode, rec.srcNode))
             return true;
-        if (g.start == rec.start &&
-            std::tie(g.srcNode, g.srcTxSeq) <
-                std::tie(rec.srcNode, rec.srcTxSeq)) {
-            return true;
-        }
     }
     return false;
 }
 
 bool
-Channel::corruptedAt(const FlightRecord &rec, unsigned r) const
+Channel::corruptedAt(unsigned r) const
 {
-    for (const Flight &g : window) {
-        if (g.sameAs(rec) || !(g.start < rec.end && rec.start < g.end))
-            continue;
-        if (g.srcNode == r || interferes(g.srcNode, r))
-            return true;
-    }
-    return false;
+    // Received power depends only on distance, so interference is
+    // symmetric: g interferes at r exactly when g is in interferers(r).
+    // Walking r's own row therefore finds every stamped interferer.
+    if (heard[r] == stamp)
+        return true;
+    const auto row = model->interferers(r);
+    return std::any_of(row.begin(), row.end(),
+                       [&](std::uint32_t g) { return heard[g] == stamp; });
 }
 
 void
@@ -422,7 +426,7 @@ Channel::finalize(sim::Tick end)
         if (!delivery->local || delivery->counted)
             continue;
         delivery->counted = true;
-        if (collidesAtStart(delivery->rec))
+        if (collidesAtStart(delivery->rec, window))
             ++domainStats[domainOf(delivery->rec.srcNode)].collisions;
     }
 }
@@ -440,18 +444,45 @@ Channel::deliver(Delivery &delivery)
     const FlightRecord &rec = delivery.rec;
     DomainStats &st = domainStats[domainOf(rec.srcNode)];
 
+    // The one pass over the window: the other flights that strictly
+    // overlap rec. A receiver's frameArrived may transmit (an ACK) at this
+    // tick; that flight starts at rec.end, so it never overlaps rec and
+    // the list gathered here holds for every later receiver too.
+    overlapping.clear();
+    for (const Flight &g : window) {
+        if (g.start < rec.end && rec.start < g.end && !g.sameAs(rec))
+            overlapping.push_back(g);
+    }
+
     if (delivery.local) {
         if (rec.geBad)
             ++st.geBadFrames;
-        if (!delivery.counted && collidesAtStart(rec))
+        // Every flight that makes rec a collision overlaps it.
+        if (!delivery.counted && collidesAtStart(rec, overlapping))
             ++st.collisions;
     } else {
         ++auxEvents;
     }
 
-    // In a broadcast domain every receiver hears every transmitter, so
-    // the corruption verdict is the same at each: resolve it once.
-    const bool domainCorrupted = !model && corruptedAt(rec, rec.srcNode);
+    // In a broadcast domain every transmitter interferes with every
+    // member, so the corruption verdict is the same at each receiver:
+    // any overlapping flight in rec's domain. Under the spatial model,
+    // stamp the overlapping transmitters for corruptedAt; with none, no
+    // receiver is corrupted and no row is walked.
+    bool domainCorrupted = false;
+    if (!model) {
+        const unsigned d = domainOf(rec.srcNode);
+        domainCorrupted = std::any_of(
+            overlapping.begin(), overlapping.end(),
+            [&](const Flight &g) { return domainOf(g.srcNode) == d; });
+    } else if (!overlapping.empty()) {
+        if (++stamp == 0) { // wrapped: forget every earlier stamp
+            std::fill(heard.begin(), heard.end(), 0);
+            stamp = 1;
+        }
+        for (const Flight &g : overlapping)
+            heard[g.srcNode] = stamp;
+    }
 
     // Deliver to every receiver in reach that lives on this shard, in
     // ascending node order. byNode is re-read per receiver: an earlier
@@ -460,7 +491,8 @@ Channel::deliver(Delivery &delivery)
         Transceiver *t = byNode[r];
         if (!t)
             return;
-        const bool corrupted = model ? corruptedAt(rec, r) : domainCorrupted;
+        const bool corrupted =
+            model ? !overlapping.empty() && corruptedAt(r) : domainCorrupted;
         if (!corrupted) {
             const std::uint64_t link =
                 static_cast<std::uint64_t>(rec.srcNode) << 32 | r;

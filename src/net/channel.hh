@@ -22,10 +22,12 @@
  *
  * For a flight f at receiver r: f is corrupted iff another flight
  * strictly overlaps it and its transmitter interferes at r or is r
- * (half-duplex), resolved lazily at delivery from the interval multiset;
- * otherwise the spatial link draw, then the loss draw, decide delivered
- * vs lost. A flight counts as a collision, once, iff a flight its
- * transmitter can hear was already on the air when it started.
+ * (half-duplex); otherwise the spatial link draw, then the loss draw,
+ * decide delivered vs lost. A flight counts as a collision, once, iff a
+ * flight its transmitter can hear was already on the air when it
+ * started. Both are resolved at delivery by one pass over the shard's
+ * window of recent flights, which lists the flights that overlap f; each
+ * receiver then reads that list through its own interference row.
  *
  * Loss is i.i.d. per receiver, or a Gilbert-Elliott Good/Bad chain per
  * transmitter stepped once per frame it sends. Draws are counter-based:
@@ -49,6 +51,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -256,12 +259,20 @@ class Channel : public sim::SimObject,
     /** Visit every node that can decode @p src, ascending. */
     template <typename Fn> void forEachReceiver(unsigned src, Fn &&fn) const;
 
-    /** Whether some other flight overlapping @p rec corrupts it at
-     *  receiver @p r. */
-    bool corruptedAt(const FlightRecord &rec, unsigned r) const;
+    /**
+     * Spatial model: whether a flight of the delivery's overlap pass
+     * corrupts the frame at receiver @p r. That pass stamped the
+     * transmitter of every flight that overlaps the frame; r is corrupted
+     * when it is stamped itself (half-duplex) or a node of its own row
+     * interferers(r) is.
+     */
+    bool corruptedAt(unsigned r) const;
 
-    /** Transmit-time collision verdict for @p rec (at its transmitter). */
-    bool collidesAtStart(const FlightRecord &rec) const;
+    /** Transmit-time collision verdict for @p rec (at its transmitter),
+     *  among @p flights: every flight that overlaps @p rec, and maybe
+     *  others. */
+    bool collidesAtStart(const FlightRecord &rec,
+                         std::span<const Flight> flights) const;
 
     /** Step @p src's loss process for its next frame into @p rec. */
     void drawLoss(FlightRecord &rec);
@@ -297,6 +308,12 @@ class Channel : public sim::SimObject,
     std::vector<std::uint8_t> geBad;
 
     std::vector<Flight> window;
+    /** The flights of window that overlap the frame being delivered. */
+    std::vector<Flight> overlapping;
+    /** Spatial model: per node, the last overlap pass that stamped it
+     *  (heard[n] == stamp: n was on the air during the frame). */
+    std::vector<std::uint32_t> heard;
+    std::uint32_t stamp = 0;
     ObjectPool<Delivery> deliveryPool;
     std::vector<Delivery *> deliveries;
     /** Records transmitted since the last publishOutbound() flush. */
