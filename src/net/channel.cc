@@ -1,6 +1,7 @@
 #include "net/channel.hh"
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 
 #include "sim/logging.hh"
@@ -228,8 +229,11 @@ Channel::scheduleDelivery(Delivery *delivery, bool cross_shard)
     // A delivery only needs a pre-resolution sync when some peer's
     // transmissions can actually reach this shard; at K=1 (or for a
     // spatially isolated shard) the pending set stays empty.
-    if (!relay.inboundPeers(shard).empty())
-        pendingSyncs.insert(delivery->rec.end);
+    if (!relay.inboundPeers(shard).empty()) {
+        pendingSyncs.push_back(delivery->rec.end);
+        std::push_heap(pendingSyncs.begin(), pendingSyncs.end(),
+                       std::greater<>());
+    }
     deliveries.push_back(delivery);
 }
 
@@ -323,14 +327,19 @@ Channel::publishOutbound()
 sim::Tick
 Channel::nextSyncTick() const
 {
-    return pendingSyncs.empty() ? sim::maxTick : *pendingSyncs.begin();
+    return pendingSyncs.empty() ? sim::maxTick : pendingSyncs.front();
 }
 
 void
 Channel::syncDone(sim::Tick tick)
 {
-    // One sync covers every delivery at that tick.
-    pendingSyncs.erase(tick);
+    // One sync covers every delivery at that tick. The scheduler only
+    // completes the earliest pending sync, so its entries are on top.
+    while (!pendingSyncs.empty() && pendingSyncs.front() == tick) {
+        std::pop_heap(pendingSyncs.begin(), pendingSyncs.end(),
+                      std::greater<>());
+        pendingSyncs.pop_back();
+    }
 }
 
 void

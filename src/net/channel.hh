@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -318,8 +317,9 @@ class Channel : public sim::SimObject,
     std::vector<Delivery *> deliveries;
     /** Records transmitted since the last publishOutbound() flush. */
     std::vector<FlightRecord> outbox;
-    /** Delivery ticks that still need a pre-delivery sync. */
-    std::multiset<sim::Tick> pendingSyncs;
+    /** Delivery ticks that still need a pre-delivery sync: a min-heap
+     *  (std::greater), so one insert allocates nothing once it has grown. */
+    std::vector<sim::Tick> pendingSyncs;
     /** Per-source records drained but not yet applicable (start >= upTo). */
     std::vector<std::deque<FlightRecord>> staged;
 
