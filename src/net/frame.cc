@@ -1,22 +1,39 @@
 #include "net/frame.hh"
 
+#include <array>
+
 #include "sim/logging.hh"
 
 namespace ulp::net {
 
-std::uint16_t
-crc16(std::span<const std::uint8_t> bytes)
-{
-    std::uint16_t crc = 0x0000;
-    for (std::uint8_t byte : bytes) {
-        crc ^= static_cast<std::uint16_t>(byte) << 8;
+namespace {
+
+/** crcTable[b]: the bitwise CRC-16/CCITT shift of b << 8, eight steps of
+ *  poly 0x1021, MSB first. */
+constexpr std::array<std::uint16_t, 256> crcTable = [] {
+    std::array<std::uint16_t, 256> table{};
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        auto crc = static_cast<std::uint16_t>(byte << 8);
         for (int bit = 0; bit < 8; ++bit) {
             if (crc & 0x8000)
                 crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
             else
                 crc = static_cast<std::uint16_t>(crc << 1);
         }
+        table[byte] = crc;
     }
+    return table;
+}();
+
+} // namespace
+
+std::uint16_t
+crc16(std::span<const std::uint8_t> bytes)
+{
+    std::uint16_t crc = 0x0000;
+    for (std::uint8_t byte : bytes)
+        crc = static_cast<std::uint16_t>((crc << 8) ^
+                                         crcTable[(crc >> 8) ^ byte]);
     return crc;
 }
 

@@ -21,7 +21,9 @@
 
 namespace ulp::net {
 
-/** CRC-16/CCITT (poly 0x1021, init 0x0000), the 802.15.4 FCS. */
+/** CRC-16/CCITT (poly 0x1021, init 0x0000, MSB first), the 802.15.4
+ *  FCS. One lookup in a 256-entry table per byte, the table built at
+ *  compile time from the bitwise definition. */
 std::uint16_t crc16(std::span<const std::uint8_t> bytes);
 
 class Frame

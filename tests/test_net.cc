@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests of the 802.15.4 substrate: CRC-16 correctness, frame codec
- * round-trips (property-swept over payload sizes), corruption detection
- * (any flipped byte must fail the FCS), and the broadcast medium's
- * delivery, loss, and collision models — including that loss draws are
- * binomial and independent of attach order and transmit interleaving —
- * and the spatial model's adjacency rows against its closed-form
- * propagation law.
+ * Tests of the 802.15.4 substrate: CRC-16 correctness (the table-driven
+ * codec against the bitwise definition), frame codec round-trips
+ * (property-swept over payload sizes), corruption detection (any flipped
+ * byte must fail the FCS), and the broadcast medium's delivery, loss,
+ * and collision models — including that loss draws are binomial and
+ * independent of attach order and transmit interleaving — the spatial
+ * model's adjacency rows against its closed-form propagation law, and
+ * every verdict of the medium against its interval definition.
  */
 
 #include <gtest/gtest.h>
@@ -48,6 +49,51 @@ TEST(Crc16, KnownVectors)
     const std::uint8_t ff[] = {0xFF};
     // One 0xFF byte through the bitwise definition.
     EXPECT_EQ(crc16(ff), 0x1EF0);
+}
+
+namespace {
+
+/** CRC-16/CCITT by its definition: poly 0x1021, init 0, MSB first,
+ *  one bit at a time. */
+std::uint16_t
+bitwiseCrc16(std::span<const std::uint8_t> bytes)
+{
+    std::uint16_t crc = 0x0000;
+    for (std::uint8_t byte : bytes) {
+        crc ^= static_cast<std::uint16_t>(byte) << 8;
+        for (int bit = 0; bit < 8; ++bit) {
+            if (crc & 0x8000)
+                crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+            else
+                crc = static_cast<std::uint16_t>(crc << 1);
+        }
+    }
+    return crc;
+}
+
+} // namespace
+
+TEST(Crc16, TableMatchesTheBitwiseDefinition)
+{
+    // Every one- and two-byte input.
+    for (unsigned a = 0; a < 256; ++a) {
+        const std::uint8_t one[] = {static_cast<std::uint8_t>(a)};
+        ASSERT_EQ(crc16(one), bitwiseCrc16(one)) << a;
+        for (unsigned b = 0; b < 256; ++b) {
+            const std::uint8_t two[] = {static_cast<std::uint8_t>(a),
+                                        static_cast<std::uint8_t>(b)};
+            ASSERT_EQ(crc16(two), bitwiseCrc16(two)) << a << ' ' << b;
+        }
+    }
+    // Seeded random spans of every length up to a whole 802.15.4 frame.
+    sim::Random rng(0xcc17);
+    std::vector<std::uint8_t> bytes;
+    for (int iteration = 0; iteration < 2000; ++iteration) {
+        bytes.resize(rng.uniformInt(0, Frame::maxFrameBytes));
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        ASSERT_EQ(crc16(bytes), bitwiseCrc16(bytes)) << bytes.size();
+    }
 }
 
 TEST(Frame, SerializeLayout)
