@@ -395,13 +395,11 @@ Channel::collidesAtStart(const FlightRecord &rec,
     // canonical (srcNode, srcTxSeq) order — order-independent either way.
     // rec itself fails both time tests, which run before the lookup.
     for (const Flight &g : flights) {
-        const bool earlier =
-            g.start < rec.start
-                ? g.end > rec.start
-                : g.start == rec.start &&
-                      std::tie(g.srcNode, g.srcTxSeq) <
-                          std::tie(rec.srcNode, rec.srcTxSeq);
-        if (earlier && interferes(g.srcNode, rec.srcNode))
+        const bool on_air = g.start < rec.start && g.end > rec.start;
+        const bool tie_first = g.start == rec.start &&
+                               std::tie(g.srcNode, g.srcTxSeq) <
+                                   std::tie(rec.srcNode, rec.srcTxSeq);
+        if ((on_air || tie_first) && interferes(g.srcNode, rec.srcNode))
             return true;
     }
     return false;

@@ -259,17 +259,15 @@ class Channel : public sim::SimObject,
     template <typename Fn> void forEachReceiver(unsigned src, Fn &&fn) const;
 
     /**
-     * Spatial model: whether a flight of the delivery's overlap pass
-     * corrupts the frame at receiver @p r. That pass stamped the
-     * transmitter of every flight that overlaps the frame; r is corrupted
-     * when it is stamped itself (half-duplex) or a node of its own row
-     * interferers(r) is.
+     * Spatial model: whether the frame being delivered is corrupted at
+     * receiver @p r. The delivery's overlap pass stamped the transmitter
+     * of every flight that overlaps the frame; r is corrupted when it is
+     * stamped itself (half-duplex) or a node of its row interferers(r) is.
      */
     bool corruptedAt(unsigned r) const;
 
     /** Transmit-time collision verdict for @p rec (at its transmitter),
-     *  among @p flights: every flight that overlaps @p rec, and maybe
-     *  others. */
+     *  read from @p flights: any superset of the flights overlapping it. */
     bool collidesAtStart(const FlightRecord &rec,
                          std::span<const Flight> flights) const;
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <functional>
 #include <memory>
 #include <ostream>
