@@ -101,20 +101,20 @@ Channel::~Channel() = default;
 void
 Channel::attach(Transceiver *transceiver)
 {
-    auto it = nodeOf.find(transceiver);
-    if ((it != nodeOf.end() && byNode[it->second] == transceiver) ||
+    const unsigned node = transceiver->mediumNode;
+    const bool bound = node != Transceiver::noNode;
+    if ((bound && byNode[node] == transceiver) ||
         std::find(unbound.begin(), unbound.end(), transceiver) !=
             unbound.end()) {
         sim::panic("%s: transceiver attached twice", name().c_str());
     }
-    if (it != nodeOf.end()) {
-        byNode[it->second] = transceiver;
+    if (bound) {
+        byNode[node] = transceiver;
     } else if (ownRelay) {
-        const auto node = static_cast<unsigned>(byNode.size());
+        transceiver->mediumNode = static_cast<unsigned>(byNode.size());
         byNode.push_back(transceiver);
         txSeq.push_back(0);
         geBad.push_back(0);
-        nodeOf.emplace(transceiver, node);
     } else {
         unbound.push_back(transceiver);
     }
@@ -134,16 +134,16 @@ Channel::bind(Transceiver *transceiver, unsigned node)
         sim::panic("%s: node %u bound twice", name().c_str(), node);
     unbound.erase(it);
     byNode[node] = transceiver;
-    nodeOf.emplace(transceiver, node);
+    transceiver->mediumNode = node;
 }
 
 void
 Channel::detach(Transceiver *transceiver)
 {
-    auto it = nodeOf.find(transceiver);
-    if (it != nodeOf.end()) {
-        if (byNode[it->second] == transceiver)
-            byNode[it->second] = nullptr;
+    const unsigned node = transceiver->mediumNode;
+    if (node != Transceiver::noNode) {
+        if (byNode[node] == transceiver)
+            byNode[node] = nullptr;
         return;
     }
     std::erase(unbound, transceiver);
@@ -274,11 +274,10 @@ Channel::drawLoss(FlightRecord &rec)
 sim::Tick
 Channel::transmit(Transceiver *sender, const Frame &frame)
 {
-    auto it = nodeOf.find(sender);
-    if (it == nodeOf.end())
+    const unsigned src = sender->mediumNode;
+    if (src == Transceiver::noNode)
         sim::panic("%s: transmit from an unbound transceiver",
                    name().c_str());
-    const unsigned src = it->second;
 
     const sim::Tick start = curTick();
     FlightRecord record;

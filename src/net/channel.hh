@@ -52,7 +52,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/frame.hh"
@@ -295,10 +294,9 @@ class Channel : public sim::SimObject,
     /** Attached but not yet bound transceivers. */
     std::vector<Transceiver *> unbound;
     /** Bound, attached transceivers by global node index (null: detached
-     *  or not on this shard). */
+     *  or not on this shard). A bound transceiver carries its index
+     *  (Transceiver::mediumNode), attached or not. */
     std::vector<Transceiver *> byNode;
-    /** Every transceiver ever bound, attached or not. */
-    std::unordered_map<Transceiver *, unsigned> nodeOf;
     /** Per-source transmit counters (only this shard's entries advance). */
     std::vector<std::uint64_t> txSeq;
     /** Per-source Gilbert-Elliott chain state (this shard's sources). */

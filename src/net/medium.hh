@@ -50,6 +50,15 @@ class Transceiver
 
     /** The first symbol of a frame is on the air (start-symbol detect). */
     virtual void frameStarted(sim::Tick end_tick) { (void)end_tick; }
+
+  private:
+    friend class Channel;
+
+    static constexpr unsigned noNode = ~0u;
+    /** The node index the medium bound this transceiver to, kept here so
+     *  a transmit finds its sender without a lookup; noNode until then.
+     *  A transceiver is attached to one medium in its life. */
+    unsigned mediumNode = noNode;
 };
 
 /** The medium a transceiver transmits into and receives from. */
