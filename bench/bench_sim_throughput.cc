@@ -54,6 +54,7 @@
 #include "core/sensor_node.hh"
 #include "net/channel.hh"
 #include "scenario/spec.hh"
+#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 
 using namespace ulp;
@@ -276,15 +277,27 @@ BENCHMARK(BM_EventQueueSetBaseline)
 
 using Counters = Network::Counters;
 
+/** The shards' kernel counters of @p network, summed. */
+sim::ShardCounters
+kernelTotals(const Network &network)
+{
+    sim::ShardCounters sum;
+    for (const sim::ShardCounters &shard : network.kernelCounters())
+        sum += shard;
+    return sum;
+}
+
 /**
  * Simulate @p num_nodes complete sensor nodes on one broadcast channel
  * for @p seconds, sharded over @p threads (1 = the sequential kernel).
  * Every node runs app v1 (sample -> transmit) with a slightly staggered
  * period so the network is not in artificial lockstep. Counters are
- * identical for every thread count (core::Network's contract).
+ * identical for every thread count (core::Network's contract). The
+ * shards' kernel counters, summed, go to @p kernel when given.
  */
 Counters
-runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
+runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1,
+           sim::ShardCounters *kernel = nullptr)
 {
     scenario::NetworkSpec spec;
     spec.threads = threads;
@@ -304,6 +317,8 @@ runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
 
     Network network(spec);
     network.runForSeconds(seconds);
+    if (kernel)
+        *kernel = kernelTotals(network);
     return network.counters();
 }
 
@@ -316,7 +331,8 @@ runNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
  * above keeps every shard pair coupled by construction.
  */
 Counters
-runSpatialNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
+runSpatialNetwork(unsigned num_nodes, double seconds, unsigned threads = 1,
+                  sim::ShardCounters *kernel = nullptr)
 {
     const unsigned side = static_cast<unsigned>(
         std::ceil(std::sqrt(static_cast<double>(num_nodes))));
@@ -343,6 +359,8 @@ runSpatialNetwork(unsigned num_nodes, double seconds, unsigned threads = 1)
 
     Network network(spec);
     network.runForSeconds(seconds);
+    if (kernel)
+        *kernel = kernelTotals(network);
     return network.counters();
 }
 
@@ -494,7 +512,9 @@ scaleRow(unsigned nodes, double seconds)
 /**
  * The sharded kernel at @p threads against the sequential run: the
  * broadcast channel couples every shard pair (the sync-overhead bound),
- * the spatial grids are what locality partitioning speeds up. With more
+ * the spatial grids are what locality partitioning speeds up. The
+ * shards' epoch barriers and pre-delivery syncs are exact; parks and
+ * the share of shard time spent waiting depend on the host. With more
  * threads than host cores the speedup measures scheduling noise, so it
  * is info, never gated.
  */
@@ -503,11 +523,12 @@ parallelRow(bool broadcast, unsigned nodes, unsigned threads, double seconds)
 {
     double elapsed[2] = {};
     Counters runs[2];
+    sim::ShardCounters kernel;
     for (unsigned i = 0; i < 2; ++i) {
         const unsigned k = i == 0 ? 1 : threads;
         auto start = std::chrono::steady_clock::now();
-        runs[i] = broadcast ? runNetwork(nodes, seconds, k)
-                            : runSpatialNetwork(nodes, seconds, k);
+        runs[i] = broadcast ? runNetwork(nodes, seconds, k, &kernel)
+                            : runSpatialNetwork(nodes, seconds, k, &kernel);
         elapsed[i] = bench::secondsSince(start);
     }
     const unsigned cores = std::thread::hardware_concurrency();
@@ -522,10 +543,14 @@ parallelRow(bool broadcast, unsigned nodes, unsigned threads, double seconds)
     row.exact.flag("stats_identical", c == runs[0])
         .flag("traffic", c.framesSent > 0 &&
                              (nodes == 1 || c.framesDelivered > 0 ||
-                              c.collisions > 0));
+                              c.collisions > 0))
+        .count("epochs", kernel.epochs)
+        .count("syncs", kernel.syncs);
     row.info.number("host_seconds", elapsed[1])
         .number("speedup_vs_sequential", elapsed[0] / elapsed[1])
-        .flag("oversubscribed", cores != 0 && threads > cores);
+        .flag("oversubscribed", cores != 0 && threads > cores)
+        .count("parks", kernel.parks)
+        .number("wait_share", kernel.waitSeconds / (threads * elapsed[1]));
     return row;
 }
 

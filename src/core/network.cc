@@ -125,6 +125,7 @@ Network::build(const scenario::NetworkSpec &spec)
         members[shardOfNode[i]].push_back(i);
 
     shards.resize(K);
+    kernel.resize(K);
     for (unsigned s = 0; s < K; ++s) {
         Shard &shard = shards[s];
         shard.simulation = std::make_unique<sim::Simulation>();
@@ -253,6 +254,8 @@ Network::runUntilTick(sim::Tick end)
         }
     }
     scheduler.run(end);
+    for (std::size_t i = 0; i < shards.size(); ++i)
+        kernel[i] += scheduler.counters(i);
     ran = end;
 }
 

@@ -41,6 +41,7 @@
 #include "core/sensor_node.hh"
 #include "net/channel.hh"
 #include "scenario/spec.hh"
+#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 
 namespace ulp::core {
@@ -156,6 +157,18 @@ class Network
     Counters counters() const;
 
     /**
+     * Each shard's synchronisation counts, summed over the run segments
+     * so far; all zero at threads = 1. Kept out of Counters, whose `==`
+     * is the thread-count oracle: waits, parks and wait time depend on
+     * the host, and the epoch and sync counts on the shard count.
+     */
+    const std::vector<sim::ShardCounters> &
+    kernelCounters() const
+    {
+        return kernel;
+    }
+
+    /**
      * Print the statistics as one shard would: the media's counts
      * summed over the shards, then every node in global index order.
      * Byte-identical across thread counts for oracle workloads.
@@ -218,6 +231,7 @@ class Network
     std::map<apps::AppShape, apps::AppImage> images;
     std::vector<std::unique_ptr<LifecycleEntry>> lifecycle;
     sim::Tick ran = 0; ///< total ticks simulated so far
+    std::vector<sim::ShardCounters> kernel; ///< one per shard
 };
 
 } // namespace ulp::core

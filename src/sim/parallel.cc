@@ -1,6 +1,7 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <thread>
@@ -90,34 +91,17 @@ printHeld(const std::vector<std::vector<HeldMessage>> &held)
         std::fputs(msg->line.c_str(), stderr);
 }
 
-/** Short spin before parking: epoch targets are usually satisfied within
- *  a few hundred loads when the shards are balanced. */
-constexpr int spinRounds = 256;
-
-/** Block until @p shard's safe tick reaches at least @p target. */
-void
-waitForShard(std::atomic<Tick> &safe, std::atomic<int> &waiters, Tick target)
-{
-    Tick seen = safe.load(std::memory_order_acquire);
-    if (seen >= target)
-        return;
-    for (int i = 0; i < spinRounds; ++i) {
-        seen = safe.load(std::memory_order_acquire);
-        if (seen >= target)
-            return;
-    }
-    // Register before the final check: publishers load `waiters` after
-    // their seq_cst safe store, so either they see us (and notify) or our
-    // load below sees their store — no lost wakeup either way.
-    waiters.fetch_add(1, std::memory_order_seq_cst);
-    for (;;) {
-        seen = safe.load(std::memory_order_seq_cst);
-        if (seen >= target)
-            break;
-        safe.wait(seen, std::memory_order_seq_cst);
-    }
-    waiters.fetch_sub(1, std::memory_order_relaxed);
-}
+/**
+ * How long a waiter yields before it parks. On the 2-shard beacon
+ * benchmark workload half of the ~150k rendezvous of a run find the
+ * peer behind, and all but a few dozen of those are released within
+ * 100 us, while a futex park and wake alone took 7-13 us median on a
+ * 4-vCPU host. Budgets of 20 to 1000 us ran equally fast on free cores;
+ * at 4 shards on 2 CPUs 50 us lost the gain and 100 us kept it. A
+ * longer budget only burns more of a core when the peer really is
+ * descheduled or stalled, so it is 100 us.
+ */
+constexpr std::chrono::microseconds yieldBudget{100};
 
 } // namespace
 
@@ -134,6 +118,40 @@ ParallelScheduler::publish(Shard &self, Tick target)
 }
 
 void
+ParallelScheduler::waitForShard(Shard &self, Shard &peer, Tick target)
+{
+    if (peer.safe.load(std::memory_order_acquire) >= target)
+        return;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    ++self.counters.waits;
+    // Yield rather than spin: a waiter that shares its core with the
+    // peer hands the peer that core instead of burning it.
+    bool released = false;
+    while (!released && Clock::now() - start < yieldBudget) {
+        std::this_thread::yield();
+        released = peer.safe.load(std::memory_order_acquire) >= target;
+    }
+    if (!released) {
+        ++self.counters.parks;
+        // Register before the final check: publishers load `waiters`
+        // after their seq_cst safe store, so either they see us (and
+        // notify) or our load below sees their store — no lost wakeup
+        // either way.
+        peer.waiters.fetch_add(1, std::memory_order_seq_cst);
+        for (;;) {
+            const Tick seen = peer.safe.load(std::memory_order_seq_cst);
+            if (seen >= target)
+                break;
+            peer.safe.wait(seen, std::memory_order_seq_cst);
+        }
+        peer.waiters.fetch_sub(1, std::memory_order_relaxed);
+    }
+    self.counters.waitSeconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+void
 ParallelScheduler::syncTo(std::size_t idx, Tick target)
 {
     Shard &self = shards[idx];
@@ -142,7 +160,7 @@ ParallelScheduler::syncTo(std::size_t idx, Tick target)
     // graph cannot cycle.
     publish(self, target);
     for (std::size_t peer : self.waitPeers)
-        waitForShard(shards[peer].safe, shards[peer].waiters, target);
+        waitForShard(self, shards[peer], target);
     if (self.coupling)
         self.coupling->applyInbound(target);
 }
@@ -173,6 +191,7 @@ ParallelScheduler::runShard(std::size_t idx, Tick end)
                 break;
             }
             queue.runUntil(sync - 1);
+            ++self.counters.syncs;
             syncTo(idx, sync);
             self.coupling->syncDone(sync);
         }
@@ -181,6 +200,7 @@ ParallelScheduler::runShard(std::size_t idx, Tick end)
             break;
         // remaining >= epoch_len here, so this cannot overflow.
         epoch_start += epoch_len;
+        ++self.counters.epochs;
         syncTo(idx, epoch_start);
     }
 

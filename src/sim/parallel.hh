@@ -44,6 +44,17 @@
  * so the flush-before-store order preserves the `safe` contract while
  * keeping the per-transmit hot path free of cross-shard traffic.
  *
+ * Waiting: a shard that finds a coupled peer's `safe` tick below its
+ * target first yields its core (std::this_thread::yield) and re-reads
+ * `safe`, for a fixed wall-time budget, and only then registers as a
+ * waiter and parks on the futex (`safe.wait`). On the 2-shard beacon
+ * benchmark workload half the rendezvous find the peer behind, and
+ * nearly all of those end within the budget, sooner than a futex park
+ * and wake would. Yielding rather than spinning keeps a waiter that
+ * shares a core with its peer from burning the time slice the peer
+ * needs. Each shard counts its barriers, syncs, waits and parks
+ * (ShardCounters).
+ *
  * Deadlock-freedom: a shard always publishes its own target tick (the
  * `safe` atomic) before waiting for the others, and targets are strictly
  * increasing; the shard holding the minimum outstanding target always
@@ -61,6 +72,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -114,6 +126,33 @@ class ShardCoupling
 };
 
 /**
+ * What synchronising cost one shard in one run. Epoch barriers and
+ * pre-delivery syncs are fixed by the horizon, the lookahead and the
+ * model: every run of one configuration at one K counts the same.
+ * Waits, parks and wait time depend on how the host interleaved the
+ * threads.
+ */
+struct ShardCounters
+{
+    std::uint64_t epochs = 0; ///< epoch barriers
+    std::uint64_t syncs = 0;  ///< safe-time syncs before a delivery
+    std::uint64_t waits = 0;  ///< peer waits that found the peer behind
+    std::uint64_t parks = 0;  ///< of those, the ones that parked
+    double waitSeconds = 0.0; ///< host time spent in those waits
+
+    ShardCounters &
+    operator+=(const ShardCounters &o)
+    {
+        epochs += o.epochs;
+        syncs += o.syncs;
+        waits += o.waits;
+        parks += o.parks;
+        waitSeconds += o.waitSeconds;
+        return *this;
+    }
+};
+
+/**
  * Runs K shards in conservative epochs. Build with the default (channel)
  * lookahead, add the shards, optionally tighten or sever individual pairs
  * with setPairLookahead, then run() once; the object is not reusable
@@ -148,6 +187,14 @@ class ParallelScheduler
      */
     void run(Tick end);
 
+    /** Shard @p idx's counts of the run (all zero at K = 1). Read them
+     *  after run() returns. */
+    const ShardCounters &
+    counters(std::size_t idx) const
+    {
+        return shards[idx].counters;
+    }
+
   private:
     struct Shard
     {
@@ -160,6 +207,8 @@ class ParallelScheduler
         /** Peers whose actions can reach this shard (pair lookahead below
          *  maxTick): the only ones worth waiting for. */
         std::vector<std::size_t> waitPeers;
+        /** Written by the shard's own worker only. */
+        ShardCounters counters;
         /**
          * The tick this shard has published everything before: peers
          * waiting on `safe >= e` may assume every cross-shard record
@@ -183,6 +232,10 @@ class ParallelScheduler
      * done the same, then apply inbound records older than @p target.
      */
     void syncTo(std::size_t idx, Tick target);
+
+    /** Block until @p peer's safe tick reaches @p target: yield first,
+     *  then park. Counted in @p self. */
+    static void waitForShard(Shard &self, Shard &peer, Tick target);
 
     /** Resolve per-shard epoch lengths and wait sets from the pair
      *  lookahead overrides. */

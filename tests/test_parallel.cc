@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -230,6 +231,41 @@ TEST(ParallelNetwork, ChurnedNodesReviveOnTheirHomeShard)
     EXPECT_EQ(k1, k4);
 }
 
+TEST(ParallelNetwork, EpochAndSyncCountsAreDeterministic)
+{
+    // Epoch barriers and pre-delivery syncs are fixed by the horizon, the
+    // lookahead and the model, not by the host: two runs of the spatial
+    // grid at one K count the same on every shard, and the counts are
+    // pinned so a change to the sync protocol shows here. Every shard
+    // syncs before all 63 frame ends of the run: a relayed record is
+    // synced on whether or not a node of the shard can hear it.
+    struct Expected
+    {
+        unsigned threads;
+        std::vector<std::uint64_t> epochs;
+        std::vector<std::uint64_t> syncs;
+    };
+    const Expected expected[] = {
+        {2, {142, 142}, {63, 63}},
+        {4, {142, 142, 142, 142}, {63, 63, 63, 63}},
+    };
+    for (const Expected &want : expected) {
+        SCOPED_TRACE(want.threads);
+        for (int run = 0; run < 2; ++run) {
+            core::Network network(gridSpec(64, want.threads));
+            network.runForSeconds(0.05);
+            std::vector<std::uint64_t> epochs, syncs;
+            for (const sim::ShardCounters &c : network.kernelCounters()) {
+                epochs.push_back(c.epochs);
+                syncs.push_back(c.syncs);
+                EXPECT_LE(c.parks, c.waits);
+            }
+            EXPECT_EQ(epochs, want.epochs);
+            EXPECT_EQ(syncs, want.syncs);
+        }
+    }
+}
+
 TEST(ParallelNetwork, SpecValidation)
 {
     scenario::NetworkSpec spec = benchSpec(2, 4);
@@ -361,6 +397,47 @@ TEST(ParallelScheduler, SeveredPairsRunTheHorizonInOneEpoch)
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(q0.curTick(), 1'000'000'000'000ull);
     EXPECT_EQ(q1.curTick(), 1'000'000'000'000ull);
+}
+
+TEST(ParallelScheduler, StalledPeerIsAwaitedPastTheYieldBudget)
+{
+    // Shard 1 stalls its host thread for 50 ms inside an event, far past
+    // the time a waiter yields before it parks. Shard 0 must park at its
+    // next barrier, wake when shard 1 publishes, and both must run every
+    // event to the horizon: ten epoch barriers each (at 100, ..., 1000).
+    sim::EventQueue q[2];
+    int ran[2] = {};
+    std::vector<std::unique_ptr<test::FunctionEvent>> events;
+    for (int shard = 0; shard < 2; ++shard) {
+        for (sim::Tick when = 50; when < 1000; when += 100) {
+            const bool stall = shard == 1 && when == 150;
+            events.push_back(std::make_unique<test::FunctionEvent>(
+                [&ran, shard, stall] {
+                    if (stall) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(50));
+                    }
+                    ++ran[shard];
+                },
+                "ev"));
+            q[shard].schedule(events.back().get(), when);
+        }
+    }
+
+    sim::ParallelScheduler sched(100);
+    sched.addShard(q[0], nullptr);
+    sched.addShard(q[1], nullptr);
+    sched.run(1000);
+    for (int shard = 0; shard < 2; ++shard) {
+        SCOPED_TRACE(shard);
+        EXPECT_EQ(ran[shard], 10);
+        EXPECT_EQ(q[shard].curTick(), 1000u);
+        EXPECT_EQ(sched.counters(shard).epochs, 10u);
+        EXPECT_EQ(sched.counters(shard).syncs, 0u);
+        EXPECT_LE(sched.counters(shard).parks, sched.counters(shard).waits);
+    }
+    EXPECT_GE(sched.counters(0).parks, 1u);
+    EXPECT_GT(sched.counters(0).waitSeconds, 0.0);
 }
 
 TEST(ParallelScheduler, WarningsPrintInTickThenShardOrder)
