@@ -95,11 +95,12 @@ printHeld(const std::vector<std::vector<HeldMessage>> &held)
  * How long a waiter yields before it parks. On the 2-shard beacon
  * benchmark workload half of the ~150k rendezvous of a run find the
  * peer behind, and all but a few dozen of those are released within
- * 100 us, while a futex park and wake alone took 7-13 us median on a
- * 4-vCPU host. Budgets of 20 to 1000 us ran equally fast on free cores;
- * at 4 shards on 2 CPUs 50 us lost the gain and 100 us kept it. A
- * longer budget only burns more of a core when the peer really is
- * descheduled or stalled, so it is 100 us.
+ * 100 us, while waking a parked thread took about 5 us median, and
+ * past 100 us at the 99th percentile, on a 4-vCPU host. Budgets of 20
+ * to 1000 us ran equally fast on free cores; at 4 shards on 2 CPUs
+ * 50 us lost the gain and 100 us kept it. A longer budget only burns
+ * more of a core when the peer really is descheduled or stalled, so it
+ * is 100 us.
  */
 constexpr std::chrono::microseconds yieldBudget{100};
 
