@@ -104,6 +104,45 @@ printHeld(const std::vector<std::vector<HeldMessage>> &held)
  */
 constexpr std::chrono::microseconds yieldBudget{100};
 
+/**
+ * Block until a peer's @p safe tick reaches @p target: yield for up to
+ * yieldBudget, then park. Counted in @p counters.
+ */
+void
+waitForShard(std::atomic<Tick> &safe, std::atomic<int> &waiters, Tick target,
+             ShardCounters &counters)
+{
+    if (safe.load(std::memory_order_acquire) >= target)
+        return;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    ++counters.waits;
+    // Yield rather than spin: a waiter that shares its core with the
+    // peer hands the peer that core instead of burning it.
+    bool released = false;
+    while (!released && Clock::now() - start < yieldBudget) {
+        std::this_thread::yield();
+        released = safe.load(std::memory_order_acquire) >= target;
+    }
+    if (!released) {
+        ++counters.parks;
+        // Register before the final check: publishers load `waiters`
+        // after their seq_cst safe store, so either they see us (and
+        // notify) or our load below sees their store — no lost wakeup
+        // either way.
+        waiters.fetch_add(1, std::memory_order_seq_cst);
+        for (;;) {
+            const Tick seen = safe.load(std::memory_order_seq_cst);
+            if (seen >= target)
+                break;
+            safe.wait(seen, std::memory_order_seq_cst);
+        }
+        waiters.fetch_sub(1, std::memory_order_relaxed);
+    }
+    counters.waitSeconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 } // namespace
 
 void
@@ -119,40 +158,6 @@ ParallelScheduler::publish(Shard &self, Tick target)
 }
 
 void
-ParallelScheduler::waitForShard(Shard &self, Shard &peer, Tick target)
-{
-    if (peer.safe.load(std::memory_order_acquire) >= target)
-        return;
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point start = Clock::now();
-    ++self.counters.waits;
-    // Yield rather than spin: a waiter that shares its core with the
-    // peer hands the peer that core instead of burning it.
-    bool released = false;
-    while (!released && Clock::now() - start < yieldBudget) {
-        std::this_thread::yield();
-        released = peer.safe.load(std::memory_order_acquire) >= target;
-    }
-    if (!released) {
-        ++self.counters.parks;
-        // Register before the final check: publishers load `waiters`
-        // after their seq_cst safe store, so either they see us (and
-        // notify) or our load below sees their store — no lost wakeup
-        // either way.
-        peer.waiters.fetch_add(1, std::memory_order_seq_cst);
-        for (;;) {
-            const Tick seen = peer.safe.load(std::memory_order_seq_cst);
-            if (seen >= target)
-                break;
-            peer.safe.wait(seen, std::memory_order_seq_cst);
-        }
-        peer.waiters.fetch_sub(1, std::memory_order_relaxed);
-    }
-    self.counters.waitSeconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-void
 ParallelScheduler::syncTo(std::size_t idx, Tick target)
 {
     Shard &self = shards[idx];
@@ -160,8 +165,10 @@ ParallelScheduler::syncTo(std::size_t idx, Tick target)
     // target then always finds every peer at or above it, so the wait
     // graph cannot cycle.
     publish(self, target);
-    for (std::size_t peer : self.waitPeers)
-        waitForShard(self, shards[peer], target);
+    for (std::size_t peer : self.waitPeers) {
+        waitForShard(shards[peer].safe, shards[peer].waiters, target,
+                     self.counters);
+    }
     if (self.coupling)
         self.coupling->applyInbound(target);
 }

@@ -233,9 +233,6 @@ class ParallelScheduler
      */
     void syncTo(std::size_t idx, Tick target);
 
-    /** Block until @p peer's safe tick reaches @p target: yield first,
-     *  then park. Counted in @p self. */
-    static void waitForShard(Shard &self, Shard &peer, Tick target);
 
     /** Resolve per-shard epoch lengths and wait sets from the pair
      *  lookahead overrides. */
